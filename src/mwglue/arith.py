@@ -16,19 +16,20 @@ class FactorizationError(RuntimeError):
     """A complete factorization could not be certified within the bounds."""
 
 
-# Deterministic Miller-Rabin witness set, valid for all n below this limit.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin witness set: the first 13 primes, which prove
+# primality for all n below psi_13 (Sorenson and Webster, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
+    """Deterministic primality.  A witness proves any n composite; a
+    probable prime at or above _MR_LIMIT raises FactorizationError."""
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    if n >= _MR_LIMIT:
-        raise FactorizationError(f"{n} exceeds the certified primality range")
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
@@ -42,6 +43,8 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_LIMIT:
+        raise FactorizationError(f"{n} exceeds the certified primality range")
     return True
 
 
@@ -124,13 +127,6 @@ def factor(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND) -> dict[int, int]:
             raise FactorizationError(f"could not split composite cofactor {m}")
         stack += [d, m // d]
     return out
-
-
-def divisors_from_factorization(fact: dict[int, int]) -> list[int]:
-    out = [1]
-    for p, e in fact.items():
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)
 
 
 @dataclass(frozen=True)

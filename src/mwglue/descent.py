@@ -234,21 +234,20 @@ def surjectivity_obstruction(
     gluing: GluingData,
     point: ECPoint,
     F_generators,
-    include_torsion: bool = True,
+    torsion_generators,
     bounds: SquareSearchBounds = DEFAULT_BOUNDS,
 ) -> ObstructionVerdict:
-    """Whether the point's class lies in the span of torsion classes and the
-    transferred classes of the supplied F-side generators.
+    """Whether the point's class lies in the span of the classes of the
+    supplied E-side torsion generators and the transferred classes of the
+    supplied F-side generators.
 
     A not_contained verdict certifies that the point is outside the subgroup
-    generated by torsion and the pushforward image; its soundness rests on
-    the caller-supplied fact that the generators generate the F-side group.
+    generated by those torsion points and the pushforward image; its
+    soundness rests on the caller-supplied facts that the torsion generators
+    generate E(Q)_tors and the F generators generate the F-side group.
     """
     target = descent_class(gluing.E, gluing.L, point)
-    span: list[AlgebraSquareClass] = []
-    if include_torsion:
-        for t in gluing.E.torsion_subgroup().generators:
-            span.append(descent_class(gluing.E, gluing.L, t))
+    span = [descent_class(gluing.E, gluing.L, t) for t in torsion_generators]
     for g in F_generators:
         span.append(transfer_class(gluing, descent_class(gluing.F, gluing.Lprime, g)))
     if gluing.is_split:

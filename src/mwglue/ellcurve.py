@@ -1,22 +1,24 @@
 """Elliptic curves y^2 = x^3 + c2 x^2 + c1 x + c0 over Q with exact arithmetic.
 
-Chord-tangent group law, rational 2-torsion, the full torsion subgroup via
-Lutz-Nagell candidates on an integral model, the j-invariant, and a naive
-point search used for fixtures.
+Chord-tangent group law, rational 2-torsion, the full torsion subgroup from a
+reduction bound and the integer roots of division polynomials, the
+j-invariant, and a naive point search used for fixtures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from . import poly as P
-from .arith import divisors_from_factorization, factor
+from .arith import is_prime
 from .poly import Poly
 
-# Rational torsion points have order at most 12 (Mazur's bound).
-MAZUR_MAX_ORDER = 12
+# Orders of rational torsion points above 2 (Mazur, 1977), in increasing order.
+MAZUR_ORDERS = (3, 4, 5, 6, 7, 8, 9, 10, 12)
+# Odd primes of good reduction whose point counts bound the torsion order.
+BOUND_PRIMES = 10
 
 
 @dataclass(frozen=True)
@@ -72,9 +74,19 @@ def _point_key(pt: ECPoint):
 
 @dataclass(frozen=True)
 class TorsionGroup:
+    """The torsion subgroup with its reduction bound: #E(F_q) at odd primes q
+    of good reduction.  Rational torsion injects into each E(F_q), so the
+    order divides bound_gcd."""
+
     invariants: tuple[int, ...]
     generators: tuple[ECPoint, ...]
     points: tuple[ECPoint, ...]
+    bound_primes: tuple[int, ...]
+    bound_counts: tuple[int, ...]
+
+    @property
+    def bound_gcd(self) -> int:
+        return gcd(*self.bound_counts)
 
     @property
     def order(self) -> int:
@@ -92,6 +104,11 @@ class TorsionGroup:
             "order": self.order,
             "generators": [g.to_json() for g in self.generators],
             "points": [p.to_json() for p in self.points],
+            "bound": {
+                "primes": list(self.bound_primes),
+                "counts": list(self.bound_counts),
+                "gcd": self.bound_gcd,
+            },
         }
 
 
@@ -188,34 +205,42 @@ class EllipticCurve:
     def torsion_subgroup(self) -> TorsionGroup:
         """The full rational torsion subgroup.
 
-        Lutz-Nagell on the integral model: a torsion point there is integral
-        with y = 0 or y^2 dividing the discriminant.  Candidates are kept when
-        their small multiples reach O within Mazur's bound while staying
-        integral.
+        On the integral model y^2 = g(x), the torsion order divides the gcd B
+        of #E(F_q) over odd primes q of good reduction, and a point of order
+        m (m in Mazur's list) has x a root of the division polynomial f_m.
+        Torsion points there are integral (Lutz-Nagell), so the integer roots
+        x of g and of each f_m with m | B at which g(x) is a square give every
+        torsion point.  An order m is skipped when some proper divisor d > 1
+        of m gave no point, since a point of order m has a multiple of order d.
         """
         model, u = self.integral_model()
-        a, b, c = int(model.c2), int(model.c1), int(model.c0)
-        disc = abs(int(model.discriminant))
-        half = 1
-        for p, e in factor(disc).items():
-            half *= p ** (e // 2)
-        candidates: set[ECPoint] = set()
-        for y in [0] + divisors_from_factorization(factor(half)):
-            for x in P.integer_roots_monic_cubic(a, b, c - y * y):
-                candidates.add(ECPoint.affine(x, y))
-                if y:
-                    candidates.add(ECPoint.affine(x, -y))
-        torsion = [INFINITY]
-        for cand in sorted(candidates, key=_point_key):
-            if _integral_order(model, cand) is not None:
-                torsion.append(cand)
+        g = [int(model.c0), int(model.c1), int(model.c2), 1]
+        primes, counts = _reduction_bound(g)
+        b = gcd(*counts)
+        points = {INFINITY}
+        found = {1}
+        if b % 2 == 0:
+            two = [ECPoint.affine(x, 0) for x in P.integer_roots(g)]
+            points.update(two)
+            if two:
+                found.add(2)
+        division = _DivisionPolys(g)
+        for m in MAZUR_ORDERS:
+            if b % m or any(m % d == 0 and d not in found for d in range(2, m)):
+                continue
+            for x in P.integer_roots(division[m]):
+                v = P.eval_at(g, x)
+                y = isqrt(max(v, 0))
+                if y * y == v:
+                    points.update((ECPoint.affine(x, y), ECPoint.affine(x, -y)))
+                    found.add(m)
         back = [
             INFINITY
             if q.is_infinity
             else ECPoint.affine(q.x / u**2, q.y / u**3)
-            for q in torsion
+            for q in points
         ]
-        return _group_structure(self, back)
+        return TorsionGroup(*_group_structure(self, back), primes, counts)
 
     def j_invariant(self) -> Fraction:
         c4 = 16 * self.c2**2 - 48 * self.c1
@@ -256,25 +281,92 @@ class EllipticCurve:
         return cls(c0, c1, c2)
 
 
-def _integral_order(model: EllipticCurve, pt: ECPoint, cap: int = MAZUR_MAX_ORDER) -> int | None:
-    """Order of pt when it is torsion, else None (integral model required)."""
-    if pt.is_infinity:
-        return 1
-    q = pt
-    for k in range(1, cap + 1):
-        if q.x.denominator != 1 or q.y.denominator != 1:
-            return None  # torsion stays integral when a1 = a3 = 0
-        q = model.add(q, pt)
-        if q.is_infinity:
-            return k + 1
-    return None
+def _reduction_bound(g: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The first BOUND_PRIMES odd primes q not dividing disc(g), and the
+    point counts of y^2 = g(x) over them: #E(F_q) = 1 + sum over x of
+    #{y : y^2 = g(x)}, where that number, 1 + (g(x)/q), comes from a table."""
+    disc = P.cubic_disc(P.poly(g)).numerator
+    primes, counts = [], []
+    q = 1
+    while len(primes) < BOUND_PRIMES:
+        q += 2
+        if disc % q == 0 or not is_prime(q):
+            continue
+        roots = [0] * q
+        for y in range(q):
+            roots[y * y % q] += 1
+        c, b, a = (coeff % q for coeff in g[:3])
+        primes.append(q)
+        counts.append(1 + sum(roots[(((x + a) * x + b) * x + c) % q] for x in range(q)))
+    return tuple(primes), tuple(counts)
 
 
-def _group_structure(curve: EllipticCurve, pts: list[ECPoint]) -> TorsionGroup:
+def _imul(p: list[int], q: list[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return out
+
+
+def _isub(p: list[int], q: list[int]) -> list[int]:
+    out = [0] * max(len(p), len(q))
+    for i, a in enumerate(p):
+        out[i] += a
+    for i, b in enumerate(q):
+        out[i] -= b
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+class _DivisionPolys:
+    """Division polynomials of y^2 = g(x) as integer coefficient lists, built
+    on demand: f_m = psi_m for odd m and psi_m / psi_2 for even m, so every
+    f_m is a polynomial in x.  With F = psi_2^2 = 4g the standard recurrence
+    becomes f_{2k+1} = F^2 f_{k+2} f_k^3 - f_{k-1} f_{k+1}^3 for even k (the
+    factor F^2 moves to the second term for odd k), and
+    f_{2k} = f_k (f_{k+2} f_{k-1}^2 - f_{k-2} f_{k+1}^2).
+    """
+
+    def __init__(self, g: list[int]):
+        c, b, a = g[0], g[1], g[2]
+        b2, b4, b6, b8 = 4 * a, 2 * b, 4 * c, 4 * a * c - b * b
+        self._f_squared = _imul([4 * c, 4 * b, 4 * a, 4], [4 * c, 4 * b, 4 * a, 4])
+        self._polys = {
+            1: [1],
+            2: [1],
+            3: [b8, 3 * b6, 3 * b4, b2, 3],
+            4: [b4 * b8 - b6 * b6, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2, 2],
+        }
+
+    def __getitem__(self, n: int) -> list[int]:
+        if n not in self._polys:
+            k = n // 2
+            if n % 2:
+                first = _imul(self[k + 2], _imul(self[k], _imul(self[k], self[k])))
+                second = _imul(self[k - 1], _imul(self[k + 1], _imul(self[k + 1], self[k + 1])))
+                if k % 2:
+                    second = _imul(self._f_squared, second)
+                else:
+                    first = _imul(self._f_squared, first)
+                self._polys[n] = _isub(first, second)
+            else:
+                inner = _isub(
+                    _imul(self[k + 2], _imul(self[k - 1], self[k - 1])),
+                    _imul(self[k - 2], _imul(self[k + 1], self[k + 1])),
+                )
+                self._polys[n] = _imul(self[k], inner)
+        return self._polys[n]
+
+
+def _group_structure(curve: EllipticCurve, pts: list[ECPoint]) -> tuple:
+    """(invariants, generators, points) of the group the points form."""
     ordered = tuple(sorted(pts, key=_point_key))
     n = len(pts)
     if n == 1:
-        return TorsionGroup((), (), ordered)
+        return (), (), ordered
     orders: dict[ECPoint, int] = {}
     for pt in pts:
         if pt.is_infinity:
@@ -289,12 +381,12 @@ def _group_structure(curve: EllipticCurve, pts: list[ECPoint]) -> TorsionGroup:
     if len(two) == 3:
         m = n // 4
         if m == 1:
-            return TorsionGroup((2, 2), (two[0], two[1]), ordered)
+            return (2, 2), (two[0], two[1]), ordered
         g1 = min((pt for pt in pts if orders[pt] == 2 * m), key=_point_key)
         inner = curve.mul(m, g1)  # the unique 2-torsion point inside <g1>
         g2 = min((t for t in two if t != inner), key=_point_key)
-        return TorsionGroup((2, 2 * m), (g2, g1), ordered)
+        return (2, 2 * m), (g2, g1), ordered
     gens = [pt for pt in pts if orders[pt] == n]
     if not gens:
         raise RuntimeError("torsion group is neither cyclic nor of full 2-torsion type")
-    return TorsionGroup((n,), (min(gens, key=_point_key),), ordered)
+    return (n,), (min(gens, key=_point_key),), ordered

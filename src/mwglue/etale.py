@@ -422,38 +422,6 @@ def _certificate_scan(algebra, elem, primes) -> NonSquareCertificate | None:
     return None
 
 
-def _eval_poly_mod(q: Poly, x: int, modulus: int) -> int | None:
-    acc = 0
-    for c in reversed(q):
-        if gcd(c.denominator, modulus) != 1:
-            return None
-        acc = (acc * x + c.numerator * pow(c.denominator, -1, modulus)) % modulus
-    return acc
-
-
-def _lift_root(m: Poly, r: int, p: int, k: int) -> int:
-    """Newton-lift a simple root of m from mod p to mod p^k."""
-    dm = P.derivative(m)
-    modulus = p
-    root = r
-    for _ in range(k - 1):
-        modulus *= p
-        fv = _eval_poly_mod(m, root, modulus)
-        dv = _eval_poly_mod(dm, root, modulus)
-        root = (root - fv * pow(dv, -1, modulus)) % modulus
-    return root
-
-
-def _lift_sqrt(a: int, s: int, p: int, k: int) -> int:
-    """Newton-lift a square root of a from mod p to mod p^k."""
-    modulus = p
-    t = s
-    for _ in range(k - 1):
-        modulus *= p
-        t = (t - (t * t - a) * pow(2 * t, -1, modulus)) % modulus
-    return t
-
-
 def _solve_vandermonde(xs: list[int], rhs: list[int], modulus: int) -> list[int] | None:
     d = len(xs)
     rows = [[pow(x, j, modulus) for j in range(d)] + [v] for x, v in zip(xs, rhs)]
@@ -498,10 +466,10 @@ def _lift_and_reconstruct(m: Poly, r: Poly, roots: list[int], p: int, height: in
     while modulus <= target:
         modulus *= p
         k += 1
-    lifted = [_lift_root(m, rt, p, k) for rt in roots]
+    lifted = [P.lift_root(m, rt, p, k) for rt in roots]
     vals = []
     for rt in lifted:
-        v = _eval_poly_mod(r, rt, modulus)
+        v = P.eval_mod(r, rt, modulus)
         if v is None:
             return None
         vals.append(v)
@@ -510,7 +478,7 @@ def _lift_and_reconstruct(m: Poly, r: Poly, roots: list[int], p: int, height: in
         s = _sqrt_mod_prime(v % p, p)
         if not s:
             return None
-        sqrts.append(_lift_sqrt(v, s, p, k))
+        sqrts.append(P.lift_root((-v, 0, 1), s, p, k))  # the root of X^2 - v above s
     bound = isqrt(modulus // 2)
     for signs in iter_product(*([(1,)] + [(1, -1)] * (d - 1))):
         rhs = [s if e == 1 else modulus - s for s, e in zip(sqrts, signs)]

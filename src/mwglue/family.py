@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import SquareClassTriple, is_prime, occurs
+from .arith import SquareClassTriple, factor, is_prime, occurs
 from .descent import NOT_CONTAINED, ObstructionVerdict, descent_class, surjectivity_obstruction
 from .ellcurve import ECPoint, EllipticCurve
 from .etale import CubicEtaleAlgebra
@@ -259,7 +259,9 @@ def verify_instance(inst: FamilyInstance, params: FamilyParams) -> InstanceRepor
     obstruction = None
     try:
         gluing = gluing_for_instance(inst, params.F)
-        obstruction = surjectivity_obstruction(gluing, inst.P, params.F_generators)
+        obstruction = surjectivity_obstruction(
+            gluing, inst.P, params.F_generators, torsion.generators
+        )
         checks["obstruction"] = CheckResult(
             obstruction.status == NOT_CONTAINED, obstruction.status
         )
@@ -272,8 +274,6 @@ def verify_instance(inst: FamilyInstance, params: FamilyParams) -> InstanceRepor
     if den == 1:
         checks["j_denominator"] = CheckResult(False, f"j = {j} is integral")
     else:
-        from .arith import factor
-
         largest = max(factor(den))
         checks["j_denominator"] = CheckResult(
             largest == p, f"largest denominator prime of j is {largest}"

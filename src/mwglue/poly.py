@@ -7,7 +7,9 @@ trailing zeros; the zero polynomial is the empty tuple.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
+
+from .arith import is_prime
 
 Poly = tuple[Fraction, ...]
 
@@ -75,12 +77,85 @@ def pow_poly(p: Poly, n: int) -> Poly:
     return out
 
 
-def eval_at(p: Poly, x) -> Fraction:
-    x = Fraction(x)
-    acc = Fraction(0)
+def eval_at(p: Poly, x) -> Fraction | int:
+    """p(x), exactly; an int when x and the coefficients are ints."""
+    acc = 0
     for c in reversed(p):
         acc = acc * x + c
     return acc
+
+
+def eval_mod(p, x: int, modulus: int) -> int | None:
+    """p(x) mod modulus for rational or integer coefficients, or None when a
+    denominator is not a unit mod modulus."""
+    acc = 0
+    for c in reversed(p):
+        n, d = c.numerator, c.denominator
+        if d != 1:
+            if gcd(d, modulus) != 1:
+                return None
+            n *= pow(d, -1, modulus)
+        acc = (acc * x + n) % modulus
+    return acc
+
+
+def lift_root(p, r: int, q: int, k: int) -> int:
+    """Newton-lift a simple root r of p mod the prime q to the root mod q^k
+    it determines; the precision doubles at each step.  The coefficients of
+    p must be q-integral."""
+    dp = derivative(p)
+    e, root = 1, r % q
+    while e < k:
+        e = min(2 * e, k)
+        modulus = q**e
+        fv = eval_mod(p, root, modulus)
+        root = (root - fv * pow(eval_mod(dp, root, modulus), -1, modulus)) % modulus
+    return root
+
+
+# The search for a prime of simple reduction in integer_roots stops here.
+_ROOT_PRIME_LIMIT = 1000
+
+
+def integer_roots(p) -> list[int]:
+    """Sorted integer roots of a nonconstant polynomial with integer
+    coefficients, given in ascending degree order.
+
+    Take a prime q that divides neither the leading coefficient nor p' at any
+    root of p mod q.  Every integer root reduces to one of those simple roots
+    and is its unique q-adic lift, so each root mod q is lifted until q^k
+    exceeds twice a bound on the roots; the symmetric residue is then the
+    only possible integer root above it, and each candidate is checked
+    exactly.  The bound is Fujiwara's, 2 max |a_{n-i} / a_n|^(1/i), rounded
+    up to a power of two from bit lengths.
+    """
+    if len(p) < 2 or p[-1] == 0:
+        raise ValueError("expected a nonconstant polynomial with a nonzero leading coefficient")
+    lead = p[-1]
+    n, lead_bits = len(p) - 1, abs(lead).bit_length()
+    bound = 2 ** (1 + max(
+        (-((lead_bits - 1 - abs(c).bit_length()) // (n - i)) for i, c in enumerate(p[:-1]) if c),
+        default=0,
+    ))
+    dp = derivative(p)
+    for q in range(3, _ROOT_PRIME_LIMIT, 2):
+        if lead % q == 0 or not is_prime(q):
+            continue
+        roots = [r for r in range(q) if eval_mod(p, r, q) == 0]
+        if any(eval_mod(dp, r, q) == 0 for r in roots):
+            continue
+        k, modulus = 1, q
+        while modulus <= 2 * bound:
+            k, modulus = k + 1, modulus * q
+        out = []
+        for r in roots:
+            x = lift_root(p, r, q, k)
+            if x > modulus // 2:
+                x -= modulus
+            if abs(x) < bound and eval_at(p, x) == 0:
+                out.append(x)
+        return sorted(out)
+    raise ValueError(f"no prime below {_ROOT_PRIME_LIMIT} reduces the polynomial with simple roots")
 
 
 def derivative(p: Poly) -> Poly:

@@ -123,3 +123,82 @@ def naive_congruence_primes(l1: int, l2: int, bound: int, count: int) -> list[in
                 if len(out) == count:
                     break
     return out
+
+
+def _torsion_key(pt):
+    return (0, 0, 0) if pt.is_infinity else (1, pt.x, pt.y)
+
+
+def lutz_nagell_torsion(curve):
+    """Reference torsion subgroup as (invariants, generators, points).
+
+    Lutz-Nagell on the integral model: a torsion point there is integral with
+    y = 0 or y^2 dividing the discriminant.  Every such y gives a cubic in x
+    whose integer roots are candidates, and a candidate is kept when its
+    multiples reach O within 12 steps (Mazur) while staying integral.  The
+    structure and generators follow the library's documented choice: the
+    smallest point of maximal order, and for full 2-torsion the smallest
+    2-torsion point outside the cyclic factor.  It shares only factor(),
+    integer_roots_monic_cubic() and the group law with the library, each
+    tested on its own; torsion_subgroup() itself uses none of the first two.
+    """
+    from mwglue.arith import factor
+    from mwglue.ellcurve import INFINITY, ECPoint
+
+    model, u = curve.integral_model()
+    a, b, c = int(model.c2), int(model.c1), int(model.c0)
+    half = 1
+    for p, e in factor(abs(int(model.discriminant))).items():
+        half *= p ** (e // 2)
+    ys = [1]
+    for p, e in factor(half).items():
+        ys = [d * p**k for d in ys for k in range(e + 1)]
+    candidates = set()
+    for y in [0] + ys:
+        for x in P.integer_roots_monic_cubic(a, b, c - y * y):
+            candidates.update((ECPoint.affine(x, y), ECPoint.affine(x, -y)))
+    points = [INFINITY]
+    for cand in candidates:
+        q = cand
+        for _ in range(12):
+            if q.x.denominator != 1 or q.y.denominator != 1:
+                break
+            q = model.add(q, cand)
+            if q.is_infinity:
+                points.append(cand)
+                break
+    points = sorted(
+        (q if q.is_infinity else ECPoint.affine(q.x / u**2, q.y / u**3) for q in points),
+        key=_torsion_key,
+    )
+
+    def order(pt):
+        n, q = 1, pt
+        while not q.is_infinity:
+            q, n = curve.add(q, pt), n + 1
+        return n
+
+    n = len(points)
+    if n == 1:
+        return (), (), tuple(points)
+    two = [pt for pt in points if not pt.is_infinity and pt.y == 0]
+    if len(two) == 3:
+        if n == 4:
+            return (2, 2), (two[0], two[1]), tuple(points)
+        g1 = next(pt for pt in points if order(pt) == n // 2)
+        inner = curve.mul(n // 4, g1)
+        g2 = next(t for t in two if t != inner)
+        return (2, n // 2), (g2, g1), tuple(points)
+    g = next(pt for pt in points if order(pt) == n)
+    return (n,), (g,), tuple(points)
+
+
+def count_points_mod(coeffs, q: int) -> int:
+    """#E(F_q) for y^2 = x^3 + c2 x^2 + c1 x + c0 by listing every (x, y)."""
+    c0, c1, c2 = (int(c) % q for c in coeffs)
+    return 1 + sum(
+        1
+        for x in range(q)
+        for y in range(q)
+        if (y * y - (x * x * x + c2 * x * x + c1 * x + c0)) % q == 0
+    )

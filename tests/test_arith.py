@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mwglue.arith import (
@@ -44,6 +44,12 @@ class TestFactor:
         with pytest.raises(ValueError):
             factor(0)
 
+    def test_composite_cofactor_above_certified_range(self):
+        # the cofactor left by trial division is above the Miller-Rabin
+        # range, but a witness proves it composite and rho splits it
+        m61, m31 = 2**61 - 1, 2**31 - 1
+        assert factor(m61 * m31) == {m31: 1, m61: 1}
+
     @given(st.integers(min_value=1, max_value=10**6))
     @settings(max_examples=120)
     def test_product_reconstructs(self, n):
@@ -80,6 +86,8 @@ class TestSquareClass:
 
     @given(nonzero_fractions, nonzero_fractions)
     @settings(max_examples=40)
+    # q^3 has a numerator above the certified primality range
+    @example(Fraction(-194638909, 2892), Fraction(-194638909, 2892))
     def test_square_factors_cancel(self, q, r):
         assert square_class(q * r * r) == square_class(q)
 
@@ -197,6 +205,15 @@ class TestPrimality:
 
         for n in range(2, 500):
             assert is_prime(n) == trial_is_prime(n)
+
+    def test_strong_pseudoprime_to_twelve_bases(self):
+        # psi_12 passes Miller-Rabin to every base 2..37; base 41 refutes it
+        psi12 = 318_665_857_834_031_151_167_461
+        assert 399_165_290_221 * 798_330_580_441 == psi12
+        assert not is_prime(psi12)
+
+    def test_composite_above_range_is_refuted(self):
+        assert not is_prime((2**61 - 1) * (2**31 - 1))
 
     def test_certified_range_guard(self):
         n = 3_317_044_064_679_887_385_961_981

@@ -229,6 +229,13 @@ class TestPointCommands:
         assert main(["torsion", "--curve", curve]) == 0
         assert "Z/2 x Z/2" in capsys.readouterr().out
 
+    def test_torsion_without_factoring_the_discriminant(self, tmp_path, capsys):
+        # the discriminant's cofactor (10000799 * 205126079)^2 lies above the
+        # certified primality range; torsion needs no factorization
+        curve = _write(tmp_path, "curve.json", {"f": ["123456789012345678901", "0", "0"]})
+        assert main(["torsion", "--curve", curve]) == 0
+        assert capsys.readouterr().out.strip() == "trivial (order 1)"
+
     def test_missing_file_is_input_error(self, capsys):
         assert main(["jinv", "--curve", "/nonexistent/curve.json"]) == 3
 

@@ -231,20 +231,20 @@ class TestSurjectivityObstruction:
     def test_torsion_point_contained(self):
         inst = build_instance(229)
         g = gluing_for_instance(inst, FAMILY_F)
-        res = surjectivity_obstruction(g, inst.P1, ())
+        res = surjectivity_obstruction(g, inst.P1, (), g.E.torsion_subgroup().generators)
         assert res.status == CONTAINED
 
     def test_trivial_class_contained(self, e3):
         inst = build_instance(3)
         g = gluing_for_instance(inst, FAMILY_F)
         double = e3.mul(2, ECPoint.affine(-1, 3))
-        res = surjectivity_obstruction(g, double, ())
+        res = surjectivity_obstruction(g, double, (), g.E.torsion_subgroup().generators)
         assert res.status == CONTAINED and res.witness == ()
 
     def test_marked_point_escapes_for_229(self):
         inst = build_instance(229)
         g = gluing_for_instance(inst, FAMILY_F)
-        res = surjectivity_obstruction(g, inst.P, ())
+        res = surjectivity_obstruction(g, inst.P, (), g.E.torsion_subgroup().generators)
         assert res.status == NOT_CONTAINED
         # the exhaustive oracle agrees
         from oracles import brute_force_contains
@@ -256,7 +256,7 @@ class TestSurjectivityObstruction:
 
         inst = build_instance(1129)
         g = gluing_for_instance(inst, FAMILY_F)
-        res = surjectivity_obstruction(g, inst.P, ())
+        res = surjectivity_obstruction(g, inst.P, (), g.E.torsion_subgroup().generators)
         assert res.status == NOT_CONTAINED
         assert validate_noncontainment_certificate(res.span, res.target, res.certificate)
 
@@ -265,14 +265,14 @@ class TestSurjectivityObstruction:
         inst = build_instance(1231)
         g = gluing_for_instance(inst, FAMILY_F)
         gens = (ECPoint.affine(3, 6), ECPoint.affine(0, 0))
-        res = surjectivity_obstruction(g, inst.P, gens)
+        res = surjectivity_obstruction(g, inst.P, gens, g.E.torsion_subgroup().generators)
         assert res.status == NOT_CONTAINED
         assert len(res.span) == 4
 
-    def test_include_torsion_flag(self):
+    def test_empty_torsion_span(self):
         inst = build_instance(229)
         g = gluing_for_instance(inst, FAMILY_F)
-        res = surjectivity_obstruction(g, inst.P1, (), include_torsion=False)
+        res = surjectivity_obstruction(g, inst.P1, (), ())
         assert res.status == NOT_CONTAINED  # the span is empty without torsion
 
     def test_verdict_json_round_trip(self):
@@ -280,7 +280,7 @@ class TestSurjectivityObstruction:
 
         inst = build_instance(229)
         g = gluing_for_instance(inst, FAMILY_F)
-        res = surjectivity_obstruction(g, inst.P, ())
+        res = surjectivity_obstruction(g, inst.P, (), g.E.torsion_subgroup().generators)
         parsed = ObstructionVerdict.from_json(res.to_json())
         assert parsed.status == res.status
         assert parsed.span == res.span

@@ -1,14 +1,22 @@
+import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 
 from mwglue.arith import factor
 from mwglue.ellcurve import ECPoint, EllipticCurve, INFINITY
-from mwglue.family import curve_for_prime
-from mwglue.fixtures import EXAMPLE_POINT
+from mwglue.family import FamilyParams, curve_for_prime, find_primes
+from mwglue.fixtures import EXAMPLE_E, EXAMPLE_F, EXAMPLE_POINT, FAMILY_F
 
-from oracles import chord_tangent_sum, lambda_j
+from oracles import (
+    chord_tangent_sum,
+    count_points_mod,
+    lambda_j,
+    lutz_nagell_torsion,
+    trial_is_prime,
+)
 
 X3_MINUS_X = EllipticCurve.from_roots(0, 1, -1)
 
@@ -145,6 +153,119 @@ class TestTorsionSubgroup:
         assert tors.invariants == (2, 2)
         xs = sorted(p.x for p in tors.points if not p.is_infinity)
         assert xs == [Fraction(-1, 2), 0, Fraction(1, 2)]
+
+
+def tate_curve(n: int, t) -> tuple[EllipticCurve, ECPoint]:
+    """Kubert's Tate normal form y^2 + (1 - c) x y - b y = x^3 - b x^2 with
+    (0, 0) of order n, completed to y^2 = cubic, and that point."""
+    t = Fraction(t)
+    if n == 4:
+        b, c = t, Fraction(0)
+    elif n == 5:
+        b, c = t, t
+    elif n == 6:
+        b, c = t + t * t, t
+    elif n == 7:
+        b, c = t**3 - t * t, t * t - t
+    elif n == 8:
+        b = (2 * t - 1) * (t - 1)
+        c = b / t
+    elif n == 9:
+        c = t * t * (t - 1)
+        b = c * (t * t - t + 1)
+    elif n == 10:
+        d = t * t - 3 * t + 1
+        b = t**3 * (t - 1) * (2 * t - 1) / d**2
+        c = -t * (t - 1) * (2 * t - 1) / d
+    else:
+        b = t * (2 * t - 1) * (2 * t * t - 2 * t + 1) * (3 * t * t - 3 * t + 1) / (t - 1) ** 4
+        c = -t * (2 * t - 1) * (3 * t * t - 3 * t + 1) / (t - 1) ** 3
+    a1, a3 = 1 - c, -b
+    curve = EllipticCurve(a3 * a3 / 4, a1 * a3 / 2, -b + a1 * a1 / 4)
+    return curve, ECPoint.affine(0, a3 / 2)
+
+
+TATE_ORDERS = (4, 5, 6, 7, 8, 9, 10, 12)
+TATE_PARAMS = (2, Fraction(-2, 3), Fraction(3, 5))
+
+
+def _differential_curves(kind: str) -> list[EllipticCurve]:
+    if kind == "tate":
+        # every order at t = 2; the heights where the reference needs
+        # seconds per curve (t = -2/3 past n = 9, t = 3/5 past n = 8) are
+        # covered by test_tate_designed_point_order instead
+        return [
+            tate_curve(n, t)[0]
+            for n in TATE_ORDERS
+            for t in TATE_PARAMS
+            if t == 2 or n <= (9 if t == Fraction(-2, 3) else 8)
+        ]
+    if kind == "family":
+        return [
+            curve_for_prime(p)
+            for l1, l2, count, bound in ((3, 5, 15, 10**9), (7, 13, 5, 10**12))
+            for p in find_primes(FamilyParams(l1, l2, FAMILY_F, bound=bound, count=count)).primes
+        ]
+    if kind == "mordell":
+        ks = (1, -432, -1, 2, 4, 8, -8, 16, -27, 10**9 + 7, -(10**9 + 7), 10007**2, 1009**3, -(1009**3))
+        return [EllipticCurve(k, 0, 0) for k in ks]
+    if kind == "named":
+        # E and F of the bundled example, Z/2 x Z/6 and Z/2 x Z/8
+        return [
+            EXAMPLE_E,
+            EXAMPLE_F,
+            EllipticCurve.from_roots(0, -5, -32),
+            EllipticCurve.from_roots(0, -81, -256),
+        ]
+    rng = random.Random(2015)
+    out = []
+    while len(out) < 300:
+        cs = [Fraction(rng.randint(-60, 60), rng.choice((1, 1, 1, 2, 3, 4))) for _ in range(3)]
+        try:
+            out.append(EllipticCurve(*cs))
+        except ValueError:
+            pass
+    return out
+
+
+class TestTorsionAgainstLutzNagell:
+    @pytest.mark.parametrize("kind", ["tate", "family", "mordell", "named", "random"])
+    def test_matches_reference(self, kind):
+        for curve in _differential_curves(kind):
+            tors = curve.torsion_subgroup()
+            assert (tors.invariants, tors.generators, tors.points) == lutz_nagell_torsion(curve)
+            assert tors.bound_gcd % tors.order == 0
+
+    @pytest.mark.parametrize("n", TATE_ORDERS)
+    def test_tate_designed_point_order(self, n):
+        for t in TATE_PARAMS:
+            curve, point = tate_curve(n, t)
+            tors = curve.torsion_subgroup()
+            assert point in tors.points
+            assert tors.invariants[-1] % n == 0  # t = 3/5 gives Z/2 x Z/6 at n = 6
+
+    def test_named_structures(self):
+        labels = [c.torsion_subgroup().label() for c in _differential_curves("named")]
+        assert labels == ["trivial", "trivial", "Z/2 x Z/6", "Z/2 x Z/8"]
+
+
+class TestReductionBound:
+    @pytest.mark.parametrize("kind", ["tate", "mordell", "named"])
+    def test_counts_match_brute_force(self, kind):
+        for curve in _differential_curves(kind)[:8]:
+            model, _ = curve.integral_model()
+            disc = int(model.disc_f)
+            tors = curve.torsion_subgroup()
+            good = [q for q in range(3, 200, 2) if trial_is_prime(q) and disc % q][:10]
+            assert list(tors.bound_primes) == good
+            coeffs = (model.c0, model.c1, model.c2)
+            assert list(tors.bound_counts) == [count_points_mod(coeffs, q) for q in good]
+
+    def test_json_certificate(self, e3):
+        data = e3.torsion_subgroup().to_json()
+        bound = data["bound"]
+        assert bound["gcd"] == gcd(*bound["counts"])
+        assert bound["gcd"] % data["order"] == 0
 
 
 class TestJInvariant:

@@ -1,0 +1,31 @@
+import pytest
+
+import mwglue.poly as P
+
+
+class TestIntegerRoots:
+    def test_non_monic_with_rational_root(self):
+        # (x - 3)(x + 5)(2x - 1)(x^2 + 1): 1/2 is a root but not an integer
+        f = P.mul(P.mul(P.poly([-3, 1]), P.poly([5, 1])), P.mul(P.poly([-1, 2]), P.poly([1, 0, 1])))
+        assert P.integer_roots([int(c) for c in f]) == [-5, 3]
+
+    def test_large_roots(self):
+        r, s = 10**30 + 7, -(10**25)
+        f = P.mul(P.poly([-r, 1]), P.mul(P.poly([-s, 1]), P.poly([0, 1])))
+        assert P.integer_roots([int(c) for c in f]) == [s, 0, r]
+
+    def test_no_roots(self):
+        assert P.integer_roots([2, 0, 1]) == []
+
+    def test_constant_rejected(self):
+        for p in ([5], []):
+            with pytest.raises(ValueError):
+                P.integer_roots(p)
+
+
+class TestLiftRoot:
+    def test_lift_matches_integer_root(self):
+        # x^2 - 2 has a simple root 3 mod 7; its 7-adic lift squares to 2
+        root = P.lift_root([-2, 0, 1], 3, 7, 20)
+        assert (root * root - 2) % 7**20 == 0
+        assert root % 7 == 3
