@@ -1,64 +1,25 @@
-"""Exact-arithmetic descent tools for elliptic curves glued into genus-2 Jacobians."""
+"""Exact-arithmetic descent tools for elliptic curves glued into genus-2 Jacobians.
 
-from .arith import (
-    ContainmentResult,
-    FactorizationError,
-    SquareClass,
-    SquareClassTriple,
-    factor,
-    is_prime,
-    occurs,
-    square_class,
-    subgroup_contains,
-    validate_containment_witness,
-    validate_noncontainment_certificate,
-)
-from .descent import (
-    MembershipVerdict,
-    ObstructionVerdict,
-    OddCoordinateWitness,
-    descent_class,
-    membership,
-    surjectivity_obstruction,
-    transfer_class,
-)
-from .ellcurve import ECPoint, EllipticCurve, INFINITY, TorsionGroup
-from .etale import (
-    AlgebraElement,
-    AlgebraSquareClass,
-    CubicEtaleAlgebra,
-    NonSquare,
-    NonSquareCertificate,
-    NonUnitError,
-    Square,
-    SquareSearchBounds,
-    Unknown,
-    algebra_map,
-    has_square_norm,
-    is_square,
-)
-from .family import (
-    FamilyInstance,
-    FamilyParams,
-    InvalidFamilyParams,
-    build_instance,
-    curve_for_prime,
-    find_primes,
-    gluing_for_instance,
-    pairwise_distinct,
-    run_family,
-    verify_instance,
-)
-from .glue import (
-    GenusTwoCurve,
-    GluingData,
-    GluingError,
-    RationalMap,
-    TwoTorsionIdentification,
-    is_geometric_restriction,
-    validate_identification,
-    verify_cover_map,
-    verify_rescaling,
-)
+The API lives in the submodules (`mwglue.arith`, `mwglue.descent`, ...).
+Each is registered here as a lazy module that runs its code on first
+attribute access, so a process compiles only the modules it uses.
+"""
+
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
+
+
+def _lazy(name: str):
+    """Register mwglue.<name> as a module that loads on first attribute access."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# Every submodule but `cli`, which `python -m mwglue.cli` runs as __main__.
+for _name in ("arith", "descent", "ellcurve", "etale", "example", "family", "fixtures", "glue", "poly"):
+    globals()[_name] = _lazy(_name)

@@ -44,7 +44,10 @@ def is_prime(n: int) -> bool:
         else:
             return False
     if n >= _MR_LIMIT:
-        raise FactorizationError(f"{n} exceeds the certified primality range")
+        raise FactorizationError(
+            f"{n} is a probable prime at or above the certified primality bound "
+            f"psi_13 = {_MR_LIMIT}"
+        )
     return True
 
 
@@ -73,9 +76,12 @@ def first_primes(count: int) -> list[int]:
 DEFAULT_TRIAL_BOUND = 10**6
 
 
+_RHO_CONSTANTS = 49  # rho tries the maps x -> x^2 + c for c = 1.._RHO_CONSTANTS
+
+
 def _pollard_rho(n: int) -> int:
     """A nontrivial factor of an odd composite n, or 0 if every cycle failed."""
-    for c in range(1, 50):
+    for c in range(1, _RHO_CONSTANTS + 1):
         x = y = 2
         d = 1
         while d == 1:
@@ -124,7 +130,10 @@ def factor(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND) -> dict[int, int]:
             continue
         d = _pollard_rho(m)
         if d in (0, m):
-            raise FactorizationError(f"could not split composite cofactor {m}")
+            raise FactorizationError(
+                f"Pollard rho with x^2 + c, c = 1..{_RHO_CONSTANTS}, did not split "
+                f"the composite cofactor {m}"
+            )
         stack += [d, m // d]
     return out
 

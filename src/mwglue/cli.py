@@ -11,14 +11,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .arith import FactorizationError
-from .descent import IN_IMAGE, NOT_IN_IMAGE, descent_class, membership
-from .ellcurve import ECPoint, EllipticCurve
-from .etale import CubicEtaleAlgebra, SquareSearchBounds
-from .example import format_example_report, run_example
-from .family import FamilyParams, run_family
-from .fixtures import FAMILY_F, load_example_fixtures
-from .glue import GluingData
+from . import arith, descent, ellcurve, etale, example, family, fixtures, glue
 
 
 class UsageError(Exception):
@@ -35,8 +28,16 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _bounds(args) -> SquareSearchBounds:
-    return SquareSearchBounds(
+# The certificate scan sieves about N ln N bytes for N primes.
+MAX_SQ_PRIMES = 100_000
+
+
+def _bounds(args) -> etale.SquareSearchBounds:
+    if args.sq_primes < 1 or args.height < 2:
+        raise UsageError("bounds must be positive")
+    if args.sq_primes > MAX_SQ_PRIMES:
+        raise UsageError(f"--sq-primes must be at most {MAX_SQ_PRIMES}")
+    return etale.SquareSearchBounds(
         cert_primes=args.sq_primes, recon_height=args.height
     )
 
@@ -65,29 +66,27 @@ def _add_bounds(sp):
 
 
 def _cmd_verify_example(args) -> int:
-    fixtures = None
+    overrides = None
     if args.fixtures:
-        fixtures = load_example_fixtures(_load_json(args.fixtures))
-    if args.sq_primes < 1 or args.height < 2:
-        raise UsageError("bounds must be positive")
-    report = run_example(bounds=_bounds(args), fixtures=fixtures)
-    _emit(args, report.to_json(), format_example_report(report))
+        overrides = fixtures.load_example_fixtures(_load_json(args.fixtures))
+    report = example.run_example(bounds=_bounds(args), fixtures=overrides)
+    _emit(args, report.to_json(), example.format_example_report(report))
     return report.exit_code
 
 
 def _cmd_family(args) -> int:
     if args.F:
         data = _load_json(args.F)
-        F = EllipticCurve.from_json(data["F"])
-        gens = tuple(ECPoint.from_json(g) for g in data.get("generators", []))
+        F = ellcurve.EllipticCurve.from_json(data["F"])
+        gens = tuple(ellcurve.ECPoint.from_json(g) for g in data.get("generators", []))
     else:
-        F = FAMILY_F
+        F = fixtures.FAMILY_F
         gens = ()
-    params = FamilyParams(
+    params = family.FamilyParams(
         l1=args.l1, l2=args.l2, F=F, F_generators=gens, bound=args.bound, count=args.count
     )
     params.validate()
-    report = run_family(params)
+    report = family.run_family(params)
     lines = [f"primes: {', '.join(str(p) for p in report.search.primes) or '(none)'}"]
     if report.search.exhausted:
         lines.append(
@@ -110,15 +109,15 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_membership(args) -> int:
-    gluing = GluingData.from_json(_load_json(args.gluing))
-    pt_e = ECPoint.from_json(_load_json(args.P))
-    pt_f = ECPoint.from_json(_load_json(args.Q))
-    verdict = membership(gluing, pt_e, pt_f, _bounds(args))
+    gluing = glue.GluingData.from_json(_load_json(args.gluing))
+    pt_e = ellcurve.ECPoint.from_json(_load_json(args.P))
+    pt_f = ellcurve.ECPoint.from_json(_load_json(args.Q))
+    verdict = descent.membership(gluing, pt_e, pt_f, _bounds(args))
     human = f"verdict: {verdict.verdict}"
     if verdict.certificate is not None:
         human += f"\ncertificate: {json.dumps(verdict.to_json()['certificate'])}"
     _emit(args, verdict.to_json(), human)
-    if verdict.verdict in (IN_IMAGE, NOT_IN_IMAGE):
+    if verdict.verdict in (descent.IN_IMAGE, descent.NOT_IN_IMAGE):
         return 0
     return 2
 
@@ -128,11 +127,11 @@ def _parse_roots(text: str) -> list[Fraction]:
 
 
 def _cmd_descent_class(args) -> int:
-    curve = EllipticCurve.from_json(_load_json(args.curve))
-    point = ECPoint.from_json(_load_json(args.point))
+    curve = ellcurve.EllipticCurve.from_json(_load_json(args.curve))
+    point = ellcurve.ECPoint.from_json(_load_json(args.point))
     order = _parse_roots(args.roots) if args.roots else None
-    algebra = CubicEtaleAlgebra.from_cubic(curve.f_poly(), root_order=order)
-    cls = descent_class(curve, algebra, point)
+    algebra = etale.CubicEtaleAlgebra.from_cubic(curve.f_poly(), root_order=order)
+    cls = descent.descent_class(curve, algebra, point)
     if algebra.is_split:
         trip = cls.triple()
         payload = {"triple": trip.to_json()}
@@ -146,14 +145,14 @@ def _cmd_descent_class(args) -> int:
 
 
 def _cmd_jinv(args) -> int:
-    curve = EllipticCurve.from_json(_load_json(args.curve))
+    curve = ellcurve.EllipticCurve.from_json(_load_json(args.curve))
     j = curve.j_invariant()
     _emit(args, {"j": str(j)}, str(j))
     return 0
 
 
 def _cmd_torsion(args) -> int:
-    curve = EllipticCurve.from_json(_load_json(args.curve))
+    curve = ellcurve.EllipticCurve.from_json(_load_json(args.curve))
     torsion = curve.torsion_subgroup()
     human = f"{torsion.label()} (order {torsion.order})"
     if torsion.generators:
@@ -224,9 +223,12 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, TypeError, OSError, FactorizationError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except arith.FactorizationError as exc:
+        print(f"bound exhausted: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry():

@@ -12,7 +12,7 @@ image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import poly as P
@@ -137,7 +137,11 @@ class MembershipVerdict:
             cert = {"kind": "non_square", **self.certificate.to_json()}
         elif isinstance(self.certificate, OddCoordinateWitness):
             cert = {"kind": "odd_coordinate", **self.certificate.to_json()}
-        return {"verdict": self.verdict, "certificate": cert}
+        out = {"verdict": self.verdict, "certificate": cert}
+        if self.verdict == UNKNOWN and self.bounds is not None:
+            # the search bounds that ran out; decided verdicts stay unchanged
+            out["bounds"] = asdict(self.bounds)
+        return out
 
     @classmethod
     def from_json(cls, data) -> "MembershipVerdict":
@@ -148,7 +152,10 @@ class MembershipVerdict:
                 cert = NonSquareCertificate.from_json(cert_data)
             else:
                 cert = OddCoordinateWitness.from_json(cert_data)
-        return cls(data["verdict"], cert)
+        bounds = data.get("bounds")
+        if bounds is not None:
+            bounds = SquareSearchBounds(**{k: int(v) for k, v in bounds.items()})
+        return cls(data["verdict"], cert, bounds)
 
 
 def membership(

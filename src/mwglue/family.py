@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .arith import SquareClassTriple, factor, is_prime, occurs
 from .descent import NOT_CONTAINED, ObstructionVerdict, descent_class, surjectivity_obstruction
@@ -59,10 +60,12 @@ class FamilyParams:
                     f"{l} occurs in a generator class of F and cannot be used"
                 )
 
-
-def _f_side_algebra(F: EllipticCurve) -> CubicEtaleAlgebra:
-    roots = sorted(pt.x for pt in F.two_torsion())
-    return CubicEtaleAlgebra.from_cubic(F.f_poly(), root_order=roots)
+    @cached_property
+    def F_algebra(self) -> CubicEtaleAlgebra:
+        """Q[x]/(f_F), its components ordered by the x of F's 2-torsion
+        points; built once per parameter set and shared by every instance."""
+        roots = sorted(pt.x for pt in self.F.two_torsion())
+        return CubicEtaleAlgebra.from_cubic(self.F.f_poly(), root_order=roots)
 
 
 def generator_occurring_primes(params: FamilyParams) -> frozenset[int]:
@@ -72,7 +75,7 @@ def generator_occurring_primes(params: FamilyParams) -> frozenset[int]:
     some generator class: valuation parities add over F2, so a prime with
     even parity in every generator has even parity in every product.
     """
-    algebra = _f_side_algebra(params.F)
+    algebra = params.F_algebra
     out: set[int] = set()
     for g in params.F_generators:
         tr = descent_class(params.F, algebra, g).triple()
@@ -118,6 +121,7 @@ def curve_for_prime(p: int) -> EllipticCurve:
 class FamilyInstance:
     p: int
     curve: EllipticCurve
+    algebra: CubicEtaleAlgebra  # components ordered by the roots 0, -p-1, p-1
     P: ECPoint
     P1: ECPoint
     P2: ECPoint
@@ -137,11 +141,6 @@ class FamilyInstance:
             "P2": self.class_P2,
             "P3": self.class_P3,
         }
-
-    def algebra(self) -> CubicEtaleAlgebra:
-        return CubicEtaleAlgebra.from_cubic(
-            self.curve.f_poly(), root_order=[0, -self.p - 1, self.p - 1]
-        )
 
     def to_json(self) -> dict:
         return {
@@ -169,16 +168,19 @@ def build_instance(p: int) -> FamilyInstance:
     classes = [
         descent_class(curve, algebra, q).triple() for q in (marked, t1, t2, t3)
     ]
-    return FamilyInstance(p, curve, marked, t1, t2, t3, *classes)
+    return FamilyInstance(p, curve, algebra, marked, t1, t2, t3, *classes)
 
 
-def gluing_for_instance(inst: FamilyInstance, F: EllipticCurve) -> GluingData:
+def gluing_for_instance(
+    inst: FamilyInstance, F: EllipticCurve, F_algebra: CubicEtaleAlgebra | None = None
+) -> GluingData:
     """Glue the instance curve to F, matching the marked 2-torsion points of
-    the instance to F's 2-torsion points in increasing x order."""
+    the instance to F's 2-torsion points in increasing x order.  The gluing
+    reuses the instance's algebra, and F_algebra when it is given."""
     e_roots = [Fraction(0), Fraction(-inst.p - 1), Fraction(inst.p - 1)]
     f_roots = sorted(pt.x for pt in F.two_torsion())
     psi = TwoTorsionIdentification.from_matching(zip(e_roots, f_roots))
-    return GluingData.build(inst.curve, F, psi)
+    return GluingData.build(inst.curve, F, psi, L=inst.algebra, Lprime=F_algebra)
 
 
 @dataclass(frozen=True)
@@ -216,7 +218,7 @@ def verify_instance(inst: FamilyInstance, params: FamilyParams) -> InstanceRepor
     """Recheck the five instance claims independently of how it was built."""
     curve, p = inst.curve, inst.p
     l1, l2 = params.l1, params.l2
-    algebra = inst.algebra()
+    algebra = inst.algebra
     checks: dict[str, CheckResult] = {}
 
     # (a) occurrence pattern of p, l2, l1 across P and its 2-torsion translates
@@ -258,7 +260,7 @@ def verify_instance(inst: FamilyInstance, params: FamilyParams) -> InstanceRepor
     # (d) the marked point escapes torsion plus the pushforward image
     obstruction = None
     try:
-        gluing = gluing_for_instance(inst, params.F)
+        gluing = gluing_for_instance(inst, params.F, params.F_algebra)
         obstruction = surjectivity_obstruction(
             gluing, inst.P, params.F_generators, torsion.generators
         )

@@ -115,6 +115,16 @@ def validate_identification(
     return ValidationResult(not bad, tuple(bad))
 
 
+def _algebra(f: Poly, order, given: CubicEtaleAlgebra | None) -> CubicEtaleAlgebra:
+    """Q[x]/(f) with its components x - r in the given root order (any order
+    when order is None), reusing `given` if it is that algebra."""
+    if given is None:
+        return CubicEtaleAlgebra.from_cubic(f, root_order=order)
+    if given.f != f or (order is not None and given.split_roots() != tuple(order)):
+        raise ValueError("the supplied algebra does not match the identification")
+    return given
+
+
 @dataclass(frozen=True)
 class GluingData:
     E: EllipticCurve
@@ -125,8 +135,16 @@ class GluingData:
 
     @classmethod
     def build(
-        cls, E: EllipticCurve, F: EllipticCurve, psi: TwoTorsionIdentification
+        cls,
+        E: EllipticCurve,
+        F: EllipticCurve,
+        psi: TwoTorsionIdentification,
+        L: CubicEtaleAlgebra | None = None,
+        Lprime: CubicEtaleAlgebra | None = None,
     ) -> "GluingData":
+        """Validate psi and build the algebras of E and F, with split
+        components in the order of psi's matching.  A caller that already
+        has one of them passes it as L or Lprime; it must be that algebra."""
         res = validate_identification(E, F, psi)
         if not res.ok:
             raise GluingError(res.violations)
@@ -136,13 +154,11 @@ class GluingData:
             roots = P.rational_roots_monic(f)
             if len(roots) == 3:
                 matching = tuple((r, P.eval_at(psi.h, r)) for r in roots)
+        e_order = f_order = None
         if matching is not None:
-            L = CubicEtaleAlgebra.from_cubic(f, root_order=[a for a, _ in matching])
-            Lp = CubicEtaleAlgebra.from_cubic(g, root_order=[b for _, b in matching])
-        else:
-            L = CubicEtaleAlgebra.from_cubic(f)
-            Lp = CubicEtaleAlgebra.from_cubic(g)
-        return cls(E, F, psi, L, Lp)
+            e_order = [a for a, _ in matching]
+            f_order = [b for _, b in matching]
+        return cls(E, F, psi, _algebra(f, e_order, L), _algebra(g, f_order, Lprime))
 
     @property
     def is_split(self) -> bool:

@@ -116,7 +116,9 @@ def test_criterion_occurrence_claims(family_run):
     l1, l2 = report.params.l1, report.params.l2
     ok = True
     for inst in report.instances:
-        curve, algebra, p = inst.curve, inst.algebra(), inst.p
+        curve, p = inst.curve, inst.p
+        # built afresh, so the check does not reuse the instance's algebra
+        algebra = CubicEtaleAlgebra.from_cubic(curve.f_poly(), root_order=[0, -p - 1, p - 1])
         ok = ok and inst.class_P.occurs(p)
         ok = ok and descent_class(
             curve, algebra, curve.add(inst.P, inst.P1)

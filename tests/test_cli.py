@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mwglue.cli import main
+from mwglue.cli import MAX_SQ_PRIMES, main
 from mwglue.descent import descent_class
 from mwglue.etale import CubicEtaleAlgebra, NonSquareCertificate
 from mwglue.fixtures import EXAMPLE_E, EXAMPLE_F, EXAMPLE_POINT, EXAMPLE_PSI
@@ -182,9 +182,23 @@ class TestMembershipCommand:
                 q_file,
                 "--sq-primes",
                 "2",
+                "--format",
+                "json",
             ]
         )
         assert code == 2
+        data = json.loads(capsys.readouterr().out)
+        assert data["verdict"] == "unknown"
+        assert data["bounds"] == {"cert_primes": 2, "recon_height": 10**9, "split_attempts": 3}
+
+    def test_sq_primes_cap(self, tmp_path, gluing_file, capsys):
+        p_file = _write(tmp_path, "P.json", {"x": "-2", "y": "1"})
+        q_file = _write(tmp_path, "Q.json", "O")
+        args = ["membership", "--gluing", gluing_file, "--P", p_file, "--Q", q_file]
+        assert main([*args, "--sq-primes", str(MAX_SQ_PRIMES + 1)]) == 3
+        assert f"at most {MAX_SQ_PRIMES}" in capsys.readouterr().err
+        assert main(["verify-example", "--sq-primes", str(MAX_SQ_PRIMES + 1)]) == 3
+        assert main([*args, "--sq-primes", "0"]) == 3
 
     def test_emitted_verdict_revalidates(self, tmp_path, gluing_file, capsys):
         p_file = _write(tmp_path, "P.json", {"x": "-2", "y": "1"})
@@ -203,6 +217,7 @@ class TestMembershipCommand:
             ]
         )
         data = json.loads(capsys.readouterr().out)
+        assert set(data) == {"verdict", "certificate"}  # bounds only on unknown
         cert = NonSquareCertificate.from_json(data["certificate"])
         gluing = GluingData.build(EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI)
         diff = descent_class(EXAMPLE_E, gluing.L, EXAMPLE_POINT)
@@ -235,6 +250,17 @@ class TestPointCommands:
         curve = _write(tmp_path, "curve.json", {"f": ["123456789012345678901", "0", "0"]})
         assert main(["torsion", "--curve", curve]) == 0
         assert capsys.readouterr().out.strip() == "trivial (order 1)"
+
+    def test_primality_bound_exhausted(self, tmp_path, capsys):
+        # the class of (0, 0) on y^2 = x (x + 1) (x - P) needs the square class
+        # of -P, and P = 10^30 + 57 is a probable prime above psi_13
+        P = 10**30 + 57
+        curve = _write(tmp_path, "curve.json", {"f": ["0", str(-P), str(1 - P)]})
+        point = _write(tmp_path, "point.json", {"x": "0", "y": "0"})
+        assert main(["descent-class", "--curve", curve, "--point", point]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bound exhausted:")
+        assert "psi_13 = 3317044064679887385961981" in err
 
     def test_missing_file_is_input_error(self, capsys):
         assert main(["jinv", "--curve", "/nonexistent/curve.json"]) == 3

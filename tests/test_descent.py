@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,6 +11,7 @@ from mwglue.descent import (
     IN_IMAGE,
     NOT_CONTAINED,
     NOT_IN_IMAGE,
+    UNKNOWN,
     MembershipVerdict,
     descent_class,
     membership,
@@ -225,6 +227,13 @@ class TestMembership:
         assert parsed.verdict == NOT_IN_IMAGE
         diff = descent_class(EXAMPLE_E, g.L, EXAMPLE_POINT)
         assert parsed.certificate.validate(g.L, diff.rep)
+        # an unknown verdict carries the bounds that ran out
+        bounds = SquareSearchBounds(cert_primes=2, recon_height=50, split_attempts=1)
+        unknown = membership(g, EXAMPLE_POINT, INFINITY, bounds)
+        assert unknown.verdict == UNKNOWN
+        data = json.loads(json.dumps(unknown.to_json()))
+        assert data["bounds"] == {"cert_primes": 2, "recon_height": 50, "split_attempts": 1}
+        assert MembershipVerdict.from_json(data) == unknown
 
 
 class TestSurjectivityObstruction:

@@ -5,6 +5,7 @@ import pytest
 from mwglue.arith import is_prime
 from mwglue.descent import descent_class
 from mwglue.ellcurve import ECPoint
+from mwglue.etale import CubicEtaleAlgebra
 from mwglue.family import (
     FamilyParams,
     InvalidFamilyParams,
@@ -159,7 +160,8 @@ class TestBuildInstance:
 
     def test_table_matches_direct_descent_path(self):
         inst = build_instance(1129)
-        algebra = inst.algebra()
+        algebra = CubicEtaleAlgebra.from_cubic(inst.curve.f_poly(), root_order=[0, -1130, 1128])
+        assert inst.algebra == algebra
         for name, pt in inst.marked_points().items():
             direct = descent_class(inst.curve, algebra, pt).triple()
             assert direct == inst.class_table()[name]
@@ -248,6 +250,28 @@ class TestRunFamily:
         report = run_family(_params(bound=1000, count=100))
         assert report.search.exhausted
         assert report.exit_code == 2
+
+    def test_algebras_built_once(self, monkeypatch):
+        # one F-side algebra per run and one E-side algebra per instance,
+        # shared by the descent classes, the checks and the gluing
+        built = []
+        original = CubicEtaleAlgebra.from_cubic.__func__
+
+        def counting(cls, f, root_order=None):
+            built.append(f)
+            return original(cls, f, root_order)
+
+        monkeypatch.setattr(CubicEtaleAlgebra, "from_cubic", classmethod(counting))
+        report = run_family(_params(count=3))
+        assert report.all_passed
+        assert len(built) == 1 + 3
+        assert built.count(FAMILY_F.f_poly()) == 1
+
+    def test_gluing_rejects_a_foreign_algebra(self):
+        inst = build_instance(229)
+        other = build_instance(1129)
+        with pytest.raises(ValueError):
+            gluing_for_instance(other, FAMILY_F, inst.algebra)
 
     def test_gluing_marks_split(self):
         inst = build_instance(229)

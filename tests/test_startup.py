@@ -1,0 +1,73 @@
+"""Each CLI command runs only the submodules it needs.
+
+Every command runs in a fresh interpreter, which then lists the mwglue
+submodules that have run.  A submodule that has not been used yet is still a
+lazy module; `type()` tells the two apart without loading it.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from mwglue.fixtures import EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI
+from mwglue.glue import GluingData
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+PROBE = """
+import contextlib, io, json, sys, types
+import mwglue.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = mwglue.cli.main(sys.argv[1:])
+ran = [n.split(".", 1)[1] for n, m in sys.modules.items()
+       if n.startswith("mwglue.") and type(m) is types.ModuleType]
+print(json.dumps({"code": code, "ran": sorted(ran)}))
+"""
+
+
+def _ran(*argv) -> set[str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    result = json.loads(out.splitlines()[-1])
+    assert result["code"] == 0
+    return set(result["ran"])
+
+
+@pytest.fixture
+def files(tmp_path):
+    paths = {}
+    for name, payload in {
+        "curve": EXAMPLE_E.to_json(),
+        "gluing": GluingData.build(EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI).to_json(),
+        "P": {"x": "-2", "y": "1"},
+        "Q": "O",
+    }.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(payload))
+        paths[name] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize("command", ["torsion", "jinv"])
+def test_curve_queries_run_only_the_curve_layers(files, command):
+    assert _ran(command, "--curve", files["curve"]) == {"cli", "arith", "poly", "ellcurve"}
+
+
+def test_membership_runs_no_family_or_example_code(files):
+    ran = _ran("membership", "--gluing", files["gluing"], "--P", files["P"], "--Q", files["Q"])
+    assert "descent" in ran
+    assert not ran & {"family", "example", "fixtures"}
+
+
+def test_family_runs_no_example_code():
+    ran = _ran("family", "--l1", "3", "--l2", "5", "--count", "1")
+    assert "family" in ran
+    assert "example" not in ran
