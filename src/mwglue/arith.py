@@ -247,7 +247,9 @@ def occurs(p: int, z: SquareClassTriple) -> bool:
     return z.occurs(p)
 
 
-# A coordinate of the F2 space: (component index, prime), None marking the sign.
+# A valuation coordinate of (Q*/Q*^2)^3: (component index, prime), None
+# marking the sign.  subgroup_contains also takes other coordinates, such as
+# the quadratic characters (p, component, root) of etale.span_contains.
 Coordinate = tuple[int, int | None]
 
 
@@ -261,8 +263,9 @@ def _coords_of(z: SquareClassTriple) -> set[Coordinate]:
     return out
 
 
-def _coord_key(c: Coordinate):
-    return (c[0], c[1] is not None, c[1] or 0)
+def _coord_key(c: tuple):
+    # None sorts first, so a component's sign precedes its primes
+    return tuple(-1 if x is None else x for x in c)
 
 
 def coordinate_to_json(c: Coordinate) -> dict:
@@ -277,41 +280,33 @@ def coordinate_from_json(data) -> Coordinate:
 class ContainmentResult:
     contained: bool
     witness: tuple[int, ...] | None = None
-    certificate: tuple[Coordinate, ...] | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "contained": self.contained,
-            "witness": list(self.witness) if self.witness is not None else None,
-            "certificate": [coordinate_to_json(c) for c in self.certificate]
-            if self.certificate is not None
-            else None,
-        }
+    certificate: tuple[tuple, ...] | None = None
 
 
-def subgroup_contains(generators, target: SquareClassTriple) -> ContainmentResult:
+def subgroup_contains(generators, target) -> ContainmentResult:
     """Decide membership of target in the F2 span of the generators.
 
-    Gaussian elimination over F2 with one coordinate per (component, sign)
-    and (component, prime).  A positive answer carries a witness subset of
+    Each element is a SquareClassTriple, standing for its valuation
+    coordinates (component, sign) and (component, prime), or directly a set
+    of coordinates, the F2 vector with a 1 at each of them.  Gaussian
+    elimination over F2 gives, for a positive answer, a witness subset of
     generator indices whose product is the target; a negative answer carries
     a coordinate set meeting every generator an even number of times and the
     target an odd number of times.
     """
-    gens = list(generators)
-    universe = sorted(
-        {c for z in gens for c in _coords_of(z)} | _coords_of(target), key=_coord_key
-    )
+    sets = [_coords_of(z) if isinstance(z, SquareClassTriple) else z for z in generators]
+    tset = _coords_of(target) if isinstance(target, SquareClassTriple) else target
+    universe = sorted(set(tset).union(*sets), key=_coord_key)
     pos = {c: i for i, c in enumerate(universe)}
 
-    def vec(z: SquareClassTriple) -> int:
+    def vec(cs) -> int:
         v = 0
-        for c in _coords_of(z):
+        for c in cs:
             v |= 1 << pos[c]
         return v
 
     basis: list[list[int]] = []  # [vector, generator mask] rows, kept in RREF
-    for i, g in enumerate(gens):
+    for i, g in enumerate(sets):
         v, m = vec(g), 1 << i
         for bv, bm in basis:
             if v >> (bv.bit_length() - 1) & 1:
@@ -323,13 +318,13 @@ def subgroup_contains(generators, target: SquareClassTriple) -> ContainmentResul
                     row[0] ^= v
                     row[1] ^= m
             basis.append([v, m])
-    t, tm = vec(target), 0
+    t, tm = vec(tset), 0
     for bv, bm in basis:
         if t >> (bv.bit_length() - 1) & 1:
             t ^= bv
             tm ^= bm
     if t == 0:
-        witness = tuple(i for i in range(len(gens)) if tm >> i & 1)
+        witness = tuple(i for i in range(len(sets)) if tm >> i & 1)
         return ContainmentResult(True, witness=witness)
     low = (t & -t).bit_length() - 1
     dual = {low}

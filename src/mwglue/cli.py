@@ -85,7 +85,6 @@ def _cmd_family(args) -> int:
     params = family.FamilyParams(
         l1=args.l1, l2=args.l2, F=F, F_generators=gens, bound=args.bound, count=args.count
     )
-    params.validate()
     report = family.run_family(params)
     lines = [f"primes: {', '.join(str(p) for p in report.search.primes) or '(none)'}"]
     if report.search.exhausted:

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import partial
+from operator import itemgetter
 
 from . import poly as P
 from .arith import (
@@ -26,7 +28,9 @@ from .arith import (
 from .ellcurve import ECPoint, EllipticCurve
 from .etale import (
     DEFAULT_BOUNDS,
+    AlgebraElement,
     AlgebraSquareClass,
+    Character,
     CubicEtaleAlgebra,
     NonSquare,
     NonSquareCertificate,
@@ -35,6 +39,7 @@ from .etale import (
     algebra_map,
     has_square_norm,
     is_square,
+    span_contains,
 )
 from .glue import GluingData
 
@@ -175,19 +180,14 @@ def membership(
     cq = descent_class(gluing.F, gluing.Lprime, point_on_F)
     diff = cp * transfer_class(gluing, cq)
     if gluing.is_split:
+        # against the empty span the certificate is the target's first
+        # coordinate: the sign or smallest odd prime of its first odd component
         tr = diff.triple()
-        if tr.is_trivial:
+        res = subgroup_contains((), tr)
+        if res.contained:
             return MembershipVerdict(IN_IMAGE)
-        for i, comp in enumerate(tr.components):
-            if comp.negative:
-                return MembershipVerdict(
-                    NOT_IN_IMAGE, OddCoordinateWitness(i, None, tr)
-                )
-            if comp.primes:
-                return MembershipVerdict(
-                    NOT_IN_IMAGE, OddCoordinateWitness(i, comp.primes[0], tr)
-                )
-        raise AssertionError("nontrivial triple without a nontrivial coordinate")
+        ((i, prime),) = res.certificate
+        return MembershipVerdict(NOT_IN_IMAGE, OddCoordinateWitness(i, prime, tr))
     decision = is_square(gluing.L, diff.rep, bounds)
     if isinstance(decision, Square):
         return MembershipVerdict(IN_IMAGE)
@@ -196,44 +196,58 @@ def membership(
     return MembershipVerdict(UNKNOWN, bounds=bounds)
 
 
+_CHARACTER_KEYS = ("p", "component", "root")
+
+
 @dataclass(frozen=True)
 class ObstructionVerdict:
+    """A span decision in one of two forms.  Over a split gluing the span
+    and target are class triples, and a certificate lists valuation
+    coordinates (component, prime); otherwise they are unit representatives
+    in the E-side algebra, and a certificate lists characters
+    (p, component, root) that etale.validate_characters rechecks."""
+
     status: str
-    span: tuple[SquareClassTriple, ...] | None = None
-    target: SquareClassTriple | None = None
+    span: tuple[SquareClassTriple, ...] | tuple[AlgebraElement, ...]
+    target: SquareClassTriple | AlgebraElement
     witness: tuple[int, ...] | None = None
-    certificate: tuple[Coordinate, ...] | None = None
-    certificates: tuple[NonSquareCertificate, ...] | None = None
+    certificate: tuple[Coordinate, ...] | tuple[Character, ...] | None = None
     bounds: SquareSearchBounds | None = None
 
     def to_json(self) -> dict:
-        return {
+        split = isinstance(self.target, SquareClassTriple)
+        cert = self.certificate
+        out = {
             "status": self.status,
-            "span": [t.to_json() for t in self.span] if self.span is not None else None,
-            "target": self.target.to_json() if self.target is not None else None,
+            "span": [z.to_json() for z in self.span],
+            "target": self.target.to_json(),
             "witness": list(self.witness) if self.witness is not None else None,
-            "certificate": [coordinate_to_json(c) for c in self.certificate]
-            if self.certificate is not None
-            else None,
-            "certificates": [c.to_json() for c in self.certificates]
-            if self.certificates is not None
-            else None,
+            "certificate": [
+                coordinate_to_json(c) if split else dict(zip(_CHARACTER_KEYS, c)) for c in cert
+            ] if cert is not None else None,
         }
+        if self.bounds is not None:
+            out["bounds"] = asdict(self.bounds)
+        return out
 
     @classmethod
-    def from_json(cls, data) -> "ObstructionVerdict":
+    def from_json(cls, data, algebra: CubicEtaleAlgebra | None = None) -> "ObstructionVerdict":
+        """Parse either form; the non-split form needs the E-side algebra."""
+        if isinstance(data["target"][0], dict):
+            elem, coord = SquareClassTriple.from_json, coordinate_from_json
+        elif algebra is None:
+            raise ValueError("a non-split verdict needs its algebra")
+        else:
+            elem = partial(AlgebraElement.from_json, algebra)
+            coord = itemgetter(*_CHARACTER_KEYS)
+        cert, bounds = data.get("certificate"), data.get("bounds")
         return cls(
             data["status"],
-            span=tuple(SquareClassTriple.from_json(t) for t in data["span"])
-            if data.get("span") is not None
-            else None,
-            target=SquareClassTriple.from_json(data["target"])
-            if data.get("target") is not None
-            else None,
-            witness=tuple(data["witness"]) if data.get("witness") is not None else None,
-            certificate=tuple(coordinate_from_json(c) for c in data["certificate"])
-            if data.get("certificate") is not None
-            else None,
+            tuple(elem(z) for z in data["span"]),
+            elem(data["target"]),
+            tuple(data["witness"]) if data.get("witness") is not None else None,
+            tuple(coord(c) for c in cert) if cert is not None else None,
+            SquareSearchBounds(**{k: int(v) for k, v in bounds.items()}) if bounds else None,
         )
 
 
@@ -252,38 +266,20 @@ def surjectivity_obstruction(
     generated by those torsion points and the pushforward image; its
     soundness rests on the caller-supplied facts that the torsion generators
     generate E(Q)_tors and the F generators generate the F-side group.
+    Split gluings decide over valuation coordinates and are always decided;
+    otherwise etale.span_contains decides over quadratic characters.
     """
     target = descent_class(gluing.E, gluing.L, point)
     span = [descent_class(gluing.E, gluing.L, t) for t in torsion_generators]
     for g in F_generators:
         span.append(transfer_class(gluing, descent_class(gluing.F, gluing.Lprime, g)))
     if gluing.is_split:
-        triples = tuple(c.triple() for c in span)
-        tt = target.triple()
-        res = subgroup_contains(triples, tt)
-        if res.contained:
-            return ObstructionVerdict(CONTAINED, span=triples, target=tt, witness=res.witness)
-        return ObstructionVerdict(
-            NOT_CONTAINED, span=triples, target=tt, certificate=res.certificate
-        )
-    k = len(span)
-    if k > 12:
-        return ObstructionVerdict(UNKNOWN, bounds=bounds)
-    certs = []
-    unresolved = False
-    for mask in range(1 << k):
-        cls = target
-        for i in range(k):
-            if mask >> i & 1:
-                cls = cls * span[i]
-        decision = is_square(gluing.L, cls.rep, bounds)
-        if isinstance(decision, Square):
-            witness = tuple(i for i in range(k) if mask >> i & 1)
-            return ObstructionVerdict(CONTAINED, witness=witness)
-        if isinstance(decision, NonSquare):
-            certs.append(decision.certificate)
-        else:
-            unresolved = True
-    if unresolved:
-        return ObstructionVerdict(UNKNOWN, bounds=bounds)
-    return ObstructionVerdict(NOT_CONTAINED, certificates=tuple(certs))
+        span, target = tuple(c.triple() for c in span), target.triple()
+        decision = subgroup_contains(span, target)
+    else:
+        span, target = tuple(c.rep for c in span), target.rep
+        decision = span_contains(gluing.L, span, target, bounds)
+    if decision.contained is None:
+        return ObstructionVerdict(UNKNOWN, span, target, bounds=bounds)
+    status = CONTAINED if decision.contained else NOT_CONTAINED
+    return ObstructionVerdict(status, span, target, decision.witness, decision.certificate)

@@ -143,8 +143,7 @@ class EllipticCurve:
 
     @property
     def disc_f(self) -> Fraction:
-        c, b, a = self.c0, self.c1, self.c2
-        return 18 * a * b * c - 4 * a**3 * c + a**2 * b**2 - 4 * b**3 - 27 * c**2
+        return P.cubic_disc(self.f_poly())
 
     @property
     def discriminant(self) -> Fraction:

@@ -1,32 +1,38 @@
 """Cubic etale algebras Q[x]/(f) as products of number fields of degree <= 3.
 
-Norms, the square-norm kernel test, and a sound decision procedure for
-squareness of units:
+Norms, the square-norm kernel test, and one sound decision procedure for
+containment in the square classes of units, of which squareness is the
+empty-span case:
 
-  * A non-square certificate is a prime p (dividing neither disc f nor any
-    numerator or denominator appearing in the element) together with a root
-    of one component mod p at which the element reduces to a quadratic
-    non-residue.  A unit square would reduce to a residue at every such
-    root, so the certificate alone proves non-squareness in that component.
-  * A square witness is an element whose square equals the input exactly.
-    Witnesses are recovered by lifting a square root p-adically at a prime
-    where the component splits, interpolating, and reconstructing rational
-    coefficients below a height bound; the result is verified exactly.
+  * A quadratic character (p, component, root), for an odd prime p dividing
+    neither disc f nor any numerator or denominator of the elements and a
+    root of the component mod p at which no element vanishes, sends a unit
+    to the Legendre symbol of its value there.  It is F2-linear on the
+    group the elements generate, so characters that sum to 1 on the target
+    and to 0 on every span element prove non-containment; for squareness
+    this is one character at which the element is a non-residue.
+  * A containment witness is a span subset with an exact square root of the
+    target times its product.  The root is recovered by lifting a square
+    root p-adically at a prime where the component splits, interpolating,
+    and reconstructing rational coefficients below a height bound; the
+    result is verified exactly.
   * Unknown is returned only when both searches exhaust their bounds.
 
-The certificate scan walks primes in increasing order, so the smallest
-certifying prime wins and repeated runs are deterministic.
+The scan walks primes in increasing order and decides over the characters
+with arith.subgroup_contains, so the smallest certifying prime wins and
+repeated runs are deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as iter_product
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from . import poly as P
-from .arith import SquareClassTriple, first_primes, is_prime, square_class
+from .arith import SquareClassTriple, first_primes, is_prime, square_class, subgroup_contains
 from .poly import ONE, ZERO, Poly
 
 
@@ -86,13 +92,9 @@ class CubicEtaleAlgebra:
             raise ValueError("the algebra is not split")
         return tuple(-c[0] for c in self.components)
 
-    @property
+    @cached_property
     def disc(self) -> Fraction:
         return P.cubic_disc(self.f)
-
-    @property
-    def degree_pattern(self) -> tuple[int, ...]:
-        return tuple(P.degree(c) for c in self.components)
 
     def element(self, coeffs) -> "AlgebraElement":
         """The element represented by a polynomial in the generator."""
@@ -113,9 +115,6 @@ class CubicEtaleAlgebra:
 
     def rational(self, c) -> "AlgebraElement":
         return self.element([c])
-
-    def generator(self) -> "AlgebraElement":
-        return self.element([0, 1])
 
 
 @dataclass(frozen=True)
@@ -216,21 +215,10 @@ def _component_norm(m: Poly, r: Poly) -> Fraction:
     d = P.degree(m)
     if not r:
         return Fraction(0)
-    if d == 1:
-        return r[0]
-    cols = []
-    cur = r
-    for _ in range(d):
-        cols.append([cur[i] if i < len(cur) else Fraction(0) for i in range(d)])
-        cur = P.mod_poly(P.mul(cur, P.X), m)
-    if d == 2:
-        return cols[0][0] * cols[1][1] - cols[1][0] * cols[0][1]
-    a, b, c = cols
-    return (
-        a[0] * (b[1] * c[2] - b[2] * c[1])
-        - b[0] * (a[1] * c[2] - a[2] * c[1])
-        + c[0] * (a[1] * b[2] - a[2] * b[1])
-    )
+    cols = [r]  # r, r X, ..., r X^(d-1) reduced mod m
+    while len(cols) < d:
+        cols.append(P.mod_poly(P.mul(cols[-1], P.X), m))
+    return P.det([[c[i] if i < len(c) else Fraction(0) for i in range(d)] for c in cols])
 
 
 def has_square_norm(elem: AlgebraElement) -> bool:
@@ -246,7 +234,7 @@ def has_square_norm(elem: AlgebraElement) -> bool:
 
 @dataclass(frozen=True)
 class SquareSearchBounds:
-    cert_primes: int = 200  # primes scanned for non-residue certificates
+    cert_primes: int = 200  # primes scanned for quadratic characters
     recon_height: int = 10**9  # numerator/denominator bound for recovered roots
     split_attempts: int = 3  # split primes tried per component recovery
 
@@ -262,39 +250,18 @@ class NonSquareCertificate:
     value: int
 
     def validate(self, algebra: CubicEtaleAlgebra, elem: AlgebraElement) -> bool:
-        """Recheck every certificate condition from scratch."""
-        p = self.p
-        if p == 2 or not is_prime(p):
-            return False
-        if _is_bad_prime(algebra, elem, p):
-            return False
-        if not 0 <= self.component < len(algebra.components):
-            return False
-        try:
-            mc = _poly_mod_int(algebra.components[self.component], p)
-            res = _poly_mod_int(elem.residues[self.component], p)
-        except ZeroDivisionError:
-            return False
-        if _eval_mod(mc, self.root % p, p) != 0:
-            return False
-        v = _eval_mod(res, self.root % p, p)
-        if v == 0 or v != self.value % p:
-            return False
-        return _euler(v, p) == -1
+        """Recheck every certificate condition from scratch: the one-character
+        case of validate_characters, and the value at the root."""
+        return validate_characters(
+            algebra, (), elem, [(self.p, self.component, self.root)]
+        ) and P.eval_mod(elem.residues[self.component], self.root, self.p) == self.value % self.p
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "component": self.component,
-            "root": self.root,
-            "value": self.value,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, data) -> "NonSquareCertificate":
-        return cls(
-            int(data["p"]), int(data["component"]), int(data["root"]), int(data["value"])
-        )
+        return cls(*(int(data[k]) for k in ("p", "component", "root", "value")))
 
 
 @dataclass(frozen=True)
@@ -310,40 +277,24 @@ class NonSquare:
 @dataclass(frozen=True)
 class Unknown:
     bounds: SquareSearchBounds
-    reason: str = ""
 
 
 SquareDecision = Square | NonSquare | Unknown
 
+# A quadratic character of the unit group: alpha -> (alpha_component(root) / p).
+Character = tuple[int, int, int]  # (p, component, root)
 
-def _is_bad_prime(algebra: CubicEtaleAlgebra, elem: AlgebraElement, p: int) -> bool:
-    """p divides disc(f) or some numerator/denominator appearing in the element."""
+
+def _bad_modulus(algebra: CubicEtaleAlgebra, elems) -> int:
+    """A nonzero integer divisible by every bad prime: the primes dividing
+    disc(f), a denominator of a component, or a numerator or denominator of
+    a coefficient of some element."""
     d = algebra.disc
-    if d.numerator % p == 0 or d.denominator % p == 0:
-        return True
-    for r in elem.residues:
-        for c in r:
-            if c and (c.numerator % p == 0 or c.denominator % p == 0):
-                return True
-    return False
-
-
-def _poly_mod_int(q: Poly, p: int) -> list[int]:
-    out = []
-    for c in q:
-        if c.denominator % p == 0:
-            raise ZeroDivisionError(f"denominator divisible by {p}")
-        out.append(c.numerator * pow(c.denominator, -1, p) % p)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _eval_mod(coeffs: list[int], x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
+    return prod([
+        d.numerator * d.denominator,
+        *(c.denominator for m in algebra.components for c in m),
+        *(c.numerator * c.denominator for e in elems for r in e.residues for c in r if c),
+    ])
 
 
 def _euler(v: int, p: int) -> int:
@@ -389,37 +340,22 @@ def _quadratic_roots_mod(c0: int, c1: int, p: int) -> list[int]:
 
 
 def _roots_mod_p(m: Poly, p: int) -> list[int]:
-    """Roots in F_p of a monic component polynomial of degree <= 3."""
-    coeffs = _poly_mod_int(m, p)
+    """Sorted roots in F_p of a monic component polynomial of degree <= 3
+    whose coefficients are p-integral."""
+    coeffs = [c.numerator * pow(c.denominator, -1, p) % p for c in m]
     d = len(coeffs) - 1
     if d == 1:
         return [(-coeffs[0]) % p]
     if d == 2:
         return _quadratic_roots_mod(coeffs[0], coeffs[1], p)
+    c0, c1, c2, _ = coeffs
     for r in range(p):
-        if _eval_mod(coeffs, r, p) == 0:
+        if (((r + c2) * r + c1) * r + c0) % p == 0:
             # synthetic division by (x - r), then the quadratic formula
-            q1 = (coeffs[2] + r) % p
-            q0 = (coeffs[1] + r * q1) % p
+            q1 = (c2 + r) % p
+            q0 = (c1 + r * q1) % p
             return sorted({r, *_quadratic_roots_mod(q0, q1, p)})
     return []
-
-
-def _certificate_scan(algebra, elem, primes) -> NonSquareCertificate | None:
-    for p in primes:
-        if p == 2 or _is_bad_prime(algebra, elem, p):
-            continue
-        for ci, m in enumerate(algebra.components):
-            try:
-                res = _poly_mod_int(elem.residues[ci], p)
-                roots = _roots_mod_p(m, p)
-            except ZeroDivisionError:
-                break
-            for r in roots:
-                v = _eval_mod(res, r, p)
-                if v and _euler(v, p) == -1:
-                    return NonSquareCertificate(p, ci, r, v)
-    return None
 
 
 def _solve_vandermonde(xs: list[int], rhs: list[int], modulus: int) -> list[int] | None:
@@ -498,38 +434,124 @@ def _lift_and_reconstruct(m: Poly, r: Poly, roots: list[int], p: int, height: in
     return None
 
 
-def _component_sqrt(algebra, elem, ci, primes, bounds):
-    """Exact square root in one component, a certificate, or None."""
-    m = algebra.components[ci]
-    r = elem.residues[ci]
+def _component_sqrt(m: Poly, r: Poly, split: list, height: int) -> Poly | None:
+    """An exact square root of r in Q[x]/(m), or None.  A rational component
+    takes the exact root; a larger one is tried at each (p, roots) in split,
+    primes where m splits completely and r is a nonzero residue at every
+    root."""
     if P.degree(m) == 1:
         s = P.sqrt_fraction(P.constant_value(r))
         return None if s is None else P.poly([s])
-    d = P.degree(m)
-    attempts = 0
-    for p in primes:
-        if attempts >= bounds.split_attempts:
-            break
-        if p == 2 or _is_bad_prime(algebra, elem, p):
-            continue
-        try:
-            roots = _roots_mod_p(m, p)
-            res = _poly_mod_int(r, p)
-        except ZeroDivisionError:
-            continue
-        if len(roots) != d:
-            continue
-        vals = [_eval_mod(res, rt, p) for rt in roots]
-        if any(v == 0 for v in vals):
-            continue
-        for rt, v in zip(roots, vals):
-            if _euler(v, p) == -1:
-                return NonSquareCertificate(p, ci, rt, v)
-        attempts += 1
-        got = _lift_and_reconstruct(m, r, roots, p, bounds.recon_height)
+    for p, roots in split:
+        got = _lift_and_reconstruct(m, r, roots, p, height)
         if got is not None:
             return got
     return None
+
+
+@dataclass(frozen=True)
+class SpanDecision:
+    """Whether a unit lies in the span of other units modulo squares.
+
+    `contained` is True with `witness`, span indices, and `root`, an exact
+    square root of the target times the witnessed span elements; False with
+    `certificate`, characters that sum to 1 on the target and to 0 on every
+    span element; None when the search bounds ran out.
+    """
+
+    contained: bool | None
+    witness: tuple[int, ...] | None = None
+    root: AlgebraElement | None = None
+    certificate: tuple[Character, ...] | None = None
+
+
+def span_contains(
+    algebra: CubicEtaleAlgebra,
+    span,
+    target: AlgebraElement,
+    bounds: SquareSearchBounds = DEFAULT_BOUNDS,
+) -> SpanDecision:
+    """Decide whether the unit target lies in the span of the units in span
+    modulo squares.
+
+    One scan over the first bounds.cert_primes primes gives each element the
+    set of characters (p, component, root) at which it is a non-residue, and
+    arith.subgroup_contains decides over those sets after each prime that
+    adds one; the first not_contained answer is final.  A character at which
+    some element vanishes is dropped, since it is not a homomorphism on the
+    group the elements generate.  A contained answer stands only once an
+    exact square root of the witnessed product is recovered at the primes
+    where a component splits completely with no element vanishing, at most
+    bounds.split_attempts of them per component.
+    """
+    elems = (*span, target)
+    for e in elems:
+        if e.algebra != algebra:
+            raise ValueError("the element does not belong to the algebra")
+        if not e.is_unit:
+            raise NonUnitError("containment is only decided for units")
+    bad = _bad_modulus(algebra, elems)
+    coords: list[set[Character]] = [set() for _ in elems]
+    split: list[list] = [[] for _ in algebra.components]
+    res = None
+    for p in first_primes(bounds.cert_primes):
+        if p == 2 or bad % p == 0:
+            continue
+        added = False
+        for ci, m in enumerate(algebra.components):
+            roots = _roots_mod_p(m, p)
+            usable = len(roots) == P.degree(m)
+            for r in roots:
+                vals = [P.eval_mod(e.residues[ci], r, p) for e in elems]
+                if 0 in vals:
+                    usable = False
+                    continue
+                for cs, v in zip(coords, vals):
+                    if _euler(v, p) == -1:
+                        cs.add((p, ci, r))
+                        added = True
+            if usable and len(split[ci]) < bounds.split_attempts:
+                split[ci].append((p, roots))
+        if added:
+            res = subgroup_contains(coords[:-1], coords[-1])
+            if not res.contained:
+                return SpanDecision(False, certificate=res.certificate)
+    if res is None:
+        res = subgroup_contains(coords[:-1], coords[-1])
+    product = target
+    for i in res.witness:
+        product = product * span[i]
+    roots = []
+    for m, r, sp in zip(algebra.components, product.residues, split):
+        got = _component_sqrt(m, r, sp, bounds.recon_height)
+        if got is None:
+            return SpanDecision(None)
+        roots.append(got)
+    root = algebra.element_from_components(roots)
+    if (root * root).residues != product.residues:
+        raise AssertionError("recovered square root failed the exact check")
+    return SpanDecision(True, witness=res.witness, root=root)
+
+
+def validate_characters(algebra: CubicEtaleAlgebra, span, target, characters) -> bool:
+    """Recheck a character certificate from scratch: each (p, component,
+    root) names an odd prime of good reduction for every element and a root
+    of the component mod p at which no element vanishes, and the characters
+    sum to 1 on the target and to 0 on every span element."""
+    elems = (*span, target)
+    bad = _bad_modulus(algebra, elems)
+    odd = [False] * len(elems)
+    for p, ci, r in characters:
+        if p == 2 or not is_prime(p) or bad % p == 0 or not 0 <= ci < len(algebra.components):
+            return False
+        if P.eval_mod(algebra.components[ci], r, p) != 0:
+            return False
+        for j, e in enumerate(elems):
+            v = P.eval_mod(e.residues[ci], r, p)
+            if not v:
+                return False
+            odd[j] ^= _euler(v, p) == -1
+    return odd[-1] and not any(odd[:-1])
 
 
 def is_square(
@@ -537,27 +559,16 @@ def is_square(
     elem: AlgebraElement,
     bounds: SquareSearchBounds = DEFAULT_BOUNDS,
 ) -> SquareDecision:
-    """Decide squareness of a unit: exact witness, certificate, or Unknown."""
-    if elem.algebra != algebra:
-        raise ValueError("the element does not belong to the algebra")
-    if not elem.is_unit:
-        raise NonUnitError("squareness is only decided for units")
-    primes = first_primes(bounds.cert_primes)
-    cert = _certificate_scan(algebra, elem, primes)
-    if cert is not None:
-        return NonSquare(cert)
-    witnesses = []
-    for ci in range(len(algebra.components)):
-        got = _component_sqrt(algebra, elem, ci, primes, bounds)
-        if isinstance(got, NonSquareCertificate):
-            return NonSquare(got)
-        if got is None:
-            return Unknown(bounds, f"component {ci} unresolved within bounds")
-        witnesses.append(got)
-    witness = algebra.element_from_components(witnesses)
-    if (witness * witness).residues != elem.residues:
-        raise AssertionError("recovered witness failed the exact check")
-    return Square(witness)
+    """Decide squareness of a unit, the empty-span case of span_contains: an
+    exact witness, a one-character certificate at the smallest certifying
+    prime, or Unknown."""
+    decision = span_contains(algebra, (), elem, bounds)
+    if decision.contained:
+        return Square(decision.root)
+    if decision.contained is None:
+        return Unknown(bounds)
+    ((p, ci, r),) = decision.certificate
+    return NonSquare(NonSquareCertificate(p, ci, r, P.eval_mod(elem.residues[ci], r, p)))
 
 
 @dataclass(frozen=True)
@@ -566,8 +577,8 @@ class AlgebraSquareClass:
 
     For split algebras the representative is normalized componentwise to the
     canonical squarefree integer of its rational square class, so equality is
-    structural; otherwise the raw representative is kept and comparisons go
-    through is_square on ratios.
+    structural; otherwise the raw representative is kept, and classes are
+    compared with span_contains.
     """
 
     rep: AlgebraElement
@@ -600,20 +611,6 @@ class AlgebraSquareClass:
             raise ValueError("class triples need a fully split algebra")
         a, b, c = (square_class(P.constant_value(r)) for r in self.rep.residues)
         return SquareClassTriple(a, b, c)
-
-    def is_trivial(self, bounds: SquareSearchBounds = DEFAULT_BOUNDS) -> bool | None:
-        """True/False when decidable; None when the search bounds run out."""
-        if self.algebra.is_split:
-            return self.triple().is_trivial
-        decision = is_square(self.algebra, self.rep, bounds)
-        if isinstance(decision, Square):
-            return True
-        if isinstance(decision, NonSquare):
-            return False
-        return None
-
-    def same_class_as(self, other, bounds: SquareSearchBounds = DEFAULT_BOUNDS) -> bool | None:
-        return (self * other).is_trivial(bounds)
 
     def to_json(self) -> dict:
         return {"rep": self.rep.to_json(), "normalized": self.normalized}

@@ -53,9 +53,8 @@ class FamilyParams:
         for g in self.F_generators:
             if not self.F.contains(g):
                 raise InvalidFamilyParams(f"generator {g} is not on F")
-        occ = generator_occurring_primes(self)
         for l in (self.l1, self.l2):
-            if l in occ:
+            if l in self.generator_occurring_primes:
                 raise InvalidFamilyParams(
                     f"{l} occurs in a generator class of F and cannot be used"
                 )
@@ -67,21 +66,21 @@ class FamilyParams:
         roots = sorted(pt.x for pt in self.F.two_torsion())
         return CubicEtaleAlgebra.from_cubic(self.F.f_poly(), root_order=roots)
 
+    @cached_property
+    def generator_occurring_primes(self) -> frozenset[int]:
+        """Primes occurring in the classes of the supplied F-side generators,
+        computed once per parameter set.
 
-def generator_occurring_primes(params: FamilyParams) -> frozenset[int]:
-    """Primes occurring in the classes of the supplied F-side generators.
-
-    A prime occurs in the group the generator classes span iff it occurs in
-    some generator class: valuation parities add over F2, so a prime with
-    even parity in every generator has even parity in every product.
-    """
-    algebra = params.F_algebra
-    out: set[int] = set()
-    for g in params.F_generators:
-        tr = descent_class(params.F, algebra, g).triple()
-        for comp in tr.components:
-            out.update(comp.primes)
-    return frozenset(out)
+        A prime occurs in the group the generator classes span iff it occurs
+        in some generator class: valuation parities add over F2, so a prime
+        with even parity in every generator has even parity in every product.
+        """
+        out: set[int] = set()
+        for g in self.F_generators:
+            tr = descent_class(self.F, self.F_algebra, g).triple()
+            for comp in tr.components:
+                out.update(comp.primes)
+        return frozenset(out)
 
 
 def _crt(a1: int, m1: int, a2: int, m2: int) -> int:
@@ -99,7 +98,7 @@ def find_primes(params: FamilyParams) -> PrimeSearch:
     """The first `count` primes up to `bound` meeting both congruences and
     occurring in no generator class; `exhausted` flags a partial list."""
     params.validate()
-    excluded = generator_occurring_primes(params)
+    excluded = params.generator_occurring_primes
     m1, m2 = params.l1**2, params.l2**2
     residue = _crt(params.l1 + 1, m1, params.l2 - 1, m2)
     out = []

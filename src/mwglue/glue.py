@@ -60,15 +60,6 @@ class TwoTorsionIdentification:
         return [str(c) for c in self.h]
 
 
-def _det3(cols: list[list[Fraction]]) -> Fraction:
-    a, b, c = cols
-    return (
-        a[0] * (b[1] * c[2] - b[2] * c[1])
-        - b[0] * (a[1] * c[2] - a[2] * c[1])
-        + c[0] * (a[1] * b[2] - a[2] * b[1])
-    )
-
-
 def _is_unit_transform(f: Poly, h: Poly) -> bool:
     """Whether 1, h, h^2 span Q[x]/(f), i.e. x -> h(x) is an algebra map onto."""
     cols = []
@@ -76,7 +67,7 @@ def _is_unit_transform(f: Poly, h: Poly) -> bool:
     for _ in range(3):
         cols.append([cur[i] if i < len(cur) else Fraction(0) for i in range(3)])
         cur = P.mod_poly(P.mul(cur, h), f)
-    return _det3(cols) != 0
+    return P.det(cols) != 0
 
 
 def is_geometric_restriction(E: EllipticCurve, F: EllipticCurve, psi) -> bool:

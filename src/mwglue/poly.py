@@ -243,6 +243,17 @@ def cubic_disc(f: Poly) -> Fraction:
     return 18 * a * b * c - 4 * a**3 * c + a**2 * b**2 - 4 * b**3 - 27 * c**2
 
 
+def det(rows) -> Fraction:
+    """Determinant of a square matrix of size 1, 2 or 3."""
+    if len(rows) == 1:
+        return rows[0][0]
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 def denominators_lcm(p: Poly) -> int:
     out = 1
     for c in p:

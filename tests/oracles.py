@@ -1,7 +1,9 @@
 """Independent oracles the tests use to compute expected values.
 
 These deliberately avoid the library's own code paths: factoring is plain
-trial division, containment is exhaustive subset enumeration, the group law
+trial division, containment is exhaustive subset enumeration (in an etale
+algebra over is_square, so only the one-element case of span_contains is
+shared), the group law
 oracle divides the intersection cubic by its known roots instead of using
 the slope formulas, and j comes from the cross-ratio of the roots.
 """
@@ -57,6 +59,31 @@ def brute_force_contains(generators, target) -> bool:
         if acc == target:
             return True
     return False
+
+
+def subset_search_contains(algebra, span, target, bounds):
+    """Span containment in an etale algebra by 2^k squareness tests: the
+    target times each subset product of the span is passed to is_square.
+
+    Returns ("contained", subset) at the first square, ("not_contained",
+    None) when every product is certified non-square, else ("unknown",
+    None).
+    """
+    from mwglue.etale import NonSquare, Square, is_square
+
+    k = len(span)
+    unresolved = False
+    for mask in range(1 << k):
+        elem = target
+        for i in range(k):
+            if mask >> i & 1:
+                elem = elem * span[i]
+        decision = is_square(algebra, elem, bounds)
+        if isinstance(decision, Square):
+            return "contained", tuple(i for i in range(k) if mask >> i & 1)
+        if not isinstance(decision, NonSquare):
+            unresolved = True
+    return ("unknown" if unresolved else "not_contained"), None
 
 
 def chord_tangent_sum(curve, a, b):

@@ -195,6 +195,23 @@ class TestSubgroupContains:
                     gens, target, res.certificate
                 )
 
+    def test_coordinate_sets(self):
+        # a triple stands for its valuation coordinates, so passing the sets
+        # gives the same answer; other coordinates sort as tuples
+        a = _triple_from_ints(-2, 3, 6)
+        b = _triple_from_ints(5, -1, 10)
+        sets = [{(0, None), (0, 2), (1, 3), (2, 2), (2, 3)}, {(0, 5), (1, None), (2, 2), (2, 5)}]
+        for target in (a * b, _triple_from_ints(-1, 1, 1)):
+            tset = {(i, None) for i, c in enumerate(target.components) if c.negative}
+            tset |= {(i, p) for i, c in enumerate(target.components) for p in c.primes}
+            assert subgroup_contains(sets, tset) == subgroup_contains([a, b], target)
+        chars = [{(13, 0, 1), (17, 0, 3)}, {(13, 0, 4)}]
+        assert subgroup_contains(chars, {(17, 0, 3), (13, 0, 1), (13, 0, 4)}).witness == (0, 1)
+        target = {(17, 0, 3), (19, 0, 2)}
+        res = subgroup_contains(chars, target)
+        assert not res.contained
+        assert [len(set(res.certificate) & cs) % 2 for cs in (*chars, target)] == [0, 0, 1]
+
 
 class TestPrimality:
     def test_first_primes(self):

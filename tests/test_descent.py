@@ -22,9 +22,13 @@ from mwglue.ellcurve import ECPoint, EllipticCurve, INFINITY
 from mwglue.etale import (
     AlgebraSquareClass,
     CubicEtaleAlgebra,
+    NonSquare,
     NonSquareCertificate,
+    Square,
     SquareSearchBounds,
     has_square_norm,
+    is_square,
+    validate_characters,
 )
 from mwglue.family import build_instance, curve_for_prime, gluing_for_instance
 from mwglue.fixtures import (
@@ -139,14 +143,14 @@ class TestDescentClass:
         pt = ECPoint.affine(0, 1)
         assert curve.mul(3, pt) == INFINITY
         cls = descent_class(curve, algebra, pt)
-        assert cls.is_trivial(FAST) is True
+        assert isinstance(is_square(algebra, cls.rep, FAST), Square)
 
 
 class TestTransferClass:
     def test_trivial_goes_to_trivial(self):
         g = GluingData.build(EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI)
         out = transfer_class(g, AlgebraSquareClass.of(g.Lprime.one()))
-        assert out.is_trivial(FAST) is True
+        assert isinstance(is_square(g.L, out.rep, FAST), Square)
 
     def test_split_case_acts_as_identity_on_triples(self):
         inst = build_instance(229)
@@ -213,12 +217,11 @@ class TestMembership:
         K = g.L
         for pt in EXAMPLE_E.search_points(4) + [INFINITY]:
             verdict = membership(g, pt, INFINITY)
-            cls = descent_class(EXAMPLE_E, K, pt)
-            triviality = cls.is_trivial()
+            decision = is_square(K, descent_class(EXAMPLE_E, K, pt).rep)
             if verdict.verdict == IN_IMAGE:
-                assert triviality is True
+                assert isinstance(decision, Square)
             elif verdict.verdict == NOT_IN_IMAGE:
-                assert triviality is False
+                assert isinstance(decision, NonSquare)
 
     def test_verdict_json_round_trip(self):
         g = GluingData.build(EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI)
@@ -289,9 +292,66 @@ class TestSurjectivityObstruction:
 
         inst = build_instance(229)
         g = gluing_for_instance(inst, FAMILY_F)
-        res = surjectivity_obstruction(g, inst.P, (), g.E.torsion_subgroup().generators)
-        parsed = ObstructionVerdict.from_json(res.to_json())
-        assert parsed.status == res.status
-        assert parsed.span == res.span
-        assert parsed.target == res.target
-        assert parsed.certificate == res.certificate
+        for pt in (inst.P, inst.P1):  # not_contained, then contained
+            res = surjectivity_obstruction(g, pt, (), g.E.torsion_subgroup().generators)
+            data = json.loads(json.dumps(res.to_json()))
+            assert "certificates" not in data and "bounds" not in data
+            parsed = ObstructionVerdict.from_json(data)
+            assert parsed.status == res.status
+            assert parsed.span == res.span
+            assert parsed.target == res.target
+            assert parsed.certificate == res.certificate
+            assert parsed == res
+
+
+class TestNonSplitObstruction:
+    def test_example_point_escapes_with_membership_character(self):
+        # against the empty span the certificate is the one character that
+        # membership reports for the same class
+        g = GluingData.build(EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI)
+        res = surjectivity_obstruction(g, EXAMPLE_POINT, (), ())
+        assert res.status == NOT_CONTAINED
+        assert res.certificate == ((13, 0, 3),)
+        cert = membership(g, EXAMPLE_POINT, INFINITY).certificate
+        assert (cert.p, cert.component, cert.root) == (13, 0, 3)
+        assert validate_characters(g.L, res.span, res.target, res.certificate)
+
+    def test_verdicts_round_trip_and_revalidate(self):
+        from mwglue.descent import ObstructionVerdict
+
+        g = GluingData.build(EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI)
+        double = EXAMPLE_E.mul(2, EXAMPLE_POINT)
+        cases = [
+            (EXAMPLE_POINT, (), NOT_CONTAINED),
+            (double, (), CONTAINED),
+            (EXAMPLE_E.mul(3, EXAMPLE_POINT), (EXAMPLE_POINT,), CONTAINED),
+            (EXAMPLE_POINT, (double,), NOT_CONTAINED),
+        ]
+        for pt, torsion, status in cases:
+            res = surjectivity_obstruction(g, pt, (), torsion)
+            assert res.status == status
+            data = json.loads(json.dumps(res.to_json()))
+            assert "certificates" not in data
+            parsed = ObstructionVerdict.from_json(data, g.L)
+            assert parsed == res
+            if status == NOT_CONTAINED:
+                assert [set(c) for c in data["certificate"]] == [{"p", "component", "root"}]
+                assert validate_characters(g.L, parsed.span, parsed.target, parsed.certificate)
+            else:
+                prod = parsed.target
+                for i in parsed.witness:
+                    prod = prod * parsed.span[i]
+                assert isinstance(is_square(g.L, prod), Square)
+        with pytest.raises(ValueError):
+            ObstructionVerdict.from_json(data)  # the non-split form needs its algebra
+
+    def test_unknown_verdict_carries_bounds(self):
+        from mwglue.descent import ObstructionVerdict
+
+        g = GluingData.build(EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI)
+        tiny = SquareSearchBounds(cert_primes=2, recon_height=50, split_attempts=1)
+        res = surjectivity_obstruction(g, EXAMPLE_POINT, (), (), tiny)
+        assert res.status == UNKNOWN and res.bounds == tiny
+        data = json.loads(json.dumps(res.to_json()))
+        assert data["bounds"] == {"cert_primes": 2, "recon_height": 50, "split_attempts": 1}
+        assert ObstructionVerdict.from_json(data, g.L) == res

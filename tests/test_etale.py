@@ -18,11 +18,13 @@ from mwglue.etale import (
     algebra_map,
     has_square_norm,
     is_square,
+    span_contains,
+    validate_characters,
 )
 from mwglue.family import curve_for_prime
 from mwglue.fixtures import EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI
 
-from oracles import scan_nonresidue
+from oracles import scan_nonresidue, subset_search_contains
 
 K = CubicEtaleAlgebra.from_cubic(EXAMPLE_E.f_poly())  # a cubic field
 KP = CubicEtaleAlgebra.from_cubic(EXAMPLE_F.f_poly())
@@ -36,17 +38,21 @@ FAST = SquareSearchBounds(cert_primes=40, recon_height=10**6)
 small_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
 
+def degrees(algebra):
+    return tuple(P.degree(c) for c in algebra.components)
+
+
 class TestFactorization:
     def test_irreducible(self):
-        assert K.degree_pattern == (3,)
+        assert degrees(K) == (3,)
         assert not K.is_split
 
     def test_split_with_root_order(self):
-        assert SPLIT.degree_pattern == (1, 1, 1)
+        assert degrees(SPLIT) == (1, 1, 1)
         assert SPLIT.split_roots() == (0, -12, 10)
 
     def test_mixed_pattern(self):
-        assert MIXED.degree_pattern == (1, 2)
+        assert degrees(MIXED) == (1, 2)
 
     def test_components_multiply_to_f(self):
         for algebra in (K, SPLIT, MIXED):
@@ -183,7 +189,7 @@ class TestIsSquare:
                     continue
                 done += 1
                 dec = is_square(algebra, b * b, FAST)
-                assert isinstance(dec, Square), (algebra.degree_pattern, coeffs)
+                assert isinstance(dec, Square), (degrees(algebra), coeffs)
                 assert (dec.witness * dec.witness).residues == (b * b).residues
 
     def test_certificates_revalidate_from_json(self):
@@ -229,17 +235,17 @@ class TestAlgebraSquareClass:
 
     def test_field_case_trivial_detection(self):
         sq = AlgebraSquareClass.of(K.element([1, 1]) * K.element([1, 1]))
-        assert sq.is_trivial(FAST) is True
+        assert isinstance(is_square(K, sq.rep, FAST), Square)
         nsq = AlgebraSquareClass.of(K.element([-2, -1]))
-        assert nsq.is_trivial() is False
+        assert isinstance(is_square(K, nsq.rep), NonSquare)
 
     def test_same_class_under_square_scaling(self):
         base = K.element([-2, -1])
         scaled = base * (K.element([1, 1]) * K.element([1, 1]))
         a = AlgebraSquareClass.of(base)
         b = AlgebraSquareClass.of(scaled)
-        assert a.same_class_as(b, FAST) is True
-        assert a.same_class_as(AlgebraSquareClass.of(K.one())) is False
+        assert isinstance(is_square(K, (a * b).rep, FAST), Square)
+        assert isinstance(is_square(K, (a * AlgebraSquareClass.of(K.one())).rep), NonSquare)
 
 
 class TestAlgebraMap:
@@ -248,7 +254,7 @@ class TestAlgebraMap:
         assert img.residues == K.rational(7).residues
 
     def test_generator_image(self):
-        img = algebra_map(KP, K, EXAMPLE_PSI.h, KP.generator())
+        img = algebra_map(KP, K, EXAMPLE_PSI.h, KP.element([0, 1]))
         assert img.residues == K.element([6, 5, 1]).residues
 
     def test_linear_shift(self):
@@ -259,7 +265,7 @@ class TestAlgebraMap:
 
     def test_invalid_h_rejected(self):
         with pytest.raises(ValueError):
-            algebra_map(KP, K, P.poly([0, 1]), KP.generator())
+            algebra_map(KP, K, P.poly([0, 1]), KP.element([0, 1]))
 
     def test_split_norm_multiset_preserved(self):
         # a split-to-split map permutes components, so the value multiset is kept
@@ -290,3 +296,75 @@ class TestAlgebraMap:
         from mwglue.etale import AlgebraElement
 
         assert AlgebraElement.from_json(MIXED, elem.to_json()).residues == elem.residues
+
+
+class TestSpanContains:
+    @staticmethod
+    def _product(target, span, witness):
+        for i in witness:
+            target = target * span[i]
+        return target
+
+    def test_agrees_with_subset_search(self):
+        # random spans of up to 6 units of the example field, with targets
+        # both inside (a subset product times a square) and at random
+        rng = random.Random(20)
+        pool = [K.element([a, -1]) for a in range(-6, 7)]
+        pool += [K.element([rng.randrange(-4, 5) for _ in range(3)]) for _ in range(8)]
+        pool = [e for e in pool if e.is_unit]
+        bounds = SquareSearchBounds(cert_primes=60, recon_height=10**9)
+        counts = {}
+        for trial in range(60):
+            span = rng.sample(pool, rng.randint(0, 6))
+            if trial % 2:
+                chosen = [i for i in range(len(span)) if rng.random() < 0.5]
+                b = K.element([rng.randrange(1, 4), rng.randrange(-2, 3)])
+                target = self._product(b * b, span, chosen)
+            else:
+                target = rng.choice(pool)
+            got = span_contains(K, span, target, bounds)
+            status, _ = subset_search_contains(K, span, target, bounds)
+            if got.contained is not None and status != "unknown":
+                assert status == ("contained" if got.contained else "not_contained"), trial
+            if got.contained is True:
+                root = got.root
+                assert (root * root).residues == self._product(target, span, got.witness).residues
+            elif got.contained is False:
+                assert validate_characters(K, span, target, got.certificate)
+            counts[got.contained] = counts.get(got.contained, 0) + 1
+        assert counts.get(True, 0) >= 20 and counts.get(False, 0) >= 20
+
+    def test_vanishing_character_is_dropped(self):
+        # 3 - X vanishes at the root 3 of f mod 13, where -2 - X is a
+        # non-residue; the target (3 - X)(-2 - X)(1 + X)^2 vanishes there
+        # too.  Counting the zero as a residue would make the target look
+        # even at (13, 0, 3) while the span product is odd there.
+        s, u, b = K.element([3, -1]), K.element([-2, -1]), K.element([1, 1])
+        assert P.eval_mod(s.residues[0], 3, 13) == 0 and P.eval_mod(K.f, 3, 13) == 0
+        for span, target in (((s,), s * b * b), ((s, u), s * u * b * b)):
+            got = span_contains(K, span, target, FAST)
+            assert got.contained is True
+            assert got.witness == tuple(range(len(span)))
+            assert (got.root * got.root).residues == self._product(target, span, got.witness).residues
+
+    def test_certificate_checks(self):
+        s, u = K.element([-2, -1]), K.element([5, -1])
+        got = span_contains(K, (u,), s, FAST)
+        assert got.contained is False
+        chars = got.certificate
+        assert validate_characters(K, (u,), s, chars)
+        assert not validate_characters(K, (u,), s, ())
+        assert not validate_characters(K, (s,), u * u, chars)  # wrong parities
+        p, ci, r = chars[0]
+        non_root = next(x for x in range(p) if P.eval_mod(K.f, x, p))
+        bad = [(p, ci, non_root), (7, ci, r), (p, ci + 1, r), (2, ci, r), (p * p, ci, r)]
+        for tampered in bad:
+            assert not validate_characters(K, (u,), s, (tampered, *chars[1:]))
+        # a character at which an element vanishes is rejected
+        assert not validate_characters(K, (K.element([3, -1]),), s, ((13, 0, 3),))
+
+    def test_foreign_or_non_unit_element_rejected(self):
+        with pytest.raises(ValueError):
+            span_contains(K, (KP.one(),), K.one(), FAST)
+        with pytest.raises(NonUnitError):
+            span_contains(SPLIT, (SPLIT.element_from_components([[0], [1], [1]]),), SPLIT.one(), FAST)

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ from mwglue.family import (
     build_instance,
     curve_for_prime,
     find_primes,
-    generator_occurring_primes,
     gluing_for_instance,
     pairwise_distinct,
     run_family,
@@ -50,13 +50,34 @@ class TestParams:
 
     def test_occurring_prime_conflict_rejected(self):
         # 3 occurs in the class of (3, 6) on the default F
-        occ = generator_occurring_primes(_params(gens=FAMILY_F_GENERATORS))
+        occ = _params(gens=FAMILY_F_GENERATORS).generator_occurring_primes
         assert 3 in occ
         with pytest.raises(InvalidFamilyParams):
             _params(l1=3, l2=5, gens=FAMILY_F_GENERATORS).validate()
 
     def test_honest_generators_accepted_for_coprime_choice(self):
         _params(l1=5, l2=7, gens=FAMILY_F_GENERATORS).validate()
+
+    def test_generator_primes_computed_once_per_cli_run(self, monkeypatch, tmp_path, capsys):
+        # validation, the prime search and every instance share one set
+        from mwglue.cli import main
+
+        prop = FamilyParams.__dict__["generator_occurring_primes"]
+        compute, calls = prop.func, []
+
+        def counted(params):
+            calls.append(params)
+            return compute(params)
+
+        monkeypatch.setattr(prop, "func", counted)
+        path = tmp_path / "F.json"
+        path.write_text(json.dumps({
+            "F": FAMILY_F.to_json(), "generators": [g.to_json() for g in FAMILY_F_GENERATORS],
+        }))
+        argv = ["family", "--l1", "7", "--l2", "13", "--count", "2", "--bound", str(10**12)]
+        assert main([*argv, "--F", str(path)]) == 0
+        assert "all checks pass" in capsys.readouterr().out
+        assert len(calls) == 1
 
 
 class TestFindPrimes:
@@ -90,7 +111,7 @@ class TestFindPrimes:
         params = FamilyParams(
             l1=3, l2=5, F=crafted, F_generators=(ECPoint.affine(0, 0),), count=1
         )
-        assert generator_occurring_primes(params) == {229}
+        assert params.generator_occurring_primes == {229}
         assert find_primes(params).primes == (1129,)
 
     def test_occurrence_lemma_against_exhaustive_span(self):
@@ -126,7 +147,7 @@ class TestFindPrimes:
     def test_default_generators_do_not_disturb_5_7(self):
         base = find_primes(_params(l1=5, l2=7, count=3)).primes
         filtered = find_primes(_params(l1=5, l2=7, gens=FAMILY_F_GENERATORS, count=3)).primes
-        occ = generator_occurring_primes(_params(gens=FAMILY_F_GENERATORS))
+        occ = _params(gens=FAMILY_F_GENERATORS).generator_occurring_primes
         assert occ == {2, 3}
         assert base == filtered  # no prime in the congruence class is 2 or 3
 
