@@ -7,9 +7,10 @@ check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+
+from .record import Record
 
 
 class FactorizationError(RuntimeError):
@@ -73,22 +74,45 @@ def first_primes(count: int) -> list[int]:
         bound *= 2
 
 
-DEFAULT_TRIAL_BOUND = 10**6
+# Trial division removes only the small primes: a larger cofactor is proven
+# prime, recognised as a square or split by rho, all far cheaper than dividing
+# up to its square root.  Of 2^8..2^16, 2^11 and 2^12 factored the inputs of
+# the congruence-family checks fastest in total; at 2^12 almost no input is
+# slower than with trial division to 10^6.
+DEFAULT_TRIAL_BOUND = 2**12
 
 
 _RHO_CONSTANTS = 49  # rho tries the maps x -> x^2 + c for c = 1.._RHO_CONSTANTS
+_RHO_BATCH = 64  # steps whose differences share one gcd
 
 
 def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of an odd composite n, or 0 if every cycle failed."""
+    """A nontrivial factor of an odd composite n, or 0 if every cycle failed.
+
+    Brent's cycle search with the gcds batched over _RHO_BATCH steps (Brent,
+    "An improved Monte Carlo factorization algorithm", BIT 20, 1980); a batch
+    whose product is a multiple of n is replayed one step at a time.
+    """
     for c in range(1, _RHO_CONSTANTS + 1):
-        x = y = 2
-        d = 1
+        y, r, q, d = 2, 1, 1, 1
         while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(abs(x - y), n)
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and d == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                d = gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if d == n:
+            d = 1
+            while d == 1:
+                ys = (ys * ys + c) % n
+                d = gcd(x - ys, n)
         if d != n:
             return d
     return 0
@@ -97,10 +121,11 @@ def _pollard_rho(n: int) -> int:
 def factor(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND) -> dict[int, int]:
     """Complete prime factorization of n >= 1 as {prime: exponent}.
 
-    Trial division up to trial_bound, then Pollard rho on whatever remains.
-    A cofactor that resists splitting raises FactorizationError rather than
-    producing a partial answer, since square classes need the full
-    factorization to be correct.
+    Trial division up to trial_bound; then each cofactor is a proven prime,
+    the square of a smaller cofactor, or split by Pollard rho.  A cofactor
+    that resists splitting raises FactorizationError rather than producing a
+    partial answer, since square classes need the full factorization to be
+    correct.
     """
     if n < 1:
         raise ValueError("factor() expects a positive integer")
@@ -119,38 +144,44 @@ def factor(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND) -> dict[int, int]:
         step = 6 - step
     if n == 1:
         return out
-    if p * p > n or is_prime(n):
+    if p * p > n:
         out[n] = out.get(n, 0) + 1
         return out
-    stack = [n]
+    stack = [(n, 1)]  # (cofactor, exponent it carries)
     while stack:
-        m = stack.pop()
+        m, e = stack.pop()
         if is_prime(m):
-            out[m] = out.get(m, 0) + 1
+            out[m] = out.get(m, 0) + e
+            continue
+        r = isqrt(m)
+        if r * r == m:
+            stack.append((r, 2 * e))
             continue
         d = _pollard_rho(m)
-        if d in (0, m):
+        if d == 0:
             raise FactorizationError(
                 f"Pollard rho with x^2 + c, c = 1..{_RHO_CONSTANTS}, did not split "
                 f"the composite cofactor {m}"
             )
-        stack += [d, m // d]
+        stack += [(d, e), (m // d, e)]
     return out
 
 
-@dataclass(frozen=True)
-class SquareClass:
+class SquareClass(Record):
     """An element of Q*/Q*^2: a sign bit plus the primes with odd valuation."""
 
     negative: bool
     primes: tuple[int, ...]
 
-    def __post_init__(self):
-        if list(self.primes) != sorted(set(self.primes)):
+    # its own constructor, not Record's: it validates before storing, and
+    # tracing wraps SquareClass.__init__ to count the classes built
+    def __init__(self, negative: bool, primes: tuple[int, ...]):
+        if list(primes) != sorted(set(primes)):
             raise ValueError("primes must be strictly increasing")
-        for p in self.primes:
+        for p in primes:
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
+        self.__dict__.update(negative=negative, primes=primes)
 
     @classmethod
     def trivial(cls) -> "SquareClass":
@@ -191,8 +222,7 @@ def square_class(q, trial_bound: int = DEFAULT_TRIAL_BOUND) -> SquareClass:
     return SquareClass(q < 0, odd)
 
 
-@dataclass(frozen=True)
-class SquareClassTriple:
+class SquareClassTriple(Record):
     """An element of (Q*/Q*^2)^3."""
 
     c1: SquareClass
@@ -276,8 +306,7 @@ def coordinate_from_json(data) -> Coordinate:
     return (int(data["component"]), None if data["prime"] is None else int(data["prime"]))
 
 
-@dataclass(frozen=True)
-class ContainmentResult:
+class ContainmentResult(Record):
     contained: bool
     witness: tuple[int, ...] | None = None
     certificate: tuple[tuple, ...] | None = None

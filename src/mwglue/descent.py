@@ -12,7 +12,6 @@ image.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
 from operator import itemgetter
@@ -42,6 +41,7 @@ from .etale import (
     span_contains,
 )
 from .glue import GluingData
+from .record import Record
 
 IN_IMAGE = "in_image"
 NOT_IN_IMAGE = "not_in_image"
@@ -100,8 +100,7 @@ def transfer_class(gluing: GluingData, cls: AlgebraSquareClass) -> AlgebraSquare
     )
 
 
-@dataclass(frozen=True)
-class OddCoordinateWitness:
+class OddCoordinateWitness(Record):
     """A coordinate of (Q*/Q*^2)^3 where a class difference is nontrivial."""
 
     component: int
@@ -130,8 +129,7 @@ class OddCoordinateWitness:
         )
 
 
-@dataclass(frozen=True)
-class MembershipVerdict:
+class MembershipVerdict(Record):
     verdict: str
     certificate: NonSquareCertificate | OddCoordinateWitness | None = None
     bounds: SquareSearchBounds | None = None
@@ -145,7 +143,7 @@ class MembershipVerdict:
         out = {"verdict": self.verdict, "certificate": cert}
         if self.verdict == UNKNOWN and self.bounds is not None:
             # the search bounds that ran out; decided verdicts stay unchanged
-            out["bounds"] = asdict(self.bounds)
+            out["bounds"] = self.bounds._asdict()
         return out
 
     @classmethod
@@ -199,8 +197,7 @@ def membership(
 _CHARACTER_KEYS = ("p", "component", "root")
 
 
-@dataclass(frozen=True)
-class ObstructionVerdict:
+class ObstructionVerdict(Record):
     """A span decision in one of two forms.  Over a split gluing the span
     and target are class triples, and a certificate lists valuation
     coordinates (component, prime); otherwise they are unit representatives
@@ -227,7 +224,7 @@ class ObstructionVerdict:
             ] if cert is not None else None,
         }
         if self.bounds is not None:
-            out["bounds"] = asdict(self.bounds)
+            out["bounds"] = self.bounds._asdict()
         return out
 
     @classmethod

@@ -7,13 +7,13 @@ j-invariant, and a naive point search used for fixtures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from . import poly as P
 from .arith import is_prime
 from .poly import Poly
+from .record import Record
 
 # Orders of rational torsion points above 2 (Mazur, 1977), in increasing order.
 MAZUR_ORDERS = (3, 4, 5, 6, 7, 8, 9, 10, 12)
@@ -21,8 +21,7 @@ MAZUR_ORDERS = (3, 4, 5, 6, 7, 8, 9, 10, 12)
 BOUND_PRIMES = 10
 
 
-@dataclass(frozen=True)
-class ECPoint:
+class ECPoint(Record):
     x: Fraction | None = None
     y: Fraction | None = None
 
@@ -72,8 +71,7 @@ def _point_key(pt: ECPoint):
     return (0, 0, 0) if pt.is_infinity else (1, pt.x, pt.y)
 
 
-@dataclass(frozen=True)
-class TorsionGroup:
+class TorsionGroup(Record):
     """The torsion subgroup with its reduction bound: #E(F_q) at odd primes q
     of good reduction.  Rational torsion injects into each E(F_q), so the
     order divides bound_gcd."""
@@ -112,8 +110,7 @@ class TorsionGroup:
         }
 
 
-@dataclass(frozen=True)
-class EllipticCurve:
+class EllipticCurve(Record):
     c0: Fraction
     c1: Fraction
     c2: Fraction

@@ -25,7 +25,6 @@ repeated runs are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as iter_product
@@ -34,6 +33,7 @@ from math import gcd, isqrt, prod
 from . import poly as P
 from .arith import SquareClassTriple, first_primes, is_prime, square_class, subgroup_contains
 from .poly import ONE, ZERO, Poly
+from .record import Record
 
 
 class NonUnitError(ValueError):
@@ -61,8 +61,7 @@ def _factor_monic_cubic(f: Poly) -> tuple[Poly, ...]:
     return (*factors, rest)
 
 
-@dataclass(frozen=True)
-class CubicEtaleAlgebra:
+class CubicEtaleAlgebra(Record):
     f: Poly
     components: tuple[Poly, ...]
 
@@ -117,8 +116,7 @@ class CubicEtaleAlgebra:
         return self.element([c])
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
+class AlgebraElement(Record):
     algebra: CubicEtaleAlgebra
     residues: tuple[Poly, ...]
 
@@ -232,8 +230,7 @@ def has_square_norm(elem: AlgebraElement) -> bool:
 # squareness decisions
 
 
-@dataclass(frozen=True)
-class SquareSearchBounds:
+class SquareSearchBounds(Record):
     cert_primes: int = 200  # primes scanned for quadratic characters
     recon_height: int = 10**9  # numerator/denominator bound for recovered roots
     split_attempts: int = 3  # split primes tried per component recovery
@@ -242,8 +239,7 @@ class SquareSearchBounds:
 DEFAULT_BOUNDS = SquareSearchBounds()
 
 
-@dataclass(frozen=True)
-class NonSquareCertificate:
+class NonSquareCertificate(Record):
     p: int
     component: int
     root: int
@@ -257,25 +253,22 @@ class NonSquareCertificate:
         ) and P.eval_mod(elem.residues[self.component], self.root, self.p) == self.value % self.p
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
     @classmethod
     def from_json(cls, data) -> "NonSquareCertificate":
         return cls(*(int(data[k]) for k in ("p", "component", "root", "value")))
 
 
-@dataclass(frozen=True)
-class Square:
+class Square(Record):
     witness: AlgebraElement
 
 
-@dataclass(frozen=True)
-class NonSquare:
+class NonSquare(Record):
     certificate: NonSquareCertificate
 
 
-@dataclass(frozen=True)
-class Unknown:
+class Unknown(Record):
     bounds: SquareSearchBounds
 
 
@@ -449,8 +442,7 @@ def _component_sqrt(m: Poly, r: Poly, split: list, height: int) -> Poly | None:
     return None
 
 
-@dataclass(frozen=True)
-class SpanDecision:
+class SpanDecision(Record):
     """Whether a unit lies in the span of other units modulo squares.
 
     `contained` is True with `witness`, span indices, and `root`, an exact
@@ -571,8 +563,7 @@ def is_square(
     return NonSquare(NonSquareCertificate(p, ci, r, P.eval_mod(elem.residues[ci], r, p)))
 
 
-@dataclass(frozen=True)
-class AlgebraSquareClass:
+class AlgebraSquareClass(Record):
     """A square class of units of the algebra.
 
     For split algebras the representative is normalized componentwise to the

@@ -10,8 +10,6 @@ identity of F, is certifiably outside the image of the glued Jacobian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import poly as P
 from .descent import NOT_IN_IMAGE, UNKNOWN, membership
 from .ellcurve import INFINITY
@@ -24,10 +22,10 @@ from .etale import (
 from .fixtures import example_fixtures
 from .glue import GluingData, GluingError, validate_identification, verify_cover_map, verify_rescaling
 from .poly import ZERO, poly
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(Record):
     name: str
     passed: bool | None  # None marks an inconclusive (bounds-limited) step
     detail: str = ""
@@ -36,8 +34,7 @@ class Step:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
-@dataclass
-class ExampleReport:
+class ExampleReport(Record):
     steps: list[Step]
     certificate: NonSquareCertificate | None
     bounds: SquareSearchBounds
@@ -165,9 +162,7 @@ def run_example(
     except (GluingError, ValueError) as exc:
         step("membership_not_in_image", False, str(exc))
 
-    report = ExampleReport(steps, certificate, bounds)
-    report.norm_value = norm_value
-    return report
+    return ExampleReport(steps, certificate, bounds, norm_value)
 
 
 def format_example_report(report: ExampleReport) -> str:

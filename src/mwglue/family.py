@@ -14,7 +14,6 @@ the span non-containment, and the j-invariant denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -23,14 +22,14 @@ from .descent import NOT_CONTAINED, ObstructionVerdict, descent_class, surjectiv
 from .ellcurve import ECPoint, EllipticCurve
 from .etale import CubicEtaleAlgebra
 from .glue import GluingData, TwoTorsionIdentification
+from .record import Record
 
 
 class InvalidFamilyParams(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(Record):
     l1: int
     l2: int
     F: EllipticCurve
@@ -88,8 +87,7 @@ def _crt(a1: int, m1: int, a2: int, m2: int) -> int:
     return (a1 + m1 * t) % (m1 * m2)
 
 
-@dataclass(frozen=True)
-class PrimeSearch:
+class PrimeSearch(Record):
     primes: tuple[int, ...]
     exhausted: bool
 
@@ -116,8 +114,7 @@ def curve_for_prime(p: int) -> EllipticCurve:
     return EllipticCurve.from_roots(0, -p - 1, p - 1)
 
 
-@dataclass(frozen=True)
-class FamilyInstance:
+class FamilyInstance(Record):
     p: int
     curve: EllipticCurve
     algebra: CubicEtaleAlgebra  # components ordered by the roots 0, -p-1, p-1
@@ -182,8 +179,7 @@ def gluing_for_instance(
     return GluingData.build(inst.curve, F, psi, L=inst.algebra, Lprime=F_algebra)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     passed: bool
     detail: str
 
@@ -194,8 +190,7 @@ class CheckResult:
 ALLOWED_TORSION = {(2, 2), (2, 6)}
 
 
-@dataclass(frozen=True)
-class InstanceReport:
+class InstanceReport(Record):
     p: int
     checks: dict[str, CheckResult]
     obstruction: ObstructionVerdict | None
@@ -288,8 +283,7 @@ def pairwise_distinct(instances) -> bool:
     return len(set(js)) == len(js)
 
 
-@dataclass(frozen=True)
-class FamilyRunReport:
+class FamilyRunReport(Record):
     params: FamilyParams
     search: PrimeSearch
     instances: tuple[FamilyInstance, ...]

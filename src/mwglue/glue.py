@@ -9,13 +9,13 @@ polynomial identities; the artifact never derives the genus-2 model itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import poly as P
 from .ellcurve import EllipticCurve
 from .etale import CubicEtaleAlgebra
 from .poly import ONE, ZERO, Poly
+from .record import Record
 
 ROOTS_NOT_MAPPED = "roots_not_mapped"
 NOT_BIJECTIVE = "not_bijective"
@@ -29,8 +29,7 @@ class GluingError(ValueError):
         super().__init__("invalid gluing data: " + ", ".join(self.violations))
 
 
-@dataclass(frozen=True)
-class TwoTorsionIdentification:
+class TwoTorsionIdentification(Record):
     """The 2-torsion identification (alpha, 0) -> (h(alpha), 0).
 
     In the split case an explicit matching of x-coordinates may be kept
@@ -80,8 +79,7 @@ def is_geometric_restriction(E: EllipticCurve, F: EllipticCurve, psi) -> bool:
     return P.degree(P.mod_poly(psi.h, E.f_poly())) <= 1
 
 
-@dataclass(frozen=True)
-class ValidationResult:
+class ValidationResult(Record):
     ok: bool
     violations: tuple[str, ...]
 
@@ -116,8 +114,7 @@ def _algebra(f: Poly, order, given: CubicEtaleAlgebra | None) -> CubicEtaleAlgeb
     return given
 
 
-@dataclass(frozen=True)
-class GluingData:
+class GluingData(Record):
     E: EllipticCurve
     F: EllipticCurve
     psi: TwoTorsionIdentification
@@ -166,8 +163,7 @@ class GluingData:
         return cls.build(E, F, TwoTorsionIdentification(h))
 
 
-@dataclass(frozen=True)
-class GenusTwoCurve:
+class GenusTwoCurve(Record):
     """A genus-2 model y^2 = h6(x) with h6 squarefree of degree 5 or 6."""
 
     h6: Poly
@@ -187,8 +183,7 @@ class GenusTwoCurve:
         return cls(P.poly([Fraction(c) for c in data["h6"]]))
 
 
-@dataclass(frozen=True)
-class RationalMap:
+class RationalMap(Record):
     """A rational function num/den with polynomial entries."""
 
     num: Poly

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mwglue.arith import (
+    DEFAULT_TRIAL_BOUND,
     FactorizationError,
     SquareClass,
     SquareClassTriple,
@@ -18,7 +20,7 @@ from mwglue.arith import (
     validate_noncontainment_certificate,
 )
 
-from oracles import brute_force_contains, naive_square_class, trial_factor
+from oracles import brute_force_contains, naive_square_class, trial_factor, trial_is_prime
 
 nonzero_fractions = st.fractions(
     min_value=-10**6, max_value=10**6, max_denominator=10**4
@@ -59,6 +61,95 @@ class TestFactor:
             assert is_prime(p)
             prod *= p**e
         assert prod == n
+
+
+
+def _trial_product(*parts: int) -> tuple[int, dict[int, int]]:
+    """The product of the parts and its factorization, merged from trial
+    division of each part."""
+    n, out = 1, {}
+    for part in parts:
+        n *= part
+        for p, e in trial_factor(part).items():
+            out[p] = out.get(p, 0) + e
+    return n, out
+
+
+# the first primes above the trial bound: rho, not trial division, meets them
+_ABOVE = [q for q in range(DEFAULT_TRIAL_BOUND + 1, DEFAULT_TRIAL_BOUND + 200) if trial_is_prime(q)][:4]
+_M31 = 2**31 - 1
+_PSI12 = (399_165_290_221, 798_330_580_441)
+_CARMICHAEL = (561, 1105, 1729, 41041, 825265, 5394826801, 4261 * 8521 * 12781)
+# the primes of the first five instances of the (l1, l2) = (7, 13) family
+_FAMILY_7_13 = (104623, 187433, 253681, 303367, 336491)
+
+
+class TestFactorDifferential:
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            *([q, q] for q in _ABOVE),
+            *([q, q, q] for q in _ABOVE),
+            [_M31, _M31],
+            [_M31, _M31, _M31],
+            [205126079, 205126079],
+            [10000799, 205126079, 10000799, 205126079],
+            [_ABOVE[0], _ABOVE[1]],
+            [_ABOVE[2], _ABOVE[3]],
+            [_ABOVE[0], _ABOVE[0], _ABOVE[1]],
+            [2**5, 3, _ABOVE[1], _ABOVE[3]],
+            list(_PSI12),
+            *([c] for c in _CARMICHAEL),
+        ],
+    )
+    def test_matches_trial_division(self, parts):
+        n, expected = _trial_product(*parts)
+        assert factor(n) == expected
+
+    @pytest.mark.parametrize("p", _FAMILY_7_13)
+    def test_j_denominators_of_the_family(self, p):
+        # check (e) of verify_instance factors these perfect squares of
+        # about 100 bits, whose largest prime is p
+        from mwglue.family import curve_for_prime
+
+        den = curve_for_prime(p).j_invariant().denominator
+        root = isqrt(den)
+        assert root * root == den and den.bit_length() > 90
+        assert factor(den) == {q: 2 * e for q, e in trial_factor(root).items()}
+        assert max(factor(den)) == p
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+class TestFactorAgainstSympy:
+    """Optional: sympy.factorint as a second oracle, where it is installed."""
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            (2**61 - 1) * _M31,
+            3_825_123_056_546_413_051,  # strong pseudoprime to the bases 2..23
+            _PSI12[0] * _PSI12[1],
+            (10000799 * 205126079) ** 2,
+        ],
+    )
+    def test_fixed_inputs(self, sympy, n):
+        assert factor(n) == sympy.factorint(n)
+
+    @given(
+        st.integers(DEFAULT_TRIAL_BOUND, 2**26),
+        st.integers(DEFAULT_TRIAL_BOUND, 2**26),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.integers(1, 10**6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_products_of_prime_powers(self, sympy, a, b, i, j, c):
+        n = sympy.nextprime(a) ** i * sympy.nextprime(b) ** j * c
+        assert factor(n) == sympy.factorint(n)
 
 
 class TestSquareClass:

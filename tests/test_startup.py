@@ -1,8 +1,10 @@
-"""Each CLI command runs only the submodules it needs.
+"""Each CLI command runs only the submodules it needs, and no costly stdlib
+module.
 
 Every command runs in a fresh interpreter, which then lists the mwglue
-submodules that have run.  A submodule that has not been used yet is still a
-lazy module; `type()` tells the two apart without loading it.
+submodules that have run and which of the HEAVY modules are loaded.  A
+submodule that has not been used yet is still a lazy module; `type()` tells
+the two apart without loading it.
 """
 
 import json
@@ -18,27 +20,41 @@ from mwglue.glue import GluingData
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-PROBE = """
+# `dataclasses` imports `inspect` and compiles generated methods for every
+# class at import; mwglue's value classes use `mwglue.record` instead.
+HEAVY = ("dataclasses", "inspect")
+
+BARE = f"""
+import contextlib, io, json, sys, types
+print(json.dumps({{"code": 0, "ran": [], "heavy": [m for m in {HEAVY!r} if m in sys.modules]}}))
+"""
+
+PROBE = f"""
 import contextlib, io, json, sys, types
 import mwglue.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = mwglue.cli.main(sys.argv[1:])
 ran = [n.split(".", 1)[1] for n, m in sys.modules.items()
        if n.startswith("mwglue.") and type(m) is types.ModuleType]
-print(json.dumps({"code": code, "ran": sorted(ran)}))
+heavy = [m for m in {HEAVY!r} if m in sys.modules]
+print(json.dumps({{"code": code, "ran": sorted(ran), "heavy": heavy}}))
 """
 
 
-def _ran(*argv) -> set[str]:
+def _probe(script: str, *argv) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     out = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv],
+        [sys.executable, "-c", script, *argv],
         env=env, capture_output=True, text=True, check=True, timeout=120,
     ).stdout
     result = json.loads(out.splitlines()[-1])
     assert result["code"] == 0
-    return set(result["ran"])
+    return result
+
+
+def _ran(*argv) -> set[str]:
+    return set(_probe(PROBE, *argv)["ran"])
 
 
 @pytest.fixture
@@ -58,7 +74,7 @@ def files(tmp_path):
 
 @pytest.mark.parametrize("command", ["torsion", "jinv"])
 def test_curve_queries_run_only_the_curve_layers(files, command):
-    assert _ran(command, "--curve", files["curve"]) == {"cli", "arith", "poly", "ellcurve"}
+    assert _ran(command, "--curve", files["curve"]) == {"cli", "record", "arith", "poly", "ellcurve"}
 
 
 def test_membership_runs_no_family_or_example_code(files):
@@ -71,3 +87,16 @@ def test_family_runs_no_example_code():
     ran = _ran("family", "--l1", "3", "--l2", "5", "--count", "1")
     assert "family" in ran
     assert "example" not in ran
+
+
+@pytest.mark.parametrize("command", ["torsion", "jinv", "membership", "family", "verify-example"])
+def test_commands_load_no_dataclasses_or_inspect(files, command):
+    argv = {
+        "torsion": ("--curve", files["curve"]),
+        "jinv": ("--curve", files["curve"]),
+        "membership": ("--gluing", files["gluing"], "--P", files["P"], "--Q", files["Q"]),
+        "family": ("--l1", "3", "--l2", "5", "--count", "1"),
+        "verify-example": (),
+    }[command]
+    bare = set(_probe(BARE)["heavy"])
+    assert set(_probe(PROBE, command, *argv)["heavy"]) <= bare
