@@ -33,13 +33,11 @@ MAX_SQ_PRIMES = 100_000
 
 
 def _bounds(args) -> etale.SquareSearchBounds:
-    if args.sq_primes < 1 or args.height < 2:
+    if args.sq_primes < 1:
         raise UsageError("bounds must be positive")
     if args.sq_primes > MAX_SQ_PRIMES:
         raise UsageError(f"--sq-primes must be at most {MAX_SQ_PRIMES}")
-    return etale.SquareSearchBounds(
-        cert_primes=args.sq_primes, recon_height=args.height
-    )
+    return etale.SquareSearchBounds(cert_primes=args.sq_primes)
 
 
 def _emit(args, payload: dict, human: str):
@@ -61,8 +59,6 @@ def _add_common(sp):
 def _add_bounds(sp):
     sp.add_argument("--sq-primes", type=int, default=200, metavar="N",
                     help="primes scanned by the squareness search")
-    sp.add_argument("--height", type=int, default=10**9, metavar="N",
-                    help="height bound for exact square-root recovery")
 
 
 def _cmd_verify_example(args) -> int:

@@ -12,11 +12,12 @@ empty-span case:
     and to 0 on every span element prove non-containment; for squareness
     this is one character at which the element is a non-residue.
   * A containment witness is a span subset with an exact square root of the
-    target times its product.  The root is recovered by lifting a square
-    root p-adically at a prime where the component splits, interpolating,
-    and reconstructing rational coefficients below a height bound; the
-    result is verified exactly.
-  * Unknown is returned only when both searches exhaust their bounds.
+    target times its product.  In each component the root is read off the
+    characteristic polynomial: the symmetric functions of the root's
+    conjugates are rational roots of a polynomial built from the element's,
+    so no bound is needed, and every candidate is verified exactly.
+  * Unknown is returned only when the scan exhausts its primes with neither
+    a certificate nor a witness whose product has a root.
 
 The scan walks primes in increasing order and decides over the characters
 with arith.subgroup_contains, so the smallest certifying prime wins and
@@ -27,8 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import product as iter_product
-from math import gcd, isqrt, prod
+from math import prod
 
 from . import poly as P
 from .arith import SquareClassTriple, first_primes, is_prime, square_class, subgroup_contains
@@ -208,15 +208,18 @@ class AlgebraElement(Record):
         )
 
 
-def _component_norm(m: Poly, r: Poly) -> Fraction:
-    """Determinant of multiplication by r on the power basis of Q[x]/(m)."""
+def _mul_matrix(m: Poly, r: Poly) -> list[list[Fraction]]:
+    """Multiplication by r on the power basis of Q[x]/(m), one row per
+    image r, r X, ..., r X^(d-1) reduced mod m (the transpose)."""
     d = P.degree(m)
-    if not r:
-        return Fraction(0)
-    cols = [r]  # r, r X, ..., r X^(d-1) reduced mod m
-    while len(cols) < d:
-        cols.append(P.mod_poly(P.mul(cols[-1], P.X), m))
-    return P.det([[c[i] if i < len(c) else Fraction(0) for i in range(d)] for c in cols])
+    rows = [r]
+    while len(rows) < d:
+        rows.append(P.mod_poly(P.mul(rows[-1], P.X), m))
+    return [[c[i] if i < len(c) else Fraction(0) for i in range(d)] for c in rows]
+
+
+def _component_norm(m: Poly, r: Poly) -> Fraction:
+    return P.det(_mul_matrix(m, r)) if r else Fraction(0)
 
 
 def has_square_norm(elem: AlgebraElement) -> bool:
@@ -232,8 +235,6 @@ def has_square_norm(elem: AlgebraElement) -> bool:
 
 class SquareSearchBounds(Record):
     cert_primes: int = 200  # primes scanned for quadratic characters
-    recon_height: int = 10**9  # numerator/denominator bound for recovered roots
-    split_attempts: int = 3  # split primes tried per component recovery
 
 
 DEFAULT_BOUNDS = SquareSearchBounds()
@@ -351,95 +352,49 @@ def _roots_mod_p(m: Poly, p: int) -> list[int]:
     return []
 
 
-def _solve_vandermonde(xs: list[int], rhs: list[int], modulus: int) -> list[int] | None:
-    d = len(xs)
-    rows = [[pow(x, j, modulus) for j in range(d)] + [v] for x, v in zip(xs, rhs)]
-    for col in range(d):
-        piv = next((i for i in range(col, d) if gcd(rows[i][col], modulus) == 1), None)
-        if piv is None:
+def _component_sqrt(m: Poly, r: Poly) -> Poly | None:
+    """The exact square root of alpha = r in the field Q[x]/(m), or None.
+
+    A rational alpha = a has the root sqrt(a), and in a quadratic field also
+    sqrt(a / D) (2x + m1) with D = m1^2 - 4 m0.  An irrational alpha has a
+    root beta whose conjugates have rational symmetric functions s1, s2, s3:
+      * degree 2: s2 = N(beta) = +-sqrt(N alpha) and s1 = Tr beta =
+        +-sqrt(Tr alpha + 2 s2), nonzero, and beta = (alpha + s2) / s1;
+      * degree 3: with alpha's characteristic polynomial X^3 - e1 X^2 +
+        e2 X - e3, the sign of beta is fixed by s3 = sqrt(e3); s1 is a
+        rational root of (s1^2 - e1)^2 - 8 s3 s1 - 4 e2, whose roots
+        +-beta_1 +- beta_2 +- beta_3 (an even number of minus signs) are
+        distinct, s2 = (s1^2 - e1) / 2, and beta = (s1 alpha + s3) /
+        (alpha + s2).
+    Each candidate is checked by squaring it.
+    """
+    d = P.degree(m)
+    candidates = []
+    if P.degree(r) <= 0:
+        a = P.constant_value(r)
+        c = P.sqrt_fraction(a / (m[1] * m[1] - 4 * m[0])) if d == 2 else None
+        for b, k in ((ONE, P.sqrt_fraction(a)), (P.poly([m[1], 2]), c)):
+            if k is not None:
+                candidates.append(P.scale(b, k))
+    else:
+        mat = _mul_matrix(m, r)
+        norm_root = P.sqrt_fraction(P.det(mat))  # +-N(beta)
+        if norm_root is None:
             return None
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = pow(rows[col][col], -1, modulus)
-        rows[col] = [v * inv % modulus for v in rows[col]]
-        for i in range(d):
-            if i != col and rows[i][col]:
-                fct = rows[i][col]
-                rows[i] = [(v - fct * w) % modulus for v, w in zip(rows[i], rows[col])]
-    return [rows[i][d] % modulus for i in range(d)]
-
-
-def _rat_recon(c: int, modulus: int, bound: int) -> Fraction | None:
-    """Rational n/d with |n|, d <= bound congruent to c, verified, or None."""
-    r0, r1 = modulus, c % modulus
-    t0, t1 = 0, 1
-    while r1 > bound:
-        qt = r0 // r1
-        r0, r1 = r1, r0 - qt * r1
-        t0, t1 = t1, t0 - qt * t1
-    if t1 == 0:
-        return None
-    n, den = r1, t1
-    if den < 0:
-        n, den = -n, -den
-    if den > bound or gcd(n, den) != 1:
-        return None
-    if (n - c * den) % modulus != 0:
-        return None
-    return Fraction(n, den)
-
-
-def _lift_and_reconstruct(m: Poly, r: Poly, roots: list[int], p: int, height: int) -> Poly | None:
-    d = len(roots)
-    k, modulus = 1, p
-    target = 2 * height * height
-    while modulus <= target:
-        modulus *= p
-        k += 1
-    lifted = [P.lift_root(m, rt, p, k) for rt in roots]
-    vals = []
-    for rt in lifted:
-        v = P.eval_mod(r, rt, modulus)
-        if v is None:
-            return None
-        vals.append(v)
-    sqrts = []
-    for v in vals:
-        s = _sqrt_mod_prime(v % p, p)
-        if not s:
-            return None
-        sqrts.append(P.lift_root((-v, 0, 1), s, p, k))  # the root of X^2 - v above s
-    bound = isqrt(modulus // 2)
-    for signs in iter_product(*([(1,)] + [(1, -1)] * (d - 1))):
-        rhs = [s if e == 1 else modulus - s for s, e in zip(sqrts, signs)]
-        solved = _solve_vandermonde(lifted, rhs, modulus)
-        if solved is None:
-            continue
-        coeffs = []
-        for cm in solved:
-            fr = _rat_recon(cm, modulus, bound)
-            if fr is None:
-                break
-            coeffs.append(fr)
+        e1 = sum(mat[i][i] for i in range(d))
+        if d == 2:
+            for n in (norm_root, -norm_root):
+                t = P.sqrt_fraction(e1 + 2 * n)
+                if t:
+                    candidates.append(P.scale(P.add(r, P.poly([n])), 1 / t))
         else:
-            b = P.poly(coeffs)
-            if P.mod_poly(P.sub(P.mul(b, b), r), m) == ZERO:
-                return b
-    return None
-
-
-def _component_sqrt(m: Poly, r: Poly, split: list, height: int) -> Poly | None:
-    """An exact square root of r in Q[x]/(m), or None.  A rational component
-    takes the exact root; a larger one is tried at each (p, roots) in split,
-    primes where m splits completely and r is a nonzero residue at every
-    root."""
-    if P.degree(m) == 1:
-        s = P.sqrt_fraction(P.constant_value(r))
-        return None if s is None else P.poly([s])
-    for p, roots in split:
-        got = _lift_and_reconstruct(m, r, roots, p, height)
-        if got is not None:
-            return got
-    return None
+            # Tr(alpha^2) is the trace of the squared matrix
+            e2 = (e1 * e1 - sum(mat[i][j] * mat[j][i] for i in range(3) for j in range(3))) / 2
+            quartic = P.poly([e1 * e1 - 4 * e2, -8 * norm_root, -2 * e1, 0, 1])
+            for s1 in P.rational_roots_monic(quartic):
+                _, inv, _ = P.xgcd_poly(P.add(r, P.poly([(s1 * s1 - e1) / 2])), m)
+                candidates.append(P.mod_poly(P.mul(P.add(P.scale(r, s1), P.poly([norm_root])), inv), m))
+    return next((b for b in candidates if P.mod_poly(P.sub(P.mul(b, b), r), m) == ZERO), None)
 
 
 class SpanDecision(Record):
@@ -466,15 +421,15 @@ def span_contains(
     """Decide whether the unit target lies in the span of the units in span
     modulo squares.
 
-    One scan over the first bounds.cert_primes primes gives each element the
-    set of characters (p, component, root) at which it is a non-residue, and
+    The exact root of the target times the witnessed span elements is tried
+    first for the empty witness.  Then one scan over the first
+    bounds.cert_primes primes gives each element the set of characters
+    (p, component, root) at which it is a non-residue, and
     arith.subgroup_contains decides over those sets after each prime that
-    adds one; the first not_contained answer is final.  A character at which
-    some element vanishes is dropped, since it is not a homomorphism on the
-    group the elements generate.  A contained answer stands only once an
-    exact square root of the witnessed product is recovered at the primes
-    where a component splits completely with no element vanishing, at most
-    bounds.split_attempts of them per component.
+    adds one: the first not_contained answer is final, and each witness it
+    proposes that has not been tried yet is tried for an exact root.  A
+    character at which some element vanishes is dropped, since it is not a
+    homomorphism on the group the elements generate.
     """
     elems = (*span, target)
     for e in elems:
@@ -482,47 +437,52 @@ def span_contains(
             raise ValueError("the element does not belong to the algebra")
         if not e.is_unit:
             raise NonUnitError("containment is only decided for units")
+    tried = set()
+
+    def exact(witness: tuple[int, ...]) -> SpanDecision | None:
+        if witness in tried:
+            return None
+        tried.add(witness)
+        product = target
+        for i in witness:
+            product = product * span[i]
+        roots = []
+        for m, r in zip(algebra.components, product.residues):
+            got = _component_sqrt(m, r)
+            if got is None:
+                return None
+            roots.append(got)
+        root = algebra.element_from_components(roots)
+        if (root * root).residues != product.residues:
+            raise AssertionError("recovered square root failed the exact check")
+        return SpanDecision(True, witness=witness, root=root)
+
+    found = exact(())
+    if found is not None:
+        return found
     bad = _bad_modulus(algebra, elems)
     coords: list[set[Character]] = [set() for _ in elems]
-    split: list[list] = [[] for _ in algebra.components]
-    res = None
     for p in first_primes(bounds.cert_primes):
         if p == 2 or bad % p == 0:
             continue
         added = False
         for ci, m in enumerate(algebra.components):
-            roots = _roots_mod_p(m, p)
-            usable = len(roots) == P.degree(m)
-            for r in roots:
+            for r in _roots_mod_p(m, p):
                 vals = [P.eval_mod(e.residues[ci], r, p) for e in elems]
                 if 0 in vals:
-                    usable = False
                     continue
                 for cs, v in zip(coords, vals):
                     if _euler(v, p) == -1:
                         cs.add((p, ci, r))
                         added = True
-            if usable and len(split[ci]) < bounds.split_attempts:
-                split[ci].append((p, roots))
         if added:
             res = subgroup_contains(coords[:-1], coords[-1])
             if not res.contained:
                 return SpanDecision(False, certificate=res.certificate)
-    if res is None:
-        res = subgroup_contains(coords[:-1], coords[-1])
-    product = target
-    for i in res.witness:
-        product = product * span[i]
-    roots = []
-    for m, r, sp in zip(algebra.components, product.residues, split):
-        got = _component_sqrt(m, r, sp, bounds.recon_height)
-        if got is None:
-            return SpanDecision(None)
-        roots.append(got)
-    root = algebra.element_from_components(roots)
-    if (root * root).residues != product.residues:
-        raise AssertionError("recovered square root failed the exact check")
-    return SpanDecision(True, witness=res.witness, root=root)
+            found = exact(res.witness)
+            if found is not None:
+                return found
+    return SpanDecision(None)
 
 
 def validate_characters(algebra: CubicEtaleAlgebra, span, target, characters) -> bool:

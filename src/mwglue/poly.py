@@ -316,7 +316,8 @@ def integer_roots_monic_cubic(a: int, b: int, c: int) -> list[int]:
 
 
 def rational_roots_monic(f: Poly) -> list[Fraction]:
-    """Sorted rational roots of a monic polynomial of degree <= 3."""
+    """Sorted rational roots of a monic polynomial of degree <= 3, or of a
+    squarefree monic quartic."""
     d = degree(f)
     if d <= 0:
         return []
@@ -327,13 +328,16 @@ def rational_roots_monic(f: Poly) -> list[Fraction]:
         if s is None:
             return []
         return sorted({(-f[1] + s) / 2, (-f[1] - s) / 2})
-    if d != 3 or f[3] != 1:
-        raise ValueError("expected a monic polynomial of degree <= 3")
+    if d > 4 or f[d] != 1:
+        raise ValueError("expected a monic polynomial of degree <= 4")
+    # x = t / m turns f into a monic polynomial in t with integer coefficients
     m = denominators_lcm(f)
-    a = int(f[2] * m)
-    b = int(f[1] * m * m)
-    c = int(f[0] * m**3)
-    return sorted(Fraction(t, m) for t in integer_roots_monic_cubic(a, b, c))
+    scaled = [int(c * m ** (d - i)) for i, c in enumerate(f)]
+    if d == 3:
+        roots = integer_roots_monic_cubic(scaled[2], scaled[1], scaled[0])
+    else:
+        roots = integer_roots(scaled)
+    return sorted(Fraction(t, m) for t in roots)
 
 
 def format_poly(p: Poly, var: str = "x") -> str:

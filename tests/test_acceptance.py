@@ -250,8 +250,8 @@ def test_criterion_certificate_soundness(family_run):
     for elem in elements:
         kinds = set()
         for bounds in (
-            SquareSearchBounds(cert_primes=30, recon_height=10**5),
-            SquareSearchBounds(cert_primes=120, recon_height=10**8),
+            SquareSearchBounds(cert_primes=30),
+            SquareSearchBounds(cert_primes=120),
         ):
             decision = is_square(K, elem, bounds)
             if not isinstance(decision, Unknown):

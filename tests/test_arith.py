@@ -42,6 +42,15 @@ class TestFactor:
         # force the trial bound below the factors so rho has to split it
         assert factor(101 * 103, trial_bound=10) == {101: 1, 103: 1}
 
+    def test_rho_step_budget_names_itself(self, monkeypatch):
+        # two 40-bit primes need about 2^20 rho steps; a budget of 2^10
+        # runs out and the error names the bound
+        import mwglue.arith as A
+
+        monkeypatch.setattr(A, "_RHO_STEPS", 2**10)
+        with pytest.raises(FactorizationError, match="_RHO_STEPS = 1024"):
+            factor((2**40 - 87) * (2**40 + 15))
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             factor(0)

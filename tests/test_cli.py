@@ -189,7 +189,7 @@ class TestMembershipCommand:
         assert code == 2
         data = json.loads(capsys.readouterr().out)
         assert data["verdict"] == "unknown"
-        assert data["bounds"] == {"cert_primes": 2, "recon_height": 10**9, "split_attempts": 3}
+        assert data["bounds"] == {"cert_primes": 2}
 
     def test_sq_primes_cap(self, tmp_path, gluing_file, capsys):
         p_file = _write(tmp_path, "P.json", {"x": "-2", "y": "1"})
@@ -199,6 +199,30 @@ class TestMembershipCommand:
         assert f"at most {MAX_SQ_PRIMES}" in capsys.readouterr().err
         assert main(["verify-example", "--sq-primes", str(MAX_SQ_PRIMES + 1)]) == 3
         assert main([*args, "--sq-primes", "0"]) == 3
+        assert main([*args, "--height", "100"]) == 3  # the flag is gone
+
+    def test_rho_budget_exhausted_on_family_gluing(self, tmp_path, capsys):
+        # (10P, O) on the p = 229 family gluing needs a cofactor that rho
+        # cannot split within its step budget: exit 2, naming the budget;
+        # (7P, O) needs an 89-bit cofactor with a 43-bit factor, in budget
+        from mwglue.family import build_instance, gluing_for_instance
+        from mwglue.fixtures import FAMILY_F
+
+        inst = build_instance(229)
+        gluing = gluing_for_instance(inst, FAMILY_F)
+        g_file = _write(tmp_path, "gluing.json", gluing.to_json())
+        q_file = _write(tmp_path, "Q.json", "O")
+
+        def run(n):
+            p_file = _write(tmp_path, "P.json", gluing.E.mul(n, inst.P).to_json())
+            code = main(["membership", "--gluing", g_file, "--P", p_file, "--Q", q_file])
+            return code, capsys.readouterr()
+
+        code, out = run(7)
+        assert code == 0 and out.out.startswith("verdict: not_in_image\n")
+        code, out = run(10)
+        assert code == 2
+        assert out.err.startswith("bound exhausted: Pollard rho used its budget of _RHO_STEPS")
 
     def test_emitted_verdict_revalidates(self, tmp_path, gluing_file, capsys):
         p_file = _write(tmp_path, "P.json", {"x": "-2", "y": "1"})

@@ -40,7 +40,7 @@ from mwglue.fixtures import (
 )
 from mwglue.glue import GluingData, TwoTorsionIdentification
 
-FAST = SquareSearchBounds(cert_primes=40, recon_height=10**6)
+FAST = SquareSearchBounds(cert_primes=40)
 
 
 def _algebra_for(p):
@@ -184,6 +184,19 @@ class TestMembership:
         g = GluingData.build(EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI)
         assert membership(g, INFINITY, INFINITY, FAST).verdict == IN_IMAGE
 
+    def test_example_multiples_decided_by_parity(self):
+        # the class of (-2, 1) is not a square in the cubic field and every
+        # even multiple's is; squares are decided at any height, here up to
+        # a 4,964-bit denominator, at the default bounds
+        g = GluingData.build(EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI)
+        ns = {*range(1, 61), 100, 101, 199, 200}
+        pt = INFINITY
+        for n in range(1, max(ns) + 1):
+            pt = EXAMPLE_E.add(pt, EXAMPLE_POINT)
+            if n in ns:
+                expected = IN_IMAGE if n % 2 == 0 else NOT_IN_IMAGE
+                assert membership(g, pt, INFINITY).verdict == expected, n
+
     def test_example_pair_not_in_image(self):
         g = GluingData.build(EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI)
         verdict = membership(g, EXAMPLE_POINT, INFINITY)
@@ -208,7 +221,7 @@ class TestMembership:
 
     def test_unknown_on_tiny_bounds(self):
         g = GluingData.build(EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI)
-        tiny = SquareSearchBounds(cert_primes=2, recon_height=10)
+        tiny = SquareSearchBounds(cert_primes=2)
         assert membership(g, EXAMPLE_POINT, INFINITY, tiny).verdict == "unknown"
 
     def test_agrees_with_is_square_on_field_case(self):
@@ -231,11 +244,11 @@ class TestMembership:
         diff = descent_class(EXAMPLE_E, g.L, EXAMPLE_POINT)
         assert parsed.certificate.validate(g.L, diff.rep)
         # an unknown verdict carries the bounds that ran out
-        bounds = SquareSearchBounds(cert_primes=2, recon_height=50, split_attempts=1)
+        bounds = SquareSearchBounds(cert_primes=2)
         unknown = membership(g, EXAMPLE_POINT, INFINITY, bounds)
         assert unknown.verdict == UNKNOWN
         data = json.loads(json.dumps(unknown.to_json()))
-        assert data["bounds"] == {"cert_primes": 2, "recon_height": 50, "split_attempts": 1}
+        assert data["bounds"] == {"cert_primes": 2}
         assert MembershipVerdict.from_json(data) == unknown
 
 
@@ -349,9 +362,9 @@ class TestNonSplitObstruction:
         from mwglue.descent import ObstructionVerdict
 
         g = GluingData.build(EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI)
-        tiny = SquareSearchBounds(cert_primes=2, recon_height=50, split_attempts=1)
+        tiny = SquareSearchBounds(cert_primes=2)
         res = surjectivity_obstruction(g, EXAMPLE_POINT, (), (), tiny)
         assert res.status == UNKNOWN and res.bounds == tiny
         data = json.loads(json.dumps(res.to_json()))
-        assert data["bounds"] == {"cert_primes": 2, "recon_height": 50, "split_attempts": 1}
+        assert data["bounds"] == {"cert_primes": 2}
         assert ObstructionVerdict.from_json(data, g.L) == res

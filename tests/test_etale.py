@@ -33,7 +33,7 @@ SPLIT = CubicEtaleAlgebra.from_cubic(
 )
 MIXED = CubicEtaleAlgebra.from_cubic(P.poly([1, 0, 0, 1]))  # x^3 + 1 = (x+1)(x^2-x+1)
 
-FAST = SquareSearchBounds(cert_primes=40, recon_height=10**6)
+FAST = SquareSearchBounds(cert_primes=40)
 
 small_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
@@ -161,7 +161,7 @@ class TestIsSquare:
         assert isinstance(dec, Square)
 
     def test_unknown_when_bounds_too_small(self):
-        tiny = SquareSearchBounds(cert_primes=2, recon_height=100)
+        tiny = SquareSearchBounds(cert_primes=2)
         dec = is_square(K, K.element([-2, -1]), tiny)
         assert isinstance(dec, Unknown)
 
@@ -210,7 +210,7 @@ class TestIsSquare:
         elems = [K.element([-2, -1]), K.element([1, 1]) * K.element([1, 1]), K.rational(4)]
         for elem in elems:
             kinds = set()
-            for bounds in (FAST, SquareSearchBounds(cert_primes=100, recon_height=10**4)):
+            for bounds in (FAST, SquareSearchBounds(cert_primes=100)):
                 dec = is_square(K, elem, bounds)
                 if not isinstance(dec, Unknown):
                     kinds.add(type(dec))
@@ -312,7 +312,7 @@ class TestSpanContains:
         pool = [K.element([a, -1]) for a in range(-6, 7)]
         pool += [K.element([rng.randrange(-4, 5) for _ in range(3)]) for _ in range(8)]
         pool = [e for e in pool if e.is_unit]
-        bounds = SquareSearchBounds(cert_primes=60, recon_height=10**9)
+        bounds = SquareSearchBounds(cert_primes=60)
         counts = {}
         for trial in range(60):
             span = rng.sample(pool, rng.randint(0, 6))
@@ -368,3 +368,80 @@ class TestSpanContains:
             span_contains(K, (KP.one(),), K.one(), FAST)
         with pytest.raises(NonUnitError):
             span_contains(SPLIT, (SPLIT.element_from_components([[0], [1], [1]]),), SPLIT.one(), FAST)
+
+
+def _random_fields(rng, count):
+    """Algebras with a random cubic field, and with a random quadratic
+    field beside a rational component."""
+    out = []
+    while len(out) < count:
+        a, b, c = (rng.randrange(-9, 10) for _ in range(3))
+        if len(out) % 2:
+            f = P.poly([c, b, a, 1])
+            if P.rational_roots_monic(f):
+                continue
+        else:
+            if P.sqrt_fraction(a * a - 4 * b) is not None:
+                continue
+            f = P.mul(P.poly([-c, 1]), P.poly([b, a, 1]))
+        out.append(CubicEtaleAlgebra.from_cubic(f))
+    return out
+
+
+def _random_unit(rng, algebra):
+    while True:
+        b = algebra.element([Fraction(rng.randrange(-30, 31), rng.randrange(1, 6)) for _ in range(3)])
+        if b.is_unit:
+            return b
+
+
+class TestExactRoot:
+    def test_square_gives_back_plus_or_minus_its_root(self):
+        rng = random.Random(31)
+        for algebra in [*_random_fields(rng, 20), MIXED]:
+            assert sorted(degrees(algebra))[-1] >= 2
+            for _ in range(8):
+                b = _random_unit(rng, algebra)
+                dec = is_square(algebra, b * b, SquareSearchBounds(cert_primes=1))
+                assert isinstance(dec, Square), (algebra.f, b)
+                for got, want in zip(dec.witness.residues, b.residues):
+                    assert got in (want, P.neg(want))
+
+    def test_rational_elements_of_a_quadratic_field(self):
+        # Q x Q[x]/(x^2 - 5): 5 = x^2 and 20 = (2x)^2 in the quadratic
+        # component, while 3 is not a square there
+        algebra = CubicEtaleAlgebra.from_cubic(P.poly([0, -5, 0, 1]))
+        assert degrees(algebra) == (1, 2)
+        for a in (5, 20):
+            elem = algebra.element_from_components([[1], [a]])
+            dec = is_square(algebra, elem, SquareSearchBounds(cert_primes=1))
+            assert isinstance(dec, Square)
+            assert (dec.witness * dec.witness).residues == elem.residues
+        elem = algebra.element_from_components([[1], [3]])
+        dec = is_square(algebra, elem)
+        assert isinstance(dec, NonSquare) and dec.certificate.validate(algebra, elem)
+
+    def test_every_rejected_element_is_certified(self):
+        # an element the exact root test rejects must be a non-square: at
+        # 2000 primes each one gets a certificate.  Half of the elements are
+        # b^2 f(c) (c - X), of norm f(c)^4 b^4, so the cubic test gets as far
+        # as the quartic
+        rng = random.Random(32)
+        bounds = SquareSearchBounds(cert_primes=2000)
+        kinds = []
+        for algebra in [*_random_fields(rng, 10), K, MIXED]:
+            for i in range(6):
+                b = _random_unit(rng, algebra)
+                c = rng.randrange(-20, 21)
+                fc = P.eval_at(algebra.f, c)
+                elem = b * b * algebra.element([c * fc, -fc]) if i % 2 else b
+                if not elem.is_unit:
+                    continue
+                dec = is_square(algebra, elem, bounds)
+                if isinstance(dec, Square):
+                    assert (dec.witness * dec.witness).residues == elem.residues
+                else:
+                    assert isinstance(dec, NonSquare), (algebra.f, elem)
+                    assert dec.certificate.validate(algebra, elem)
+                kinds.append((type(dec), i % 2 and has_square_norm(elem)))
+        assert kinds.count((NonSquare, True)) >= 20

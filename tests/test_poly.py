@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 import mwglue.poly as P
@@ -21,6 +23,20 @@ class TestIntegerRoots:
         for p in ([5], []):
             with pytest.raises(ValueError):
                 P.integer_roots(p)
+
+
+class TestRationalRootsMonic:
+    def test_quartic_with_rational_roots(self):
+        # (x - 1/2)(x + 3/4)(x^2 + 2)
+        f = P.mul(P.mul(P.poly([-Fraction(1, 2), 1]), P.poly([Fraction(3, 4), 1])), P.poly([2, 0, 1]))
+        assert P.rational_roots_monic(f) == [Fraction(-3, 4), Fraction(1, 2)]
+        assert P.rational_roots_monic(P.poly([2, 0, 3, 0, 1])) == []  # (x^2 + 1)(x^2 + 2)
+
+    def test_cubic_matches_quartic_path(self):
+        cubic = P.poly([Fraction(-3, 8), Fraction(-1, 4), Fraction(3, 2), 1])  # roots 1/2, -1/2, -3/2
+        quartic = P.mul(cubic, P.poly([7, 1]))
+        assert P.rational_roots_monic(cubic) == [Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2)]
+        assert P.rational_roots_monic(quartic) == [-7, *P.rational_roots_monic(cubic)]
 
 
 class TestLiftRoot:

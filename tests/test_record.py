@@ -19,6 +19,7 @@ from mwglue.etale import (
     SquareSearchBounds,
     Unknown,
 )
+from mwglue.example import Step
 from mwglue.fixtures import EXAMPLE_E
 from mwglue.record import Record
 
@@ -48,7 +49,7 @@ class TestConstruction:
 
     def test_fields_follow_the_annotations(self):
         assert Pair._fields == ("a", "b")
-        assert SquareSearchBounds._fields == ("cert_primes", "recon_height", "split_attempts")
+        assert Step._fields == ("name", "passed", "detail")
 
     @pytest.mark.parametrize(
         "args, kwargs",
@@ -85,8 +86,8 @@ class TestEqualityAndHash:
         assert hash(t) == hash(SquareClassTriple.from_rationals(8, 27, 6))
 
     def test_hash_is_the_dataclass_hash(self):
-        ref = _reference(SquareSearchBounds)
-        assert hash(SquareSearchBounds()) == hash(ref(200, 10**9, 3))
+        ref = _reference(Step)
+        assert hash(Step("torsion", True)) == hash(ref("torsion", True, ""))
         assert hash(Pair(5)) == hash(_reference(Pair)(5, "x"))
         # one field hashes as a one-tuple
         assert hash(Unknown(SquareSearchBounds())) == hash(_reference(Unknown)(SquareSearchBounds()))
