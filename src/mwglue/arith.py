@@ -266,20 +266,13 @@ class SquareClassTriple(Record):
     def is_trivial(self) -> bool:
         return all(c.is_trivial for c in self.components)
 
-    def product(self) -> SquareClass:
-        return self.c1 * self.c2 * self.c3
-
-    @property
-    def has_trivial_product(self) -> bool:
-        """Membership in the subgroup of triples whose product is a square."""
-        return self.product().is_trivial
-
     def __mul__(self, other: "SquareClassTriple") -> "SquareClassTriple":
         return SquareClassTriple(
             self.c1 * other.c1, self.c2 * other.c2, self.c3 * other.c3
         )
 
     def occurs(self, p: int) -> bool:
+        """Whether p has odd valuation in some component."""
         return any(p in c.primes for c in self.components)
 
     def to_json(self) -> list:
@@ -288,13 +281,6 @@ class SquareClassTriple(Record):
     @classmethod
     def from_json(cls, data) -> "SquareClassTriple":
         return cls(*(SquareClass.from_json(d) for d in data))
-
-
-def occurs(p: int, z: SquareClassTriple) -> bool:
-    """Whether p has odd valuation in some component of z."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return z.occurs(p)
 
 
 # A valuation coordinate of (Q*/Q*^2)^3: (component index, prime), None

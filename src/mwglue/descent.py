@@ -100,46 +100,15 @@ def transfer_class(gluing: GluingData, cls: AlgebraSquareClass) -> AlgebraSquare
     )
 
 
-class OddCoordinateWitness(Record):
-    """A coordinate of (Q*/Q*^2)^3 where a class difference is nontrivial."""
-
-    component: int
-    prime: int | None  # None marks the sign coordinate
-    ratio: SquareClassTriple
-
-    def validate(self) -> bool:
-        c = self.ratio.components[self.component]
-        if self.prime is None:
-            return c.negative
-        return self.prime in c.primes
-
-    def to_json(self) -> dict:
-        return {
-            "component": self.component,
-            "prime": self.prime,
-            "ratio": self.ratio.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "OddCoordinateWitness":
-        return cls(
-            int(data["component"]),
-            None if data["prime"] is None else int(data["prime"]),
-            SquareClassTriple.from_json(data["ratio"]),
-        )
-
-
 class MembershipVerdict(Record):
     verdict: str
-    certificate: NonSquareCertificate | OddCoordinateWitness | None = None
+    certificate: NonSquareCertificate | None = None
     bounds: SquareSearchBounds | None = None
 
     def to_json(self) -> dict:
         cert = None
-        if isinstance(self.certificate, NonSquareCertificate):
+        if self.certificate is not None:
             cert = {"kind": "non_square", **self.certificate.to_json()}
-        elif isinstance(self.certificate, OddCoordinateWitness):
-            cert = {"kind": "odd_coordinate", **self.certificate.to_json()}
         out = {"verdict": self.verdict, "certificate": cert}
         if self.verdict == UNKNOWN and self.bounds is not None:
             # the search bounds that ran out; decided verdicts stay unchanged
@@ -148,13 +117,11 @@ class MembershipVerdict(Record):
 
     @classmethod
     def from_json(cls, data) -> "MembershipVerdict":
-        cert_data = data.get("certificate")
-        cert = None
-        if cert_data is not None:
-            if cert_data["kind"] == "non_square":
-                cert = NonSquareCertificate.from_json(cert_data)
-            else:
-                cert = OddCoordinateWitness.from_json(cert_data)
+        cert = data.get("certificate")
+        if cert is not None:
+            if cert.get("kind") != "non_square":
+                raise ValueError(f"unknown membership certificate kind {cert.get('kind')!r}")
+            cert = NonSquareCertificate.from_json(cert)
         bounds = data.get("bounds")
         if bounds is not None:
             bounds = SquareSearchBounds(**{k: int(v) for k, v in bounds.items()})
@@ -170,22 +137,13 @@ def membership(
     """Decide whether the pair is in the image of the glued Jacobian's points.
 
     The pair is in the image exactly when the transferred F-side class equals
-    the E-side class, i.e. when their product is trivial.  Split gluings are
-    always decided; otherwise the verdict can be Unknown when the squareness
-    search exhausts its bounds.
+    the E-side class, i.e. when their product is a square.  The verdict can
+    be Unknown when the squareness search exhausts its bounds, over split
+    gluings too, where a rational component's character is a Legendre symbol.
     """
     cp = descent_class(gluing.E, gluing.L, point_on_E)
     cq = descent_class(gluing.F, gluing.Lprime, point_on_F)
     diff = cp * transfer_class(gluing, cq)
-    if gluing.is_split:
-        # against the empty span the certificate is the target's first
-        # coordinate: the sign or smallest odd prime of its first odd component
-        tr = diff.triple()
-        res = subgroup_contains((), tr)
-        if res.contained:
-            return MembershipVerdict(IN_IMAGE)
-        ((i, prime),) = res.certificate
-        return MembershipVerdict(NOT_IN_IMAGE, OddCoordinateWitness(i, prime, tr))
     decision = is_square(gluing.L, diff.rep, bounds)
     if isinstance(decision, Square):
         return MembershipVerdict(IN_IMAGE)

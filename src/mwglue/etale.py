@@ -171,15 +171,6 @@ class AlgebraElement(Record):
             out.append(P.mod_poly(s, m))
         return AlgebraElement(self.algebra, tuple(out))
 
-    def constant_at(self, i: int) -> Fraction:
-        """The value in a degree-1 component."""
-        if P.degree(self.algebra.components[i]) != 1:
-            raise ValueError("the component is not rational")
-        return P.constant_value(self.residues[i])
-
-    def component_values(self) -> tuple[Fraction, ...]:
-        return tuple(self.constant_at(i) for i in range(len(self.residues)))
-
     def lift(self) -> Poly:
         """The unique representative of degree < 3 modulo f (CRT)."""
         comps = self.algebra.components
@@ -524,29 +515,17 @@ def is_square(
 
 
 class AlgebraSquareClass(Record):
-    """A square class of units of the algebra.
-
-    For split algebras the representative is normalized componentwise to the
-    canonical squarefree integer of its rational square class, so equality is
-    structural; otherwise the raw representative is kept, and classes are
-    compared with span_contains.
-    """
+    """A square class of units of the algebra, kept as a raw representative;
+    classes are compared with span_contains, and triple() gives the canonical
+    form over a split algebra."""
 
     rep: AlgebraElement
-    normalized: bool = False
 
     @classmethod
     def of(cls, elem: AlgebraElement) -> "AlgebraSquareClass":
         if not elem.is_unit:
             raise NonUnitError("square classes are classes of units")
-        algebra = elem.algebra
-        if algebra.is_split:
-            reps = tuple(
-                P.poly([square_class(P.constant_value(r)).representative()])
-                for r in elem.residues
-            )
-            return cls(AlgebraElement(algebra, reps), True)
-        return cls(elem, False)
+        return cls(elem)
 
     @property
     def algebra(self) -> CubicEtaleAlgebra:
@@ -560,11 +539,10 @@ class AlgebraSquareClass(Record):
     def triple(self) -> SquareClassTriple:
         if not self.algebra.is_split:
             raise ValueError("class triples need a fully split algebra")
-        a, b, c = (square_class(P.constant_value(r)) for r in self.rep.residues)
-        return SquareClassTriple(a, b, c)
+        return SquareClassTriple.from_rationals(*(P.constant_value(r) for r in self.rep.residues))
 
     def to_json(self) -> dict:
-        return {"rep": self.rep.to_json(), "normalized": self.normalized}
+        return {"rep": self.rep.to_json()}
 
 
 def algebra_map(

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .arith import SquareClassTriple, factor, is_prime, occurs
+from .arith import SquareClassTriple, factor, is_prime
 from .descent import NOT_CONTAINED, ObstructionVerdict, descent_class, surjectivity_obstruction
 from .ellcurve import ECPoint, EllipticCurve
 from .etale import CubicEtaleAlgebra
@@ -225,7 +225,7 @@ def verify_instance(inst: FamilyInstance, params: FamilyParams) -> InstanceRepor
     failures = []
     for name, (pt, prime) in translates.items():
         tr = descent_class(curve, algebra, pt).triple()
-        if not occurs(prime, tr):
+        if not tr.occurs(prime):
             failures.append(f"{prime} does not occur in class({name})")
     checks["occurrences"] = CheckResult(
         not failures,

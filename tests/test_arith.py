@@ -13,7 +13,6 @@ from mwglue.arith import (
     factor,
     first_primes,
     is_prime,
-    occurs,
     square_class,
     subgroup_contains,
     validate_containment_witness,
@@ -204,21 +203,17 @@ class TestSquareClass:
 class TestTriple:
     def test_occurs_11(self):
         z = SquareClassTriple.from_rationals(-1, 11, -11)
-        assert occurs(11, z)
+        assert z.occurs(11)
 
     def test_occurs_trivial_triple(self):
-        assert not occurs(3, SquareClassTriple.from_rationals(1, 1, 1))
+        assert not SquareClassTriple.from_rationals(1, 1, 1).occurs(3)
 
     def test_occurs_val5(self):
-        assert occurs(5, SquareClassTriple.from_rationals(2, 10, 5))
-
-    def test_occurs_requires_prime(self):
-        with pytest.raises(ValueError):
-            occurs(6, SquareClassTriple.trivial())
+        assert SquareClassTriple.from_rationals(2, 10, 5).occurs(5)
 
     def test_product_kernel_membership(self):
-        assert SquareClassTriple.from_rationals(-1, 11, -11).has_trivial_product
-        assert not SquareClassTriple.from_rationals(2, 3, 5).has_trivial_product
+        assert _product(SquareClassTriple.from_rationals(-1, 11, -11)).is_trivial
+        assert not _product(SquareClassTriple.from_rationals(2, 3, 5)).is_trivial
 
     @given(st.lists(nonzero_fractions, min_size=3, max_size=3))
     @settings(max_examples=40)
@@ -227,11 +222,15 @@ class TestTriple:
         zz = z * z
         assert zz.is_trivial
         for p in first_primes(10):
-            assert not occurs(p, zz)
+            assert not zz.occurs(p)
 
     def test_json_round_trip(self):
         z = SquareClassTriple.from_rationals(-6, 10, -15)
         assert SquareClassTriple.from_json(z.to_json()) == z
+
+
+def _product(z: SquareClassTriple) -> SquareClass:
+    return z.c1 * z.c2 * z.c3
 
 
 def _triple_from_ints(a, b, c):

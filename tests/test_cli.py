@@ -202,27 +202,35 @@ class TestMembershipCommand:
         assert main([*args, "--height", "100"]) == 3  # the flag is gone
 
     def test_rho_budget_exhausted_on_family_gluing(self, tmp_path, capsys):
-        # (10P, O) on the p = 229 family gluing needs a cofactor that rho
-        # cannot split within its step budget: exit 2, naming the budget;
-        # (7P, O) needs an 89-bit cofactor with a 43-bit factor, in budget
+        # the class triple of 10P on the p = 229 family curve needs a
+        # cofactor that rho cannot split within its step budget: exit 2,
+        # naming the budget; 7P needs an 89-bit cofactor with a 43-bit
+        # factor, in budget.  Membership of (10P, O) factors nothing.
         from mwglue.family import build_instance, gluing_for_instance
         from mwglue.fixtures import FAMILY_F
 
         inst = build_instance(229)
         gluing = gluing_for_instance(inst, FAMILY_F)
+        c_file = _write(tmp_path, "curve.json", gluing.E.to_json())
         g_file = _write(tmp_path, "gluing.json", gluing.to_json())
         q_file = _write(tmp_path, "Q.json", "O")
 
-        def run(n):
+        def run(command, n):
             p_file = _write(tmp_path, "P.json", gluing.E.mul(n, inst.P).to_json())
-            code = main(["membership", "--gluing", g_file, "--P", p_file, "--Q", q_file])
+            if command == "membership":
+                args = ["--gluing", g_file, "--P", p_file, "--Q", q_file]
+            else:
+                args = ["--curve", c_file, "--point", p_file, "--roots", "0,-230,228"]
+            code = main([command, *args])
             return code, capsys.readouterr()
 
-        code, out = run(7)
-        assert code == 0 and out.out.startswith("verdict: not_in_image\n")
-        code, out = run(10)
+        code, out = run("descent-class", 7)
+        assert code == 0 and out.out == "(-1, 229, -229)\n"
+        code, out = run("descent-class", 10)
         assert code == 2
         assert out.err.startswith("bound exhausted: Pollard rho used its budget of _RHO_STEPS")
+        code, out = run("membership", 10)
+        assert code == 0 and out.out == "verdict: in_image\n"
 
     def test_emitted_verdict_revalidates(self, tmp_path, gluing_file, capsys):
         p_file = _write(tmp_path, "P.json", {"x": "-2", "y": "1"})

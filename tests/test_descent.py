@@ -121,7 +121,7 @@ class TestDescentClass:
             curve, algebra = curve_for_prime(p), _algebra_for(p)
             for a in _point_pool(curve, 10):
                 trip = descent_class(curve, algebra, a).triple()
-                assert trip.has_trivial_product
+                assert (trip.c1 * trip.c2 * trip.c3).is_trivial
 
     def test_field_case_images_have_square_norm(self, example_e):
         K = CubicEtaleAlgebra.from_cubic(example_e.f_poly())
@@ -217,7 +217,43 @@ class TestMembership:
         g = gluing_for_instance(inst, FAMILY_F)
         verdict = membership(g, inst.P, INFINITY, FAST)
         assert verdict.verdict == NOT_IN_IMAGE
-        assert verdict.certificate.validate()
+        diff = descent_class(g.E, g.L, inst.P)
+        assert verdict.certificate.validate(g.L, diff.rep)
+
+    @pytest.mark.parametrize("p", [229, 1129])
+    def test_family_multiples_decided_by_parity(self, p):
+        # (nP, O) on a family gluing is decided by one Legendre symbol or an
+        # exact root per component, with no factoring of the coordinates
+        inst = build_instance(p)
+        g = gluing_for_instance(inst, FAMILY_F)
+        pt = INFINITY
+        for n in range(1, 41):
+            pt = g.E.add(pt, inst.P)
+            verdict = membership(g, pt, INFINITY)
+            assert verdict.verdict == (IN_IMAGE if n % 2 == 0 else NOT_IN_IMAGE), n
+            parsed = MembershipVerdict.from_json(json.loads(json.dumps(verdict.to_json())))
+            assert parsed == verdict
+            if n % 2:
+                cert = parsed.certificate
+                assert P.degree(g.L.components[cert.component]) == 1
+                assert cert.validate(g.L, descent_class(g.E, g.L, pt).rep)
+
+    @pytest.mark.parametrize("p", [229, 1129])
+    def test_split_verdicts_match_class_triples(self, p):
+        # differential: the squareness engine against the valuation
+        # coordinates of the factored class triple, at heights that factor
+        inst = build_instance(p)
+        g = gluing_for_instance(inst, FAMILY_F)
+        points = [INFINITY, inst.P1, inst.P2, inst.P3]
+        points += [g.E.add(t, g.E.mul(n, inst.P)) for n in range(1, 7) for t in points[:2]]
+        two_s = FAMILY_F.mul(2, ECPoint.affine(3, 6))
+        for pt in points:
+            for q in (INFINITY, ECPoint.affine(3, 6), ECPoint.affine(0, 0), two_s):
+                verdict = membership(g, pt, q)
+                diff = descent_class(g.E, g.L, pt) * transfer_class(
+                    g, descent_class(g.F, g.Lprime, q)
+                )
+                assert (verdict.verdict == IN_IMAGE) == diff.triple().is_trivial, (pt, q)
 
     def test_unknown_on_tiny_bounds(self):
         g = GluingData.build(EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI)
@@ -250,6 +286,14 @@ class TestMembership:
         data = json.loads(json.dumps(unknown.to_json()))
         assert data["bounds"] == {"cert_primes": 2}
         assert MembershipVerdict.from_json(data) == unknown
+
+    def test_verdict_json_rejects_other_certificate_kinds(self):
+        data = {
+            "verdict": NOT_IN_IMAGE,
+            "certificate": {"kind": "odd_coordinate", "component": 0, "prime": None, "ratio": []},
+        }
+        with pytest.raises(ValueError, match="odd_coordinate"):
+            MembershipVerdict.from_json(data)
 
 
 class TestSurjectivityObstruction:
