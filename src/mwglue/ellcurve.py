@@ -1,8 +1,8 @@
 """Elliptic curves y^2 = x^3 + c2 x^2 + c1 x + c0 over Q with exact arithmetic.
 
 Chord-tangent group law, rational 2-torsion, the full torsion subgroup from a
-reduction bound and the integer roots of division polynomials, the
-j-invariant, and a naive point search used for fixtures.
+reduction bound and the integer roots of division polynomials, and the
+j-invariant.
 """
 
 from __future__ import annotations
@@ -241,32 +241,6 @@ class EllipticCurve(Record):
     def j_invariant(self) -> Fraction:
         c4 = 16 * self.c2**2 - 48 * self.c1
         return c4**3 / self.discriminant
-
-    def search_points(self, bound: int) -> list[ECPoint]:
-        """All affine points with x = a/d^2, |a| <= bound, 1 <= d <= bound.
-
-        The parameterization is applied on the integral model, where every
-        rational point has an x-coordinate of this shape.
-        """
-        if bound < 1:
-            raise ValueError("bound must be positive")
-        model, u = self.integral_model()
-        found: set[ECPoint] = set()
-        for d in range(1, bound + 1):
-            for a in range(-bound, bound + 1):
-                if gcd(a, d) != 1:
-                    continue
-                x = Fraction(a, d * d)
-                rhs = model.f_at(x)
-                if rhs < 0:
-                    continue
-                y = P.sqrt_fraction(rhs)
-                if y is None:
-                    continue
-                found.add(ECPoint.affine(x / u**2, y / u**3))
-                if y:
-                    found.add(ECPoint.affine(x / u**2, -y / u**3))
-        return sorted(found, key=_point_key)
 
     def to_json(self) -> dict:
         return {"f": [str(self.c0), str(self.c1), str(self.c2)]}

@@ -6,11 +6,12 @@ empty-span case:
 
   * A quadratic character (p, component, root), for an odd prime p dividing
     neither disc f nor any numerator or denominator of the elements and a
-    root of the component mod p at which no element vanishes, sends a unit
-    to the Legendre symbol of its value there.  It is F2-linear on the
-    group the elements generate, so characters that sum to 1 on the target
-    and to 0 on every span element prove non-containment; for squareness
-    this is one character at which the element is a non-residue.
+    root of the component mod p (from poly.roots_mod) at which no element
+    vanishes, sends a unit to the Legendre symbol of its value there.  It is
+    F2-linear on the group the elements generate, so characters that sum to
+    1 on the target and to 0 on every span element prove non-containment;
+    for squareness this is one character at which the element is a
+    non-residue.
   * A containment witness is a span subset with an exact square root of the
     target times its product.  In each component the root is read off the
     characteristic polynomial: the symmetric functions of the root's
@@ -112,9 +113,6 @@ class CubicEtaleAlgebra(Record):
     def one(self) -> "AlgebraElement":
         return self.element(ONE)
 
-    def rational(self, c) -> "AlgebraElement":
-        return self.element([c])
-
 
 class AlgebraElement(Record):
     algebra: CubicEtaleAlgebra
@@ -161,15 +159,6 @@ class AlgebraElement(Record):
     @property
     def is_unit(self) -> bool:
         return all(v != 0 for v in self.component_norms())
-
-    def inverse(self) -> "AlgebraElement":
-        out = []
-        for m, r in zip(self.algebra.components, self.residues):
-            g, s, _ = P.xgcd_poly(r, m)
-            if g != ONE:
-                raise NonUnitError("the element is not invertible")
-            out.append(P.mod_poly(s, m))
-        return AlgebraElement(self.algebra, tuple(out))
 
     def lift(self) -> Poly:
         """The unique representative of degree < 3 modulo f (CRT)."""
@@ -287,62 +276,6 @@ def _euler(v: int, p: int) -> int:
     return -1 if t == p - 1 else t
 
 
-def _sqrt_mod_prime(a: int, p: int) -> int | None:
-    a %= p
-    if a == 0:
-        return 0
-    if _euler(a, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # Tonelli-Shanks
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while _euler(z, p) != -1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, tt = 0, t
-        while tt != 1:
-            tt = tt * tt % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
-
-
-def _quadratic_roots_mod(c0: int, c1: int, p: int) -> list[int]:
-    """Roots of x^2 + c1 x + c0 mod an odd prime p."""
-    s = _sqrt_mod_prime((c1 * c1 - 4 * c0) % p, p)
-    if s is None:
-        return []
-    inv2 = pow(2, -1, p)
-    return sorted({(-c1 + s) * inv2 % p, (-c1 - s) * inv2 % p})
-
-
-def _roots_mod_p(m: Poly, p: int) -> list[int]:
-    """Sorted roots in F_p of a monic component polynomial of degree <= 3
-    whose coefficients are p-integral."""
-    coeffs = [c.numerator * pow(c.denominator, -1, p) % p for c in m]
-    d = len(coeffs) - 1
-    if d == 1:
-        return [(-coeffs[0]) % p]
-    if d == 2:
-        return _quadratic_roots_mod(coeffs[0], coeffs[1], p)
-    c0, c1, c2, _ = coeffs
-    for r in range(p):
-        if (((r + c2) * r + c1) * r + c0) % p == 0:
-            # synthetic division by (x - r), then the quadratic formula
-            q1 = (c2 + r) % p
-            q0 = (c1 + r * q1) % p
-            return sorted({r, *_quadratic_roots_mod(q0, q1, p)})
-    return []
-
-
 def _component_sqrt(m: Poly, r: Poly) -> Poly | None:
     """The exact square root of alpha = r in the field Q[x]/(m), or None.
 
@@ -458,7 +391,7 @@ def span_contains(
             continue
         added = False
         for ci, m in enumerate(algebra.components):
-            for r in _roots_mod_p(m, p):
+            for r in P.roots_mod(m, p):
                 vals = [P.eval_mod(e.residues[ci], r, p) for e in elems]
                 if 0 in vals:
                     continue

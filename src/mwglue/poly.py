@@ -113,21 +113,42 @@ def lift_root(p, r: int, q: int, k: int) -> int:
     return root
 
 
-# The search for a prime of simple reduction in integer_roots stops here.
-_ROOT_PRIME_LIMIT = 1000
+def roots_mod(p, q: int) -> list[int]:
+    """Sorted roots in F_q, q prime, of a nonconstant polynomial whose
+    coefficients are q-integral and whose leading coefficient is a unit mod
+    q.  A linear polynomial is solved; a higher one is searched point by
+    point."""
+    cs = [c.numerator * pow(c.denominator, -1, q) % q for c in reversed(p)]
+    if len(cs) == 2:
+        return [-cs[1] * pow(cs[0], -1, q) % q]
+    out = []
+    for r in range(q):
+        acc = 0
+        for c in cs:
+            acc = (acc * r + c) % q
+        if not acc:
+            out.append(r)
+    return out
 
 
 def integer_roots(p) -> list[int]:
-    """Sorted integer roots of a nonconstant polynomial with integer
-    coefficients, given in ascending degree order.
+    """Sorted integer roots of a nonconstant squarefree polynomial with
+    integer coefficients, given in ascending degree order.
 
-    Take a prime q that divides neither the leading coefficient nor p' at any
-    root of p mod q.  Every integer root reduces to one of those simple roots
-    and is its unique q-adic lift, so each root mod q is lifted until q^k
-    exceeds twice a bound on the roots; the symmetric residue is then the
-    only possible integer root above it, and each candidate is checked
-    exactly.  The bound is Fujiwara's, 2 max |a_{n-i} / a_n|^(1/i), rounded
-    up to a power of two from bit lengths.
+    Take an odd prime q that divides neither the leading coefficient nor p'
+    at any root of p mod q.  Every integer root reduces to one of those
+    simple roots and is its unique q-adic lift, so each root mod q is lifted
+    until q^k exceeds twice a bound on the roots; the symmetric residue is
+    then the only possible integer root above it, and each candidate is
+    checked exactly.  The bound is Fujiwara's, 2 max |a_{n-i} / a_n|^(1/i),
+    rounded up to a power of two from bit lengths.
+
+    Every prime passed over divides lead * disc(p), and Mahler's bound gives
+    |disc(p)| <= n^n ||p||_2^(2n-2).  Once the primes passed over multiply
+    past |lead| times that bound, disc(p) = 0, and ValueError says that p is
+    not squarefree.  Every caller passes a squarefree polynomial: the cubic
+    of a nonsingular curve, a squarefree-checked algebra's cubic, a division
+    polynomial, or a quartic with distinct roots.
     """
     if len(p) < 2 or p[-1] == 0:
         raise ValueError("expected a nonconstant polynomial with a nonzero leading coefficient")
@@ -137,12 +158,17 @@ def integer_roots(p) -> list[int]:
         (-((lead_bits - 1 - abs(c).bit_length()) // (n - i)) for i, c in enumerate(p[:-1]) if c),
         default=0,
     ))
+    # bits of |lead| n^n ||p||_2^(2n-2), rounded up
+    limit = lead_bits + n * n.bit_length() + (n - 1) * sum(c * c for c in p).bit_length()
     dp = derivative(p)
-    for q in range(3, _ROOT_PRIME_LIMIT, 2):
-        if lead % q == 0 or not is_prime(q):
+    q, passed = 1, 0
+    while passed <= limit:
+        q += 2
+        if not is_prime(q):
             continue
-        roots = [r for r in range(q) if eval_mod(p, r, q) == 0]
-        if any(eval_mod(dp, r, q) == 0 for r in roots):
+        roots = roots_mod(p, q) if lead % q else None
+        if roots is None or any(eval_mod(dp, r, q) == 0 for r in roots):
+            passed += q.bit_length() - 1
             continue
         k, modulus = 1, q
         while modulus <= 2 * bound:
@@ -155,7 +181,7 @@ def integer_roots(p) -> list[int]:
             if abs(x) < bound and eval_at(p, x) == 0:
                 out.append(x)
         return sorted(out)
-    raise ValueError(f"no prime below {_ROOT_PRIME_LIMIT} reduces the polynomial with simple roots")
+    raise ValueError(f"the polynomial is not squarefree: no odd prime up to {q} reduces it with simple roots")
 
 
 def derivative(p: Poly) -> Poly:
@@ -272,52 +298,15 @@ def sqrt_fraction(q) -> Fraction | None:
     return None
 
 
+# Kept, and called for cubics, only because bench/spans.py times it by name.
 def integer_roots_monic_cubic(a: int, b: int, c: int) -> list[int]:
-    """All integer roots of x^3 + a x^2 + b x + c.
-
-    Exact sign bisection on the monotone pieces between the critical points;
-    integers adjacent to the critical points are probed directly so repeated
-    roots are not missed.
-    """
-
-    def g(x: int) -> int:
-        return ((x + a) * x + b) * x + c
-
-    m = 1 + max(abs(a), abs(b), abs(c))  # Cauchy bound for real roots
-    cuts = {-m, m}
-    d = a * a - 3 * b
-    if d > 0:
-        r = isqrt(d)
-        for s in (-1, 1):
-            k = (-a + s * r) // 3
-            for t in (k - 1, k, k + 1, k + 2):
-                if -m < t < m:
-                    cuts.add(t)
-    ordered = sorted(cuts)
-    roots = set()
-    for lo, hi in zip(ordered, ordered[1:]):
-        glo, ghi = g(lo), g(hi)
-        if glo == 0:
-            roots.add(lo)
-        if ghi == 0:
-            roots.add(hi)
-        if (glo < 0 < ghi) or (ghi < 0 < glo):
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                gm = g(mid)
-                if gm == 0:
-                    roots.add(mid)
-                    break
-                if (gm < 0) == (glo < 0):
-                    lo, glo = mid, gm
-                else:
-                    hi, ghi = mid, gm
-    return sorted(roots)
+    """All integer roots of the squarefree cubic x^3 + a x^2 + b x + c."""
+    return integer_roots([c, b, a, 1])
 
 
 def rational_roots_monic(f: Poly) -> list[Fraction]:
-    """Sorted rational roots of a monic polynomial of degree <= 3, or of a
-    squarefree monic quartic."""
+    """Sorted rational roots of a monic polynomial of degree <= 2, or of a
+    squarefree monic cubic or quartic."""
     d = degree(f)
     if d <= 0:
         return []

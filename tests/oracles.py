@@ -5,10 +5,13 @@ trial division, containment is exhaustive subset enumeration (in an etale
 algebra over is_square, so only the one-element case of span_contains is
 shared), the group law
 oracle divides the intersection cubic by its known roots instead of using
-the slope formulas, and j comes from the cross-ratio of the roots.
+the slope formulas, j comes from the cross-ratio of the roots, and integer
+roots of cubics come from sign bisection instead of a p-adic lift.  The
+point pool the tests draw from is a naive search over small heights.
 """
 
 from fractions import Fraction
+from math import gcd, isqrt
 
 import mwglue.poly as P
 
@@ -152,6 +155,76 @@ def naive_congruence_primes(l1: int, l2: int, bound: int, count: int) -> list[in
     return out
 
 
+def bisect_cubic_roots(a: int, b: int, c: int) -> list[int]:
+    """All integer roots of x^3 + a x^2 + b x + c, repeated roots included.
+
+    Exact sign bisection on the monotone pieces between the critical points;
+    integers adjacent to the critical points are probed directly so repeated
+    roots are not missed.
+    """
+
+    def g(x: int) -> int:
+        return ((x + a) * x + b) * x + c
+
+    m = 1 + max(abs(a), abs(b), abs(c))  # Cauchy bound for real roots
+    cuts = {-m, m}
+    d = a * a - 3 * b
+    if d > 0:
+        r = isqrt(d)
+        for s in (-1, 1):
+            k = (-a + s * r) // 3
+            for t in (k - 1, k, k + 1, k + 2):
+                if -m < t < m:
+                    cuts.add(t)
+    ordered = sorted(cuts)
+    roots = set()
+    for lo, hi in zip(ordered, ordered[1:]):
+        glo, ghi = g(lo), g(hi)
+        if glo == 0:
+            roots.add(lo)
+        if ghi == 0:
+            roots.add(hi)
+        if (glo < 0 < ghi) or (ghi < 0 < glo):
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                gm = g(mid)
+                if gm == 0:
+                    roots.add(mid)
+                    break
+                if (gm < 0) == (glo < 0):
+                    lo, glo = mid, gm
+                else:
+                    hi, ghi = mid, gm
+    return sorted(roots)
+
+
+def search_points(curve, bound: int) -> list:
+    """All affine points of the curve with x = a/d^2, |a| <= bound,
+    1 <= d <= bound.
+
+    The parameterization is applied on the integral model, where every
+    rational point has an x-coordinate of this shape.
+    """
+    from mwglue.ellcurve import ECPoint
+
+    if bound < 1:
+        raise ValueError("bound must be positive")
+    model, u = curve.integral_model()
+    found = set()
+    for d in range(1, bound + 1):
+        for a in range(-bound, bound + 1):
+            if gcd(a, d) != 1:
+                continue
+            x = Fraction(a, d * d)
+            y = P.sqrt_fraction(model.f_at(x))
+            if y is None:
+                continue
+            found.add(ECPoint.affine(x / u**2, y / u**3))
+            if y:
+                found.add(ECPoint.affine(x / u**2, -y / u**3))
+    return sorted(found, key=_torsion_key)
+
+
 def _torsion_key(pt):
     return (0, 0, 0) if pt.is_infinity else (1, pt.x, pt.y)
 
@@ -165,9 +238,9 @@ def lutz_nagell_torsion(curve):
     multiples reach O within 12 steps (Mazur) while staying integral.  The
     structure and generators follow the library's documented choice: the
     smallest point of maximal order, and for full 2-torsion the smallest
-    2-torsion point outside the cyclic factor.  It shares only factor(),
-    integer_roots_monic_cubic() and the group law with the library, each
-    tested on its own; torsion_subgroup() itself uses none of the first two.
+    2-torsion point outside the cyclic factor.  It shares only factor() and
+    the group law with the library, each tested on its own; its cubic roots
+    come from bisect_cubic_roots(), and torsion_subgroup() does not factor.
     """
     from mwglue.arith import factor
     from mwglue.ellcurve import INFINITY, ECPoint
@@ -182,7 +255,7 @@ def lutz_nagell_torsion(curve):
         ys = [d * p**k for d in ys for k in range(e + 1)]
     candidates = set()
     for y in [0] + ys:
-        for x in P.integer_roots_monic_cubic(a, b, c - y * y):
+        for x in bisect_cubic_roots(a, b, c - y * y):
             candidates.update((ECPoint.affine(x, y), ECPoint.affine(x, -y)))
     points = [INFINITY]
     for cand in candidates:

@@ -1,4 +1,5 @@
 import json
+from math import prod
 
 import pytest
 
@@ -7,6 +8,8 @@ from mwglue.descent import descent_class
 from mwglue.etale import CubicEtaleAlgebra, NonSquareCertificate
 from mwglue.fixtures import EXAMPLE_E, EXAMPLE_F, EXAMPLE_POINT, EXAMPLE_PSI
 from mwglue.glue import GluingData
+
+from oracles import trial_is_prime
 
 
 def _write(tmp_path, name, payload):
@@ -282,6 +285,14 @@ class TestPointCommands:
         curve = _write(tmp_path, "curve.json", {"f": ["123456789012345678901", "0", "0"]})
         assert main(["torsion", "--curve", curve]) == 0
         assert capsys.readouterr().out.strip() == "trivial (order 1)"
+
+    def test_torsion_when_every_prime_below_1000_divides_the_discriminant(self, tmp_path, capsys):
+        # y^2 = (x - 1)(x^2 + x + M - 2), M the product of the odd primes
+        # below 1000, has the double root 1 mod each of them
+        M = prod(q for q in range(3, 1000, 2) if trial_is_prime(q))
+        curve = _write(tmp_path, "curve.json", {"f": [str(2 - M), str(M - 3), "0"]})
+        assert main(["torsion", "--curve", curve]) == 0
+        assert capsys.readouterr().out == "Z/2 (order 2)\ngenerators: (1, 0)\n"
 
     def test_primality_bound_exhausted(self, tmp_path, capsys):
         # the class of (0, 0) on y^2 = x (x + 1) (x - P) needs the square class

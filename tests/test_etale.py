@@ -100,15 +100,6 @@ class TestNorm:
         b = K.element(bcoeffs)
         assert (a * b).norm() == a.norm() * b.norm()
 
-    def test_inverse(self):
-        a = K.element([3, 1, -2])
-        assert (a * a.inverse()).residues == K.one().residues
-
-    def test_non_unit_inverse_rejected(self):
-        zero_comp = SPLIT.element_from_components([[0], [1], [1]])
-        with pytest.raises(NonUnitError):
-            zero_comp.inverse()
-
 
 class TestSquareNormKernel:
     def test_generator_shift_in_kernel(self):
@@ -116,7 +107,7 @@ class TestSquareNormKernel:
 
     def test_constant_two_not_in_kernel(self):
         # norm of the constant 2 in the cubic field is 8
-        elem = K.rational(2)
+        elem = K.element([2])
         assert elem.norm() == 8
         assert not has_square_norm(elem)
 
@@ -150,9 +141,9 @@ class TestIsSquare:
 
     def test_constant_four_is_square_everywhere(self):
         for algebra in (K, SPLIT, MIXED):
-            dec = is_square(algebra, algebra.rational(4), FAST)
+            dec = is_square(algebra, algebra.element([4]), FAST)
             assert isinstance(dec, Square)
-            assert (dec.witness * dec.witness).residues == algebra.rational(4).residues
+            assert (dec.witness * dec.witness).residues == algebra.element([4]).residues
 
     def test_minus_generator_in_mixed_algebra(self):
         # -X is a square in Q[x]/(x^3+1): the quadratic component admits
@@ -208,7 +199,7 @@ class TestIsSquare:
     def test_never_both_square_and_nonsquare(self):
         # decisions for one element under different bounds may differ only
         # between decided and Unknown, never between Square and NonSquare
-        elems = [K.element([-2, -1]), K.element([1, 1]) * K.element([1, 1]), K.rational(4)]
+        elems = [K.element([-2, -1]), K.element([1, 1]) * K.element([1, 1]), K.element([4])]
         for elem in elems:
             kinds = set()
             for bounds in (FAST, SquareSearchBounds(cert_primes=100)):
@@ -250,8 +241,8 @@ class TestAlgebraSquareClass:
 
 class TestAlgebraMap:
     def test_constant_fixed(self):
-        img = algebra_map(KP, K, EXAMPLE_PSI.h, KP.rational(7))
-        assert img.residues == K.rational(7).residues
+        img = algebra_map(KP, K, EXAMPLE_PSI.h, KP.element([7]))
+        assert img.residues == K.element([7]).residues
 
     def test_generator_image(self):
         img = algebra_map(KP, K, EXAMPLE_PSI.h, KP.element([0, 1]))
@@ -378,7 +369,8 @@ def _random_fields(rng, count):
         a, b, c = (rng.randrange(-9, 10) for _ in range(3))
         if len(out) % 2:
             f = P.poly([c, b, a, 1])
-            if P.rational_roots_monic(f):
+            # a repeated root of a rational cubic is rational
+            if not P.is_squarefree(f) or P.rational_roots_monic(f):
                 continue
         else:
             if P.sqrt_fraction(a * a - 4 * b) is not None:
