@@ -41,27 +41,6 @@ class NonUnitError(ValueError):
     """The operation needs an invertible algebra element."""
 
 
-def _factor_monic_cubic(f: Poly) -> tuple[Poly, ...]:
-    roots = P.rational_roots_monic(f)
-    if not roots:
-        return (f,)
-    rest = f
-    factors = []
-    for r in roots:
-        lin = P.poly([-r, 1])
-        factors.append(lin)
-        rest, rem = P.divmod_poly(rest, lin)
-        if rem != ZERO:
-            raise AssertionError("root division left a remainder")
-    if P.degree(rest) == 0:
-        return tuple(factors)
-    # a cubic has 0, 1 or 3 rational roots, so the cofactor is an
-    # irreducible quadratic here
-    if P.degree(rest) != 2:
-        raise AssertionError("unexpected degree pattern")
-    return (*factors, rest)
-
-
 class CubicEtaleAlgebra(Record):
     f: Poly
     components: tuple[Poly, ...]
@@ -73,15 +52,20 @@ class CubicEtaleAlgebra(Record):
             raise ValueError("the defining polynomial must be a monic cubic")
         if not P.is_squarefree(f):
             raise ValueError("the defining polynomial must be squarefree")
-        comps = _factor_monic_cubic(f)
+        roots = P.rational_roots_monic(f)
         if root_order is not None:
             order = [Fraction(r) for r in root_order]
-            if any(P.degree(c) != 1 for c in comps):
+            if len(roots) != 3:
                 raise ValueError("a root order needs a fully split cubic")
-            if set(order) != {-c[0] for c in comps} or len(order) != 3:
+            if sorted(order) != roots:
                 raise ValueError("the root order must list the three roots of f")
-            comps = tuple(P.poly([-r, 1]) for r in order)
-        return cls(f, comps)
+            roots = order
+        # a cubic has 0, 1 or 3 rational roots: with none f is irreducible,
+        # with one the cofactor is an irreducible quadratic
+        comps = tuple(P.poly([-r, 1]) for r in roots)
+        if len(comps) == 1:
+            comps += (P.divmod_poly(f, comps[0])[0],)
+        return cls(f, comps or (f,))
 
     @property
     def is_split(self) -> bool:
@@ -118,25 +102,9 @@ class AlgebraElement(Record):
     algebra: CubicEtaleAlgebra
     residues: tuple[Poly, ...]
 
-    def _require_same(self, other: "AlgebraElement"):
+    def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         if self.algebra != other.algebra:
             raise ValueError("elements live in different algebras")
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._require_same(other)
-        return AlgebraElement(
-            self.algebra,
-            tuple(P.add(a, b) for a, b in zip(self.residues, other.residues)),
-        )
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, tuple(P.neg(r) for r in self.residues))
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-other)
-
-    def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._require_same(other)
         return AlgebraElement(
             self.algebra,
             tuple(
@@ -159,24 +127,6 @@ class AlgebraElement(Record):
     @property
     def is_unit(self) -> bool:
         return all(v != 0 for v in self.component_norms())
-
-    def lift(self) -> Poly:
-        """The unique representative of degree < 3 modulo f (CRT)."""
-        comps = self.algebra.components
-        if len(comps) == 1:
-            return self.residues[0]
-        acc = ZERO
-        for i, (m, r) in enumerate(zip(comps, self.residues)):
-            others = ONE
-            for j, mj in enumerate(comps):
-                if j != i:
-                    others = P.mul(others, mj)
-            g, s, _ = P.xgcd_poly(others, m)
-            if g != ONE:
-                raise AssertionError("components are not coprime")
-            basis = P.mod_poly(P.mul(s, others), self.algebra.f)
-            acc = P.add(acc, P.mod_poly(P.mul(r, basis), self.algebra.f))
-        return P.mod_poly(acc, self.algebra.f)
 
     def to_json(self) -> list:
         return [[str(c) for c in r] for r in self.residues]
@@ -484,11 +434,21 @@ def algebra_map(
     """The ring map src -> dst sending the generator of src to h(generator).
 
     Requires the defining cubic of src to vanish on h modulo the cubic of
-    dst, which makes the substitution well defined.
+    dst, which makes the substitution well defined.  It acts component by
+    component.  src.f(h) is the product of the n(h) over the components n
+    of src, so it vanishes modulo the squarefree dst.f exactly when each
+    component m of dst, which is irreducible, divides some n(h); that n is
+    unique because the n are coprime.  The residue r of elem at n maps to
+    r(h) mod m.
     """
     h = P.poly(h)
     if elem.algebra != src:
         raise ValueError("the element does not belong to the source algebra")
-    if P.mod_poly(P.compose(src.f, h), dst.f) != ZERO:
-        raise ValueError("h does not define a morphism between the algebras")
-    return dst.element(P.compose(elem.lift(), h))
+    residues = []
+    for m in dst.components:
+        r = next((r for n, r in zip(src.components, elem.residues)
+                  if P.mod_poly(P.compose(n, h), m) == ZERO), None)
+        if r is None:
+            raise ValueError("h does not define a morphism between the algebras")
+        residues.append(P.mod_poly(P.compose(r, h), m))
+    return AlgebraElement(dst, tuple(residues))

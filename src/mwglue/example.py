@@ -132,9 +132,10 @@ def run_example(
         "F has trivial rational torsion",
     )
 
+    # E is nonsingular, so f is squarefree and K builds
+    K = CubicEtaleAlgebra.from_cubic(f)
     norm_value = None
     if on_curve and not pt.is_infinity:
-        K = CubicEtaleAlgebra.from_cubic(f)
         norm_value = K.element([pt.x, -1]).norm()
         step(
             "shift_norm_is_square",
@@ -146,7 +147,7 @@ def run_example(
 
     certificate = None
     try:
-        gluing = GluingData.build(E, F, psi)
+        gluing = GluingData.build(E, F, psi, L=K)
         verdict = membership(gluing, pt, INFINITY, bounds)
         if verdict.verdict == NOT_IN_IMAGE:
             cert = verdict.certificate

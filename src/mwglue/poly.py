@@ -99,11 +99,10 @@ def eval_mod(p, x: int, modulus: int) -> int | None:
     return acc
 
 
-def lift_root(p, r: int, q: int, k: int) -> int:
+def lift_root(p, dp, r: int, q: int, k: int) -> int:
     """Newton-lift a simple root r of p mod the prime q to the root mod q^k
-    it determines; the precision doubles at each step.  The coefficients of
-    p must be q-integral."""
-    dp = derivative(p)
+    it determines, given dp = p'; the precision doubles at each step.  The
+    coefficients of p must be q-integral."""
     e, root = 1, r % q
     while e < k:
         e = min(2 * e, k)
@@ -175,7 +174,7 @@ def integer_roots(p) -> list[int]:
             k, modulus = k + 1, modulus * q
         out = []
         for r in roots:
-            x = lift_root(p, r, q, k)
+            x = lift_root(p, dp, r, q, k)
             if x > modulus // 2:
                 x -= modulus
             if abs(x) < bound and eval_at(p, x) == 0:
@@ -207,18 +206,6 @@ def divmod_poly(p: Poly, q: Poly) -> tuple[Poly, Poly]:
 
 def mod_poly(p: Poly, q: Poly) -> Poly:
     return divmod_poly(p, q)[1]
-
-
-def monic(p: Poly) -> Poly:
-    if not p:
-        return ZERO
-    return scale(p, 1 / p[-1])
-
-
-def gcd_poly(p: Poly, q: Poly) -> Poly:
-    while q:
-        p, q = q, mod_poly(p, q)
-    return monic(p)
 
 
 def xgcd_poly(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
@@ -258,7 +245,10 @@ def interpolate(points) -> Poly:
 
 
 def is_squarefree(p: Poly) -> bool:
-    return degree(gcd_poly(p, derivative(p))) <= 0
+    q = derivative(p)
+    while q:
+        p, q = q, mod_poly(p, q)
+    return degree(p) <= 0
 
 
 def cubic_disc(f: Poly) -> Fraction:
@@ -280,13 +270,6 @@ def det(rows) -> Fraction:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def denominators_lcm(p: Poly) -> int:
-    out = 1
-    for c in p:
-        out = lcm(out, c.denominator)
-    return out
-
-
 def sqrt_fraction(q) -> Fraction | None:
     """Exact square root of a nonnegative rational, or None."""
     q = Fraction(q)
@@ -305,22 +288,12 @@ def integer_roots_monic_cubic(a: int, b: int, c: int) -> list[int]:
 
 
 def rational_roots_monic(f: Poly) -> list[Fraction]:
-    """Sorted rational roots of a monic polynomial of degree <= 2, or of a
-    squarefree monic cubic or quartic."""
+    """Sorted rational roots of a squarefree monic cubic or quartic."""
     d = degree(f)
-    if d <= 0:
-        return []
-    if d == 1:
-        return [-f[0]]
-    if d == 2:
-        s = sqrt_fraction(f[1] * f[1] - 4 * f[0])
-        if s is None:
-            return []
-        return sorted({(-f[1] + s) / 2, (-f[1] - s) / 2})
-    if d > 4 or f[d] != 1:
-        raise ValueError("expected a monic polynomial of degree <= 4")
+    if d not in (3, 4) or f[d] != 1:
+        raise ValueError("expected a monic cubic or quartic")
     # x = t / m turns f into a monic polynomial in t with integer coefficients
-    m = denominators_lcm(f)
+    m = lcm(*(c.denominator for c in f))
     scaled = [int(c * m ** (d - i)) for i, c in enumerate(f)]
     if d == 3:
         roots = integer_roots_monic_cubic(scaled[2], scaled[1], scaled[0])

@@ -6,8 +6,10 @@ algebra over is_square, so only the one-element case of span_contains is
 shared), the group law
 oracle divides the intersection cubic by its known roots instead of using
 the slope formulas, j comes from the cross-ratio of the roots, and integer
-roots of cubics come from sign bisection instead of a p-adic lift.  The
-point pool the tests draw from is a naive search over small heights.
+roots of cubics come from sign bisection instead of a p-adic lift, and an
+etale algebra element is lifted to Q[x]/(f) by the Chinese remainder theorem
+instead of being mapped component by component.  The point pool the tests
+draw from is a naive search over small heights.
 """
 
 from fractions import Fraction
@@ -87,6 +89,22 @@ def subset_search_contains(algebra, span, target, bounds):
         if not isinstance(decision, NonSquare):
             unresolved = True
     return ("unknown" if unresolved else "not_contained"), None
+
+
+def crt_lift(elem) -> P.Poly:
+    """The representative of degree < 3 modulo f of an etale algebra
+    element, by the Chinese remainder theorem over its components."""
+    algebra = elem.algebra
+    acc = P.ZERO
+    for i, (m, r) in enumerate(zip(algebra.components, elem.residues)):
+        others = P.ONE
+        for j, mj in enumerate(algebra.components):
+            if j != i:
+                others = P.mul(others, mj)
+        g, s, _ = P.xgcd_poly(others, m)
+        assert g == P.ONE, "components are not coprime"
+        acc = P.add(acc, P.mul(r, P.mul(s, others)))
+    return P.mod_poly(acc, algebra.f)
 
 
 def chord_tangent_sum(curve, a, b):

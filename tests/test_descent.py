@@ -40,7 +40,7 @@ from mwglue.fixtures import (
 )
 from mwglue.glue import GluingData, TwoTorsionIdentification
 
-from oracles import search_points
+from oracles import crt_lift, search_points
 
 FAST = SquareSearchBounds(cert_primes=40)
 
@@ -167,7 +167,7 @@ class TestTransferClass:
         elem = g.Lprime.element([0, -1]) * g.Lprime.element([5, -1])
         cls = AlgebraSquareClass.of(elem)
         out = transfer_class(g, cls)
-        expected = g.L.element(P.compose(elem.lift(), EXAMPLE_PSI.h))
+        expected = g.L.element(P.compose(crt_lift(elem), EXAMPLE_PSI.h))
         assert out.rep.residues == expected.residues
 
     def test_wrong_algebra_rejected(self):

@@ -22,10 +22,10 @@ from mwglue.etale import (
     span_contains,
     validate_characters,
 )
-from mwglue.family import curve_for_prime
-from mwglue.fixtures import EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI
+from mwglue.family import build_instance, curve_for_prime, gluing_for_instance
+from mwglue.fixtures import EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI, FAMILY_F
 
-from oracles import scan_nonresidue, subset_search_contains
+from oracles import crt_lift, scan_nonresidue, subset_search_contains
 
 K = CubicEtaleAlgebra.from_cubic(EXAMPLE_E.f_poly())  # a cubic field
 KP = CubicEtaleAlgebra.from_cubic(EXAMPLE_F.f_poly())
@@ -53,7 +53,10 @@ class TestFactorization:
         assert SPLIT.split_roots() == (0, -12, 10)
 
     def test_mixed_pattern(self):
-        assert degrees(MIXED) == (1, 2)
+        # one rational root: its linear factor, then the quadratic quotient
+        assert MIXED.components == (P.poly([1, 1]), P.poly([1, -1, 1]))
+        lin, quad = P.poly([-Fraction(1, 2), 1]), P.poly([3, 0, 1])
+        assert CubicEtaleAlgebra.from_cubic(P.mul(lin, quad)).components == (lin, quad)
 
     def test_components_multiply_to_f(self):
         for algebra in (K, SPLIT, MIXED):
@@ -67,8 +70,15 @@ class TestFactorization:
             CubicEtaleAlgebra.from_cubic(P.poly([0, 0, 0, 1]))  # x^3
 
     def test_root_order_requires_split(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="needs a fully split cubic"):
             CubicEtaleAlgebra.from_cubic(K.f, root_order=[1, 2, 3])
+        with pytest.raises(ValueError, match="needs a fully split cubic"):
+            CubicEtaleAlgebra.from_cubic(MIXED.f, root_order=[-1, -1, -1])
+
+    @pytest.mark.parametrize("order", [[0, -12], [0, -12, 11], [0, 0, -12], [0, -12, 10, 10]])
+    def test_root_order_must_list_the_roots(self, order):
+        with pytest.raises(ValueError, match="must list the three roots"):
+            CubicEtaleAlgebra.from_cubic(SPLIT.f, root_order=order)
 
 
 class TestNorm:
@@ -257,6 +267,10 @@ class TestAlgebraMap:
     def test_invalid_h_rejected(self):
         with pytest.raises(ValueError):
             algebra_map(KP, K, P.poly([0, 1]), KP.element([0, 1]))
+        # h sends two roots of SPLIT to roots of src and the third, 10, to 7
+        src = CubicEtaleAlgebra.from_cubic(P.mul(P.mul(P.poly([-1, 1]), P.poly([-5, 1])), P.poly([2, 1])))
+        with pytest.raises(ValueError, match="does not define a morphism"):
+            algebra_map(src, SPLIT, P.interpolate([(0, 1), (-12, 5), (10, 7)]), src.one())
 
     def test_split_norm_multiset_preserved(self):
         # a split-to-split map permutes components, so the value multiset is kept
@@ -274,13 +288,28 @@ class TestAlgebraMap:
             img = algebra_map(src, SPLIT, h, elem)
             assert sorted(P.constant_value(r) for r in img.residues) == sorted(vals)
 
-    def test_lift_round_trip(self):
-        rng = random.Random(5)
-        for algebra in (K, SPLIT, MIXED):
-            for _ in range(10):
-                q = P.poly([rng.randrange(-9, 10) for _ in range(3)])
-                elem = algebra.element(q)
-                assert elem.lift() == P.mod_poly(q, algebra.f)
+    @staticmethod
+    def _gluing(name):
+        if name == "example":  # cubic field to cubic field
+            return KP, K, EXAMPLE_PSI.h
+        if name == "mixed":  # h = -x^2 fixes x + 1 and conjugates x^2 - x + 1
+            return MIXED, MIXED, P.poly([0, 0, -1])
+        g = gluing_for_instance(build_instance(229), FAMILY_F)
+        if name == "family":  # split to split, component i to component i
+            return g.Lprime, g.L, g.psi.h
+        # the same map with the source components in reverse order
+        src = CubicEtaleAlgebra.from_cubic(g.Lprime.f, root_order=g.Lprime.split_roots()[::-1])
+        return src, g.L, g.psi.h
+
+    @pytest.mark.parametrize("name", ["example", "mixed", "family", "family_reversed"])
+    def test_matches_crt_lift_then_substitution(self, name):
+        src, dst, h = self._gluing(name)
+        rng = random.Random(11)
+        for _ in range(20):
+            elem = src.element(
+                [Fraction(rng.randrange(-30, 31), rng.randrange(1, 7)) for _ in range(3)]
+            )
+            assert algebra_map(src, dst, h, elem) == dst.element(P.compose(crt_lift(elem), h))
 
     def test_element_json_round_trip(self):
         elem = MIXED.element([Fraction(1, 2), 3, -4])

@@ -109,10 +109,21 @@ class TestRationalRootsMonic:
         assert P.rational_roots_monic(cubic) == [Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2)]
         assert P.rational_roots_monic(quartic) == [-7, *P.rational_roots_monic(cubic)]
 
+    @pytest.mark.parametrize("f", [
+        [1],  # constant
+        [-3, 1],  # x - 3
+        [-4, 0, 1],  # x^2 - 4
+        [0, 1, 0, 0, 0, 1],  # x^5 + x
+        [-2, 0, 0, 2],  # 2x^3 - 2
+    ])
+    def test_rejects_all_but_monic_cubics_and_quartics(self, f):
+        with pytest.raises(ValueError):
+            P.rational_roots_monic(P.poly(f))
+
 
 class TestLiftRoot:
     def test_lift_matches_integer_root(self):
         # x^2 - 2 has a simple root 3 mod 7; its 7-adic lift squares to 2
-        root = P.lift_root([-2, 0, 1], 3, 7, 20)
+        root = P.lift_root([-2, 0, 1], [0, 2], 3, 7, 20)
         assert (root * root - 2) % 7**20 == 0
         assert root % 7 == 3
