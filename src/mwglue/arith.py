@@ -79,7 +79,7 @@ def first_primes(count: int) -> list[int]:
 # up to its square root.  Of 2^8..2^16, 2^11 and 2^12 factored the inputs of
 # the congruence-family checks fastest in total; at 2^12 almost no input is
 # slower than with trial division to 10^6.
-DEFAULT_TRIAL_BOUND = 2**12
+TRIAL_BOUND = 2**12
 
 
 _RHO_CONSTANTS = 49  # rho tries the maps x -> x^2 + c for c = 1.._RHO_CONSTANTS
@@ -138,10 +138,10 @@ def _pollard_rho(n: int) -> int:
     return 0
 
 
-def factor(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND) -> dict[int, int]:
+def factor(n: int) -> dict[int, int]:
     """Complete prime factorization of n >= 1 as {prime: exponent}.
 
-    Trial division up to trial_bound; then each cofactor is a proven prime,
+    Trial division up to TRIAL_BOUND; then each cofactor is a proven prime,
     the square of a smaller cofactor, or split by Pollard rho.  A cofactor
     that resists splitting raises FactorizationError rather than producing a
     partial answer, since square classes need the full factorization to be
@@ -156,7 +156,7 @@ def factor(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND) -> dict[int, int]:
             n //= p
     p = 5
     step = 2
-    while p <= trial_bound and p * p <= n:
+    while p <= TRIAL_BOUND and p * p <= n:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
@@ -229,14 +229,14 @@ class SquareClass(Record):
         return cls(data["sign"] == "-", tuple(int(p) for p in data["primes"]))
 
 
-def square_class(q, trial_bound: int = DEFAULT_TRIAL_BOUND) -> SquareClass:
+def square_class(q) -> SquareClass:
     """The image of a nonzero rational in Q*/Q*^2."""
     q = Fraction(q)
     if q == 0:
         raise ValueError("0 has no square class")
     counts: dict[int, int] = {}
     for part in (q.numerator, q.denominator):
-        for p, e in factor(abs(part), trial_bound).items():
+        for p, e in factor(abs(part)).items():
             counts[p] = counts.get(p, 0) + e
     odd = tuple(sorted(p for p, e in counts.items() if e % 2))
     return SquareClass(q < 0, odd)

@@ -11,7 +11,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import arith, descent, ellcurve, etale, example, family, fixtures, glue
+from . import arith, descent, ellcurve, etale, example, family, fixtures, glue, poly
 
 
 class UsageError(Exception):
@@ -118,7 +118,7 @@ def _cmd_membership(args) -> int:
 
 
 def _parse_roots(text: str) -> list[Fraction]:
-    return [Fraction(part.strip()) for part in text.split(",")]
+    return [poly.rational(part.strip()) for part in text.split(",")]
 
 
 def _cmd_descent_class(args) -> int:
@@ -218,7 +218,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, OSError, ArithmeticError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except arith.FactorizationError as exc:

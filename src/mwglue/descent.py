@@ -12,7 +12,6 @@ image.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import partial
 from operator import itemgetter
 
@@ -65,32 +64,17 @@ def descent_class(
     # order 2: x_P - X vanishes in the rational component x - x_P; that
     # component is forced by the square-norm condition to the product of the
     # other components' values at x_P, which is f'(x_P)
-    e = point.x
-    residues: list = []
-    vanish = None
-    for i, m in enumerate(algebra.components):
-        res = P.mod_poly(P.poly([e, -1]), m)
-        if res == P.ZERO:
-            vanish = i
-            residues.append(None)
-        else:
-            residues.append(res)
-    if vanish is None:
-        raise AssertionError("2-torsion point without a vanishing component")
-    forced = Fraction(1)
-    for i, m in enumerate(algebra.components):
-        if i != vanish:
-            forced *= P.eval_at(m, e)
-    residues[vanish] = P.poly([forced])
-    return AlgebraSquareClass.of(algebra.element_from_components(residues))
+    elem = algebra.element([point.x, -1])
+    forced = P.poly([curve.f_derivative_at(point.x)])
+    return AlgebraSquareClass.of(
+        algebra.element_from_components(r or forced for r in elem.residues)
+    )
 
 
 def transfer_class(gluing: GluingData, cls: AlgebraSquareClass) -> AlgebraSquareClass:
-    """Carry a square-norm class across the gluing, F side to E side.
-
-    In the fully split case with matched component orders this acts as the
-    identity on class triples.
-    """
+    """Carry a square-norm class across the gluing, F side to E side, by
+    alpha -> h(alpha); components are paired through h, so the result does
+    not depend on either algebra's component order."""
     if cls.algebra != gluing.Lprime:
         raise ValueError("the class is not over the F-side algebra")
     if not has_square_norm(cls.rep):

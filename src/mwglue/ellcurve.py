@@ -61,7 +61,7 @@ class ECPoint(Record):
     def from_json(cls, data) -> "ECPoint":
         if data == "O":
             return cls.infinity()
-        return cls.affine(Fraction(data["x"]), Fraction(data["y"]))
+        return cls.affine(P.rational(data["x"]), P.rational(data["y"]))
 
 
 INFINITY = ECPoint.infinity()
@@ -247,7 +247,7 @@ class EllipticCurve(Record):
 
     @classmethod
     def from_json(cls, data) -> "EllipticCurve":
-        c0, c1, c2 = (Fraction(s) for s in data["f"])
+        c0, c1, c2 = (P.rational(s) for s in data["f"])
         return cls(c0, c1, c2)
 
 

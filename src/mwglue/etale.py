@@ -71,11 +71,6 @@ class CubicEtaleAlgebra(Record):
     def is_split(self) -> bool:
         return all(P.degree(c) == 1 for c in self.components)
 
-    def split_roots(self) -> tuple[Fraction, ...]:
-        if not self.is_split:
-            raise ValueError("the algebra is not split")
-        return tuple(-c[0] for c in self.components)
-
     @cached_property
     def disc(self) -> Fraction:
         return P.cubic_disc(self.f)
@@ -134,7 +129,7 @@ class AlgebraElement(Record):
     @classmethod
     def from_json(cls, algebra: CubicEtaleAlgebra, data) -> "AlgebraElement":
         return algebra.element_from_components(
-            [[Fraction(c) for c in r] for r in data]
+            [[P.rational(c) for c in r] for r in data]
         )
 
 

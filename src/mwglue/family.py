@@ -14,7 +14,6 @@ the span non-containment, and the j-invariant denominator.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 
 from .arith import SquareClassTriple, factor, is_prime
@@ -60,10 +59,9 @@ class FamilyParams(Record):
 
     @cached_property
     def F_algebra(self) -> CubicEtaleAlgebra:
-        """Q[x]/(f_F), its components ordered by the x of F's 2-torsion
-        points; built once per parameter set and shared by every instance."""
-        roots = sorted(pt.x for pt in self.F.two_torsion())
-        return CubicEtaleAlgebra.from_cubic(self.F.f_poly(), root_order=roots)
+        """Q[x]/(f_F), built once per parameter set and shared by every
+        instance."""
+        return CubicEtaleAlgebra.from_cubic(self.F.f_poly())
 
     @cached_property
     def generator_occurring_primes(self) -> frozenset[int]:
@@ -173,7 +171,7 @@ def gluing_for_instance(
     """Glue the instance curve to F, matching the marked 2-torsion points of
     the instance to F's 2-torsion points in increasing x order.  The gluing
     reuses the instance's algebra, and F_algebra when it is given."""
-    e_roots = [Fraction(0), Fraction(-inst.p - 1), Fraction(inst.p - 1)]
+    e_roots = (0, -inst.p - 1, inst.p - 1)
     f_roots = sorted(pt.x for pt in F.two_torsion())
     psi = TwoTorsionIdentification.from_matching(zip(e_roots, f_roots))
     return GluingData.build(inst.curve, F, psi, L=inst.algebra, Lprime=F_algebra)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from .ellcurve import ECPoint, EllipticCurve
 from .glue import GenusTwoCurve, RationalMap, TwoTorsionIdentification
-from .poly import poly
+from .poly import poly, rational
 
 # The bundled counterexample: E: y^2 = x^3 + 5x^2 + 6x + 1 (Mordell-Weil
 # group generated by (-2, 1), infinite order) glued to F: y^2 = x^3 - 6x^2 +
@@ -66,7 +66,7 @@ def load_example_fixtures(data: dict) -> dict:
     if "F" in data:
         fx["F"] = EllipticCurve.from_json(data["F"])
     if "h" in data:
-        fx["psi"] = TwoTorsionIdentification(poly([Fraction(c) for c in data["h"]]))
+        fx["psi"] = TwoTorsionIdentification(poly([rational(c) for c in data["h"]]))
     if "P" in data:
         fx["P"] = ECPoint.from_json(data["P"])
     if "C" in data:
@@ -74,7 +74,7 @@ def load_example_fixtures(data: dict) -> dict:
     if "C_unscaled" in data:
         fx["C_unscaled"] = GenusTwoCurve.from_json(data["C_unscaled"])
     if "rescale" in data:
-        fx["rescale"] = Fraction(data["rescale"])
+        fx["rescale"] = rational(data["rescale"])
     for key in ("cover_to_E", "cover_to_F"):
         if key in data:
             fx[key] = (

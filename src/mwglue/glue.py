@@ -20,7 +20,6 @@ from .record import Record
 ROOTS_NOT_MAPPED = "roots_not_mapped"
 NOT_BIJECTIVE = "not_bijective"
 GEOMETRIC = "geometric_isomorphism"
-MATCHING_INCONSISTENT = "matching_inconsistent"
 
 
 class GluingError(ValueError):
@@ -30,30 +29,22 @@ class GluingError(ValueError):
 
 
 class TwoTorsionIdentification(Record):
-    """The 2-torsion identification (alpha, 0) -> (h(alpha), 0).
-
-    In the split case an explicit matching of x-coordinates may be kept
-    alongside its interpolating polynomial; the matching order then fixes the
-    component order of the two algebras.
-    """
+    """The 2-torsion identification (alpha, 0) -> (h(alpha), 0)."""
 
     h: Poly
-    matching: tuple[tuple[Fraction, Fraction], ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "h", P.poly(self.h))
         if P.degree(self.h) > 2:
             raise ValueError("the identification polynomial must have degree <= 2")
-        if self.matching is not None:
-            pairs = tuple((Fraction(a), Fraction(b)) for a, b in self.matching)
-            object.__setattr__(self, "matching", pairs)
 
     @classmethod
     def from_matching(cls, pairs) -> "TwoTorsionIdentification":
+        """The identification interpolating a matching of x-coordinates."""
         pts = tuple((Fraction(a), Fraction(b)) for a, b in pairs)
         if len(pts) != 3 or len({a for a, _ in pts}) != 3:
             raise ValueError("a matching needs the three source roots exactly once")
-        return cls(P.interpolate(pts), pts)
+        return cls(P.interpolate(pts))
 
     def to_json(self) -> list:
         return [str(c) for c in self.h]
@@ -96,20 +87,14 @@ def validate_identification(
         bad.append(NOT_BIJECTIVE)
     elif is_geometric_restriction(E, F, psi):
         bad.append(GEOMETRIC)
-    if not bad and psi.matching is not None:
-        for a, b in psi.matching:
-            if E.f_at(a) != 0 or F.f_at(b) != 0 or P.eval_at(psi.h, a) != b:
-                bad.append(MATCHING_INCONSISTENT)
-                break
     return ValidationResult(not bad, tuple(bad))
 
 
-def _algebra(f: Poly, order, given: CubicEtaleAlgebra | None) -> CubicEtaleAlgebra:
-    """Q[x]/(f) with its components x - r in the given root order (any order
-    when order is None), reusing `given` if it is that algebra."""
+def _algebra(f: Poly, given: CubicEtaleAlgebra | None) -> CubicEtaleAlgebra:
+    """Q[x]/(f), or `given` if it is that algebra."""
     if given is None:
-        return CubicEtaleAlgebra.from_cubic(f, root_order=order)
-    if given.f != f or (order is not None and given.split_roots() != tuple(order)):
+        return CubicEtaleAlgebra.from_cubic(f)
+    if given.f != f:
         raise ValueError("the supplied algebra does not match the identification")
     return given
 
@@ -130,23 +115,13 @@ class GluingData(Record):
         L: CubicEtaleAlgebra | None = None,
         Lprime: CubicEtaleAlgebra | None = None,
     ) -> "GluingData":
-        """Validate psi and build the algebras of E and F, with split
-        components in the order of psi's matching.  A caller that already
-        has one of them passes it as L or Lprime; it must be that algebra."""
+        """Validate psi and build the algebras of E and F.  A caller that
+        already has one of them passes it as L or Lprime, in any component
+        order: algebra_map pairs components through h."""
         res = validate_identification(E, F, psi)
         if not res.ok:
             raise GluingError(res.violations)
-        matching = psi.matching
-        f, g = E.f_poly(), F.f_poly()
-        if matching is None:
-            roots = P.rational_roots_monic(f)
-            if len(roots) == 3:
-                matching = tuple((r, P.eval_at(psi.h, r)) for r in roots)
-        e_order = f_order = None
-        if matching is not None:
-            e_order = [a for a, _ in matching]
-            f_order = [b for _, b in matching]
-        return cls(E, F, psi, _algebra(f, e_order, L), _algebra(g, f_order, Lprime))
+        return cls(E, F, psi, _algebra(E.f_poly(), L), _algebra(F.f_poly(), Lprime))
 
     @property
     def is_split(self) -> bool:
@@ -159,7 +134,7 @@ class GluingData(Record):
     def from_json(cls, data) -> "GluingData":
         E = EllipticCurve.from_json(data["E"])
         F = EllipticCurve.from_json(data["F"])
-        h = P.poly([Fraction(c) for c in data["h"]])
+        h = P.poly([P.rational(c) for c in data["h"]])
         return cls.build(E, F, TwoTorsionIdentification(h))
 
 
@@ -180,7 +155,7 @@ class GenusTwoCurve(Record):
 
     @classmethod
     def from_json(cls, data) -> "GenusTwoCurve":
-        return cls(P.poly([Fraction(c) for c in data["h6"]]))
+        return cls(P.poly([P.rational(c) for c in data["h6"]]))
 
 
 class RationalMap(Record):
@@ -201,8 +176,8 @@ class RationalMap(Record):
     @classmethod
     def from_json(cls, data) -> "RationalMap":
         return cls(
-            P.poly([Fraction(c) for c in data["num"]]),
-            P.poly([Fraction(c) for c in data["den"]]),
+            P.poly([P.rational(c) for c in data["num"]]),
+            P.poly([P.rational(c) for c in data["den"]]),
         )
 
 

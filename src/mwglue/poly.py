@@ -18,6 +18,14 @@ ONE: Poly = (Fraction(1),)
 X: Poly = (Fraction(0), Fraction(1))
 
 
+def rational(s) -> Fraction:
+    """A rational read from JSON or the command line.  Exponent notation is
+    refused: Fraction("1e999999999") would build 10^999999999."""
+    if isinstance(s, str) and ("e" in s or "E" in s):
+        raise ValueError(f"exponent notation is not accepted: {s!r}")
+    return Fraction(s)
+
+
 def poly(coeffs) -> Poly:
     cs = [Fraction(c) for c in coeffs]
     while cs and cs[-1] == 0:

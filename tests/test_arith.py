@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mwglue.arith import (
-    DEFAULT_TRIAL_BOUND,
+    TRIAL_BOUND,
     FactorizationError,
     SquareClass,
     SquareClassTriple,
@@ -38,8 +38,9 @@ class TestFactor:
         assert factor(229) == {229: 1}
 
     def test_pollard_rho_path(self):
-        # force the trial bound below the factors so rho has to split it
-        assert factor(101 * 103, trial_bound=10) == {101: 1, 103: 1}
+        # both factors lie above the trial bound, so rho has to split them
+        a, b = _ABOVE[:2]
+        assert factor(a * b) == {a: 1, b: 1}
 
     def test_rho_step_budget_names_itself(self, monkeypatch):
         # two 40-bit primes need about 2^20 rho steps; a budget of 2^10
@@ -84,7 +85,7 @@ def _trial_product(*parts: int) -> tuple[int, dict[int, int]]:
 
 
 # the first primes above the trial bound: rho, not trial division, meets them
-_ABOVE = [q for q in range(DEFAULT_TRIAL_BOUND + 1, DEFAULT_TRIAL_BOUND + 200) if trial_is_prime(q)][:4]
+_ABOVE = [q for q in range(TRIAL_BOUND + 1, TRIAL_BOUND + 200) if trial_is_prime(q)][:4]
 _M31 = 2**31 - 1
 _PSI12 = (399_165_290_221, 798_330_580_441)
 _CARMICHAEL = (561, 1105, 1729, 41041, 825265, 5394826801, 4261 * 8521 * 12781)
@@ -148,8 +149,8 @@ class TestFactorAgainstSympy:
         assert factor(n) == sympy.factorint(n)
 
     @given(
-        st.integers(DEFAULT_TRIAL_BOUND, 2**26),
-        st.integers(DEFAULT_TRIAL_BOUND, 2**26),
+        st.integers(TRIAL_BOUND, 2**26),
+        st.integers(TRIAL_BOUND, 2**26),
         st.integers(1, 3),
         st.integers(1, 3),
         st.integers(1, 10**6),

@@ -1,4 +1,5 @@
 import json
+import time
 from math import prod
 
 import pytest
@@ -314,3 +315,31 @@ class TestPointCommands:
     def test_singular_curve_is_input_error(self, tmp_path, capsys):
         curve = _write(tmp_path, "curve.json", {"f": ["0", "0", "0"]})
         assert main(["jinv", "--curve", curve]) == 3
+
+    def test_zero_denominator_in_point_is_input_error(self, tmp_path, capsys):
+        curve = _write(tmp_path, "curve.json", {"f": ["0", "-120", "2"]})
+        point = _write(tmp_path, "point.json", {"x": "1/0", "y": "1"})
+        assert main(["descent-class", "--curve", curve, "--point", point]) == 3
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_zero_denominator_in_roots_is_input_error(self, tmp_path, capsys):
+        curve = _write(tmp_path, "curve.json", {"f": ["0", "-120", "2"]})
+        point = _write(tmp_path, "point.json", {"x": "-1", "y": "11"})
+        args = ["descent-class", "--curve", curve, "--point", point, "--roots", "1/0,-12,10"]
+        assert main(args) == 3
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_infinite_coefficient_is_input_error(self, tmp_path, capsys):
+        # JSON reads 1e999 as the float inf
+        curve = tmp_path / "curve.json"
+        curve.write_text('{"f": [1e999, 6, 5]}')
+        assert main(["jinv", "--curve", str(curve)]) == 3
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_exponent_notation_is_refused_at_once(self, tmp_path, capsys):
+        # Fraction("1e999999999") would build 10^999999999
+        curve = _write(tmp_path, "curve.json", {"f": ["1e999999999", "6", "5"]})
+        start = time.perf_counter()
+        assert main(["jinv", "--curve", curve]) == 3
+        assert time.perf_counter() - start < 0.5
+        assert "exponent notation" in capsys.readouterr().err

@@ -1,6 +1,6 @@
 import json
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -37,6 +37,7 @@ from mwglue.fixtures import (
     EXAMPLE_POINT,
     EXAMPLE_PSI,
     FAMILY_F,
+    FAMILY_F_GENERATORS,
 )
 from mwglue.glue import GluingData, TwoTorsionIdentification
 
@@ -133,10 +134,20 @@ class TestDescentClass:
     def test_forced_component_is_class_of_derivative(self):
         for p in (3, 11, 229):
             curve, algebra = curve_for_prime(p), _algebra_for(p)
-            roots = algebra.split_roots()
+            roots = tuple(-m[0] for m in algebra.components)
             for i, e in enumerate(roots):
                 trip = descent_class(curve, algebra, ECPoint.affine(e, 0)).triple()
                 assert trip.components[i] == square_class(curve.f_derivative_at(e))
+        # a 1+2 algebra, y^2 = (x + 3)(x^2 + x - 1), at its rational root
+        curve = EllipticCurve(Fraction(-3), Fraction(2), Fraction(4))
+        algebra = CubicEtaleAlgebra.from_cubic(curve.f_poly())
+        rep = descent_class(curve, algebra, ECPoint.affine(-3, 0)).rep
+        assert algebra.components[0] == P.poly([3, 1])
+        assert square_class(P.constant_value(rep.residues[0])) == square_class(
+            curve.f_derivative_at(-3)
+        )
+        assert rep.residues[1] == algebra.element([-3, -1]).residues[1]
+        assert has_square_norm(rep)
 
     def test_three_torsion_is_trivial(self):
         # (0, 1) has order 3 on y^2 = x^3 + 1; its class must be a square
@@ -159,6 +170,24 @@ class TestTransferClass:
         g = gluing_for_instance(inst, FAMILY_F)
         cls = descent_class(FAMILY_F, g.Lprime, ECPoint.affine(3, 6))
         assert transfer_class(g, cls).triple() == cls.triple()
+
+    def test_verdicts_do_not_depend_on_the_F_side_order(self):
+        # algebra_map pairs components through h, so every order of F's
+        # roots gives the same verdicts and certificates
+        inst = build_instance(229)
+        psi = gluing_for_instance(inst, FAMILY_F).psi
+        torsion = inst.curve.torsion_subgroup().generators
+        points = [inst.curve.mul(n, inst.P) for n in range(1, 5)]
+        qs = (INFINITY, ECPoint.affine(3, 6), ECPoint.affine(0, 0))
+        outputs = set()
+        for order in permutations(pt.x for pt in FAMILY_F.two_torsion()):
+            Lprime = CubicEtaleAlgebra.from_cubic(FAMILY_F.f_poly(), root_order=order)
+            g = GluingData.build(inst.curve, FAMILY_F, psi, L=inst.algebra, Lprime=Lprime)
+            out = [membership(g, pt, q).to_json() for pt in points for q in qs]
+            obstruction = surjectivity_obstruction(g, inst.P, FAMILY_F_GENERATORS, torsion)
+            out.append(obstruction.to_json())
+            outputs.add(json.dumps(out))
+        assert len(outputs) == 1
 
     def test_field_case_matches_algebra_map(self):
         # (0 - X')(5 - X') has norm g(0) g(5) = (-1)(-1) = 1, so it lies in

@@ -298,7 +298,7 @@ class TestRunFamily:
         inst = build_instance(229)
         g = gluing_for_instance(inst, FAMILY_F)
         assert g.is_split
-        assert g.L.split_roots() == (0, -230, 228)
+        assert tuple(-m[0] for m in g.L.components) == (0, -230, 228)
 
     def test_curve_for_prime_equation(self):
         curve = curve_for_prime(7)

@@ -34,10 +34,14 @@ from mwglue.glue import (
 )
 
 
-def _family_matching(p):
+def _family_pairs(p):
     e_roots = [Fraction(0), Fraction(-p - 1), Fraction(p - 1)]
     f_roots = sorted(pt.x for pt in FAMILY_F.two_torsion())
-    return TwoTorsionIdentification.from_matching(zip(e_roots, f_roots))
+    return list(zip(e_roots, f_roots))
+
+
+def _family_matching(p):
+    return TwoTorsionIdentification.from_matching(_family_pairs(p))
 
 
 class TestValidateIdentification:
@@ -138,12 +142,12 @@ class TestGluingData:
         assert g.L.f == EXAMPLE_E.f_poly()
         assert g.Lprime.f == EXAMPLE_F.f_poly()
 
-    def test_split_build_orders_components_by_matching(self):
+    def test_split_build_orders_roots_increasingly(self):
         psi = _family_matching(11)
         g = GluingData.build(curve_for_prime(11), FAMILY_F, psi)
         assert g.is_split
-        assert g.L.split_roots() == (0, -12, 10)
-        assert g.Lprime.split_roots() == (-3, 0, 1)
+        assert tuple(-m[0] for m in g.L.components) == (-12, 0, 10)
+        assert tuple(-m[0] for m in g.Lprime.components) == (-3, 0, 1)
 
     def test_json_round_trip_preserves_curves(self):
         g = GluingData.build(EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI)
@@ -162,11 +166,10 @@ class TestGluingData:
             assert back.residues == elem.residues
 
     def test_composition_with_inverse_is_identity_split_case(self):
-        psi = _family_matching(11)
+        pairs = _family_pairs(11)
+        psi = TwoTorsionIdentification.from_matching(pairs)
         g = GluingData.build(curve_for_prime(11), FAMILY_F, psi)
-        inverse = TwoTorsionIdentification.from_matching(
-            [(b, a) for a, b in psi.matching]
-        )
+        inverse = TwoTorsionIdentification.from_matching([(b, a) for a, b in pairs])
         rng = random.Random(13)
         for _ in range(20):
             elem = g.Lprime.element([rng.randrange(-9, 10) for _ in range(3)])
