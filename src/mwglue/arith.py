@@ -313,9 +313,18 @@ def coordinate_from_json(data) -> Coordinate:
 
 
 class ContainmentResult(Record):
-    contained: bool
+    """Whether a target lies in the span of some elements modulo squares.
+
+    `contained` is True with `witness`, span indices whose product times the
+    target is a square (etale.span_contains adds `root`, an exact square
+    root of it); False with `certificate`, coordinates that sum to 1 on the
+    target and to 0 on every span element; None when a search ran out.
+    """
+
+    contained: bool | None
     witness: tuple[int, ...] | None = None
     certificate: tuple[tuple, ...] | None = None
+    root: object = None
 
 
 def subgroup_contains(generators, target) -> ContainmentResult:

@@ -25,19 +25,24 @@ class Parser(argparse.ArgumentParser):
 
 def _load_json(path: str):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 # The certificate scan sieves about N ln N bytes for N primes.
 MAX_SQ_PRIMES = 100_000
+# run_family builds and verifies every instance before it reports on one.
+MAX_FAMILY_COUNT = 1000
 
 
-def _bounds(args) -> etale.SquareSearchBounds:
+def _cert_primes(args) -> int:
     if args.sq_primes < 1:
         raise UsageError("bounds must be positive")
     if args.sq_primes > MAX_SQ_PRIMES:
         raise UsageError(f"--sq-primes must be at most {MAX_SQ_PRIMES}")
-    return etale.SquareSearchBounds(cert_primes=args.sq_primes)
+    return args.sq_primes
 
 
 def _emit(args, payload: dict, human: str):
@@ -65,12 +70,14 @@ def _cmd_verify_example(args) -> int:
     overrides = None
     if args.fixtures:
         overrides = fixtures.load_example_fixtures(_load_json(args.fixtures))
-    report = example.run_example(bounds=_bounds(args), fixtures=overrides)
+    report = example.run_example(_cert_primes(args), fixtures=overrides)
     _emit(args, report.to_json(), example.format_example_report(report))
     return report.exit_code
 
 
 def _cmd_family(args) -> int:
+    if args.count > MAX_FAMILY_COUNT:
+        raise UsageError(f"--count must be at most {MAX_FAMILY_COUNT}")
     if args.F:
         data = _load_json(args.F)
         F = ellcurve.EllipticCurve.from_json(data["F"])
@@ -107,7 +114,7 @@ def _cmd_membership(args) -> int:
     gluing = glue.GluingData.from_json(_load_json(args.gluing))
     pt_e = ellcurve.ECPoint.from_json(_load_json(args.P))
     pt_f = ellcurve.ECPoint.from_json(_load_json(args.Q))
-    verdict = descent.membership(gluing, pt_e, pt_f, _bounds(args))
+    verdict = descent.membership(gluing, pt_e, pt_f, _cert_primes(args))
     human = f"verdict: {verdict.verdict}"
     if verdict.certificate is not None:
         human += f"\ncertificate: {json.dumps(verdict.to_json()['certificate'])}"

@@ -25,7 +25,7 @@ from .arith import (
 )
 from .ellcurve import ECPoint, EllipticCurve
 from .etale import (
-    DEFAULT_BOUNDS,
+    CERT_PRIMES,
     AlgebraElement,
     AlgebraSquareClass,
     Character,
@@ -33,7 +33,6 @@ from .etale import (
     NonSquare,
     NonSquareCertificate,
     Square,
-    SquareSearchBounds,
     algebra_map,
     has_square_norm,
     is_square,
@@ -87,16 +86,15 @@ def transfer_class(gluing: GluingData, cls: AlgebraSquareClass) -> AlgebraSquare
 class MembershipVerdict(Record):
     verdict: str
     certificate: NonSquareCertificate | None = None
-    bounds: SquareSearchBounds | None = None
+    cert_primes: int | None = None  # the squareness search bound that ran out
 
     def to_json(self) -> dict:
         cert = None
         if self.certificate is not None:
             cert = {"kind": "non_square", **self.certificate.to_json()}
         out = {"verdict": self.verdict, "certificate": cert}
-        if self.verdict == UNKNOWN and self.bounds is not None:
-            # the search bounds that ran out; decided verdicts stay unchanged
-            out["bounds"] = self.bounds._asdict()
+        if self.verdict == UNKNOWN and self.cert_primes is not None:
+            out["bounds"] = {"cert_primes": self.cert_primes}
         return out
 
     @classmethod
@@ -107,33 +105,31 @@ class MembershipVerdict(Record):
                 raise ValueError(f"unknown membership certificate kind {cert.get('kind')!r}")
             cert = NonSquareCertificate.from_json(cert)
         bounds = data.get("bounds")
-        if bounds is not None:
-            bounds = SquareSearchBounds(**{k: int(v) for k, v in bounds.items()})
-        return cls(data["verdict"], cert, bounds)
+        return cls(data["verdict"], cert, int(bounds["cert_primes"]) if bounds else None)
 
 
 def membership(
     gluing: GluingData,
     point_on_E: ECPoint,
     point_on_F: ECPoint,
-    bounds: SquareSearchBounds = DEFAULT_BOUNDS,
+    cert_primes: int = CERT_PRIMES,
 ) -> MembershipVerdict:
     """Decide whether the pair is in the image of the glued Jacobian's points.
 
     The pair is in the image exactly when the transferred F-side class equals
     the E-side class, i.e. when their product is a square.  The verdict can
-    be Unknown when the squareness search exhausts its bounds, over split
+    be Unknown when the squareness search exhausts its primes, over split
     gluings too, where a rational component's character is a Legendre symbol.
     """
     cp = descent_class(gluing.E, gluing.L, point_on_E)
     cq = descent_class(gluing.F, gluing.Lprime, point_on_F)
     diff = cp * transfer_class(gluing, cq)
-    decision = is_square(gluing.L, diff.rep, bounds)
+    decision = is_square(gluing.L, diff.rep, cert_primes)
     if isinstance(decision, Square):
         return MembershipVerdict(IN_IMAGE)
     if isinstance(decision, NonSquare):
         return MembershipVerdict(NOT_IN_IMAGE, decision.certificate)
-    return MembershipVerdict(UNKNOWN, bounds=bounds)
+    return MembershipVerdict(UNKNOWN, cert_primes=cert_primes)
 
 
 _CHARACTER_KEYS = ("p", "component", "root")
@@ -151,7 +147,7 @@ class ObstructionVerdict(Record):
     target: SquareClassTriple | AlgebraElement
     witness: tuple[int, ...] | None = None
     certificate: tuple[Coordinate, ...] | tuple[Character, ...] | None = None
-    bounds: SquareSearchBounds | None = None
+    cert_primes: int | None = None
 
     def to_json(self) -> dict:
         split = isinstance(self.target, SquareClassTriple)
@@ -165,8 +161,8 @@ class ObstructionVerdict(Record):
                 coordinate_to_json(c) if split else dict(zip(_CHARACTER_KEYS, c)) for c in cert
             ] if cert is not None else None,
         }
-        if self.bounds is not None:
-            out["bounds"] = self.bounds._asdict()
+        if self.cert_primes is not None:
+            out["bounds"] = {"cert_primes": self.cert_primes}
         return out
 
     @classmethod
@@ -186,7 +182,7 @@ class ObstructionVerdict(Record):
             elem(data["target"]),
             tuple(data["witness"]) if data.get("witness") is not None else None,
             tuple(coord(c) for c in cert) if cert is not None else None,
-            SquareSearchBounds(**{k: int(v) for k, v in bounds.items()}) if bounds else None,
+            int(bounds["cert_primes"]) if bounds else None,
         )
 
 
@@ -195,7 +191,7 @@ def surjectivity_obstruction(
     point: ECPoint,
     F_generators,
     torsion_generators,
-    bounds: SquareSearchBounds = DEFAULT_BOUNDS,
+    cert_primes: int = CERT_PRIMES,
 ) -> ObstructionVerdict:
     """Whether the point's class lies in the span of the classes of the
     supplied E-side torsion generators and the transferred classes of the
@@ -217,8 +213,8 @@ def surjectivity_obstruction(
         decision = subgroup_contains(span, target)
     else:
         span, target = tuple(c.rep for c in span), target.rep
-        decision = span_contains(gluing.L, span, target, bounds)
+        decision = span_contains(gluing.L, span, target, cert_primes)
     if decision.contained is None:
-        return ObstructionVerdict(UNKNOWN, span, target, bounds=bounds)
+        return ObstructionVerdict(UNKNOWN, span, target, cert_primes=cert_primes)
     status = CONTAINED if decision.contained else NOT_CONTAINED
     return ObstructionVerdict(status, span, target, decision.witness, decision.certificate)

@@ -32,7 +32,14 @@ from functools import cached_property
 from math import prod
 
 from . import poly as P
-from .arith import SquareClassTriple, first_primes, is_prime, square_class, subgroup_contains
+from .arith import (
+    ContainmentResult,
+    SquareClassTriple,
+    first_primes,
+    is_prime,
+    square_class,
+    subgroup_contains,
+)
 from .poly import ONE, ZERO, Poly
 from .record import Record
 
@@ -158,11 +165,7 @@ def has_square_norm(elem: AlgebraElement) -> bool:
 # squareness decisions
 
 
-class SquareSearchBounds(Record):
-    cert_primes: int = 200  # primes scanned for quadratic characters
-
-
-DEFAULT_BOUNDS = SquareSearchBounds()
+CERT_PRIMES = 200  # primes scanned for quadratic characters
 
 
 class NonSquareCertificate(Record):
@@ -195,7 +198,7 @@ class NonSquare(Record):
 
 
 class Unknown(Record):
-    bounds: SquareSearchBounds
+    cert_primes: int
 
 
 SquareDecision = Square | NonSquare | Unknown
@@ -266,33 +269,19 @@ def _component_sqrt(m: Poly, r: Poly) -> Poly | None:
     return next((b for b in candidates if P.mod_poly(P.sub(P.mul(b, b), r), m) == ZERO), None)
 
 
-class SpanDecision(Record):
-    """Whether a unit lies in the span of other units modulo squares.
-
-    `contained` is True with `witness`, span indices, and `root`, an exact
-    square root of the target times the witnessed span elements; False with
-    `certificate`, characters that sum to 1 on the target and to 0 on every
-    span element; None when the search bounds ran out.
-    """
-
-    contained: bool | None
-    witness: tuple[int, ...] | None = None
-    root: AlgebraElement | None = None
-    certificate: tuple[Character, ...] | None = None
-
-
 def span_contains(
     algebra: CubicEtaleAlgebra,
     span,
     target: AlgebraElement,
-    bounds: SquareSearchBounds = DEFAULT_BOUNDS,
-) -> SpanDecision:
+    cert_primes: int = CERT_PRIMES,
+) -> ContainmentResult:
     """Decide whether the unit target lies in the span of the units in span
-    modulo squares.
+    modulo squares.  A certificate lists characters (p, component, root),
+    and a witness comes with its exact root.
 
     The exact root of the target times the witnessed span elements is tried
-    first for the empty witness.  Then one scan over the first
-    bounds.cert_primes primes gives each element the set of characters
+    first for the empty witness.  Then one scan over the first cert_primes
+    primes gives each element the set of characters
     (p, component, root) at which it is a non-residue, and
     arith.subgroup_contains decides over those sets after each prime that
     adds one: the first not_contained answer is final, and each witness it
@@ -308,7 +297,7 @@ def span_contains(
             raise NonUnitError("containment is only decided for units")
     tried = set()
 
-    def exact(witness: tuple[int, ...]) -> SpanDecision | None:
+    def exact(witness: tuple[int, ...]) -> ContainmentResult | None:
         if witness in tried:
             return None
         tried.add(witness)
@@ -324,14 +313,14 @@ def span_contains(
         root = algebra.element_from_components(roots)
         if (root * root).residues != product.residues:
             raise AssertionError("recovered square root failed the exact check")
-        return SpanDecision(True, witness=witness, root=root)
+        return ContainmentResult(True, witness=witness, root=root)
 
     found = exact(())
     if found is not None:
         return found
     bad = _bad_modulus(algebra, elems)
     coords: list[set[Character]] = [set() for _ in elems]
-    for p in first_primes(bounds.cert_primes):
+    for p in first_primes(cert_primes):
         if p == 2 or bad % p == 0:
             continue
         added = False
@@ -347,11 +336,11 @@ def span_contains(
         if added:
             res = subgroup_contains(coords[:-1], coords[-1])
             if not res.contained:
-                return SpanDecision(False, certificate=res.certificate)
+                return res
             found = exact(res.witness)
             if found is not None:
                 return found
-    return SpanDecision(None)
+    return ContainmentResult(None)
 
 
 def validate_characters(algebra: CubicEtaleAlgebra, span, target, characters) -> bool:
@@ -378,16 +367,16 @@ def validate_characters(algebra: CubicEtaleAlgebra, span, target, characters) ->
 def is_square(
     algebra: CubicEtaleAlgebra,
     elem: AlgebraElement,
-    bounds: SquareSearchBounds = DEFAULT_BOUNDS,
+    cert_primes: int = CERT_PRIMES,
 ) -> SquareDecision:
     """Decide squareness of a unit, the empty-span case of span_contains: an
     exact witness, a one-character certificate at the smallest certifying
     prime, or Unknown."""
-    decision = span_contains(algebra, (), elem, bounds)
+    decision = span_contains(algebra, (), elem, cert_primes)
     if decision.contained:
         return Square(decision.root)
     if decision.contained is None:
-        return Unknown(bounds)
+        return Unknown(cert_primes)
     ((p, ci, r),) = decision.certificate
     return NonSquare(NonSquareCertificate(p, ci, r, P.eval_mod(elem.residues[ci], r, p)))
 

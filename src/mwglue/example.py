@@ -13,14 +13,9 @@ from __future__ import annotations
 from . import poly as P
 from .descent import NOT_IN_IMAGE, UNKNOWN, membership
 from .ellcurve import INFINITY
-from .etale import (
-    DEFAULT_BOUNDS,
-    CubicEtaleAlgebra,
-    NonSquareCertificate,
-    SquareSearchBounds,
-)
+from .etale import CERT_PRIMES, CubicEtaleAlgebra, NonSquareCertificate
 from .fixtures import example_fixtures
-from .glue import GluingData, GluingError, validate_identification, verify_cover_map, verify_rescaling
+from .glue import GluingData, validate_identification, verify_cover_map, verify_rescaling
 from .poly import ZERO, poly
 from .record import Record
 
@@ -37,7 +32,6 @@ class Step(Record):
 class ExampleReport(Record):
     steps: list[Step]
     certificate: NonSquareCertificate | None
-    bounds: SquareSearchBounds
     norm_value: object = None
 
     @property
@@ -66,9 +60,7 @@ class ExampleReport(Record):
 _CONJUGATES = (poly([0, 1]), poly([-4, -4, -1]), poly([-1, 3, 1]))
 
 
-def run_example(
-    bounds: SquareSearchBounds = DEFAULT_BOUNDS, fixtures: dict | None = None
-) -> ExampleReport:
+def run_example(cert_primes: int = CERT_PRIMES, fixtures: dict | None = None) -> ExampleReport:
     fx = fixtures or example_fixtures()
     E, F, psi, pt = fx["E"], fx["F"], fx["psi"], fx["P"]
     steps: list[Step] = []
@@ -94,13 +86,13 @@ def run_example(
         "h(alpha) = -1/alpha and g(h(x)) = 0 mod f",
     )
 
-    res = validate_identification(E, F, psi)
+    violations = validate_identification(E, F, psi)
     step(
         "gluing_valid",
-        res.ok,
+        not violations,
         "identification is bijective, Galois-equivariant and not geometric"
-        if res.ok
-        else "violations: " + ", ".join(res.violations),
+        if not violations
+        else "violations: " + ", ".join(violations),
     )
 
     step(
@@ -148,22 +140,19 @@ def run_example(
     certificate = None
     try:
         gluing = GluingData.build(E, F, psi, L=K)
-        verdict = membership(gluing, pt, INFINITY, bounds)
+        verdict = membership(gluing, pt, INFINITY, cert_primes)
         if verdict.verdict == NOT_IN_IMAGE:
-            cert = verdict.certificate
-            detail = "point pair is outside the image"
-            if isinstance(cert, NonSquareCertificate):
-                certificate = cert
-                detail += f"; certified at p = {cert.p}"
+            certificate = verdict.certificate
+            detail = f"point pair is outside the image; certified at p = {certificate.p}"
             step("membership_not_in_image", True, detail)
         elif verdict.verdict == UNKNOWN:
             step("membership_not_in_image", None, "squareness search bounds exhausted")
         else:
             step("membership_not_in_image", False, "point pair reported inside the image")
-    except (GluingError, ValueError) as exc:
+    except ValueError as exc:
         step("membership_not_in_image", False, str(exc))
 
-    return ExampleReport(steps, certificate, bounds, norm_value)
+    return ExampleReport(steps, certificate, norm_value)
 
 
 def format_example_report(report: ExampleReport) -> str:

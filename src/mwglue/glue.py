@@ -70,15 +70,11 @@ def is_geometric_restriction(E: EllipticCurve, F: EllipticCurve, psi) -> bool:
     return P.degree(P.mod_poly(psi.h, E.f_poly())) <= 1
 
 
-class ValidationResult(Record):
-    ok: bool
-    violations: tuple[str, ...]
-
-
 def validate_identification(
     E: EllipticCurve, F: EllipticCurve, psi: TwoTorsionIdentification
-) -> ValidationResult:
-    """Check root mapping, bijectivity on 2-torsion, and non-geometricity."""
+) -> tuple[str, ...]:
+    """Check root mapping, bijectivity on 2-torsion, and non-geometricity;
+    the violations found, none when psi is valid."""
     f, g = E.f_poly(), F.f_poly()
     bad = []
     if P.mod_poly(P.compose(g, psi.h), f) != ZERO:
@@ -87,7 +83,7 @@ def validate_identification(
         bad.append(NOT_BIJECTIVE)
     elif is_geometric_restriction(E, F, psi):
         bad.append(GEOMETRIC)
-    return ValidationResult(not bad, tuple(bad))
+    return tuple(bad)
 
 
 def _algebra(f: Poly, given: CubicEtaleAlgebra | None) -> CubicEtaleAlgebra:
@@ -118,9 +114,9 @@ class GluingData(Record):
         """Validate psi and build the algebras of E and F.  A caller that
         already has one of them passes it as L or Lprime, in any component
         order: algebra_map pairs components through h."""
-        res = validate_identification(E, F, psi)
-        if not res.ok:
-            raise GluingError(res.violations)
+        violations = validate_identification(E, F, psi)
+        if violations:
+            raise GluingError(violations)
         return cls(E, F, psi, _algebra(E.f_poly(), L), _algebra(F.f_poly(), Lprime))
 
     @property

@@ -6,6 +6,8 @@ trailing zeros; the zero polynomial is the empty tuple.
 
 from __future__ import annotations
 
+import json
+import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -18,12 +20,20 @@ ONE: Poly = (Fraction(1),)
 X: Poly = (Fraction(0), Fraction(1))
 
 
+# An integer, decimal or fraction in ASCII digits, such as "5", "-2/3" or
+# "0.5"; a denominator is nonzero.
+_RATIONAL = re.compile(r"[+-]?[0-9]+(\.[0-9]+|/0*[1-9][0-9]*)?")
+
+
 def rational(s) -> Fraction:
-    """A rational read from JSON or the command line.  Exponent notation is
-    refused: Fraction("1e999999999") would build 10^999999999."""
-    if isinstance(s, str) and ("e" in s or "E" in s):
-        raise ValueError(f"exponent notation is not accepted: {s!r}")
-    return Fraction(s)
+    """A rational read from JSON or the command line: a JSON integer or a
+    string in the _RATIONAL grammar.  Anything else is refused: a JSON float
+    is a binary value, not the decimal written, and Fraction's own grammar
+    also takes "1e999999999", which would build 10^999999999."""
+    if type(s) is int or isinstance(s, str) and _RATIONAL.fullmatch(s):
+        return Fraction(s)
+    # quoted as JSON, so that the message shows the value as it was written
+    raise ValueError(f"not a rational number: {json.dumps(s, ensure_ascii=False, default=repr)}")
 
 
 def poly(coeffs) -> Poly:

@@ -66,7 +66,7 @@ def brute_force_contains(generators, target) -> bool:
     return False
 
 
-def subset_search_contains(algebra, span, target, bounds):
+def subset_search_contains(algebra, span, target, cert_primes):
     """Span containment in an etale algebra by 2^k squareness tests: the
     target times each subset product of the span is passed to is_square.
 
@@ -83,7 +83,7 @@ def subset_search_contains(algebra, span, target, bounds):
         for i in range(k):
             if mask >> i & 1:
                 elem = elem * span[i]
-        decision = is_square(algebra, elem, bounds)
+        decision = is_square(algebra, elem, cert_primes)
         if isinstance(decision, Square):
             return "contained", tuple(i for i in range(k) if mask >> i & 1)
         if not isinstance(decision, NonSquare):

@@ -28,7 +28,6 @@ from mwglue.etale import (
     CubicEtaleAlgebra,
     NonSquare,
     NonSquareCertificate,
-    SquareSearchBounds,
     Unknown,
     is_square,
 )
@@ -72,7 +71,7 @@ def test_criterion_example_pipeline():
     ok = ok and report.norm_value == Fraction(1)
     # the shift is certified non-square at p = 13, within the first 20 primes
     K = CubicEtaleAlgebra.from_cubic(EXAMPLE_E.f_poly())
-    decision = is_square(K, K.element([-2, -1]), SquareSearchBounds(cert_primes=20))
+    decision = is_square(K, K.element([-2, -1]), 20)
     ok = ok and isinstance(decision, NonSquare) and decision.certificate.p == 13
     # both cover identities and the membership verdict are asserted by steps
     names = {s.name: s.passed for s in report.steps}
@@ -250,11 +249,11 @@ def test_criterion_certificate_soundness(family_run):
             elements.append(b * b)
     for elem in elements:
         kinds = set()
-        for bounds in (
-            SquareSearchBounds(cert_primes=30),
-            SquareSearchBounds(cert_primes=120),
+        for cert_primes in (
+            30,
+            120,
         ):
-            decision = is_square(K, elem, bounds)
+            decision = is_square(K, elem, cert_primes)
             if not isinstance(decision, Unknown):
                 kinds.add(type(decision))
         ok = ok and len(kinds) == 1

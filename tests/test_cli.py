@@ -4,7 +4,7 @@ from math import prod
 
 import pytest
 
-from mwglue.cli import MAX_SQ_PRIMES, main
+from mwglue.cli import MAX_FAMILY_COUNT, MAX_SQ_PRIMES, main
 from mwglue.descent import descent_class
 from mwglue.etale import CubicEtaleAlgebra, NonSquareCertificate
 from mwglue.fixtures import EXAMPLE_E, EXAMPLE_F, EXAMPLE_POINT, EXAMPLE_PSI
@@ -99,6 +99,14 @@ class TestFamilyCommand:
 
     def test_equal_primes_rejected(self, capsys):
         assert main(["family", "--l1", "3", "--l2", "3"]) == 3
+
+    def test_count_cap(self, capsys):
+        start = time.perf_counter()
+        code = main(["family", "--l1", "3", "--l2", "5", "--count", str(MAX_FAMILY_COUNT + 1),
+                     "--bound", str(10**21)])
+        assert code == 3
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == f"error: --count must be at most {MAX_FAMILY_COUNT}\n"
 
     def test_bound_exhaustion(self, capsys):
         code = main(
@@ -342,4 +350,40 @@ class TestPointCommands:
         start = time.perf_counter()
         assert main(["jinv", "--curve", curve]) == 3
         assert time.perf_counter() - start < 0.5
-        assert "exponent notation" in capsys.readouterr().err
+        assert '"1e999999999"' in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "value,accepted",
+        [
+            ("5", True),
+            ("-2/3", True),
+            ("0.5", True),
+            (7, True),
+            (0.1, False),  # read through its binary value, 3602879701896397/2^55
+            (True, False),  # read as 1
+            (None, False),
+            ("1_000", False),
+            (" 7 ", False),
+            ("\u0661\u0662", False),  # Arabic-Indic digits, read as 12
+            ("0x10", False),
+            ("1.5/2", False),
+        ],
+        ids=repr,
+    )
+    def test_number_grammar(self, tmp_path, capsys, value, accepted):
+        curve = _write(tmp_path, "curve.json", {"f": [value, 6, 5]})
+        code = main(["jinv", "--curve", curve])
+        err = capsys.readouterr().err
+        if accepted:
+            assert code == 0 and err == ""
+        else:
+            assert code == 3
+            assert err == f"error: not a rational number: {json.dumps(value, ensure_ascii=False)}\n"
+
+    def test_deeply_nested_json_is_input_error(self, tmp_path, capsys):
+        depth = 100_000
+        curve = tmp_path / "curve.json"
+        curve.write_text('{"f": [' + "[" * depth + "]" * depth + ", 6, 5]}")
+        assert main(["jinv", "--curve", str(curve)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {curve}: JSON nested too deeply to read\n"

@@ -25,7 +25,6 @@ from mwglue.etale import (
     NonSquare,
     NonSquareCertificate,
     Square,
-    SquareSearchBounds,
     has_square_norm,
     is_square,
     validate_characters,
@@ -43,7 +42,7 @@ from mwglue.glue import GluingData, TwoTorsionIdentification
 
 from oracles import crt_lift, search_points
 
-FAST = SquareSearchBounds(cert_primes=40)
+FAST = 40
 
 
 def _algebra_for(p):
@@ -288,7 +287,7 @@ class TestMembership:
 
     def test_unknown_on_tiny_bounds(self):
         g = GluingData.build(EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI)
-        tiny = SquareSearchBounds(cert_primes=2)
+        tiny = 2
         assert membership(g, EXAMPLE_POINT, INFINITY, tiny).verdict == "unknown"
 
     def test_agrees_with_is_square_on_field_case(self):
@@ -311,8 +310,7 @@ class TestMembership:
         diff = descent_class(EXAMPLE_E, g.L, EXAMPLE_POINT)
         assert parsed.certificate.validate(g.L, diff.rep)
         # an unknown verdict carries the bounds that ran out
-        bounds = SquareSearchBounds(cert_primes=2)
-        unknown = membership(g, EXAMPLE_POINT, INFINITY, bounds)
+        unknown = membership(g, EXAMPLE_POINT, INFINITY, 2)
         assert unknown.verdict == UNKNOWN
         data = json.loads(json.dumps(unknown.to_json()))
         assert data["bounds"] == {"cert_primes": 2}
@@ -437,9 +435,9 @@ class TestNonSplitObstruction:
         from mwglue.descent import ObstructionVerdict
 
         g = GluingData.build(EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI)
-        tiny = SquareSearchBounds(cert_primes=2)
+        tiny = 2
         res = surjectivity_obstruction(g, EXAMPLE_POINT, (), (), tiny)
-        assert res.status == UNKNOWN and res.bounds == tiny
+        assert res.status == UNKNOWN and res.cert_primes == tiny
         data = json.loads(json.dumps(res.to_json()))
         assert data["bounds"] == {"cert_primes": 2}
         assert ObstructionVerdict.from_json(data, g.L) == res

@@ -14,7 +14,6 @@ from mwglue.etale import (
     NonSquareCertificate,
     NonUnitError,
     Square,
-    SquareSearchBounds,
     Unknown,
     algebra_map,
     has_square_norm,
@@ -34,7 +33,7 @@ SPLIT = CubicEtaleAlgebra.from_cubic(
 )
 MIXED = CubicEtaleAlgebra.from_cubic(P.poly([1, 0, 0, 1]))  # x^3 + 1 = (x+1)(x^2-x+1)
 
-FAST = SquareSearchBounds(cert_primes=40)
+FAST = 40
 
 small_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
@@ -163,7 +162,7 @@ class TestIsSquare:
         assert isinstance(dec, Square)
 
     def test_unknown_when_bounds_too_small(self):
-        tiny = SquareSearchBounds(cert_primes=2)
+        tiny = 2
         dec = is_square(K, K.element([-2, -1]), tiny)
         assert isinstance(dec, Unknown)
 
@@ -212,8 +211,8 @@ class TestIsSquare:
         elems = [K.element([-2, -1]), K.element([1, 1]) * K.element([1, 1]), K.element([4])]
         for elem in elems:
             kinds = set()
-            for bounds in (FAST, SquareSearchBounds(cert_primes=100)):
-                dec = is_square(K, elem, bounds)
+            for cert_primes in (FAST, 100):
+                dec = is_square(K, elem, cert_primes)
                 if not isinstance(dec, Unknown):
                     kinds.add(type(dec))
             assert len(kinds) <= 1
@@ -333,7 +332,7 @@ class TestSpanContains:
         pool = [K.element([a, -1]) for a in range(-6, 7)]
         pool += [K.element([rng.randrange(-4, 5) for _ in range(3)]) for _ in range(8)]
         pool = [e for e in pool if e.is_unit]
-        bounds = SquareSearchBounds(cert_primes=60)
+        cert_primes = 60
         counts = {}
         for trial in range(60):
             span = rng.sample(pool, rng.randint(0, 6))
@@ -343,8 +342,8 @@ class TestSpanContains:
                 target = self._product(b * b, span, chosen)
             else:
                 target = rng.choice(pool)
-            got = span_contains(K, span, target, bounds)
-            status, _ = subset_search_contains(K, span, target, bounds)
+            got = span_contains(K, span, target, cert_primes)
+            status, _ = subset_search_contains(K, span, target, cert_primes)
             if got.contained is not None and status != "unknown":
                 assert status == ("contained" if got.contained else "not_contained"), trial
             if got.contained is True:
@@ -424,7 +423,7 @@ class TestExactRoot:
             assert sorted(degrees(algebra))[-1] >= 2
             for _ in range(8):
                 b = _random_unit(rng, algebra)
-                dec = is_square(algebra, b * b, SquareSearchBounds(cert_primes=1))
+                dec = is_square(algebra, b * b, 1)
                 assert isinstance(dec, Square), (algebra.f, b)
                 for got, want in zip(dec.witness.residues, b.residues):
                     assert got in (want, P.neg(want))
@@ -436,7 +435,7 @@ class TestExactRoot:
         assert degrees(algebra) == (1, 2)
         for a in (5, 20):
             elem = algebra.element_from_components([[1], [a]])
-            dec = is_square(algebra, elem, SquareSearchBounds(cert_primes=1))
+            dec = is_square(algebra, elem, 1)
             assert isinstance(dec, Square)
             assert (dec.witness * dec.witness).residues == elem.residues
         elem = algebra.element_from_components([[1], [3]])
@@ -449,7 +448,7 @@ class TestExactRoot:
         # b^2 f(c) (c - X), of norm f(c)^4 b^4, so the cubic test gets as far
         # as the quartic
         rng = random.Random(32)
-        bounds = SquareSearchBounds(cert_primes=2000)
+        cert_primes = 2000
         kinds = []
         for algebra in [*_random_fields(rng, 10), K, MIXED]:
             for i in range(6):
@@ -459,7 +458,7 @@ class TestExactRoot:
                 elem = b * b * algebra.element([c * fc, -fc]) if i % 2 else b
                 if not elem.is_unit:
                     continue
-                dec = is_square(algebra, elem, bounds)
+                dec = is_square(algebra, elem, cert_primes)
                 if isinstance(dec, Square):
                     assert (dec.witness * dec.witness).residues == elem.residues
                 else:

@@ -46,32 +46,27 @@ def _family_matching(p):
 
 class TestValidateIdentification:
     def test_example_data_ok(self):
-        res = validate_identification(EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI)
-        assert res.ok and res.violations == ()
+        assert validate_identification(EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI) == ()
 
     def test_family_matching_ok(self):
         psi = _family_matching(229)
-        res = validate_identification(curve_for_prime(229), FAMILY_F, psi)
-        assert res.ok
+        assert validate_identification(curve_for_prime(229), FAMILY_F, psi) == ()
 
     def test_identity_map_rejected_as_geometric(self):
         psi = TwoTorsionIdentification(P.poly([0, 1]))
-        res = validate_identification(EXAMPLE_E, EXAMPLE_E, psi)
-        assert not res.ok and GEOMETRIC in res.violations
+        assert GEOMETRIC in validate_identification(EXAMPLE_E, EXAMPLE_E, psi)
         with pytest.raises(GluingError):
             GluingData.build(EXAMPLE_E, EXAMPLE_E, psi)
 
     def test_unmapped_roots_rejected(self):
         psi = TwoTorsionIdentification(P.poly([1, 1]))
-        res = validate_identification(EXAMPLE_E, EXAMPLE_F, psi)
-        assert res.violations == (ROOTS_NOT_MAPPED,)
+        assert validate_identification(EXAMPLE_E, EXAMPLE_F, psi) == (ROOTS_NOT_MAPPED,)
 
     def test_collapsing_map_rejected(self):
         # constant h = 0 sends every root of f to the root 0 of g
         e3 = curve_for_prime(3)
         psi = TwoTorsionIdentification(P.ZERO)
-        res = validate_identification(e3, FAMILY_F, psi)
-        assert res.violations == (NOT_BIJECTIVE,)
+        assert validate_identification(e3, FAMILY_F, psi) == (NOT_BIJECTIVE,)
 
     def test_degree_bound_enforced(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,83 @@
+"""Golden outputs: the exit code, stdout and stderr of a fixed set of CLI
+commands, pinned byte for byte.
+
+A change that is meant to keep every verdict, certificate and report the
+same must leave these files as they are.  A change that alters an output on
+purpose regenerates them with `PYTHONPATH=src python tests/test_golden.py`
+and says which output changed and why.
+"""
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from mwglue.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# The command inputs, written beside each run.  The gluing is the bundled
+# example; P1 = (-2, 1) generates E(Q), and P2 = 2 P1.
+INPUTS = {
+    "gluing.json": {"E": {"f": ["1", "6", "5"]}, "F": {"f": ["-1", "5", "-6"]}, "h": ["6", "5", "1"]},
+    "P1.json": {"x": "-2", "y": "1"},
+    "P2.json": {"x": "0", "y": "1"},
+    "O.json": "O",
+    "E.json": {"f": ["1", "6", "5"]},
+    "split.json": {"f": ["0", "-120", "2"]},
+    "split_point.json": {"x": "-1", "y": "11"},
+    "klein.json": {"f": ["0", "-8", "2"]},
+}
+
+MEMBERSHIP = ("membership", "--gluing", "gluing.json", "--Q", "O.json")
+
+# (name, argv): each case's output is tests/golden/<name>.json
+CASES = (
+    ("verify_example", ("verify-example",)),
+    ("verify_example_json", ("verify-example", "--format", "json")),
+    ("verify_example_unknown_json", ("verify-example", "--sq-primes", "2", "--format", "json")),
+    ("membership_1P", (*MEMBERSHIP, "--P", "P1.json")),
+    ("membership_1P_json", (*MEMBERSHIP, "--P", "P1.json", "--format", "json")),
+    ("membership_2P_json", (*MEMBERSHIP, "--P", "P2.json", "--format", "json")),
+    ("membership_unknown_json", (*MEMBERSHIP, "--P", "P1.json", "--sq-primes", "2", "--format", "json")),
+    ("descent_class_split_roots", (
+        "descent-class", "--curve", "split.json", "--point", "split_point.json", "--roots", "0,-12,10",
+    )),
+    ("descent_class_nonsplit_json", ("descent-class", "--curve", "E.json", "--point", "P1.json", "--format", "json")),
+    ("jinv", ("jinv", "--curve", "E.json")),
+    ("torsion", ("torsion", "--curve", "klein.json")),
+    ("family", ("family", "--l1", "3", "--l2", "5", "--count", "2")),
+    ("family_json", ("family", "--l1", "3", "--l2", "5", "--count", "2", "--format", "json")),
+)
+
+
+def run(argv, workdir: Path) -> dict:
+    """Exit code, stdout and stderr of `mwglue ARGV` run in-process, with
+    the inputs written to workdir and file arguments resolved there."""
+    for name, payload in INPUTS.items():
+        (workdir / name).write_text(json.dumps(payload))
+    argv = [str(workdir / a) if a in INPUTS else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
+def test_output_is_unchanged(name, argv, tmp_path):
+    expected = json.loads((GOLDEN / f"{name}.json").read_text())
+    assert run(argv, tmp_path) == expected
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in CASES:
+            got = run(argv, Path(tmp))
+            (GOLDEN / f"{name}.json").write_text(json.dumps(got, indent=1) + "\n")
+            print(f"{name}: exit {got['exit']}", file=sys.stderr)

@@ -13,12 +13,7 @@ import pytest
 from mwglue import poly as P
 from mwglue.arith import SquareClass, SquareClassTriple
 from mwglue.ellcurve import ECPoint
-from mwglue.etale import (
-    CubicEtaleAlgebra,
-    NonSquareCertificate,
-    SquareSearchBounds,
-    Unknown,
-)
+from mwglue.etale import CubicEtaleAlgebra, NonSquare, NonSquareCertificate, Unknown
 from mwglue.example import Step
 from mwglue.fixtures import EXAMPLE_E
 from mwglue.record import Record
@@ -90,7 +85,7 @@ class TestEqualityAndHash:
         assert hash(Step("torsion", True)) == hash(ref("torsion", True, ""))
         assert hash(Pair(5)) == hash(_reference(Pair)(5, "x"))
         # one field hashes as a one-tuple
-        assert hash(Unknown(SquareSearchBounds())) == hash(_reference(Unknown)(SquareSearchBounds()))
+        assert hash(Unknown(200)) == hash(_reference(Unknown)(200))
 
     def test_cached_property_stays_out_of_equality_and_hash(self):
         a = CubicEtaleAlgebra.from_cubic(EXAMPLE_E.f_poly())
@@ -118,12 +113,12 @@ class TestFrozen:
     "record",
     [
         Pair(1),
-        SquareSearchBounds(),
         NonSquareCertificate(13, 0, 3, 5),
         ECPoint.affine(-2, 1),
         ECPoint.infinity(),
         SquareClass(True, (2, 229)),
-        Unknown(SquareSearchBounds(cert_primes=50)),
+        Unknown(50),
+        NonSquare(NonSquareCertificate(13, 0, 3, 5)),
     ],
     ids=lambda r: type(r).__name__,
 )
