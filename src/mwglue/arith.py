@@ -8,6 +8,7 @@ check.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 from .record import Record
@@ -23,6 +24,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
+# Bounded caches: SquareClass proves again each prime factor proved, and a
+# family run asks for the same square classes; exceptions are not cached.
+@lru_cache(maxsize=4096)
 def is_prime(n: int) -> bool:
     """Deterministic primality.  A witness proves any n composite; a
     probable prime at or above _MR_LIMIT raises FactorizationError."""
@@ -229,6 +233,7 @@ class SquareClass(Record):
         return cls(data["sign"] == "-", tuple(int(p) for p in data["primes"]))
 
 
+@lru_cache(maxsize=1024)
 def square_class(q) -> SquareClass:
     """The image of a nonzero rational in Q*/Q*^2."""
     q = Fraction(q)
@@ -378,20 +383,3 @@ def subgroup_contains(generators, target) -> ContainmentResult:
     cert = tuple(sorted((universe[i] for i in dual), key=_coord_key))
     return ContainmentResult(False, certificate=cert)
 
-
-def validate_containment_witness(generators, target, witness) -> bool:
-    gens = list(generators)
-    acc = SquareClassTriple.trivial()
-    for i in witness:
-        acc = acc * gens[i]
-    return acc == target
-
-
-def validate_noncontainment_certificate(generators, target, coords) -> bool:
-    cs = set(coords)
-
-    def parity(z: SquareClassTriple) -> int:
-        zc = _coords_of(z)
-        return sum(1 for c in cs if c in zc) & 1
-
-    return all(parity(g) == 0 for g in generators) and parity(target) == 1

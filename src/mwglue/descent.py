@@ -12,7 +12,7 @@ image.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 from operator import itemgetter
 
 from . import poly as P
@@ -48,6 +48,8 @@ CONTAINED = "contained"
 NOT_CONTAINED = "not_contained"
 
 
+# memoized: the checks of one family instance need the same points' classes
+@lru_cache(maxsize=256)
 def descent_class(
     curve: EllipticCurve, algebra: CubicEtaleAlgebra, point: ECPoint
 ) -> AlgebraSquareClass:

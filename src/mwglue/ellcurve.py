@@ -29,8 +29,8 @@ class ECPoint(Record):
         if (self.x is None) != (self.y is None):
             raise ValueError("affine points need both coordinates")
         if self.x is not None:
-            object.__setattr__(self, "x", Fraction(self.x))
-            object.__setattr__(self, "y", Fraction(self.y))
+            object.__setattr__(self, "x", P.fraction(self.x))
+            object.__setattr__(self, "y", P.fraction(self.y))
 
     @classmethod
     def infinity(cls) -> "ECPoint":
@@ -38,7 +38,7 @@ class ECPoint(Record):
 
     @classmethod
     def affine(cls, x, y) -> "ECPoint":
-        return cls(Fraction(x), Fraction(y))
+        return cls(P.fraction(x), P.fraction(y))
 
     @property
     def is_infinity(self) -> bool:
@@ -116,9 +116,9 @@ class EllipticCurve(Record):
     c2: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "c0", Fraction(self.c0))
-        object.__setattr__(self, "c1", Fraction(self.c1))
-        object.__setattr__(self, "c2", Fraction(self.c2))
+        object.__setattr__(self, "c0", P.fraction(self.c0))
+        object.__setattr__(self, "c1", P.fraction(self.c1))
+        object.__setattr__(self, "c2", P.fraction(self.c2))
         if self.disc_f == 0:
             raise ValueError("the cubic has a repeated root; the curve is singular")
 
@@ -131,11 +131,11 @@ class EllipticCurve(Record):
         return (self.c0, self.c1, self.c2, Fraction(1))
 
     def f_at(self, x) -> Fraction:
-        x = Fraction(x)
+        x = P.fraction(x)
         return ((x + self.c2) * x + self.c1) * x + self.c0
 
     def f_derivative_at(self, x) -> Fraction:
-        x = Fraction(x)
+        x = P.fraction(x)
         return (3 * x + 2 * self.c2) * x + self.c1
 
     @property

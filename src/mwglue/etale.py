@@ -59,14 +59,15 @@ class CubicEtaleAlgebra(Record):
             raise ValueError("the defining polynomial must be a monic cubic")
         if not P.is_squarefree(f):
             raise ValueError("the defining polynomial must be squarefree")
-        roots = P.rational_roots_monic(f)
-        if root_order is not None:
-            order = [Fraction(r) for r in root_order]
-            if len(roots) != 3:
-                raise ValueError("a root order needs a fully split cubic")
-            if sorted(order) != roots:
+        if root_order is None:
+            roots = P.rational_roots_monic(f)
+        else:
+            # three distinct rationals at which the cubic vanishes are its roots
+            roots = [Fraction(r) for r in root_order]
+            if len(roots) != 3 or len(set(roots)) != 3 or any(P.eval_at(f, r) for r in roots):
+                if len(P.rational_roots_monic(f)) != 3:
+                    raise ValueError("a root order needs a fully split cubic")
                 raise ValueError("the root order must list the three roots of f")
-            roots = order
         # a cubic has 0, 1 or 3 rational roots: with none f is irreducible,
         # with one the cofactor is an irreducible quadratic
         comps = tuple(P.poly([-r, 1]) for r in roots)

@@ -86,7 +86,9 @@ def run_example(cert_primes: int = CERT_PRIMES, fixtures: dict | None = None) ->
         "h(alpha) = -1/alpha and g(h(x)) = 0 mod f",
     )
 
-    violations = validate_identification(E, F, psi)
+    # E is nonsingular, so f is squarefree and K builds
+    K = CubicEtaleAlgebra.from_cubic(f)
+    violations = validate_identification(E, F, psi, K)
     step(
         "gluing_valid",
         not violations,
@@ -124,8 +126,6 @@ def run_example(cert_primes: int = CERT_PRIMES, fixtures: dict | None = None) ->
         "F has trivial rational torsion",
     )
 
-    # E is nonsingular, so f is squarefree and K builds
-    K = CubicEtaleAlgebra.from_cubic(f)
     norm_value = None
     if on_curve and not pt.is_infinity:
         norm_value = K.element([pt.x, -1]).norm()

@@ -50,14 +50,14 @@ class TwoTorsionIdentification(Record):
         return [str(c) for c in self.h]
 
 
-def _is_unit_transform(f: Poly, h: Poly) -> bool:
-    """Whether 1, h, h^2 span Q[x]/(f), i.e. x -> h(x) is an algebra map onto."""
-    cols = []
-    cur = ONE
-    for _ in range(3):
-        cols.append([cur[i] if i < len(cur) else Fraction(0) for i in range(3)])
-        cur = P.mod_poly(P.mul(cur, h), f)
-    return P.det(cols) != 0
+def _is_unit_transform(L: CubicEtaleAlgebra, h_residues) -> bool:
+    """Whether 1, h, h^2 span L, the product of its components, i.e. x -> h(x)
+    is an algebra map onto: their stacked residue coordinates have det != 0."""
+    rows = []
+    for m, r in zip(L.components, h_residues):
+        powers = (ONE, r, P.mod_poly(P.mul(r, r), m))
+        rows += ([c[i] if i < len(c) else Fraction(0) for c in powers] for i in range(P.degree(m)))
+    return P.det(rows) != 0
 
 
 def is_geometric_restriction(E: EllipticCurve, F: EllipticCurve, psi) -> bool:
@@ -71,15 +71,19 @@ def is_geometric_restriction(E: EllipticCurve, F: EllipticCurve, psi) -> bool:
 
 
 def validate_identification(
-    E: EllipticCurve, F: EllipticCurve, psi: TwoTorsionIdentification
+    E: EllipticCurve, F: EllipticCurve, psi: TwoTorsionIdentification,
+    L: CubicEtaleAlgebra | None = None,
 ) -> tuple[str, ...]:
     """Check root mapping, bijectivity on 2-torsion, and non-geometricity;
-    the violations found, none when psi is valid."""
+    the violations found, none when psi is valid.  By CRT, g(h) = 0 mod f when
+    g(h mod m) = 0 mod m at each component m of E's algebra L (built if None)."""
     f, g = E.f_poly(), F.f_poly()
+    L = _algebra(f, L)
+    hs = L.element(psi.h).residues
     bad = []
-    if P.mod_poly(P.compose(g, psi.h), f) != ZERO:
+    if any(P.mod_poly(P.compose(g, r), m) for m, r in zip(L.components, hs)):
         bad.append(ROOTS_NOT_MAPPED)
-    elif not _is_unit_transform(f, psi.h):
+    elif not _is_unit_transform(L, hs):
         bad.append(NOT_BIJECTIVE)
     elif is_geometric_restriction(E, F, psi):
         bad.append(GEOMETRIC)
@@ -114,10 +118,11 @@ class GluingData(Record):
         """Validate psi and build the algebras of E and F.  A caller that
         already has one of them passes it as L or Lprime, in any component
         order: algebra_map pairs components through h."""
-        violations = validate_identification(E, F, psi)
+        L = _algebra(E.f_poly(), L)
+        violations = validate_identification(E, F, psi, L)
         if violations:
             raise GluingError(violations)
-        return cls(E, F, psi, _algebra(E.f_poly(), L), _algebra(F.f_poly(), Lprime))
+        return cls(E, F, psi, L, _algebra(F.f_poly(), Lprime))
 
     @property
     def is_split(self) -> bool:

@@ -32,12 +32,20 @@ def rational(s) -> Fraction:
     also takes "1e999999999", which would build 10^999999999."""
     if type(s) is int or isinstance(s, str) and _RATIONAL.fullmatch(s):
         return Fraction(s)
-    # quoted as JSON, so that the message shows the value as it was written
-    raise ValueError(f"not a rational number: {json.dumps(s, ensure_ascii=False, default=repr)}")
+    # quoted as JSON, so that the message shows the value as it was written,
+    # and cut after 80 characters, so that a huge value gives a short message
+    quoted = json.dumps(s, ensure_ascii=False, default=repr)
+    cut = quoted[:80] + "…" if len(quoted) > 80 else quoted
+    raise ValueError(f"not a rational number: {cut}")
+
+
+def fraction(c) -> Fraction:
+    """c as a Fraction: one that already is one is kept, not rebuilt."""
+    return c if type(c) is Fraction else Fraction(c)
 
 
 def poly(coeffs) -> Poly:
-    cs = [Fraction(c) for c in coeffs]
+    cs = [fraction(c) for c in coeffs]
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
@@ -223,6 +231,8 @@ def divmod_poly(p: Poly, q: Poly) -> tuple[Poly, Poly]:
 
 
 def mod_poly(p: Poly, q: Poly) -> Poly:
+    if len(q) == 2:  # the remainder by x - r is the constant p(r)
+        return poly([eval_at(p, -q[0] / q[1])])
     return divmod_poly(p, q)[1]
 
 
@@ -305,13 +315,25 @@ def integer_roots_monic_cubic(a: int, b: int, c: int) -> list[int]:
     return integer_roots([c, b, a, 1])
 
 
+def _exact_root(n: int, k: int) -> int | None:
+    """The integer r with r^k = n, for n >= 1, or None."""
+    r = 1 << -(-n.bit_length() // k)  # above the root; Newton steps descend to it
+    while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+        r = s
+    return r if r**k == n else None
+
+
 def rational_roots_monic(f: Poly) -> list[Fraction]:
     """Sorted rational roots of a squarefree monic cubic or quartic."""
     d = degree(f)
     if d not in (3, 4) or f[d] != 1:
         raise ValueError("expected a monic cubic or quartic")
     # x = t / m turns f into a monic polynomial in t with integer coefficients
-    m = lcm(*(c.denominator for c in f))
+    # once m^(d-i) clears the denominator n_i of each c_i: m takes the exact
+    # (d-i)-th root of each n_i that has one, then each n_i not yet cleared
+    dens = [(c.denominator, d - i) for i, c in enumerate(f[:d])]
+    m = lcm(*filter(None, (_exact_root(n, k) for n, k in dens)))
+    m = lcm(m, *(n for n, k in dens if m**k % n))
     scaled = [int(c * m ** (d - i)) for i, c in enumerate(f)]
     if d == 3:
         roots = integer_roots_monic_cubic(scaled[2], scaled[1], scaled[0])

@@ -66,6 +66,39 @@ def brute_force_contains(generators, target) -> bool:
     return False
 
 
+def validate_containment_witness(generators, target, witness) -> bool:
+    """Whether the witnessed generators multiply to the target."""
+    from mwglue.arith import SquareClassTriple
+
+    gens = list(generators)
+    acc = SquareClassTriple.trivial()
+    for i in witness:
+        acc = acc * gens[i]
+    return acc == target
+
+
+def _valuation_coordinates(z) -> set:
+    """(component, prime) for each odd valuation of a class triple, and
+    (component, None) for each negative sign."""
+    out = set()
+    for i, c in enumerate(z.components):
+        out.update((i, p) for p in c.primes)
+        if c.negative:
+            out.add((i, None))
+    return out
+
+
+def validate_noncontainment_certificate(generators, target, coords) -> bool:
+    """Whether the coordinates meet every generator an even number of
+    times and the target an odd number of times."""
+    cs = set(coords)
+
+    def parity(z) -> int:
+        return len(cs & _valuation_coordinates(z)) & 1
+
+    return all(parity(g) == 0 for g in generators) and parity(target) == 1
+
+
 def subset_search_contains(algebra, span, target, cert_primes):
     """Span containment in an etale algebra by 2^k squareness tests: the
     target times each subset product of the span is passed to is_square.

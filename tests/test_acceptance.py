@@ -19,8 +19,6 @@ from mwglue.arith import (
     factor,
     square_class,
     subgroup_contains,
-    validate_containment_witness,
-    validate_noncontainment_certificate,
 )
 from mwglue.descent import descent_class, membership
 from mwglue.ellcurve import ECPoint, INFINITY
@@ -42,7 +40,13 @@ from mwglue.family import (
 from mwglue.fixtures import EXAMPLE_E, EXAMPLE_F, EXAMPLE_POINT, EXAMPLE_PSI, FAMILY_F
 from mwglue.glue import GluingData
 
-from oracles import brute_force_contains, lambda_j, search_points
+from oracles import (
+    brute_force_contains,
+    lambda_j,
+    search_points,
+    validate_containment_witness,
+    validate_noncontainment_certificate,
+)
 
 
 def _report(name: str, ok: bool):

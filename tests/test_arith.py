@@ -15,11 +15,16 @@ from mwglue.arith import (
     is_prime,
     square_class,
     subgroup_contains,
+)
+
+from oracles import (
+    brute_force_contains,
+    naive_square_class,
+    trial_factor,
+    trial_is_prime,
     validate_containment_witness,
     validate_noncontainment_certificate,
 )
-
-from oracles import brute_force_contains, naive_square_class, trial_factor, trial_is_prime
 
 nonzero_fractions = st.fractions(
     min_value=-10**6, max_value=10**6, max_denominator=10**4
@@ -159,6 +164,16 @@ class TestFactorAgainstSympy:
     def test_products_of_prime_powers(self, sympy, a, b, i, j, c):
         n = sympy.nextprime(a) ** i * sympy.nextprime(b) ** j * c
         assert factor(n) == sympy.factorint(n)
+
+    def test_probable_prime_above_psi13_raises_on_every_call(self, sympy):
+        # is_prime and square_class are cached; a refusal must not be
+        p = sympy.nextprime(3_317_044_064_679_887_385_961_981)
+        for _ in range(2):
+            with pytest.raises(FactorizationError, match="psi_13"):
+                is_prime(p)
+        for _ in range(2):
+            with pytest.raises(FactorizationError, match="psi_13"):
+                square_class(Fraction(5, 2 * p))
 
 
 class TestSquareClass:

@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,8 @@ from mwglue.fixtures import EXAMPLE_E, EXAMPLE_F, EXAMPLE_POINT, EXAMPLE_PSI
 from mwglue.glue import GluingData
 
 from oracles import trial_is_prime
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _write(tmp_path, name, payload):
@@ -116,10 +122,8 @@ class TestFamilyCommand:
         assert "bound exhausted" in capsys.readouterr().out
 
     def test_json_report_revalidates(self, capsys):
-        from mwglue.arith import (
-            SquareClassTriple,
-            validate_noncontainment_certificate,
-        )
+        from mwglue.arith import SquareClassTriple
+        from oracles import validate_noncontainment_certificate
         from mwglue.arith import coordinate_from_json
 
         assert main(
@@ -379,6 +383,23 @@ class TestPointCommands:
         else:
             assert code == 3
             assert err == f"error: not a rational number: {json.dumps(value, ensure_ascii=False)}\n"
+
+    def test_long_refused_value_gives_a_short_message(self, tmp_path):
+        # nested just below the decoder's limit in a fresh interpreter, so
+        # the JSON reads and the refused value quotes to about 1,950 characters
+        depth = 960
+        curve = tmp_path / "curve.json"
+        curve.write_text('{"f": [' + "[" * depth + "]" * depth + ", 6, 5]}")
+        env = dict(os.environ, PYTHONIOENCODING="utf-8")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+        run = subprocess.run(
+            [sys.executable, "-m", "mwglue.cli", "jinv", "--curve", str(curve)],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert run.returncode == 3
+        err = run.stderr.decode("utf-8")
+        assert err.startswith("error: not a rational number: [[[")
+        assert err.count("\n") == 1 and err.endswith("…\n") and len(err) < 200
 
     def test_deeply_nested_json_is_input_error(self, tmp_path, capsys):
         depth = 100_000

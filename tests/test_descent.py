@@ -350,7 +350,7 @@ class TestSurjectivityObstruction:
         assert not brute_force_contains(list(res.span), res.target)
 
     def test_not_contained_certificate_revalidates(self):
-        from mwglue.arith import validate_noncontainment_certificate
+        from oracles import validate_noncontainment_certificate
 
         inst = build_instance(1129)
         g = gluing_for_instance(inst, FAMILY_F)

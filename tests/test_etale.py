@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -51,6 +52,11 @@ class TestFactorization:
         assert degrees(SPLIT) == (1, 1, 1)
         assert tuple(-m[0] for m in SPLIT.components) == (0, -12, 10)
 
+    def test_any_order_of_the_roots(self):
+        for order in itertools.permutations([0, -12, 10]):
+            algebra = CubicEtaleAlgebra.from_cubic(SPLIT.f, root_order=order)
+            assert algebra.components == tuple(P.poly([-r, 1]) for r in order)
+
     def test_mixed_pattern(self):
         # one rational root: its linear factor, then the quadratic quotient
         assert MIXED.components == (P.poly([1, 1]), P.poly([1, -1, 1]))
@@ -74,7 +80,14 @@ class TestFactorization:
         with pytest.raises(ValueError, match="needs a fully split cubic"):
             CubicEtaleAlgebra.from_cubic(MIXED.f, root_order=[-1, -1, -1])
 
-    @pytest.mark.parametrize("order", [[0, -12], [0, -12, 11], [0, 0, -12], [0, -12, 10, 10]])
+    @pytest.mark.parametrize("order", [
+        [0, -12],  # too short
+        [0, -12, 11],  # 11 is not a root
+        [0, 0, -12],  # a repeated root
+        [0, -12, 10, 10],  # too long
+        [10, 10, 10],  # one root three times
+        [Fraction(1, 2), -12, 10],  # 1/2 is not a root
+    ])
     def test_root_order_must_list_the_roots(self, order):
         with pytest.raises(ValueError, match="must list the three roots"):
             CubicEtaleAlgebra.from_cubic(SPLIT.f, root_order=order)

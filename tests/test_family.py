@@ -288,6 +288,42 @@ class TestRunFamily:
         assert len(built) == 1 + 3
         assert built.count(FAMILY_F.f_poly()) == 1
 
+    def test_each_quantity_computed_once(self, monkeypatch):
+        # roots of F are found once per run whatever the count, and
+        # square_class factors each distinct rational once: its numerator
+        # and denominator; check (e) factors one j denominator per instance
+        import mwglue.arith as A
+        import mwglue.etale as Et
+        import mwglue.family as Fam
+        import mwglue.poly as P
+
+        calls = {"factor": 0, "roots": 0}
+        rationals, square_class = set(), A.square_class
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        def recorded(q):
+            rationals.add(q)
+            return square_class(q)
+
+        monkeypatch.setattr(A, "factor", counted("factor", A.factor))
+        monkeypatch.setattr(Fam, "factor", counted("factor", Fam.factor))
+        monkeypatch.setattr(A, "square_class", recorded)
+        monkeypatch.setattr(Et, "square_class", recorded)
+        monkeypatch.setattr(P, "rational_roots_monic", counted("roots", P.rational_roots_monic))
+        roots = []
+        for count in (1, 5):
+            calls.update(factor=0, roots=0)
+            rationals.clear()
+            assert run_family(_params(count=count)).all_passed
+            roots.append(calls["roots"])
+        assert roots[0] == roots[1]
+        assert calls["factor"] <= 2 * len(rationals) + 5
+
     def test_gluing_rejects_a_foreign_algebra(self):
         inst = build_instance(229)
         other = build_instance(1129)

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -119,6 +119,59 @@ class TestRationalRootsMonic:
     def test_rejects_all_but_monic_cubics_and_quartics(self, f):
         with pytest.raises(ValueError):
             P.rational_roots_monic(P.poly(f))
+
+
+def _lcm_scaled_roots(f) -> list[Fraction]:
+    """The rational roots of a monic f found after scaling x = t / m by the
+    lcm m of all its coefficient denominators."""
+    d = P.degree(f)
+    m = lcm(*(c.denominator for c in f))
+    return sorted(Fraction(t, m) for t in P.integer_roots([int(c * m ** (d - i)) for i, c in enumerate(f)]))
+
+
+class TestRootScaling:
+    @given(
+        st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=40), min_size=1, max_size=4),
+        st.lists(small_fractions, min_size=3, max_size=3),
+        st.sampled_from([3, 4]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_monic_cubics_and_quartics_match_lcm_scaling(self, roots, cofactor, d):
+        # (x - r_1) ... (x - r_k) times a random monic cofactor of degree d - k
+        roots = roots[:d]
+        f = P.poly([*cofactor[: d - len(roots)], 1])
+        for r in roots:
+            f = P.mul(f, P.poly([-r, 1]))
+        assume(P.is_squarefree(f))
+        found = P.rational_roots_monic(f)
+        assert found == _lcm_scaled_roots(f)
+        assert set(roots) <= set(found)
+
+    def test_quartic_of_a_large_multiple_matches_lcm_scaling(self, monkeypatch):
+        # membership of 200.(-2, 1) on the example gluing reads a square root
+        # off a quartic whose coefficient denominators have thousands of bits
+        from mwglue.descent import IN_IMAGE, membership
+        from mwglue.ellcurve import INFINITY
+        from mwglue.fixtures import EXAMPLE_E, EXAMPLE_F, EXAMPLE_POINT, EXAMPLE_PSI
+        from mwglue.glue import GluingData
+
+        seen, original = [], P.rational_roots_monic
+        monkeypatch.setattr(P, "rational_roots_monic", lambda f: seen.append(f) or original(f))
+        gluing = GluingData.build(EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI)
+        pt = EXAMPLE_E.mul(200, EXAMPLE_POINT)
+        assert membership(gluing, pt, INFINITY).verdict == IN_IMAGE
+        quartics = [f for f in seen if P.degree(f) == 4]
+        assert quartics and max(c.denominator for c in quartics[-1]).bit_length() > 9000
+        for f in quartics:
+            assert original(f) == _lcm_scaled_roots(f)
+
+
+class TestModPoly:
+    @given(st.lists(small_fractions, max_size=6), small_fractions, small_fractions.filter(bool))
+    @settings(max_examples=150, deadline=None)
+    def test_linear_modulus_matches_long_division(self, coeffs, c0, c1):
+        p, m = P.poly(coeffs), P.poly([c0, c1])
+        assert P.mod_poly(p, m) == P.divmod_poly(p, m)[1]
 
 
 class TestLiftRoot:
