@@ -46,7 +46,7 @@ class FamilyParams(Record):
             raise InvalidFamilyParams("the search bound must be at least 3")
         if self.count < 1:
             raise InvalidFamilyParams("the instance count must be positive")
-        if len(self.F_roots) != 3:
+        if not self.F_algebra.is_split:
             raise InvalidFamilyParams("F needs three rational points of order 2")
         for g in self.F_generators:
             if not self.F.contains(g):
@@ -62,11 +62,6 @@ class FamilyParams(Record):
         """Q[x]/(f_F), built once per parameter set and shared by every
         instance."""
         return CubicEtaleAlgebra.from_cubic(self.F.f_poly())
-
-    @cached_property
-    def F_roots(self) -> tuple:
-        """x-coordinates of F's rational 2-torsion points, in increasing order."""
-        return tuple(pt.x for pt in self.F.two_torsion())
 
     @cached_property
     def generator_occurring_primes(self) -> frozenset[int]:
@@ -171,16 +166,17 @@ def build_instance(p: int) -> FamilyInstance:
 
 
 def gluing_for_instance(
-    inst: FamilyInstance, F: EllipticCurve, F_algebra: CubicEtaleAlgebra | None = None,
-    F_roots: tuple | None = None,
+    inst: FamilyInstance, F: EllipticCurve, F_algebra: CubicEtaleAlgebra | None = None
 ) -> GluingData:
     """Glue the instance curve to F, matching the marked 2-torsion points of
-    the instance to F's 2-torsion points in increasing x order.  The gluing
-    reuses the instance's algebra, and F_algebra and F_roots when given."""
+    the instance to F's 2-torsion points in increasing x order, read off the
+    components x - r of F's algebra.  The gluing reuses the instance's
+    algebra, and F_algebra when it is given."""
     e_roots = (0, -inst.p - 1, inst.p - 1)
-    f_roots = F_roots if F_roots is not None else [pt.x for pt in F.two_torsion()]
+    Lp = F_algebra or CubicEtaleAlgebra.from_cubic(F.f_poly())
+    f_roots = sorted(-m[0] for m in Lp.components)
     psi = TwoTorsionIdentification.from_matching(zip(e_roots, f_roots))
-    return GluingData.build(inst.curve, F, psi, L=inst.algebra, Lprime=F_algebra)
+    return GluingData.build(inst.curve, F, psi, L=inst.algebra, Lprime=Lp)
 
 
 class CheckResult(Record):
@@ -259,7 +255,7 @@ def verify_instance(inst: FamilyInstance, params: FamilyParams) -> InstanceRepor
     # (d) the marked point escapes torsion plus the pushforward image
     obstruction = None
     try:
-        gluing = gluing_for_instance(inst, params.F, params.F_algebra, params.F_roots)
+        gluing = gluing_for_instance(inst, params.F, params.F_algebra)
         obstruction = surjectivity_obstruction(
             gluing, inst.P, params.F_generators, torsion.generators
         )

@@ -71,14 +71,12 @@ def is_geometric_restriction(E: EllipticCurve, F: EllipticCurve, psi) -> bool:
 
 
 def validate_identification(
-    E: EllipticCurve, F: EllipticCurve, psi: TwoTorsionIdentification,
-    L: CubicEtaleAlgebra | None = None,
+    E: EllipticCurve, F: EllipticCurve, psi: TwoTorsionIdentification, L: CubicEtaleAlgebra
 ) -> tuple[str, ...]:
     """Check root mapping, bijectivity on 2-torsion, and non-geometricity;
     the violations found, none when psi is valid.  By CRT, g(h) = 0 mod f when
-    g(h mod m) = 0 mod m at each component m of E's algebra L (built if None)."""
-    f, g = E.f_poly(), F.f_poly()
-    L = _algebra(f, L)
+    g(h mod m) = 0 mod m at each component m of L, the algebra Q[x]/(f) of E."""
+    g = F.f_poly()
     hs = L.element(psi.h).residues
     bad = []
     if any(P.mod_poly(P.compose(g, r), m) for m, r in zip(L.components, hs)):
@@ -118,11 +116,11 @@ class GluingData(Record):
         """Validate psi and build the algebras of E and F.  A caller that
         already has one of them passes it as L or Lprime, in any component
         order: algebra_map pairs components through h."""
-        L = _algebra(E.f_poly(), L)
+        L, Lprime = _algebra(E.f_poly(), L), _algebra(F.f_poly(), Lprime)
         violations = validate_identification(E, F, psi, L)
         if violations:
             raise GluingError(violations)
-        return cls(E, F, psi, L, _algebra(F.f_poly(), Lprime))
+        return cls(E, F, psi, L, Lprime)
 
     @property
     def is_split(self) -> bool:

@@ -5,7 +5,7 @@ import pytest
 
 import mwglue.poly as P
 from mwglue.ellcurve import EllipticCurve
-from mwglue.etale import algebra_map
+from mwglue.etale import CubicEtaleAlgebra, algebra_map
 from mwglue.family import curve_for_prime
 from mwglue.fixtures import (
     COVER_TO_E,
@@ -40,33 +40,37 @@ def _family_pairs(p):
     return list(zip(e_roots, f_roots))
 
 
+def _L(E):
+    return CubicEtaleAlgebra.from_cubic(E.f_poly())
+
+
 def _family_matching(p):
     return TwoTorsionIdentification.from_matching(_family_pairs(p))
 
 
 class TestValidateIdentification:
     def test_example_data_ok(self):
-        assert validate_identification(EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI) == ()
+        assert validate_identification(EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI, _L(EXAMPLE_E)) == ()
 
     def test_family_matching_ok(self):
-        psi = _family_matching(229)
-        assert validate_identification(curve_for_prime(229), FAMILY_F, psi) == ()
+        psi, E = _family_matching(229), curve_for_prime(229)
+        assert validate_identification(E, FAMILY_F, psi, _L(E)) == ()
 
     def test_identity_map_rejected_as_geometric(self):
         psi = TwoTorsionIdentification(P.poly([0, 1]))
-        assert GEOMETRIC in validate_identification(EXAMPLE_E, EXAMPLE_E, psi)
+        assert GEOMETRIC in validate_identification(EXAMPLE_E, EXAMPLE_E, psi, _L(EXAMPLE_E))
         with pytest.raises(GluingError):
             GluingData.build(EXAMPLE_E, EXAMPLE_E, psi)
 
     def test_unmapped_roots_rejected(self):
         psi = TwoTorsionIdentification(P.poly([1, 1]))
-        assert validate_identification(EXAMPLE_E, EXAMPLE_F, psi) == (ROOTS_NOT_MAPPED,)
+        assert validate_identification(EXAMPLE_E, EXAMPLE_F, psi, _L(EXAMPLE_E)) == (ROOTS_NOT_MAPPED,)
 
     def test_collapsing_map_rejected(self):
         # constant h = 0 sends every root of f to the root 0 of g
         e3 = curve_for_prime(3)
         psi = TwoTorsionIdentification(P.ZERO)
-        assert validate_identification(e3, FAMILY_F, psi) == (NOT_BIJECTIVE,)
+        assert validate_identification(e3, FAMILY_F, psi, _L(e3)) == (NOT_BIJECTIVE,)
 
     def test_degree_bound_enforced(self):
         with pytest.raises(ValueError):
