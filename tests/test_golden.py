@@ -30,6 +30,10 @@ INPUTS = {
     "split.json": {"f": ["0", "-120", "2"]},
     "split_point.json": {"x": "-1", "y": "11"},
     "klein.json": {"f": ["0", "-8", "2"]},
+    # falsified fixtures: an h that maps no root of f to a root of g, and a
+    # gluing of E to itself by the identity, which is geometric
+    "unmapped.json": {"h": ["1", "1"]},
+    "geometric.json": {"F": {"f": ["1", "6", "5"]}, "h": ["0", "1"]},
 }
 
 MEMBERSHIP = ("membership", "--gluing", "gluing.json", "--Q", "O.json")
@@ -39,6 +43,10 @@ CASES = (
     ("verify_example", ("verify-example",)),
     ("verify_example_json", ("verify-example", "--format", "json")),
     ("verify_example_unknown_json", ("verify-example", "--sq-primes", "2", "--format", "json")),
+    ("verify_example_unmapped", ("verify-example", "--fixtures", "unmapped.json")),
+    ("verify_example_unmapped_json", ("verify-example", "--fixtures", "unmapped.json", "--format", "json")),
+    ("verify_example_geometric", ("verify-example", "--fixtures", "geometric.json")),
+    ("verify_example_geometric_json", ("verify-example", "--fixtures", "geometric.json", "--format", "json")),
     ("membership_1P", (*MEMBERSHIP, "--P", "P1.json")),
     ("membership_1P_json", (*MEMBERSHIP, "--P", "P1.json", "--format", "json")),
     ("membership_2P_json", (*MEMBERSHIP, "--P", "P2.json", "--format", "json")),
