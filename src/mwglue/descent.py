@@ -210,7 +210,7 @@ def surjectivity_obstruction(
     span = [descent_class(gluing.E, gluing.L, t) for t in torsion_generators]
     for g in F_generators:
         span.append(transfer_class(gluing, descent_class(gluing.F, gluing.Lprime, g)))
-    if gluing.is_split:
+    if gluing.L.is_split:
         span, target = tuple(c.triple() for c in span), target.triple()
         decision = subgroup_contains(span, target)
     else:

@@ -413,27 +413,39 @@ class AlgebraSquareClass(Record):
         return {"rep": self.rep.to_json()}
 
 
-def algebra_map(
-    src: CubicEtaleAlgebra, dst: CubicEtaleAlgebra, h, elem: AlgebraElement
-) -> AlgebraElement:
-    """The ring map src -> dst sending the generator of src to h(generator).
+def component_pairing(
+    src: CubicEtaleAlgebra, dst: CubicEtaleAlgebra, h: Poly
+) -> tuple[int, ...] | None:
+    """For each component m of dst, the index of the one component n of src
+    with n(h) = 0 mod m, or None when some m has none.
 
-    Requires the defining cubic of src to vanish on h modulo the cubic of
-    dst, which makes the substitution well defined.  It acts component by
-    component.  src.f(h) is the product of the n(h) over the components n
-    of src, so it vanishes modulo the squarefree dst.f exactly when each
-    component m of dst, which is irreducible, divides some n(h); that n is
-    unique because the n are coprime.  The residue r of elem at n maps to
-    r(h) mod m.
-    """
-    h = P.poly(h)
+    By CRT, h maps the roots of dst.f to roots of src.f (src.f(h), the
+    product of the n(h), vanishes mod dst.f) exactly when each m divides some
+    n(h); n is unique as the n are coprime.  As h(alpha) lies in Q(alpha), n
+    has degree dividing that of m, and the degrees sum to 3 on both sides, so
+    h is one to one on roots exactly when every n is paired."""
+    pairing = []
+    for m in dst.components:
+        hm = P.mod_poly(h, m)
+        found = [i for i, n in enumerate(src.components) if not P.mod_poly(P.compose(n, hm), m)]
+        if not found:
+            return None
+        pairing.append(found[0])
+    return tuple(pairing)
+
+
+def algebra_map(
+    src: CubicEtaleAlgebra, dst: CubicEtaleAlgebra, h: Poly, elem: AlgebraElement
+) -> AlgebraElement:
+    """The ring map src -> dst sending the generator of src to h(generator),
+    defined when component_pairing pairs every component m of dst with some
+    n of src.  The residue r of elem at n maps to r(h mod m) mod m."""
     if elem.algebra != src:
         raise ValueError("the element does not belong to the source algebra")
-    residues = []
-    for m in dst.components:
-        r = next((r for n, r in zip(src.components, elem.residues)
-                  if P.mod_poly(P.compose(n, h), m) == ZERO), None)
-        if r is None:
-            raise ValueError("h does not define a morphism between the algebras")
-        residues.append(P.mod_poly(P.compose(r, h), m))
-    return AlgebraElement(dst, tuple(residues))
+    pairing = component_pairing(src, dst, h)
+    if pairing is None:
+        raise ValueError("h does not define a morphism between the algebras")
+    return AlgebraElement(dst, tuple(
+        P.mod_poly(P.compose(elem.residues[i], P.mod_poly(h, m)), m)
+        for i, m in zip(pairing, dst.components)
+    ))

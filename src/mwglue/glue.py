@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from . import poly as P
 from .ellcurve import EllipticCurve
-from .etale import CubicEtaleAlgebra
-from .poly import ONE, ZERO, Poly
+from .etale import CubicEtaleAlgebra, component_pairing
+from .poly import ZERO, Poly
 from .record import Record
 
 ROOTS_NOT_MAPPED = "roots_not_mapped"
@@ -50,16 +50,6 @@ class TwoTorsionIdentification(Record):
         return [str(c) for c in self.h]
 
 
-def _is_unit_transform(L: CubicEtaleAlgebra, h_residues) -> bool:
-    """Whether 1, h, h^2 span L, the product of its components, i.e. x -> h(x)
-    is an algebra map onto: their stacked residue coordinates have det != 0."""
-    rows = []
-    for m, r in zip(L.components, h_residues):
-        powers = (ONE, r, P.mod_poly(P.mul(r, r), m))
-        rows += ([c[i] if i < len(c) else Fraction(0) for c in powers] for i in range(P.degree(m)))
-    return P.det(rows) != 0
-
-
 def is_geometric_restriction(E: EllipticCurve, F: EllipticCurve, psi) -> bool:
     """Whether the identification extends to a geometric curve isomorphism.
 
@@ -71,21 +61,18 @@ def is_geometric_restriction(E: EllipticCurve, F: EllipticCurve, psi) -> bool:
 
 
 def validate_identification(
-    E: EllipticCurve, F: EllipticCurve, psi: TwoTorsionIdentification, L: CubicEtaleAlgebra
+    E: EllipticCurve, F: EllipticCurve, psi: TwoTorsionIdentification,
+    L: CubicEtaleAlgebra, Lprime: CubicEtaleAlgebra,
 ) -> tuple[str, ...]:
     """Check root mapping, bijectivity on 2-torsion, and non-geometricity;
-    the violations found, none when psi is valid.  By CRT, g(h) = 0 mod f when
-    g(h mod m) = 0 mod m at each component m of L, the algebra Q[x]/(f) of E."""
-    g = F.f_poly()
-    hs = L.element(psi.h).residues
-    bad = []
-    if any(P.mod_poly(P.compose(g, r), m) for m, r in zip(L.components, hs)):
-        bad.append(ROOTS_NOT_MAPPED)
-    elif not _is_unit_transform(L, hs):
-        bad.append(NOT_BIJECTIVE)
-    elif is_geometric_restriction(E, F, psi):
-        bad.append(GEOMETRIC)
-    return tuple(bad)
+    the violations found, none when psi is valid.  The first two are read off
+    etale.component_pairing of Lprime and L, the algebras of F and E."""
+    pairing = component_pairing(Lprime, L, psi.h)
+    if pairing is None:
+        return (ROOTS_NOT_MAPPED,)
+    if len(set(pairing)) < len(Lprime.components):
+        return (NOT_BIJECTIVE,)
+    return (GEOMETRIC,) if is_geometric_restriction(E, F, psi) else ()
 
 
 def _algebra(f: Poly, given: CubicEtaleAlgebra | None) -> CubicEtaleAlgebra:
@@ -115,16 +102,12 @@ class GluingData(Record):
     ) -> "GluingData":
         """Validate psi and build the algebras of E and F.  A caller that
         already has one of them passes it as L or Lprime, in any component
-        order: algebra_map pairs components through h."""
+        order: components are paired through h (etale.component_pairing)."""
         L, Lprime = _algebra(E.f_poly(), L), _algebra(F.f_poly(), Lprime)
-        violations = validate_identification(E, F, psi, L)
+        violations = validate_identification(E, F, psi, L, Lprime)
         if violations:
             raise GluingError(violations)
         return cls(E, F, psi, L, Lprime)
-
-    @property
-    def is_split(self) -> bool:
-        return self.L.is_split
 
     def to_json(self) -> dict:
         return {"E": self.E.to_json(), "F": self.F.to_json(), "h": self.psi.to_json()}

@@ -8,7 +8,9 @@ oracle divides the intersection cubic by its known roots instead of using
 the slope formulas, j comes from the cross-ratio of the roots, and integer
 roots of cubics come from sign bisection instead of a p-adic lift, and an
 etale algebra element is lifted to Q[x]/(f) by the Chinese remainder theorem
-instead of being mapped component by component.  The point pool the tests
+instead of being mapped component by component, and a gluing's root
+mapping and bijectivity are decided by reducing g(h) mod f and by a
+determinant instead of by pairing components.  The point pool the tests
 draw from is a naive search over small heights.
 """
 
@@ -138,6 +140,26 @@ def crt_lift(elem) -> P.Poly:
         assert g == P.ONE, "components are not coprime"
         acc = P.add(acc, P.mul(r, P.mul(s, others)))
     return P.mod_poly(acc, algebra.f)
+
+
+def identification_violations(E, F, psi, L):
+    """The violations glue.validate_identification reports, decided
+    without pairing components: h maps the roots of f to roots of g when
+    g(h) = 0 mod f, and onto them when 1, h, h^2 span L, i.e. when their
+    stacked residue coordinates in L's components have nonzero determinant."""
+    from mwglue.glue import GEOMETRIC, NOT_BIJECTIVE, ROOTS_NOT_MAPPED, is_geometric_restriction
+
+    if P.mod_poly(P.compose(F.f_poly(), psi.h), E.f_poly()):
+        return (ROOTS_NOT_MAPPED,)
+    rows = []
+    for m, r in zip(L.components, L.element(psi.h).residues):
+        powers = (P.ONE, r, P.mod_poly(P.mul(r, r), m))
+        rows += ([c[i] if i < len(c) else Fraction(0) for c in powers] for i in range(P.degree(m)))
+    if P.det(rows) == 0:
+        return (NOT_BIJECTIVE,)
+    if is_geometric_restriction(E, F, psi):
+        return (GEOMETRIC,)
+    return ()
 
 
 def chord_tangent_sum(curve, a, b):

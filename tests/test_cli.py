@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import mwglue.poly as P
 from mwglue.cli import MAX_FAMILY_COUNT, MAX_SQ_PRIMES, main
 from mwglue.descent import descent_class
 from mwglue.etale import CubicEtaleAlgebra, NonSquareCertificate
@@ -56,6 +57,30 @@ class TestVerifyExample:
             tmp_path, "fixtures.json", {"E": {"f": ["1", "6", "4"]}}
         )
         assert main(["verify-example", "--fixtures", fixtures]) == 1
+
+    def test_gluing_validated_once(self, monkeypatch):
+        # the roots-mapped, gluing and membership steps all report from one
+        # validation, which builds F's algebra once
+        import mwglue.example as Ex
+        import mwglue.glue as G
+
+        calls = {"validate": 0, "F_algebra": 0}
+        validate, from_cubic = G.validate_identification, CubicEtaleAlgebra.from_cubic.__func__
+
+        def counted_validate(*args):
+            calls["validate"] += 1
+            return validate(*args)
+
+        def counted_from_cubic(cls, f, root_order=None):
+            calls["F_algebra"] += P.poly(f) == EXAMPLE_F.f_poly()
+            return from_cubic(cls, f, root_order)
+
+        # wherever it is bound by name, so a second caller is counted too
+        for module in (G, Ex):
+            monkeypatch.setattr(module, "validate_identification", counted_validate, raising=False)
+        monkeypatch.setattr(CubicEtaleAlgebra, "from_cubic", classmethod(counted_from_cubic))
+        assert Ex.run_example().exit_code == 0
+        assert calls == {"validate": 1, "F_algebra": 1}
 
     def test_report_written_to_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"

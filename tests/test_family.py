@@ -333,7 +333,7 @@ class TestRunFamily:
     def test_gluing_marks_split(self):
         inst = build_instance(229)
         g = gluing_for_instance(inst, FAMILY_F)
-        assert g.is_split
+        assert g.L.is_split
         assert tuple(-m[0] for m in g.L.components) == (0, -230, 228)
 
     def test_curve_for_prime_equation(self):

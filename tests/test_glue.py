@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -33,6 +35,8 @@ from mwglue.glue import (
     verify_rescaling,
 )
 
+from oracles import identification_violations
+
 
 def _family_pairs(p):
     e_roots = [Fraction(0), Fraction(-p - 1), Fraction(p - 1)]
@@ -50,31 +54,87 @@ def _family_matching(p):
 
 class TestValidateIdentification:
     def test_example_data_ok(self):
-        assert validate_identification(EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI, _L(EXAMPLE_E)) == ()
+        assert validate_identification(EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI, _L(EXAMPLE_E), _L(EXAMPLE_F)) == ()
 
     def test_family_matching_ok(self):
         psi, E = _family_matching(229), curve_for_prime(229)
-        assert validate_identification(E, FAMILY_F, psi, _L(E)) == ()
+        assert validate_identification(E, FAMILY_F, psi, _L(E), _L(FAMILY_F)) == ()
 
     def test_identity_map_rejected_as_geometric(self):
         psi = TwoTorsionIdentification(P.poly([0, 1]))
-        assert GEOMETRIC in validate_identification(EXAMPLE_E, EXAMPLE_E, psi, _L(EXAMPLE_E))
+        assert GEOMETRIC in validate_identification(EXAMPLE_E, EXAMPLE_E, psi, _L(EXAMPLE_E), _L(EXAMPLE_E))
         with pytest.raises(GluingError):
             GluingData.build(EXAMPLE_E, EXAMPLE_E, psi)
 
     def test_unmapped_roots_rejected(self):
         psi = TwoTorsionIdentification(P.poly([1, 1]))
-        assert validate_identification(EXAMPLE_E, EXAMPLE_F, psi, _L(EXAMPLE_E)) == (ROOTS_NOT_MAPPED,)
+        assert validate_identification(EXAMPLE_E, EXAMPLE_F, psi, _L(EXAMPLE_E), _L(EXAMPLE_F)) == (ROOTS_NOT_MAPPED,)
 
     def test_collapsing_map_rejected(self):
         # constant h = 0 sends every root of f to the root 0 of g
         e3 = curve_for_prime(3)
         psi = TwoTorsionIdentification(P.ZERO)
-        assert validate_identification(e3, FAMILY_F, psi, _L(e3)) == (NOT_BIJECTIVE,)
+        assert validate_identification(e3, FAMILY_F, psi, _L(e3), _L(FAMILY_F)) == (NOT_BIJECTIVE,)
 
     def test_degree_bound_enforced(self):
         with pytest.raises(ValueError):
             TwoTorsionIdentification(P.poly([0, 0, 0, 1]))
+
+
+class TestValidateIdentificationDifferential:
+    """validate_identification against oracles.identification_violations,
+    which decides root mapping by g(h) mod f and bijectivity by a
+    determinant instead of by pairing components."""
+
+    @staticmethod
+    def _agree(E, F, h):
+        psi = TwoTorsionIdentification(h)
+        got = validate_identification(E, F, psi, _L(E), _L(F))
+        assert got == identification_violations(E, F, psi, _L(E))
+        return got
+
+    def test_every_map_of_family_roots(self):
+        # the 27 maps from the roots of a family curve to those of F
+        E = curve_for_prime(11)
+        e_roots = [-m[0] for m in _L(E).components]
+        f_roots = [-m[0] for m in _L(FAMILY_F).components]
+        verdicts = Counter()
+        for images in product(f_roots, repeat=3):
+            h = TwoTorsionIdentification.from_matching(zip(e_roots, images)).h
+            verdicts[self._agree(E, FAMILY_F, h)] += 1
+        assert verdicts == {(): 6, (NOT_BIJECTIVE,): 21}
+
+    @pytest.mark.parametrize("h", [[1, 1], [0, 2], [7], [0, 0, 1], [6, 5, 2]])
+    def test_maps_missing_a_root_field_case(self, h):
+        assert self._agree(EXAMPLE_E, EXAMPLE_F, P.poly(h)) == (ROOTS_NOT_MAPPED,)
+
+    def test_map_missing_one_root_split_case(self):
+        # 0 -> -3 and -12 -> 0 are roots of F; 10 -> 5 is not
+        h = P.interpolate([(0, -3), (-12, 0), (10, 5)])
+        assert self._agree(curve_for_prime(11), FAMILY_F, h) == (ROOTS_NOT_MAPPED,)
+
+    @pytest.mark.parametrize("conjugate", [[0, 1], [-4, -4, -1], [-1, 3, 1]])
+    def test_example_h_after_each_conjugate(self, conjugate):
+        # alpha -> -1/sigma(alpha) for the three automorphisms sigma of Q(alpha)
+        h = P.mod_poly(P.compose(EXAMPLE_PSI.h, P.poly(conjugate)), EXAMPLE_E.f_poly())
+        assert self._agree(EXAMPLE_E, EXAMPLE_F, h) == ()
+
+    @pytest.mark.parametrize("h,expected", [
+        ([0, 0, -1], ()),  # permutes -1, -zeta, -zeta^2
+        ([-1], (NOT_BIJECTIVE,)),  # every root to -1
+        ([0, 0, 1], (ROOTS_NOT_MAPPED,)),  # -1 -> 1
+        ([0, 1], (GEOMETRIC,)),
+    ])
+    def test_mixed_algebra(self, h, expected):
+        # y^2 = x^3 + 1, whose algebra is Q x Q(zeta_3)
+        mixed = EllipticCurve(1, 0, 0)
+        assert self._agree(mixed, mixed, P.poly(h)) == expected
+
+    def test_split_to_mixed_collapses(self):
+        # x^3 - x has three rational roots; x^3 + 1 has only -1
+        assert self._agree(EllipticCurve.from_roots(0, 1, -1), EllipticCurve(1, 0, 0), P.poly([-1])) == (
+            NOT_BIJECTIVE,
+        )
 
 
 class TestGeometricRestriction:
@@ -137,14 +197,14 @@ class TestCoverMaps:
 class TestGluingData:
     def test_example_build(self):
         g = GluingData.build(EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI)
-        assert not g.is_split
+        assert not g.L.is_split
         assert g.L.f == EXAMPLE_E.f_poly()
         assert g.Lprime.f == EXAMPLE_F.f_poly()
 
     def test_split_build_orders_roots_increasingly(self):
         psi = _family_matching(11)
         g = GluingData.build(curve_for_prime(11), FAMILY_F, psi)
-        assert g.is_split
+        assert g.L.is_split
         assert tuple(-m[0] for m in g.L.components) == (-12, 0, 10)
         assert tuple(-m[0] for m in g.Lprime.components) == (-3, 0, 1)
 
