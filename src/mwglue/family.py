@@ -108,14 +108,19 @@ def find_primes(params: FamilyParams) -> PrimeSearch:
     return PrimeSearch(tuple(out), True)
 
 
+def family_roots(p: int) -> tuple[int, int, int]:
+    """The roots of the cubic for p, in the order of P1, P2, P3."""
+    return (0, -p - 1, p - 1)
+
+
 def curve_for_prime(p: int) -> EllipticCurve:
-    return EllipticCurve.from_roots(0, -p - 1, p - 1)
+    return EllipticCurve.from_roots(*family_roots(p))
 
 
 class FamilyInstance(Record):
     p: int
     curve: EllipticCurve
-    algebra: CubicEtaleAlgebra  # components ordered by the roots 0, -p-1, p-1
+    algebra: CubicEtaleAlgebra  # components ordered by family_roots(p)
     P: ECPoint
     P1: ECPoint
     P2: ECPoint
@@ -148,17 +153,15 @@ class FamilyInstance(Record):
 def build_instance(p: int) -> FamilyInstance:
     """The curve for p with its marked points and their descent classes.
 
-    Components are ordered by the marked 2-torsion points, i.e. by the roots
-    0, -p-1, p-1 of the cubic.
+    Components are ordered by the marked 2-torsion points P1, P2, P3.
     """
     if p < 3 or not is_prime(p):
         raise InvalidFamilyParams(f"{p} is not an odd prime")
     curve = curve_for_prime(p)
-    algebra = CubicEtaleAlgebra.from_cubic(
-        curve.f_poly(), root_order=[0, -p - 1, p - 1]
-    )
+    roots = family_roots(p)
+    algebra = CubicEtaleAlgebra.from_cubic(curve.f_poly(), root_order=roots)
     marked = ECPoint.affine(-1, p)
-    t1, t2, t3 = (ECPoint.affine(x, 0) for x in (0, -p - 1, p - 1))
+    t1, t2, t3 = (ECPoint.affine(x, 0) for x in roots)
     classes = [
         descent_class(curve, algebra, q).triple() for q in (marked, t1, t2, t3)
     ]
@@ -169,10 +172,10 @@ def gluing_for_instance(
     inst: FamilyInstance, F: EllipticCurve, F_algebra: CubicEtaleAlgebra | None = None
 ) -> GluingData:
     """Glue the instance curve to F, matching the marked 2-torsion points of
-    the instance to F's 2-torsion points in increasing x order, read off the
-    components x - r of F's algebra.  The gluing reuses the instance's
+    the instance to F's 2-torsion points in increasing x order, each read off
+    the components x - r of its algebra.  The gluing reuses the instance's
     algebra, and F_algebra when it is given."""
-    e_roots = (0, -inst.p - 1, inst.p - 1)
+    e_roots = (-m[0] for m in inst.algebra.components)
     Lp = F_algebra or CubicEtaleAlgebra.from_cubic(F.f_poly())
     f_roots = sorted(-m[0] for m in Lp.components)
     psi = TwoTorsionIdentification.from_matching(zip(e_roots, f_roots))
