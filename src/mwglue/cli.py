@@ -79,12 +79,11 @@ def _cmd_family(args) -> int:
     if args.count > MAX_FAMILY_COUNT:
         raise UsageError(f"--count must be at most {MAX_FAMILY_COUNT}")
     if args.F:
-        data = _load_json(args.F)
+        data = fixtures.json_object(_load_json(args.F), ("F", "generators"), "F")
         F = ellcurve.EllipticCurve.from_json(data["F"])
         gens = tuple(ellcurve.ECPoint.from_json(g) for g in data.get("generators", []))
     else:
-        F = fixtures.FAMILY_F
-        gens = ()
+        F, gens = fixtures.FAMILY_F, ()
     params = family.FamilyParams(
         l1=args.l1, l2=args.l2, F=F, F_generators=gens, bound=args.bound, count=args.count
     )

@@ -54,12 +54,21 @@ def example_fixtures() -> dict:
     }
 
 
-def load_example_fixtures(data: dict) -> dict:
-    """Override the built-in example fixtures from a JSON mapping.
+def json_object(data, keys, what: str) -> dict:
+    """data, refused unless it is a JSON object with no key outside keys."""
+    if not isinstance(data, dict):
+        raise ValueError(f"the {what} file must hold a JSON object")
+    for key in data:
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} in the {what} file; known keys: {', '.join(keys)}")
+    return data
 
-    Recognized keys: E, F, h, P, C, C_unscaled, rescale, cover_to_E,
-    cover_to_F.  Missing keys keep their defaults.
-    """
+
+def load_example_fixtures(data) -> dict:
+    """Override the built-in example fixtures from a JSON object; missing
+    keys keep their defaults."""
+    keys = ("E", "F", "h", "P", "C", "C_unscaled", "rescale", "cover_to_E", "cover_to_F")
+    json_object(data, keys, "fixtures")
     fx = example_fixtures()
     if "E" in data:
         fx["E"] = EllipticCurve.from_json(data["E"])

@@ -82,6 +82,19 @@ class TestVerifyExample:
         assert Ex.run_example().exit_code == 0
         assert calls == {"validate": 1, "F_algebra": 1}
 
+    def test_misspelled_fixture_key_refused(self, tmp_path, capsys):
+        # {"E": ...} with this cubic falsifies; {"e": ...} must not verify
+        fixtures = _write(tmp_path, "fixtures.json", {"e": {"f": ["1", "6", "4"]}})
+        assert main(["verify-example", "--fixtures", fixtures]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown key 'e' in the fixtures file")
+        assert err.count("\n") == 1
+
+    def test_fixtures_file_must_hold_an_object(self, tmp_path, capsys):
+        fixtures = _write(tmp_path, "fixtures.json", [])
+        assert main(["verify-example", "--fixtures", fixtures]) == 3
+        assert capsys.readouterr().err == "error: the fixtures file must hold a JSON object\n"
+
     def test_report_written_to_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert main(["verify-example", "--out", str(out)]) == 0
@@ -174,6 +187,26 @@ class TestFamilyCommand:
             },
         )
         assert main(["family", "--l1", "3", "--l2", "5", "--F", f_file]) == 3
+
+    def test_misspelled_f_file_key_refused(self, tmp_path, capsys):
+        # with "generators" this exits 3 as above; "generator" must not drop them
+        f_file = _write(
+            tmp_path,
+            "F.json",
+            {
+                "F": {"f": ["0", "-3", "2"]},
+                "generator": [{"x": "3", "y": "6"}, {"x": "0", "y": "0"}],
+            },
+        )
+        assert main(["family", "--l1", "3", "--l2", "5", "--F", f_file]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown key 'generator' in the F file")
+        assert err.count("\n") == 1
+
+    def test_f_file_must_hold_an_object(self, tmp_path, capsys):
+        f_file = _write(tmp_path, "F.json", [{"f": ["0", "-3", "2"]}])
+        assert main(["family", "--l1", "3", "--l2", "5", "--F", f_file]) == 3
+        assert capsys.readouterr().err == "error: the F file must hold a JSON object\n"
 
     def test_f_file_honest_run(self, tmp_path, capsys):
         f_file = _write(
