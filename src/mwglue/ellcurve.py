@@ -188,10 +188,6 @@ class EllipticCurve(Record):
                 base = self.add(base, base)
         return acc
 
-    def two_torsion(self) -> list[ECPoint]:
-        """The rational points of order 2, in increasing x order."""
-        return [ECPoint.affine(r, 0) for r in P.rational_roots_monic(self.f_poly())]
-
     def integral_model(self) -> tuple["EllipticCurve", int]:
         """(E', u) with E' integral and (x, y) -> (u^2 x, u^3 y) mapping onto it."""
         u = lcm(self.c2.denominator, self.c1.denominator, self.c0.denominator)

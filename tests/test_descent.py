@@ -40,7 +40,10 @@ from mwglue.fixtures import (
 )
 from mwglue.glue import GluingData, TwoTorsionIdentification
 
-from oracles import crt_lift, search_points
+from oracles import bisect_cubic_roots, crt_lift, search_points
+
+# the x-coordinates of the points of order 2 of FAMILY_F: y^2 = x^3 + 2x^2 - 3x
+F_ROOTS = bisect_cubic_roots(2, -3, 0)
 
 FAST = 40
 
@@ -171,7 +174,7 @@ class TestTransferClass:
         assert transfer_class(g, cls).triple() == cls.triple()
 
     def test_verdicts_do_not_depend_on_the_F_side_order(self):
-        # algebra_map pairs components through h, so every order of F's
+        # components are paired through h, so every order of F's
         # roots gives the same verdicts and certificates
         inst = build_instance(229)
         psi = gluing_for_instance(inst, FAMILY_F).psi
@@ -179,7 +182,7 @@ class TestTransferClass:
         points = [inst.curve.mul(n, inst.P) for n in range(1, 5)]
         qs = (INFINITY, ECPoint.affine(3, 6), ECPoint.affine(0, 0))
         outputs = set()
-        for order in permutations(pt.x for pt in FAMILY_F.two_torsion()):
+        for order in permutations(F_ROOTS):
             Lprime = CubicEtaleAlgebra.from_cubic(FAMILY_F.f_poly(), root_order=order)
             g = GluingData.build(inst.curve, FAMILY_F, psi, L=inst.algebra, Lprime=Lprime)
             out = [membership(g, pt, q).to_json() for pt in points for q in qs]
@@ -235,7 +238,7 @@ class TestMembership:
         assert verdict.certificate.p == 13
 
     def test_split_doubles_in_image(self, e3):
-        f_roots = sorted(pt.x for pt in FAMILY_F.two_torsion())
+        f_roots = sorted(F_ROOTS)
         psi = TwoTorsionIdentification.from_matching(zip([0, -4, 2], f_roots))
         g = GluingData.build(e3, FAMILY_F, psi)
         two_r = e3.mul(2, ECPoint.affine(-1, 3))

@@ -40,7 +40,7 @@ from oracles import identification_violations
 
 def _family_pairs(p):
     e_roots = [Fraction(0), Fraction(-p - 1), Fraction(p - 1)]
-    f_roots = sorted(pt.x for pt in FAMILY_F.two_torsion())
+    f_roots = [-m[0] for m in _L(FAMILY_F).components]
     return list(zip(e_roots, f_roots))
 
 
