@@ -77,8 +77,7 @@ def run_example(cert_primes: int = CERT_PRIMES, fixtures: dict | None = None) ->
         "x, -x^2-4x-4 and x^2+3x-1 are roots of f in Q[x]/(f)",
     )
 
-    # E and F are nonsingular, so their algebras build, and the gluing is
-    # validated once: every step below reports from its violations
+    # E and F are nonsingular, so their algebras build; validate the gluing once
     K = CubicEtaleAlgebra.from_cubic(f)
     try:
         gluing, violations = GluingData.build(E, F, psi, L=K), ()

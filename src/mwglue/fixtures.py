@@ -66,28 +66,21 @@ def json_object(data, keys, what: str) -> dict:
 
 def load_example_fixtures(data) -> dict:
     """Override the built-in example fixtures from a JSON object; missing
-    keys keep their defaults."""
-    keys = ("E", "F", "h", "P", "C", "C_unscaled", "rescale", "cover_to_E", "cover_to_F")
-    json_object(data, keys, "fixtures")
+    keys keep their defaults, and the key h sets the fixture psi."""
+    readers = {
+        "E": EllipticCurve.from_json,
+        "F": EllipticCurve.from_json,
+        "h": lambda h: TwoTorsionIdentification(poly([rational(c) for c in h])),
+        "P": ECPoint.from_json,
+        "C": GenusTwoCurve.from_json,
+        "C_unscaled": GenusTwoCurve.from_json,
+        "rescale": rational,
+        "cover_to_E": lambda d: (RationalMap.from_json(d["u"]), RationalMap.from_json(d["v"])),
+    }
+    readers["cover_to_F"] = readers["cover_to_E"]
+    json_object(data, readers, "fixtures")
     fx = example_fixtures()
-    if "E" in data:
-        fx["E"] = EllipticCurve.from_json(data["E"])
-    if "F" in data:
-        fx["F"] = EllipticCurve.from_json(data["F"])
-    if "h" in data:
-        fx["psi"] = TwoTorsionIdentification(poly([rational(c) for c in data["h"]]))
-    if "P" in data:
-        fx["P"] = ECPoint.from_json(data["P"])
-    if "C" in data:
-        fx["C"] = GenusTwoCurve.from_json(data["C"])
-    if "C_unscaled" in data:
-        fx["C_unscaled"] = GenusTwoCurve.from_json(data["C_unscaled"])
-    if "rescale" in data:
-        fx["rescale"] = rational(data["rescale"])
-    for key in ("cover_to_E", "cover_to_F"):
+    for key, read in readers.items():
         if key in data:
-            fx[key] = (
-                RationalMap.from_json(data[key]["u"]),
-                RationalMap.from_json(data[key]["v"]),
-            )
+            fx["psi" if key == "h" else key] = read(data[key])
     return fx

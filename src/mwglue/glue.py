@@ -2,9 +2,11 @@
 
 A 2-torsion identification is stored as the rational polynomial h with
 (alpha, 0) -> (h(alpha), 0); rationality of h is exactly Galois-equivariance
-of the identification.  Construction rejects identifications that extend to
-a geometric isomorphism of the curves.  Genus-2 covers are verified as exact
-polynomial identities; the artifact never derives the genus-2 model itself.
+of the identification.  Validation and class transfer share one pairing of
+the components of E's and F's algebras through h (etale.component_pairing).
+Construction also rejects identifications that extend to a geometric
+isomorphism of the curves.  Genus-2 covers are verified as exact polynomial
+identities; the artifact never derives the genus-2 model itself.
 """
 
 from __future__ import annotations
@@ -64,9 +66,8 @@ def validate_identification(
     E: EllipticCurve, F: EllipticCurve, psi: TwoTorsionIdentification,
     L: CubicEtaleAlgebra, Lprime: CubicEtaleAlgebra,
 ) -> tuple[str, ...]:
-    """Check root mapping, bijectivity on 2-torsion, and non-geometricity;
-    the violations found, none when psi is valid.  The first two are read off
-    etale.component_pairing of Lprime and L, the algebras of F and E."""
+    """Check root mapping, bijectivity on 2-torsion (both read off the
+    pairing of Lprime and L), and non-geometricity; the violations found."""
     pairing = component_pairing(Lprime, L, psi.h)
     if pairing is None:
         return (ROOTS_NOT_MAPPED,)
