@@ -157,7 +157,8 @@ def build_instance(p: int) -> FamilyInstance:
     """
     if p < 3 or not is_prime(p):
         raise InvalidFamilyParams(f"{p} is not an odd prime")
-    curve, roots = curve_for_prime(p), family_roots(p)
+    curve = curve_for_prime(p)
+    roots = family_roots(p)
     algebra = CubicEtaleAlgebra.from_cubic(curve.f_poly(), root_order=roots)
     marked = ECPoint.affine(-1, p)
     t1, t2, t3 = (ECPoint.affine(x, 0) for x in roots)

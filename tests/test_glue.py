@@ -130,7 +130,7 @@ class TestValidateIdentificationDifferential:
         mixed = EllipticCurve(1, 0, 0)
         assert self._agree(mixed, mixed, P.poly(h)) == expected
 
-    def test_mixed_to_split_misses_a_root(self):
+    def test_quadratic_component_onto_a_rational_root(self):
         # h = 1 - (x^2 - x + 1)/3 sends -1 to 0 and both roots of x^2 - x + 1
         # to 1: every component of E's algebra has a partner, F's -3 has none
         h = P.poly([Fraction(2, 3), Fraction(1, 3), Fraction(-1, 3)])
@@ -138,9 +138,8 @@ class TestValidateIdentificationDifferential:
 
     def test_split_to_mixed_collapses(self):
         # x^3 - x has three rational roots; x^3 + 1 has only -1
-        assert self._agree(EllipticCurve.from_roots(0, 1, -1), EllipticCurve(1, 0, 0), P.poly([-1])) == (
-            NOT_BIJECTIVE,
-        )
+        split, mixed = EllipticCurve.from_roots(0, 1, -1), EllipticCurve(1, 0, 0)
+        assert self._agree(split, mixed, P.poly([-1])) == (NOT_BIJECTIVE,)
 
 
 class TestGeometricRestriction:
