@@ -1,4 +1,4 @@
-"""Command-line interface.
+"""Command-line interface: mwglue COMMAND [--flag VALUE | --flag=VALUE]...
 
 Exit codes: 0 verified/answered, 1 falsified, 2 unknown or bounds exhausted,
 3 invalid input.
@@ -6,21 +6,15 @@ Exit codes: 0 verified/answered, 1 falsified, 2 unknown or bounds exhausted,
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
-from fractions import Fraction
+from types import SimpleNamespace
 
 from . import arith, descent, ellcurve, etale, example, family, fixtures, glue, poly
 
 
 class UsageError(Exception):
     pass
-
-
-class Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse would exit(2); we reserve 2 for unknown
-        raise UsageError(message)
 
 
 def _load_json(path: str):
@@ -56,20 +50,8 @@ def _emit(args, payload: dict, human: str):
             fh.write("\n")
 
 
-def _add_common(sp):
-    sp.add_argument("--format", choices=("human", "json"), default="human")
-    sp.add_argument("--out", help="also write the JSON report to this file")
-
-
-def _add_bounds(sp):
-    sp.add_argument("--sq-primes", type=int, default=200, metavar="N",
-                    help="primes scanned by the squareness search")
-
-
 def _cmd_verify_example(args) -> int:
-    overrides = None
-    if args.fixtures:
-        overrides = fixtures.load_example_fixtures(_load_json(args.fixtures))
+    overrides = fixtures.load_example_fixtures(_load_json(args.fixtures)) if args.fixtures else None
     report = example.run_example(_cert_primes(args), fixtures=overrides)
     _emit(args, report.to_json(), example.format_example_report(report))
     return report.exit_code
@@ -118,19 +100,13 @@ def _cmd_membership(args) -> int:
     if verdict.certificate is not None:
         human += f"\ncertificate: {json.dumps(verdict.to_json()['certificate'])}"
     _emit(args, verdict.to_json(), human)
-    if verdict.verdict in (descent.IN_IMAGE, descent.NOT_IN_IMAGE):
-        return 0
-    return 2
-
-
-def _parse_roots(text: str) -> list[Fraction]:
-    return [poly.rational(part.strip()) for part in text.split(",")]
+    return 0 if verdict.verdict in (descent.IN_IMAGE, descent.NOT_IN_IMAGE) else 2
 
 
 def _cmd_descent_class(args) -> int:
     curve = ellcurve.EllipticCurve.from_json(_load_json(args.curve))
     point = ellcurve.ECPoint.from_json(_load_json(args.point))
-    order = _parse_roots(args.roots) if args.roots else None
+    order = [poly.rational(part.strip()) for part in args.roots.split(",")] if args.roots else None
     algebra = etale.CubicEtaleAlgebra.from_cubic(curve.f_poly(), root_order=order)
     cls = descent.descent_class(curve, algebra, point)
     if algebra.is_split:
@@ -162,69 +138,93 @@ def _cmd_torsion(args) -> int:
     return 0
 
 
-def build_parser() -> Parser:
-    parser = Parser(
-        prog="mwglue",
-        description="Exact descent tests for elliptic curves glued into genus-2 Jacobians",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _format(text: str) -> str:
+    if text not in ("human", "json"):
+        raise ValueError("expected human or json")
+    return text
 
-    sp = sub.add_parser("verify-example", help="verify the bundled counterexample end to end")
-    sp.add_argument("--fixtures", help="JSON file overriding the built-in fixtures")
-    _add_bounds(sp)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_verify_example)
 
-    sp = sub.add_parser("family", help="search and verify family instances")
-    sp.add_argument("--l1", type=int, required=True)
-    sp.add_argument("--l2", type=int, required=True)
-    sp.add_argument("--F", help="JSON file with F and its generators")
-    sp.add_argument("--count", type=int, default=5)
-    sp.add_argument("--bound", type=int, default=10**6)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_family)
+# A command maps to (handler, help, flags), a flag to (parser, default, help).
+REQUIRED = object()  # the default of a flag that must be given
+_SQ_PRIMES = {"--sq-primes": (int, 200, "primes scanned by the squareness search")}
+_OUTPUT = {"--format": (_format, "human", "human or json"),
+           "--out": (str, None, "also write the JSON report to this file")}
+_CURVE = {"--curve": (str, REQUIRED, "JSON file with the curve")}
+COMMANDS = {
+    "verify-example": (_cmd_verify_example, "verify the bundled counterexample end to end", {
+        "--fixtures": (str, None, "JSON file overriding the built-in fixtures"), **_SQ_PRIMES, **_OUTPUT}),
+    "family": (_cmd_family, "search and verify family instances", {
+        "--l1": (int, REQUIRED, "first odd prime l1"), "--l2": (int, REQUIRED, "second odd prime l2"),
+        "--F": (str, None, "JSON file with F and its generators"),
+        "--count": (int, 5, "instances to find"), "--bound": (int, 10**6, "largest prime searched"),
+        **_OUTPUT}),
+    "membership": (_cmd_membership, "decide whether a point pair is in the glued image", {
+        "--gluing": (str, REQUIRED, "JSON file with E, F, h"),
+        "--P": (str, REQUIRED, "JSON file with the point on E"),
+        "--Q": (str, REQUIRED, "JSON file with the point on F"), **_SQ_PRIMES, **_OUTPUT}),
+    "descent-class": (_cmd_descent_class, "descent class of a point on its curve", {
+        **_CURVE, "--point": (str, REQUIRED, "JSON file with the point"),
+        "--roots": (str, None, "component order for split cubics, e.g. '0,-12,10'"), **_OUTPUT}),
+    "jinv": (_cmd_jinv, "j-invariant of a curve", {**_CURVE, **_OUTPUT}),
+    "torsion": (_cmd_torsion, "rational torsion subgroup of a curve", {**_CURVE, **_OUTPUT}),
+}
 
-    sp = sub.add_parser("membership", help="decide whether a point pair is in the glued image")
-    sp.add_argument("--gluing", required=True, help="JSON file with E, F, h")
-    sp.add_argument("--P", required=True, help="JSON file with the point on E")
-    sp.add_argument("--Q", required=True, help="JSON file with the point on F")
-    _add_bounds(sp)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_membership)
 
-    sp = sub.add_parser("descent-class", help="descent class of a point on its curve")
-    sp.add_argument("--curve", required=True)
-    sp.add_argument("--point", required=True)
-    sp.add_argument("--roots", help="component order for split cubics, e.g. '0,-12,10'")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_descent_class)
+def _help(command: str | None) -> str:
+    """The command list, or the flags of one command, read from COMMANDS."""
+    if command is None:
+        lines = ["Exact descent tests for elliptic curves glued into genus-2 Jacobians.",
+                 "mwglue COMMAND --help lists the flags of one command.", "", "commands:"]
+        rows = {name: text for name, (_, text, _) in COMMANDS.items()}
+    else:
+        lines = [COMMANDS[command][1], "", "flags:"]
+        rows = {name: text + (" (required)" if default is REQUIRED else
+                              "" if default is None else f" (default {default})")
+                for name, (_, default, text) in COMMANDS[command][2].items()}
+    usage = f"usage: mwglue {command or 'COMMAND'} [--flag VALUE | --flag=VALUE]..."
+    width = max(map(len, rows))
+    return "\n".join([usage, "", *lines, *(f"  {n:<{width}}  {t}" for n, t in rows.items())])
 
-    sp = sub.add_parser("jinv", help="j-invariant of a curve")
-    sp.add_argument("--curve", required=True)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_jinv)
 
-    sp = sub.add_parser("torsion", help="rational torsion subgroup of a curve")
-    sp.add_argument("--curve", required=True)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_torsion)
-
-    return parser
+def parse_args(argv: list[str]):
+    """(handler, args) for argv = COMMAND [--flag VALUE | --flag=VALUE]...,
+    read from COMMANDS; None once -h or --help has printed its help."""
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        print(_help(None))
+        return None
+    if command not in COMMANDS:
+        given = f"unknown command {command!r}" if argv else "no command given"
+        raise UsageError(f"{given}; commands: {', '.join(COMMANDS)}")
+    handler, _, flags = COMMANDS[command]
+    values, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            print(_help(command))
+            return None
+        name, eq, value = token.partition("=")
+        if name not in flags:
+            raise UsageError(f"{command}: unknown flag {token!r}; flags: {', '.join(flags)}")
+        if not eq and (value := next(tokens, None)) is None:
+            raise UsageError(f"{command} {name}: missing value")
+        parse = flags[name][0]
+        try:
+            values[name] = parse(value)  # a repeated flag keeps its last value
+        except ValueError as exc:
+            why = "expected an integer" if parse is int else exc
+            raise UsageError(f"{command} {name}: {why}, got {value!r}") from None
+    missing = [name for name, (_, default, _) in flags.items() if default is REQUIRED and name not in values]
+    if missing:
+        raise UsageError(f"{command}: missing required flags: {', '.join(missing)}")
+    return handler, SimpleNamespace(**{name[2:].replace("-", "_"): values.get(name, default)
+                                       for name, (_, default, _) in flags.items()})
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, KeyError, TypeError, OSError, ArithmeticError, json.JSONDecodeError) as exc:
+        parsed = parse_args(sys.argv[1:] if argv is None else argv)
+        return 0 if parsed is None else parsed[0](parsed[1])
+    except (UsageError, ValueError, KeyError, TypeError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except arith.FactorizationError as exc:

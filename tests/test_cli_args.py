@@ -1,0 +1,185 @@
+"""The command line grammar: COMMAND [--flag VALUE | --flag=VALUE]...,
+read from cli.COMMANDS.  Usage errors exit 3 with one stderr line, -h and
+--help exit 0, and no argv ends in a traceback."""
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import mwglue.cli as cli
+from mwglue.cli import COMMANDS, main
+from mwglue.fixtures import EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI, FAMILY_F, FAMILY_F_GENERATORS
+from mwglue.glue import GluingData
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+FLAGS = sorted({flag for _, _, flags in COMMANDS.values() for flag in flags})
+
+
+def _run(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture
+def curve(tmp_path):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(EXAMPLE_E.to_json()))
+    return str(path)
+
+
+COMMAND_LIST = ", ".join(COMMANDS)
+USAGE_ERRORS = [
+    ([], f"no command given; commands: {COMMAND_LIST}"),
+    (["bogus"], f"unknown command 'bogus'; commands: {COMMAND_LIST}"),
+    (["--curve", "c.json"], f"unknown command '--curve'; commands: {COMMAND_LIST}"),
+    (["jinv", "--bogus", "x"], "jinv: unknown flag '--bogus'; flags: --curve, --format, --out"),
+    (["jinv", "stray"], "jinv: unknown flag 'stray'; flags: --curve, --format, --out"),
+    (["jinv", "--curve"], "jinv --curve: missing value"),
+    (["family", "--l1", "x", "--l2", "5"], "family --l1: expected an integer, got 'x'"),
+    (["family", "--l1=3", "--l2=5", "--count=five"], "family --count: expected an integer, got 'five'"),
+    (["verify-example", "--sq-primes", "1.5"], "verify-example --sq-primes: expected an integer, got '1.5'"),
+    (["jinv", "--curve", "c.json", "--format", "xml"], "jinv --format: expected human or json, got 'xml'"),
+    (["family", "--l1", "3"], "family: missing required flags: --l2"),
+    (["membership", "--sq-primes", "5"], "membership: missing required flags: --gluing, --P, --Q"),
+    # prefix abbreviations are refused
+    (["jinv", "--cur", "c.json"], "jinv: unknown flag '--cur'; flags: --curve, --format, --out"),
+    (["jinv", "--curve", "c.json", "--form=json"],
+     "jinv: unknown flag '--form=json'; flags: --curve, --format, --out"),
+]
+
+
+@pytest.mark.parametrize("argv,message", USAGE_ERRORS,
+                         ids=[" ".join(argv) or "(empty)" for argv, _ in USAGE_ERRORS])
+def test_usage_error_exits_3_with_one_line(argv, message):
+    code, out, err = _run(argv)
+    assert (code, out) == (3, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_top_level_help_lists_every_command(flag):
+    code, out, err = _run([flag])
+    assert (code, err) == (0, "")
+    listed = [line.split()[0] for line in out.split("commands:\n")[1].splitlines()]
+    assert listed == list(COMMANDS)
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_command_help_lists_every_flag(command, flag):
+    code, out, err = _run([command, flag])
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: mwglue {command} ")
+    listed = [line.split()[0] for line in out.split("flags:\n")[1].splitlines()]
+    assert listed == list(COMMANDS[command][2])
+
+
+def test_help_after_flags_ignores_missing_required_ones():
+    code, out, _ = _run(["family", "--l1", "3", "--help"])
+    assert code == 0
+    assert "--l2" in out
+
+
+def test_help_subprocess_reads_sys_argv():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    run = subprocess.run([sys.executable, "-m", "mwglue.cli", "--help"],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert all(f"  {command}  " in run.stdout for command in COMMANDS)
+
+
+@pytest.mark.parametrize("spaced,joined", [
+    (["--format", "json"], ["--format=json"]),
+    (["--format", "json", "--format", "human"], ["--format=json", "--format=human"]),
+])
+def test_equals_form_matches_spaced_form(curve, spaced, joined):
+    assert _run(["jinv", "--curve", curve, *spaced]) == _run(["jinv", f"--curve={curve}", *joined])
+
+
+def test_equals_form_on_integer_flags():
+    spaced = _run(["family", "--l1", "3", "--l2", "5", "--count", "1", "--bound", "1000"])
+    assert spaced[0] == 0
+    assert spaced == _run(["family", "--l1=3", "--l2=5", "--count=1", "--bound=1000"])
+
+
+def test_repeated_flag_keeps_its_last_value(curve):
+    assert _run(["jinv", "--curve", curve, "--format", "json", "--format", "human"]) == (0, "1792\n", "")
+
+
+def test_value_may_start_with_a_dash(tmp_path):
+    # the token after a flag is its value, whatever it looks like: argparse
+    # refused "--roots -12,0,10" as a flag without a value
+    curve, point = tmp_path / "curve.json", tmp_path / "point.json"
+    curve.write_text(json.dumps({"f": ["0", "-120", "2"]}))
+    point.write_text(json.dumps({"x": "-1", "y": "11"}))
+    argv = ["descent-class", "--curve", str(curve), "--point", str(point), "--roots"]
+    assert _run([*argv, "-12,0,10"]) == (0, "(11, -1, -11)\n", "")
+    assert _run(["family", "--l1", "-3", "--l2", "5"]) == (3, "", "error: -3 is not an odd prime\n")
+    message = "error: family --l1: expected an integer, got '--l2'\n"
+    assert _run(["family", "--l1", "--l2", "5"]) == (3, "", message)
+
+
+# The fuzz test draws argv from the table and a few input files: mostly a
+# command with flags of its own and values of the flag's kind, mixed with
+# other flags, help, =-forms and junk.  Every integer it draws is small and
+# --count is capped at 2, so a valid family run builds one or two instances.
+INTS = ["-1", "0", "1", "2", "3", "5", "7", "13", "229"]
+PARSERS = {flag: spec[0] for _, _, flags in COMMANDS.values() for flag, spec in flags.items()}
+JUNK = st.text(st.characters(exclude_characters="/\x00"), max_size=6)
+
+
+@pytest.fixture
+def input_files(tmp_path):
+    files = {
+        "curve.json": EXAMPLE_E.to_json(),
+        "point.json": {"x": "-2", "y": "1"},
+        "origin.json": "O",
+        "gluing.json": GluingData.build(EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI).to_json(),
+        "F.json": {"F": FAMILY_F.to_json(), "generators": [g.to_json() for g in FAMILY_F_GENERATORS]},
+        "tampered.json": {"E": {"f": ["1", "6", "4"]}},
+        "bad.json": [1, 2],
+    }
+    for name, payload in files.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    return [str(tmp_path / name) for name in files]
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzz_argv(data, input_files, tmp_path, monkeypatch):
+    # --out and the junk are relative paths, so every file written lands in tmp_path
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "MAX_FAMILY_COUNT", 2)
+    kinds = {int: INTS, cli._format: ["human", "json"], str: [*input_files, "0,-12,10", ""]}
+    command = data.draw(st.sampled_from([*COMMANDS, None]))
+
+    def value(f):  # every example shares the input files: --out never names one
+        kind = st.sampled_from(["report.json", ""] if f == "--out" else kinds[PARSERS[f]])
+        return st.one_of(*[kind] * 9, JUNK)
+
+    def pair(flags):
+        return st.sampled_from(flags).flatmap(lambda f: st.tuples(st.just(f), value(f)))
+
+    own = pair(list(COMMANDS[command][2]) if command else FLAGS)
+    # no lone input file, which a lone --out before it would overwrite
+    single = st.sampled_from([*COMMANDS, *FLAGS, "-h", "--help", *INTS]) | JUNK
+    noise = st.one_of(pair(FLAGS).map(list), single.map(lambda t: [t]))
+    chunks = data.draw(st.lists(own.map(list) | own.map(lambda fv: ["=".join(fv)]), max_size=5))
+    noise = data.draw(st.one_of(*[st.just([])] * 3, st.lists(noise, max_size=2)))
+    chunks = data.draw(st.permutations(chunks + noise))
+    argv = [command] * (command is not None) + sum(chunks, [])
+    code, _, err = _run(argv)
+    assert code in (0, 1, 2, 3)
+    assert err.count("\n") <= 1 and (err == "" or err.endswith("\n"))

@@ -22,7 +22,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # `dataclasses` imports `inspect` and compiles generated methods for every
 # class at import; mwglue's value classes use `mwglue.record` instead.
-HEAVY = ("dataclasses", "inspect")
+# `argparse` imports `gettext`, and its first parser loads `locale`; the CLI
+# reads its flags from `cli.COMMANDS` instead.
+HEAVY = ("dataclasses", "inspect", "argparse", "gettext", "locale")
 
 BARE = f"""
 import contextlib, io, json, sys, types
@@ -89,7 +91,9 @@ def test_family_runs_no_example_code():
     assert "example" not in ran
 
 
-@pytest.mark.parametrize("command", ["torsion", "jinv", "membership", "family", "verify-example"])
+@pytest.mark.parametrize(
+    "command", ["torsion", "jinv", "membership", "family", "verify-example", "descent-class"]
+)
 def test_commands_load_no_dataclasses_or_inspect(files, command):
     argv = {
         "torsion": ("--curve", files["curve"]),
@@ -97,6 +101,7 @@ def test_commands_load_no_dataclasses_or_inspect(files, command):
         "membership": ("--gluing", files["gluing"], "--P", files["P"], "--Q", files["Q"]),
         "family": ("--l1", "3", "--l2", "5", "--count", "1"),
         "verify-example": (),
+        "descent-class": ("--curve", files["curve"], "--point", files["P"]),
     }[command]
     bare = set(_probe(BARE)["heavy"])
     assert set(_probe(PROBE, command, *argv)["heavy"]) <= bare
