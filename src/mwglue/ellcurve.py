@@ -61,6 +61,8 @@ class ECPoint(Record):
     def from_json(cls, data) -> "ECPoint":
         if data == "O":
             return cls.infinity()
+        if not isinstance(data, dict) or "x" not in data or "y" not in data:
+            raise ValueError('point: expected "O" or an object with the keys x and y')
         return cls.affine(P.rational(data["x"]), P.rational(data["y"]))
 
 
@@ -243,6 +245,10 @@ class EllipticCurve(Record):
 
     @classmethod
     def from_json(cls, data) -> "EllipticCurve":
+        if not isinstance(data, dict):
+            raise ValueError("curve: expected an object with the key f")
+        if not isinstance(data.get("f"), list) or len(data["f"]) != 3:
+            raise ValueError("f: expected a list of 3 rationals")
         c0, c1, c2 = (P.rational(s) for s in data["f"])
         return cls(c0, c1, c2)
 

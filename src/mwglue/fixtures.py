@@ -70,7 +70,7 @@ def load_example_fixtures(data) -> dict:
     readers = {
         "E": EllipticCurve.from_json,
         "F": EllipticCurve.from_json,
-        "h": lambda h: TwoTorsionIdentification(poly([rational(c) for c in h])),
+        "h": TwoTorsionIdentification.from_json,
         "P": ECPoint.from_json,
         "C": GenusTwoCurve.from_json,
         "C_unscaled": GenusTwoCurve.from_json,

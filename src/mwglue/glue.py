@@ -51,20 +51,25 @@ class TwoTorsionIdentification(Record):
     def to_json(self) -> list:
         return [str(c) for c in self.h]
 
+    @classmethod
+    def from_json(cls, data) -> "TwoTorsionIdentification":
+        if not isinstance(data, list):
+            raise ValueError("h: expected a list of rationals")
+        return cls(P.poly([P.rational(c) for c in data]))
 
-def is_geometric_restriction(E: EllipticCurve, F: EllipticCurve, psi) -> bool:
+
+def is_geometric_restriction(psi: TwoTorsionIdentification, L: CubicEtaleAlgebra) -> bool:
     """Whether the identification extends to a geometric curve isomorphism.
 
     On these models any geometric isomorphism acts on x-coordinates by an
     affine map, so psi is geometric exactly when h reduces to degree <= 1
-    modulo f.
+    modulo f, the cubic of E and of its algebra L.
     """
-    return P.degree(P.mod_poly(psi.h, E.f_poly())) <= 1
+    return P.degree(P.mod_poly(psi.h, L.f)) <= 1
 
 
 def validate_identification(
-    E: EllipticCurve, F: EllipticCurve, psi: TwoTorsionIdentification,
-    L: CubicEtaleAlgebra, Lprime: CubicEtaleAlgebra,
+    psi: TwoTorsionIdentification, L: CubicEtaleAlgebra, Lprime: CubicEtaleAlgebra
 ) -> tuple[str, ...]:
     """Check root mapping, bijectivity on 2-torsion (both read off the
     pairing of Lprime and L), and non-geometricity; the violations found."""
@@ -73,7 +78,7 @@ def validate_identification(
         return (ROOTS_NOT_MAPPED,)
     if len(set(pairing)) < len(Lprime.components):
         return (NOT_BIJECTIVE,)
-    return (GEOMETRIC,) if is_geometric_restriction(E, F, psi) else ()
+    return (GEOMETRIC,) if is_geometric_restriction(psi, L) else ()
 
 
 def _algebra(f: Poly, given: CubicEtaleAlgebra | None) -> CubicEtaleAlgebra:
@@ -105,7 +110,7 @@ class GluingData(Record):
         already has one of them passes it as L or Lprime, in any component
         order: components are paired through h (etale.component_pairing)."""
         L, Lprime = _algebra(E.f_poly(), L), _algebra(F.f_poly(), Lprime)
-        violations = validate_identification(E, F, psi, L, Lprime)
+        violations = validate_identification(psi, L, Lprime)
         if violations:
             raise GluingError(violations)
         return cls(E, F, psi, L, Lprime)
@@ -115,10 +120,10 @@ class GluingData(Record):
 
     @classmethod
     def from_json(cls, data) -> "GluingData":
-        E = EllipticCurve.from_json(data["E"])
-        F = EllipticCurve.from_json(data["F"])
-        h = P.poly([P.rational(c) for c in data["h"]])
-        return cls.build(E, F, TwoTorsionIdentification(h))
+        if not isinstance(data, dict) or not all(key in data for key in ("E", "F", "h")):
+            raise ValueError("gluing: expected an object with the keys E, F and h")
+        E, F = EllipticCurve.from_json(data["E"]), EllipticCurve.from_json(data["F"])
+        return cls.build(E, F, TwoTorsionIdentification.from_json(data["h"]))
 
 
 class GenusTwoCurve(Record):

@@ -157,7 +157,7 @@ def identification_violations(E, F, psi, L):
         rows += ([c[i] if i < len(c) else Fraction(0) for c in powers] for i in range(P.degree(m)))
     if P.det(rows) == 0:
         return (NOT_BIJECTIVE,)
-    if is_geometric_restriction(E, F, psi):
+    if is_geometric_restriction(psi, L):
         return (GEOMETRIC,)
     return ()
 

@@ -330,6 +330,43 @@ class TestMembershipCommand:
         assert cert.validate(gluing.L, diff.rep)
 
 
+E_JSON, F_JSON = EXAMPLE_E.to_json(), EXAMPLE_F.to_json()
+POINT_ERROR = 'point: expected "O" or an object with the keys x and y'
+GLUING_ERROR = "gluing: expected an object with the keys E, F and h"
+SHAPE_ERRORS = [
+    ("curve", [1, 2], "curve: expected an object with the key f"),
+    ("curve", None, "curve: expected an object with the key f"),
+    ("curve", {"f": [1, 2]}, "f: expected a list of 3 rationals"),
+    ("curve", {"f": "1, 6, 5"}, "f: expected a list of 3 rationals"),
+    ("curve", {"g": [1, 6, 5]}, "f: expected a list of 3 rationals"),
+    ("point", [-2, 1], POINT_ERROR),
+    ("point", {"x": "-2"}, POINT_ERROR),
+    ("point", None, POINT_ERROR),
+    ("gluing", [E_JSON, F_JSON, ["6", "5", "1"]], GLUING_ERROR),
+    ("gluing", {"E": E_JSON, "F": F_JSON}, GLUING_ERROR),
+    ("gluing", {"E": E_JSON, "F": F_JSON, "h": "x^2 + 5x + 6"}, "h: expected a list of rationals"),
+    ("gluing", {"E": E_JSON, "F": {"f": None}, "h": ["6", "5", "1"]}, "f: expected a list of 3 rationals"),
+    ("fixtures", {"h": {"x": "1"}}, "h: expected a list of rationals"),
+    ("fixtures", {"P": {"y": "1"}}, POINT_ERROR),
+]
+
+
+@pytest.mark.parametrize("kind,payload,message", SHAPE_ERRORS,
+                         ids=[f"{kind}-{json.dumps(payload)}" for kind, payload, _ in SHAPE_ERRORS])
+def test_shape_error_names_the_field(tmp_path, capsys, kind, payload, message):
+    bad = _write(tmp_path, f"{kind}.json", payload)
+    curve = _write(tmp_path, "E.json", E_JSON)
+    point = _write(tmp_path, "P.json", {"x": "-2", "y": "1"})
+    argv = {
+        "curve": ["jinv", "--curve", bad],
+        "point": ["descent-class", "--curve", curve, "--point", bad],
+        "gluing": ["membership", "--gluing", bad, "--P", point, "--Q", point],
+        "fixtures": ["verify-example", "--fixtures", bad],
+    }[kind]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestPointCommands:
     def test_descent_class_marked_order(self, tmp_path, capsys):
         curve = _write(tmp_path, "curve.json", {"f": ["0", "-120", "2"]})

@@ -54,27 +54,27 @@ def _family_matching(p):
 
 class TestValidateIdentification:
     def test_example_data_ok(self):
-        assert validate_identification(EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI, _L(EXAMPLE_E), _L(EXAMPLE_F)) == ()
+        assert validate_identification(EXAMPLE_PSI, _L(EXAMPLE_E), _L(EXAMPLE_F)) == ()
 
     def test_family_matching_ok(self):
         psi, E = _family_matching(229), curve_for_prime(229)
-        assert validate_identification(E, FAMILY_F, psi, _L(E), _L(FAMILY_F)) == ()
+        assert validate_identification(psi, _L(E), _L(FAMILY_F)) == ()
 
     def test_identity_map_rejected_as_geometric(self):
         psi = TwoTorsionIdentification(P.poly([0, 1]))
-        assert GEOMETRIC in validate_identification(EXAMPLE_E, EXAMPLE_E, psi, _L(EXAMPLE_E), _L(EXAMPLE_E))
+        assert GEOMETRIC in validate_identification(psi, _L(EXAMPLE_E), _L(EXAMPLE_E))
         with pytest.raises(GluingError):
             GluingData.build(EXAMPLE_E, EXAMPLE_E, psi)
 
     def test_unmapped_roots_rejected(self):
         psi = TwoTorsionIdentification(P.poly([1, 1]))
-        assert validate_identification(EXAMPLE_E, EXAMPLE_F, psi, _L(EXAMPLE_E), _L(EXAMPLE_F)) == (ROOTS_NOT_MAPPED,)
+        assert validate_identification(psi, _L(EXAMPLE_E), _L(EXAMPLE_F)) == (ROOTS_NOT_MAPPED,)
 
     def test_collapsing_map_rejected(self):
         # constant h = 0 sends every root of f to the root 0 of g
         e3 = curve_for_prime(3)
         psi = TwoTorsionIdentification(P.ZERO)
-        assert validate_identification(e3, FAMILY_F, psi, _L(e3), _L(FAMILY_F)) == (NOT_BIJECTIVE,)
+        assert validate_identification(psi, _L(e3), _L(FAMILY_F)) == (NOT_BIJECTIVE,)
 
     def test_degree_bound_enforced(self):
         with pytest.raises(ValueError):
@@ -89,7 +89,7 @@ class TestValidateIdentificationDifferential:
     @staticmethod
     def _agree(E, F, h):
         psi = TwoTorsionIdentification(h)
-        got = validate_identification(E, F, psi, _L(E), _L(F))
+        got = validate_identification(psi, _L(E), _L(F))
         assert got == identification_violations(E, F, psi, _L(E))
         return got
 
@@ -145,24 +145,23 @@ class TestValidateIdentificationDifferential:
 class TestGeometricRestriction:
     def test_identity_is_geometric(self):
         psi = TwoTorsionIdentification(P.poly([0, 1]))
-        assert is_geometric_restriction(EXAMPLE_E, EXAMPLE_E, psi)
+        assert is_geometric_restriction(psi, _L(EXAMPLE_E))
 
     def test_example_h_is_not(self):
-        assert not is_geometric_restriction(EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI)
+        assert not is_geometric_restriction(EXAMPLE_PSI, _L(EXAMPLE_E))
 
     def test_affine_on_two_points_only(self):
         # interpolating through a matching that no affine map satisfies
         psi = _family_matching(3)
         assert P.degree(psi.h) == 2
-        assert not is_geometric_restriction(curve_for_prime(3), FAMILY_F, psi)
+        assert not is_geometric_restriction(psi, _L(curve_for_prime(3)))
 
     def test_affine_matching_detected(self):
         # E: roots 0, 1, 2 and F: roots 5, 7, 9 match by x -> 2x + 5
         e = EllipticCurve.from_roots(0, 1, 2)
-        f = EllipticCurve.from_roots(5, 7, 9)
         psi = TwoTorsionIdentification.from_matching([(0, 5), (1, 7), (2, 9)])
         assert P.degree(psi.h) == 1
-        assert is_geometric_restriction(e, f, psi)
+        assert is_geometric_restriction(psi, _L(e))
 
 
 class TestCoverMaps:
