@@ -7,6 +7,7 @@ Exit codes: 0 verified/answered, 1 falsified, 2 unknown or bounds exhausted,
 from __future__ import annotations
 
 import json
+import os
 import sys
 from types import SimpleNamespace
 
@@ -39,31 +40,40 @@ def _cert_primes(args) -> int:
     return args.sq_primes
 
 
+def _print(text: str):
+    """Print to stdout; a reader closing it early ends the output, not the command."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # Python flushes stdout again at exit: see "Note on SIGPIPE" in `signal`
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _emit(args, payload: dict, human: str):
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print(human)
+    # the file first, so that a reader closing stdout early does not lose it
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
+    _print(json.dumps(payload, indent=2) if args.format == "json" else human)
 
 
-def _cmd_verify_example(args) -> int:
+def _cmd_verify_example(args) -> tuple[dict, str, int]:
     overrides = fixtures.load_example_fixtures(_load_json(args.fixtures)) if args.fixtures else None
     report = example.run_example(_cert_primes(args), fixtures=overrides)
-    _emit(args, report.to_json(), example.format_example_report(report))
-    return report.exit_code
+    return report.to_json(), example.format_example_report(report), report.exit_code
 
 
-def _cmd_family(args) -> int:
+def _cmd_family(args) -> tuple[dict, str, int]:
     if args.count > MAX_FAMILY_COUNT:
         raise UsageError(f"--count must be at most {MAX_FAMILY_COUNT}")
     if args.F:
         data = fixtures.json_object(_load_json(args.F), ("F", "generators"), "F")
-        F = ellcurve.EllipticCurve.from_json(data["F"])
-        gens = tuple(ellcurve.ECPoint.from_json(g) for g in data.get("generators", []))
+        F = ellcurve.EllipticCurve.from_json(data.get("F"), "F")
+        gens = data.get("generators", [])
+        if not isinstance(gens, list):
+            raise ValueError("generators: expected a list of points")
+        gens = tuple(ellcurve.ECPoint.from_json(g, f"generators[{i}]") for i, g in enumerate(gens))
     else:
         F, gens = fixtures.FAMILY_F, ()
     params = family.FamilyParams(
@@ -87,11 +97,10 @@ def _cmd_family(args) -> int:
             reps = ", ".join(str(c.representative()) for c in trip.components)
             lines.append(f"  class({key}) = ({reps})")
     lines.append(f"j-invariants pairwise distinct: {report.pairwise_distinct_j}")
-    _emit(args, report.to_json(), "\n".join(lines))
-    return report.exit_code
+    return report.to_json(), "\n".join(lines), report.exit_code
 
 
-def _cmd_membership(args) -> int:
+def _cmd_membership(args) -> tuple[dict, str, int]:
     gluing = glue.GluingData.from_json(_load_json(args.gluing))
     pt_e = ellcurve.ECPoint.from_json(_load_json(args.P))
     pt_f = ellcurve.ECPoint.from_json(_load_json(args.Q))
@@ -99,11 +108,10 @@ def _cmd_membership(args) -> int:
     human = f"verdict: {verdict.verdict}"
     if verdict.certificate is not None:
         human += f"\ncertificate: {json.dumps(verdict.to_json()['certificate'])}"
-    _emit(args, verdict.to_json(), human)
-    return 0 if verdict.verdict in (descent.IN_IMAGE, descent.NOT_IN_IMAGE) else 2
+    return verdict.to_json(), human, 0 if verdict.verdict in (descent.IN_IMAGE, descent.NOT_IN_IMAGE) else 2
 
 
-def _cmd_descent_class(args) -> int:
+def _cmd_descent_class(args) -> tuple[dict, str, int]:
     curve = ellcurve.EllipticCurve.from_json(_load_json(args.curve))
     point = ellcurve.ECPoint.from_json(_load_json(args.point))
     order = [poly.rational(part.strip()) for part in args.roots.split(",")] if args.roots else None
@@ -111,31 +119,24 @@ def _cmd_descent_class(args) -> int:
     cls = descent.descent_class(curve, algebra, point)
     if algebra.is_split:
         trip = cls.triple()
-        payload = {"triple": trip.to_json()}
         reps = ", ".join(str(c.representative()) for c in trip.components)
-        human = f"({reps})"
-    else:
-        payload = {"class": cls.to_json()}
-        human = f"class of {cls.rep.to_json()}"
-    _emit(args, payload, human)
-    return 0
+        return {"triple": trip.to_json()}, f"({reps})", 0
+    return {"class": cls.to_json()}, f"class of {cls.rep.to_json()}", 0
 
 
-def _cmd_jinv(args) -> int:
+def _cmd_jinv(args) -> tuple[dict, str, int]:
     curve = ellcurve.EllipticCurve.from_json(_load_json(args.curve))
     j = curve.j_invariant()
-    _emit(args, {"j": str(j)}, str(j))
-    return 0
+    return {"j": str(j)}, str(j), 0
 
 
-def _cmd_torsion(args) -> int:
+def _cmd_torsion(args) -> tuple[dict, str, int]:
     curve = ellcurve.EllipticCurve.from_json(_load_json(args.curve))
     torsion = curve.torsion_subgroup()
     human = f"{torsion.label()} (order {torsion.order})"
     if torsion.generators:
         human += "\ngenerators: " + ", ".join(str(g) for g in torsion.generators)
-    _emit(args, torsion.to_json(), human)
-    return 0
+    return torsion.to_json(), human, 0
 
 
 def _format(text: str) -> str:
@@ -191,7 +192,7 @@ def parse_args(argv: list[str]):
     read from COMMANDS; None once -h or --help has printed its help."""
     command = argv[0] if argv else None
     if command in ("-h", "--help"):
-        print(_help(None))
+        _print(_help(None))
         return None
     if command not in COMMANDS:
         given = f"unknown command {command!r}" if argv else "no command given"
@@ -200,7 +201,7 @@ def parse_args(argv: list[str]):
     values, tokens = {}, iter(argv[1:])
     for token in tokens:
         if token in ("-h", "--help"):
-            print(_help(command))
+            _print(_help(command))
             return None
         name, eq, value = token.partition("=")
         if name not in flags:
@@ -223,7 +224,12 @@ def parse_args(argv: list[str]):
 def main(argv=None) -> int:
     try:
         parsed = parse_args(sys.argv[1:] if argv is None else argv)
-        return 0 if parsed is None else parsed[0](parsed[1])
+        if parsed is None:
+            return 0
+        handler, args = parsed
+        payload, human, code = handler(args)
+        _emit(args, payload, human)
+        return code
     except (UsageError, ValueError, KeyError, TypeError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

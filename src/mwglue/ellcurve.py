@@ -15,8 +15,8 @@ from .arith import is_prime
 from .poly import Poly
 from .record import Record
 
-# Orders of rational torsion points above 2 (Mazur, 1977), in increasing order.
-MAZUR_ORDERS = (3, 4, 5, 6, 7, 8, 9, 10, 12)
+# Orders of rational torsion points above 1 (Mazur, 1977), in increasing order.
+MAZUR_ORDERS = (2, 3, 4, 5, 6, 7, 8, 9, 10, 12)
 # Odd primes of good reduction whose point counts bound the torsion order.
 BOUND_PRIMES = 10
 
@@ -58,11 +58,11 @@ class ECPoint(Record):
         return {"x": str(self.x), "y": str(self.y)}
 
     @classmethod
-    def from_json(cls, data) -> "ECPoint":
+    def from_json(cls, data, path: str = "") -> "ECPoint":
         if data == "O":
             return cls.infinity()
         if not isinstance(data, dict) or "x" not in data or "y" not in data:
-            raise ValueError('point: expected "O" or an object with the keys x and y')
+            raise ValueError(f'{path or "point"}: expected "O" or an object with the keys x and y')
         return cls.affine(P.rational(data["x"]), P.rational(data["y"]))
 
 
@@ -200,40 +200,31 @@ class EllipticCurve(Record):
         """The full rational torsion subgroup.
 
         On the integral model y^2 = g(x), the torsion order divides the gcd B
-        of #E(F_q) over odd primes q of good reduction, and a point of order
-        m (m in Mazur's list) has x a root of the division polynomial f_m.
-        Torsion points there are integral (Lutz-Nagell), so the integer roots
-        x of g and of each f_m with m | B at which g(x) is a square give every
-        torsion point.  An order m is skipped when some proper divisor d > 1
-        of m gave no point, since a point of order m has a multiple of order d.
+        of #E(F_q) over odd primes q of good reduction.  Torsion points there
+        are integral (Lutz-Nagell): for m in Mazur's list with m | B, in
+        increasing order, the integer roots x of g (for m = 2) and of the
+        division polynomial f_m at which g(x) is a square.  A point of order
+        d > 2 is a root of f_m exactly when d | m, so each point's order is the
+        first m that finds it.  An order m is skipped when some proper divisor d > 1
+        of m has no point, since a point of order m has a multiple of order d.
         """
         model, u = self.integral_model()
         g = [int(model.c0), int(model.c1), int(model.c2), 1]
         primes, counts = _reduction_bound(g)
         b = gcd(*counts)
-        points = {INFINITY}
-        found = {1}
-        if b % 2 == 0:
-            two = [ECPoint.affine(x, 0) for x in P.integer_roots(g)]
-            points.update(two)
-            if two:
-                found.add(2)
+        orders = {INFINITY: 1}
         division = _DivisionPolys(g)
         for m in MAZUR_ORDERS:
-            if b % m or any(m % d == 0 and d not in found for d in range(2, m)):
+            if b % m or any(m % d == 0 and d not in orders.values() for d in range(2, m)):
                 continue
-            for x in P.integer_roots(division[m]):
+            for x in P.integer_roots(g if m == 2 else division[m]):
                 v = P.eval_at(g, x)
                 y = isqrt(max(v, 0))
                 if y * y == v:
-                    points.update((ECPoint.affine(x, y), ECPoint.affine(x, -y)))
-                    found.add(m)
-        back = [
-            INFINITY
-            if q.is_infinity
-            else ECPoint.affine(q.x / u**2, q.y / u**3)
-            for q in points
-        ]
+                    orders.setdefault(ECPoint.affine(x, y), m)
+                    orders.setdefault(ECPoint.affine(x, -y), m)
+        back = {q if q.is_infinity else ECPoint.affine(q.x / u**2, q.y / u**3): order
+                for q, order in orders.items()}
         return TorsionGroup(*_group_structure(self, back), primes, counts)
 
     def j_invariant(self) -> Fraction:
@@ -244,13 +235,12 @@ class EllipticCurve(Record):
         return {"f": [str(self.c0), str(self.c1), str(self.c2)]}
 
     @classmethod
-    def from_json(cls, data) -> "EllipticCurve":
+    def from_json(cls, data, path: str = "") -> "EllipticCurve":
+        """The curve {"f": [c0, c1, c2]}; an error names the field by its path
+        in the file, such as E.f inside a gluing."""
         if not isinstance(data, dict):
-            raise ValueError("curve: expected an object with the key f")
-        if not isinstance(data.get("f"), list) or len(data["f"]) != 3:
-            raise ValueError("f: expected a list of 3 rationals")
-        c0, c1, c2 = (P.rational(s) for s in data["f"])
-        return cls(c0, c1, c2)
+            raise ValueError(f"{path or 'curve'}: expected an object with the key f")
+        return cls(*P.rationals(data.get("f"), f"{path}.f" if path else "f", 3))
 
 
 def _reduction_bound(g: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -333,32 +323,22 @@ class _DivisionPolys:
         return self._polys[n]
 
 
-def _group_structure(curve: EllipticCurve, pts: list[ECPoint]) -> tuple:
-    """(invariants, generators, points) of the group the points form."""
-    ordered = tuple(sorted(pts, key=_point_key))
-    n = len(pts)
+def _group_structure(curve: EllipticCurve, orders: dict[ECPoint, int]) -> tuple:
+    """(invariants, generators, points) of the torsion group whose points
+    map to their orders.  By Mazur's theorem the group is cyclic or
+    Z/2 x Z/2m; each generator is the smallest point of its order."""
+    ordered = tuple(sorted(orders, key=_point_key))
+    n = len(ordered)
     if n == 1:
         return (), (), ordered
-    orders: dict[ECPoint, int] = {}
-    for pt in pts:
-        if pt.is_infinity:
-            orders[pt] = 1
-            continue
-        o, q = 1, pt
-        while not q.is_infinity:
-            q = curve.add(q, pt)
-            o += 1
-        orders[pt] = o
-    two = sorted((pt for pt in pts if not pt.is_infinity and pt.y == 0), key=_point_key)
-    if len(two) == 3:
-        m = n // 4
-        if m == 1:
-            return (2, 2), (two[0], two[1]), ordered
-        g1 = min((pt for pt in pts if orders[pt] == 2 * m), key=_point_key)
-        inner = curve.mul(m, g1)  # the unique 2-torsion point inside <g1>
-        g2 = min((t for t in two if t != inner), key=_point_key)
-        return (2, 2 * m), (g2, g1), ordered
-    gens = [pt for pt in pts if orders[pt] == n]
-    if not gens:
-        raise RuntimeError("torsion group is neither cyclic nor of full 2-torsion type")
-    return (n,), (min(gens, key=_point_key),), ordered
+    first = {orders[pt]: pt for pt in reversed(ordered)}  # the smallest of each order
+    two = [pt for pt in ordered if orders[pt] == 2]
+    if len(two) < 3:
+        return (n,), (first[n],), ordered
+    m = n // 4
+    if m == 1:
+        return (2, 2), (two[0], two[1]), ordered
+    g1 = first[2 * m]
+    inner = curve.mul(m, g1)  # the unique 2-torsion point inside <g1>
+    g2 = next(t for t in two if t != inner)
+    return (2, 2 * m), (g2, g1), ordered

@@ -136,9 +136,7 @@ class AlgebraElement(Record):
 
     @classmethod
     def from_json(cls, algebra: CubicEtaleAlgebra, data) -> "AlgebraElement":
-        return algebra.element_from_components(
-            [[P.rational(c) for c in r] for r in data]
-        )
+        return algebra.element_from_components([P.rationals(r, "residue") for r in data])
 
 
 def _mul_matrix(m: Poly, r: Poly) -> list[list[Fraction]]:

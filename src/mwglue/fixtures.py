@@ -64,6 +64,13 @@ def json_object(data, keys, what: str) -> dict:
     return data
 
 
+def _cover(data, path: str) -> tuple[RationalMap, RationalMap]:
+    """The maps u and v of a cover (x, y) -> (u(x), y v(x)) at path in the file."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected an object with the keys u and v")
+    return tuple(RationalMap.from_json(data.get(key), f"{path}.{key}") for key in ("u", "v"))
+
+
 def load_example_fixtures(data) -> dict:
     """Override the built-in example fixtures from a JSON object; missing
     keys keep their defaults, and the key h sets the fixture psi."""
@@ -74,13 +81,13 @@ def load_example_fixtures(data) -> dict:
         "P": ECPoint.from_json,
         "C": GenusTwoCurve.from_json,
         "C_unscaled": GenusTwoCurve.from_json,
-        "rescale": rational,
-        "cover_to_E": lambda d: (RationalMap.from_json(d["u"]), RationalMap.from_json(d["v"])),
+        "rescale": lambda d, _: rational(d),
+        "cover_to_E": _cover,
+        "cover_to_F": _cover,
     }
-    readers["cover_to_F"] = readers["cover_to_E"]
     json_object(data, readers, "fixtures")
     fx = example_fixtures()
     for key, read in readers.items():
         if key in data:
-            fx["psi" if key == "h" else key] = read(data[key])
+            fx["psi" if key == "h" else key] = read(data[key], key)
     return fx

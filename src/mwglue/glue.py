@@ -52,10 +52,8 @@ class TwoTorsionIdentification(Record):
         return [str(c) for c in self.h]
 
     @classmethod
-    def from_json(cls, data) -> "TwoTorsionIdentification":
-        if not isinstance(data, list):
-            raise ValueError("h: expected a list of rationals")
-        return cls(P.poly([P.rational(c) for c in data]))
+    def from_json(cls, data, path: str = "h") -> "TwoTorsionIdentification":
+        return cls(P.rationals(data, path))
 
 
 def is_geometric_restriction(psi: TwoTorsionIdentification, L: CubicEtaleAlgebra) -> bool:
@@ -122,7 +120,7 @@ class GluingData(Record):
     def from_json(cls, data) -> "GluingData":
         if not isinstance(data, dict) or not all(key in data for key in ("E", "F", "h")):
             raise ValueError("gluing: expected an object with the keys E, F and h")
-        E, F = EllipticCurve.from_json(data["E"]), EllipticCurve.from_json(data["F"])
+        E, F = EllipticCurve.from_json(data["E"], "E"), EllipticCurve.from_json(data["F"], "F")
         return cls.build(E, F, TwoTorsionIdentification.from_json(data["h"]))
 
 
@@ -142,8 +140,10 @@ class GenusTwoCurve(Record):
         return {"h6": [str(c) for c in self.h6]}
 
     @classmethod
-    def from_json(cls, data) -> "GenusTwoCurve":
-        return cls(P.poly([P.rational(c) for c in data["h6"]]))
+    def from_json(cls, data, path: str) -> "GenusTwoCurve":
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: expected an object with the key h6")
+        return cls(P.rationals(data.get("h6"), f"{path}.h6"))
 
 
 class RationalMap(Record):
@@ -162,11 +162,10 @@ class RationalMap(Record):
         return {"num": [str(c) for c in self.num], "den": [str(c) for c in self.den]}
 
     @classmethod
-    def from_json(cls, data) -> "RationalMap":
-        return cls(
-            P.poly([P.rational(c) for c in data["num"]]),
-            P.poly([P.rational(c) for c in data["den"]]),
-        )
+    def from_json(cls, data, path: str) -> "RationalMap":
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: expected an object with the keys num and den")
+        return cls(*(P.rationals(data.get(key), f"{path}.{key}") for key in ("num", "den")))
 
 
 def verify_cover_map(

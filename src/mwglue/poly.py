@@ -39,6 +39,15 @@ def rational(s) -> Fraction:
     raise ValueError(f"not a rational number: {cut}")
 
 
+def rationals(data, field: str, count: int | None = None) -> list[Fraction]:
+    """A JSON list of rationals, each read by `rational`.  Anything else, or
+    a list of the wrong length, is refused with a message that names the
+    field: a string such as "1050601" would be read digit by digit."""
+    if not isinstance(data, list) or count not in (None, len(data)):
+        raise ValueError(f"{field}: expected a list of {f'{count} ' if count else ''}rationals")
+    return [rational(c) for c in data]
+
+
 def fraction(c) -> Fraction:
     """c as a Fraction: one that already is one is kept, not rebuilt."""
     return c if type(c) is Fraction else Fraction(c)

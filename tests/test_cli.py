@@ -345,9 +345,29 @@ SHAPE_ERRORS = [
     ("gluing", [E_JSON, F_JSON, ["6", "5", "1"]], GLUING_ERROR),
     ("gluing", {"E": E_JSON, "F": F_JSON}, GLUING_ERROR),
     ("gluing", {"E": E_JSON, "F": F_JSON, "h": "x^2 + 5x + 6"}, "h: expected a list of rationals"),
-    ("gluing", {"E": E_JSON, "F": {"f": None}, "h": ["6", "5", "1"]}, "f: expected a list of 3 rationals"),
+    ("gluing", {"E": E_JSON, "F": {"f": None}, "h": ["6", "5", "1"]}, "F.f: expected a list of 3 rationals"),
+    ("gluing", {"E": {"f": [1]}, "F": F_JSON, "h": ["6", "5", "1"]}, "E.f: expected a list of 3 rationals"),
+    ("gluing", {"E": E_JSON, "F": "y^2 = x^3", "h": ["6", "5", "1"]}, "F: expected an object with the key f"),
     ("fixtures", {"h": {"x": "1"}}, "h: expected a list of rationals"),
-    ("fixtures", {"P": {"y": "1"}}, POINT_ERROR),
+    ("fixtures", {"P": {"y": "1"}}, 'P: expected "O" or an object with the keys x and y'),
+    ("fixtures", {"E": {"f": [1]}}, "E.f: expected a list of 3 rationals"),
+    # a string was read digit by digit, as x^6 + 6x^4 + 5x^2 + 1
+    ("fixtures", {"C": {"h6": "1050601"}}, "C.h6: expected a list of rationals"),
+    ("fixtures", {"C": {"h7": ["1", "0", "0", "0", "0", "0", "1"]}}, "C.h6: expected a list of rationals"),
+    ("fixtures", {"C_unscaled": ["1", "0", "1"]}, "C_unscaled: expected an object with the key h6"),
+    ("fixtures", {"cover_to_E": {"u": {"num": ["1"], "den": ["1"]}}},
+     "cover_to_E.v: expected an object with the keys num and den"),
+    ("fixtures", {"cover_to_E": {"u": {"num": "-1", "den": ["0", "0", "1"]}, "v": {"num": ["1"], "den": ["1"]}}},
+     "cover_to_E.u.num: expected a list of rationals"),
+    ("fixtures", {"cover_to_F": {"u": {"num": ["0", "0", "1"], "den": ["1"]}, "v": {"num": ["1"], "den": "1"}}},
+     "cover_to_F.v.den: expected a list of rationals"),
+    ("fixtures", {"cover_to_F": [["0", "0", "1"], ["1"]]}, "cover_to_F: expected an object with the keys u and v"),
+    # two points at infinity were read as the generators
+    ("F", {"F": E_JSON, "generators": "OO"}, "generators: expected a list of points"),
+    ("F", {"F": E_JSON, "generators": ["O", {"x": "0"}]},
+     'generators[1]: expected "O" or an object with the keys x and y'),
+    ("F", {"generators": []}, "F: expected an object with the key f"),
+    ("F", {"F": {"f": ["0", "-3"]}}, "F.f: expected a list of 3 rationals"),
 ]
 
 
@@ -362,6 +382,7 @@ def test_shape_error_names_the_field(tmp_path, capsys, kind, payload, message):
         "point": ["descent-class", "--curve", curve, "--point", bad],
         "gluing": ["membership", "--gluing", bad, "--P", point, "--Q", point],
         "fixtures": ["verify-example", "--fixtures", bad],
+        "F": ["family", "--l1", "3", "--l2", "5", "--count", "1", "--F", bad],
     }[kind]
     assert main(argv) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -503,3 +524,42 @@ class TestPointCommands:
         assert main(["jinv", "--curve", str(curve)]) == 3
         err = capsys.readouterr().err
         assert err == f"error: {curve}: JSON nested too deeply to read\n"
+
+
+def _run_with_closed_stdout(*argv) -> subprocess.CompletedProcess:
+    """Run mwglue with stdout a pipe whose read end closed before it started,
+    so that every write to stdout meets a closed pipe."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run([sys.executable, "-m", "mwglue.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    finally:
+        os.close(write)
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early is not invalid input: the command
+    keeps the exit code of its answer and writes nothing to stderr."""
+
+    def test_help(self):
+        run = _run_with_closed_stdout("--help")
+        assert (run.returncode, run.stderr) == (0, "")
+
+    def test_json_report_keeps_its_exit_code(self, tmp_path, capsys):
+        argv = ["family", "--l1", "3", "--l2", "5", "--count", "3", "--format", "json",
+                "--out", str(tmp_path / "report.json")]
+        code = main(argv)
+        report = capsys.readouterr().out
+        (tmp_path / "report.json").unlink()
+        run = _run_with_closed_stdout(*argv)
+        assert (run.returncode, run.stderr) == (code, "")
+        # the --out file is written before stdout, so the closed pipe keeps it
+        assert (tmp_path / "report.json").read_text() == report
+
+    def test_missing_file_is_still_input_error(self, tmp_path):
+        run = _run_with_closed_stdout("jinv", "--curve", str(tmp_path / "missing.json"))
+        assert run.returncode == 3
+        assert run.stderr.startswith("error: [Errno 2]") and run.stderr.count("\n") == 1

@@ -261,6 +261,20 @@ class TestTorsionAgainstLutzNagell:
         assert labels == ["trivial", "trivial", "Z/2 x Z/6", "Z/2 x Z/8"]
 
 
+@pytest.mark.parametrize("curve,label,most_adds", [
+    (tate_curve(9, Fraction(-2, 3))[0], "Z/9", 0),
+    (EllipticCurve.from_roots(0, -81, -256), "Z/2 x Z/8", 3),
+    (EllipticCurve.from_roots(0, -5, -32), "Z/2 x Z/6", 3),
+], ids=["tate-9", "z2xz8", "z2xz6"])
+def test_torsion_reads_each_order_off_its_division_polynomial(monkeypatch, curve, label, most_adds):
+    """A torsion point's order is the first f_m that finds it, so the group
+    law runs only for m * g1, which picks the second generator of Z/2 x Z/2m."""
+    add, calls = EllipticCurve.add, []
+    monkeypatch.setattr(EllipticCurve, "add", lambda self, a, b: calls.append(1) or add(self, a, b))
+    assert curve.torsion_subgroup().label() == label
+    assert len(calls) <= most_adds
+
+
 class TestReductionBound:
     @pytest.mark.parametrize("kind", ["tate", "mordell", "named"])
     def test_counts_match_brute_force(self, kind):
