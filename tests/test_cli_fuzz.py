@@ -28,7 +28,7 @@ def _cover(maps) -> dict:
 
 # Each command with its other flags and the valid JSON file behind each file
 # flag.  The bounds are small, so that a valid run takes milliseconds.
-COMMANDS = {
+INPUTS = {
     "verify-example": (["--sq-primes", "30"], {"--fixtures": {
         "E": EXAMPLE_E.to_json(), "F": EXAMPLE_F.to_json(), "h": EXAMPLE_PSI.to_json(),
         "P": EXAMPLE_POINT.to_json(), "C": EXAMPLE_C.to_json(), "C_unscaled": EXAMPLE_C_UNSCALED.to_json(),
@@ -97,7 +97,7 @@ def _mutate(data, doc):
     return doc
 
 
-@pytest.mark.parametrize("command", list(COMMANDS))
+@pytest.mark.parametrize("command", list(INPUTS))
 @settings(max_examples=500, deadline=timedelta(seconds=2),
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(data=st.data())
@@ -105,7 +105,7 @@ def test_mutated_json_input(command, data, tmp_path, monkeypatch):
     # a cofactor of about 10^60 can run Pollard rho through its whole
     # budget; a small budget keeps every example fast and still exits 2
     monkeypatch.setattr(arith, "_RHO_STEPS", 2**12)
-    flags, files = COMMANDS[command]
+    flags, files = INPUTS[command]
     docs = copy.deepcopy(files)
     for _ in range(data.draw(st.integers(1, 3))):
         flag = data.draw(st.sampled_from(list(docs)))
