@@ -59,6 +59,9 @@ CASES = (
     ("torsion", ("torsion", "--curve", "klein.json")),
     ("family", ("family", "--l1", "3", "--l2", "5", "--count", "2")),
     ("family_json", ("family", "--l1", "3", "--l2", "5", "--count", "2", "--format", "json")),
+    ("family_large_p_json", (
+        "family", "--l1", "7", "--l2", "13", "--count", "2", "--bound", "1000000000000", "--format", "json",
+    )),
 )
 
 
