@@ -68,7 +68,7 @@ def _cmd_family(args) -> tuple[dict, str, int]:
     if args.count > MAX_FAMILY_COUNT:
         raise UsageError(f"--count must be at most {MAX_FAMILY_COUNT}")
     if args.F:
-        data = fixtures.json_object(_load_json(args.F), ("F", "generators"), "F")
+        data = poly.json_object(_load_json(args.F), ("F", "generators"), "the F file")
         F = ellcurve.EllipticCurve.from_json(data.get("F"), "F")
         gens = data.get("generators", [])
         if not isinstance(gens, list):

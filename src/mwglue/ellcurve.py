@@ -21,6 +21,12 @@ MAZUR_ORDERS = (2, 3, 4, 5, 6, 7, 8, 9, 10, 12)
 BOUND_PRIMES = 10
 
 
+def _fraction(c) -> Fraction:
+    """c as a Fraction, kept when it already is one: points and curves hold
+    Fractions, though poly keeps integral values as ints."""
+    return c if type(c) is Fraction else Fraction(P.fraction(c))
+
+
 class ECPoint(Record):
     x: Fraction | None = None
     y: Fraction | None = None
@@ -29,8 +35,8 @@ class ECPoint(Record):
         if (self.x is None) != (self.y is None):
             raise ValueError("affine points need both coordinates")
         if self.x is not None:
-            object.__setattr__(self, "x", P.fraction(self.x))
-            object.__setattr__(self, "y", P.fraction(self.y))
+            object.__setattr__(self, "x", _fraction(self.x))
+            object.__setattr__(self, "y", _fraction(self.y))
 
     @classmethod
     def infinity(cls) -> "ECPoint":
@@ -38,7 +44,7 @@ class ECPoint(Record):
 
     @classmethod
     def affine(cls, x, y) -> "ECPoint":
-        return cls(P.fraction(x), P.fraction(y))
+        return cls(x, y)
 
     @property
     def is_infinity(self) -> bool:
@@ -63,7 +69,9 @@ class ECPoint(Record):
             return cls.infinity()
         if not isinstance(data, dict) or "x" not in data or "y" not in data:
             raise ValueError(f'{path or "point"}: expected "O" or an object with the keys x and y')
-        return cls.affine(P.rational(data["x"]), P.rational(data["y"]))
+        x, y = P.rational(data["x"]), P.rational(data["y"])
+        P.json_object(data, ("x", "y"), path or "point")
+        return cls(x, y)
 
 
 INFINITY = ECPoint.infinity()
@@ -118,9 +126,9 @@ class EllipticCurve(Record):
     c2: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "c0", P.fraction(self.c0))
-        object.__setattr__(self, "c1", P.fraction(self.c1))
-        object.__setattr__(self, "c2", P.fraction(self.c2))
+        object.__setattr__(self, "c0", _fraction(self.c0))
+        object.__setattr__(self, "c1", _fraction(self.c1))
+        object.__setattr__(self, "c2", _fraction(self.c2))
         if self.disc_f == 0:
             raise ValueError("the cubic has a repeated root; the curve is singular")
 
@@ -130,11 +138,10 @@ class EllipticCurve(Record):
         return cls(-r1 * r2 * r3, r1 * r2 + r1 * r3 + r2 * r3, -(r1 + r2 + r3))
 
     def f_poly(self) -> Poly:
-        return (self.c0, self.c1, self.c2, Fraction(1))
+        return P.poly((self.c0, self.c1, self.c2, 1))
 
-    def f_at(self, x) -> Fraction:
-        x = P.fraction(x)
-        return ((x + self.c2) * x + self.c1) * x + self.c0
+    def f_at(self, x) -> int | Fraction:
+        return P.eval_at(self.f_poly(), P.fraction(x))
 
     def f_derivative_at(self, x) -> Fraction:
         x = P.fraction(x)
@@ -240,7 +247,9 @@ class EllipticCurve(Record):
         in the file, such as E.f inside a gluing."""
         if not isinstance(data, dict):
             raise ValueError(f"{path or 'curve'}: expected an object with the key f")
-        return cls(*P.rationals(data.get("f"), f"{path}.f" if path else "f", 3))
+        coeffs = P.rationals(data.get("f"), f"{path}.f" if path else "f", 3)
+        P.json_object(data, ("f",), path or "curve")
+        return cls(*coeffs)
 
 
 def _reduction_bound(g: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -57,17 +57,21 @@ class CubicEtaleAlgebra(Record):
         f = P.poly(f)
         if P.degree(f) != 3 or f[3] != 1:
             raise ValueError("the defining polynomial must be a monic cubic")
-        if not P.is_squarefree(f):
-            raise ValueError("the defining polynomial must be squarefree")
-        if root_order is None:
-            roots = P.rational_roots_monic(f)
+        given = None if root_order is None else [P.fraction(r) for r in root_order]
+        # three distinct rationals at which the cubic vanishes are its roots,
+        # and they prove it squarefree
+        if given and len(given) == 3 == len(set(given)) and not any(P.eval_at(f, r) for r in given):
+            roots = given
         else:
-            # three distinct rationals at which the cubic vanishes are its roots
-            roots = [Fraction(r) for r in root_order]
-            if len(roots) != 3 or len(set(roots)) != 3 or any(P.eval_at(f, r) for r in roots):
-                if len(P.rational_roots_monic(f)) != 3:
-                    raise ValueError("a root order needs a fully split cubic")
-                raise ValueError("the root order must list the three roots of f")
+            if not P.is_squarefree(f):
+                raise ValueError("the defining polynomial must be squarefree")
+            roots = P.rational_roots_monic(f)
+            if given is not None:
+                raise ValueError(
+                    "a root order needs a fully split cubic"
+                    if len(roots) != 3
+                    else "the root order must list the three roots of f"
+                )
         # a cubic has 0, 1 or 3 rational roots: with none f is irreducible,
         # with one the cofactor is an irreducible quadratic
         comps = tuple(P.poly([-r, 1]) for r in roots)
@@ -80,7 +84,7 @@ class CubicEtaleAlgebra(Record):
         return all(P.degree(c) == 1 for c in self.components)
 
     @cached_property
-    def disc(self) -> Fraction:
+    def disc(self) -> int | Fraction:
         return P.cubic_disc(self.f)
 
     def element(self, coeffs) -> "AlgebraElement":
@@ -116,13 +120,13 @@ class AlgebraElement(Record):
             ),
         )
 
-    def component_norms(self) -> tuple[Fraction, ...]:
+    def component_norms(self) -> tuple[int | Fraction, ...]:
         return tuple(
             _component_norm(m, r) for m, r in zip(self.algebra.components, self.residues)
         )
 
-    def norm(self) -> Fraction:
-        out = Fraction(1)
+    def norm(self) -> int | Fraction:
+        out = 1
         for v in self.component_norms():
             out *= v
         return out
@@ -139,18 +143,18 @@ class AlgebraElement(Record):
         return algebra.element_from_components([P.rationals(r, "residue") for r in data])
 
 
-def _mul_matrix(m: Poly, r: Poly) -> list[list[Fraction]]:
+def _mul_matrix(m: Poly, r: Poly) -> list[list[int | Fraction]]:
     """Multiplication by r on the power basis of Q[x]/(m), one row per
     image r, r X, ..., r X^(d-1) reduced mod m (the transpose)."""
     d = P.degree(m)
     rows = [r]
     while len(rows) < d:
         rows.append(P.mod_poly(P.mul(rows[-1], P.X), m))
-    return [[c[i] if i < len(c) else Fraction(0) for i in range(d)] for c in rows]
+    return [[c[i] if i < len(c) else 0 for i in range(d)] for c in rows]
 
 
-def _component_norm(m: Poly, r: Poly) -> Fraction:
-    return P.det(_mul_matrix(m, r)) if r else Fraction(0)
+def _component_norm(m: Poly, r: Poly) -> int | Fraction:
+    return P.det(_mul_matrix(m, r)) if r else 0
 
 
 def has_square_norm(elem: AlgebraElement) -> bool:
@@ -243,7 +247,7 @@ def _component_sqrt(m: Poly, r: Poly) -> Poly | None:
     candidates = []
     if P.degree(r) <= 0:
         a = P.constant_value(r)
-        c = P.sqrt_fraction(a / (m[1] * m[1] - 4 * m[0])) if d == 2 else None
+        c = P.sqrt_fraction(Fraction(a) / (m[1] * m[1] - 4 * m[0])) if d == 2 else None
         for b, k in ((ONE, P.sqrt_fraction(a)), (P.poly([m[1], 2]), c)):
             if k is not None:
                 candidates.append(P.scale(b, k))
@@ -260,10 +264,10 @@ def _component_sqrt(m: Poly, r: Poly) -> Poly | None:
                     candidates.append(P.scale(P.add(r, P.poly([n])), 1 / t))
         else:
             # Tr(alpha^2) is the trace of the squared matrix
-            e2 = (e1 * e1 - sum(mat[i][j] * mat[j][i] for i in range(3) for j in range(3))) / 2
+            e2 = Fraction(e1 * e1 - sum(mat[i][j] * mat[j][i] for i in range(3) for j in range(3)), 2)
             quartic = P.poly([e1 * e1 - 4 * e2, -8 * norm_root, -2 * e1, 0, 1])
             for s1 in P.rational_roots_monic(quartic):
-                _, inv, _ = P.xgcd_poly(P.add(r, P.poly([(s1 * s1 - e1) / 2])), m)
+                _, inv, _ = P.xgcd_poly(P.add(r, P.poly([Fraction(s1 * s1 - e1, 2)])), m)
                 candidates.append(P.mod_poly(P.mul(P.add(P.scale(r, s1), P.poly([norm_root])), inv), m))
     return next((b for b in candidates if P.mod_poly(P.sub(P.mul(b, b), r), m) == ZERO), None)
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from .ellcurve import ECPoint, EllipticCurve
 from .glue import GenusTwoCurve, RationalMap, TwoTorsionIdentification
-from .poly import poly, rational
+from .poly import json_object, poly, rational
 
 # The bundled counterexample: E: y^2 = x^3 + 5x^2 + 6x + 1 (Mordell-Weil
 # group generated by (-2, 1), infinite order) glued to F: y^2 = x^3 - 6x^2 +
@@ -54,21 +54,13 @@ def example_fixtures() -> dict:
     }
 
 
-def json_object(data, keys, what: str) -> dict:
-    """data, refused unless it is a JSON object with no key outside keys."""
-    if not isinstance(data, dict):
-        raise ValueError(f"the {what} file must hold a JSON object")
-    for key in data:
-        if key not in keys:
-            raise ValueError(f"unknown key {key!r} in the {what} file; known keys: {', '.join(keys)}")
-    return data
-
-
 def _cover(data, path: str) -> tuple[RationalMap, RationalMap]:
     """The maps u and v of a cover (x, y) -> (u(x), y v(x)) at path in the file."""
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected an object with the keys u and v")
-    return tuple(RationalMap.from_json(data.get(key), f"{path}.{key}") for key in ("u", "v"))
+    maps = tuple(RationalMap.from_json(data.get(key), f"{path}.{key}") for key in ("u", "v"))
+    json_object(data, ("u", "v"), path)
+    return maps
 
 
 def load_example_fixtures(data) -> dict:
@@ -85,7 +77,7 @@ def load_example_fixtures(data) -> dict:
         "cover_to_E": _cover,
         "cover_to_F": _cover,
     }
-    json_object(data, readers, "fixtures")
+    json_object(data, readers, "the fixtures file")
     fx = example_fixtures()
     for key, read in readers.items():
         if key in data:

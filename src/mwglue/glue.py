@@ -43,7 +43,7 @@ class TwoTorsionIdentification(Record):
     @classmethod
     def from_matching(cls, pairs) -> "TwoTorsionIdentification":
         """The identification interpolating a matching of x-coordinates."""
-        pts = tuple((Fraction(a), Fraction(b)) for a, b in pairs)
+        pts = tuple((P.fraction(a), P.fraction(b)) for a, b in pairs)
         if len(pts) != 3 or len({a for a, _ in pts}) != 3:
             raise ValueError("a matching needs the three source roots exactly once")
         return cls(P.interpolate(pts))
@@ -120,6 +120,7 @@ class GluingData(Record):
     def from_json(cls, data) -> "GluingData":
         if not isinstance(data, dict) or not all(key in data for key in ("E", "F", "h")):
             raise ValueError("gluing: expected an object with the keys E, F and h")
+        P.json_object(data, ("E", "F", "h"), "gluing")
         E, F = EllipticCurve.from_json(data["E"], "E"), EllipticCurve.from_json(data["F"], "F")
         return cls.build(E, F, TwoTorsionIdentification.from_json(data["h"]))
 
@@ -143,7 +144,9 @@ class GenusTwoCurve(Record):
     def from_json(cls, data, path: str) -> "GenusTwoCurve":
         if not isinstance(data, dict):
             raise ValueError(f"{path}: expected an object with the key h6")
-        return cls(P.rationals(data.get("h6"), f"{path}.h6"))
+        h6 = P.rationals(data.get("h6"), f"{path}.h6")
+        P.json_object(data, ("h6",), path)
+        return cls(h6)
 
 
 class RationalMap(Record):
@@ -165,7 +168,9 @@ class RationalMap(Record):
     def from_json(cls, data, path: str) -> "RationalMap":
         if not isinstance(data, dict):
             raise ValueError(f"{path}: expected an object with the keys num and den")
-        return cls(*(P.rationals(data.get(key), f"{path}.{key}") for key in ("num", "den")))
+        num, den = (P.rationals(data.get(key), f"{path}.{key}") for key in ("num", "den"))
+        P.json_object(data, ("num", "den"), path)
+        return cls(num, den)
 
 
 def verify_cover_map(

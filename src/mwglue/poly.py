@@ -1,7 +1,10 @@
 """Dense univariate polynomials over Q.
 
-A polynomial is a tuple of Fractions in ascending degree order, trimmed of
-trailing zeros; the zero polynomial is the empty tuple.
+A polynomial is a tuple of rationals in ascending degree order, trimmed of
+trailing zeros; the zero polynomial is the empty tuple.  Each coefficient is
+an int when it is integral and a Fraction otherwise (see `fraction`), so a
+polynomial with integer coefficients is computed on in int arithmetic; every
+true division goes through a Fraction.
 """
 
 from __future__ import annotations
@@ -13,11 +16,11 @@ from math import gcd, isqrt, lcm
 
 from .arith import is_prime
 
-Poly = tuple[Fraction, ...]
+Poly = tuple[int | Fraction, ...]
 
 ZERO: Poly = ()
-ONE: Poly = (Fraction(1),)
-X: Poly = (Fraction(0), Fraction(1))
+ONE: Poly = (1,)
+X: Poly = (0, 1)
 
 
 # An integer, decimal or fraction in ASCII digits, such as "5", "-2/3" or
@@ -48,9 +51,29 @@ def rationals(data, field: str, count: int | None = None) -> list[Fraction]:
     return [rational(c) for c in data]
 
 
-def fraction(c) -> Fraction:
-    """c as a Fraction: one that already is one is kept, not rebuilt."""
-    return c if type(c) is Fraction else Fraction(c)
+def json_object(data, keys, where: str) -> dict:
+    """data, refused unless it is a JSON object with no key outside keys.
+    where names it in a message: a whole file, such as "the F file", or a
+    field by its path in the file, such as E inside a gluing."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must hold a JSON object")
+    for key in data:
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} in {where}; known keys: {', '.join(keys)}")
+    return data
+
+
+def fraction(c) -> int | Fraction:
+    """c as an exact rational: an int when it is integral, a Fraction
+    otherwise.  A float is refused: its binary value is not the number
+    written."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        if isinstance(c, float):
+            raise TypeError(f"not an exact rational: {c!r}")
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def poly(coeffs) -> Poly:
@@ -64,10 +87,10 @@ def degree(p: Poly) -> int:
     return len(p) - 1
 
 
-def constant_value(p: Poly) -> Fraction:
+def constant_value(p: Poly) -> int | Fraction:
     if len(p) > 1:
         raise ValueError("not a constant polynomial")
-    return p[0] if p else Fraction(0)
+    return p[0] if p else 0
 
 
 def add(p: Poly, q: Poly) -> Poly:
@@ -90,7 +113,7 @@ def sub(p: Poly, q: Poly) -> Poly:
 def mul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
         return ZERO
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a:
             for j, b in enumerate(q):
@@ -99,10 +122,10 @@ def mul(p: Poly, q: Poly) -> Poly:
 
 
 def scale(p: Poly, c) -> Poly:
-    c = Fraction(c)
+    c = fraction(c)
     if c == 0:
         return ZERO
-    return tuple(a * c for a in p)
+    return poly(a * c for a in p)
 
 
 def pow_poly(p: Poly, n: int) -> Poly:
@@ -112,7 +135,7 @@ def pow_poly(p: Poly, n: int) -> Poly:
     return out
 
 
-def eval_at(p: Poly, x) -> Fraction | int:
+def eval_at(p: Poly, x) -> int | Fraction:
     """p(x), exactly; an int when x and the coefficients are ints."""
     acc = 0
     for c in reversed(p):
@@ -227,12 +250,12 @@ def divmod_poly(p: Poly, q: Poly) -> tuple[Poly, Poly]:
         raise ZeroDivisionError("polynomial division by zero")
     r = list(p)
     dq = degree(q)
-    lead = q[-1]
-    quot = [Fraction(0)] * max(len(p) - dq, 0)
+    inv = fraction(1 / Fraction(q[-1]))  # an int when q is monic up to sign
+    quot = [0] * max(len(p) - dq, 0)
     for i in range(len(p) - 1, dq - 1, -1):
         c = r[i]
         if c:
-            k = c / lead
+            k = c * inv
             quot[i - dq] = k
             for j, b in enumerate(q):
                 r[i - dq + j] -= k * b
@@ -241,7 +264,7 @@ def divmod_poly(p: Poly, q: Poly) -> tuple[Poly, Poly]:
 
 def mod_poly(p: Poly, q: Poly) -> Poly:
     if len(q) == 2:  # the remainder by x - r is the constant p(r)
-        return poly([eval_at(p, -q[0] / q[1])])
+        return poly([eval_at(p, -q[0] if q[1] == 1 else -q[0] / Fraction(q[1]))])
     return divmod_poly(p, q)[1]
 
 
@@ -257,7 +280,7 @@ def xgcd_poly(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
         t0, t1 = t1, sub(t0, mul(qt, t1))
     if not r0:
         return ZERO, ZERO, ZERO
-    c = 1 / r0[-1]
+    c = 1 / Fraction(r0[-1])
     return scale(r0, c), scale(s0, c), scale(t0, c)
 
 
@@ -270,14 +293,14 @@ def compose(p: Poly, q: Poly) -> Poly:
 
 def interpolate(points) -> Poly:
     """Lagrange interpolation through (x, y) pairs with distinct x values."""
-    pts = [(Fraction(x), Fraction(y)) for x, y in points]
+    pts = [(fraction(x), fraction(y)) for x, y in points]
     acc = ZERO
     for i, (xi, yi) in enumerate(pts):
-        num = poly([yi])
+        num, den = poly([yi]), 1
         for j, (xj, _) in enumerate(pts):
             if i != j:
-                num = mul(num, scale(poly([-xj, 1]), Fraction(1) / (xi - xj)))
-        acc = add(acc, num)
+                num, den = mul(num, poly([-xj, 1])), den * (xi - xj)
+        acc = add(acc, scale(num, 1 / Fraction(den)))
     return acc
 
 
@@ -288,7 +311,7 @@ def is_squarefree(p: Poly) -> bool:
     return degree(p) <= 0
 
 
-def cubic_disc(f: Poly) -> Fraction:
+def cubic_disc(f: Poly) -> int | Fraction:
     """Discriminant of a monic cubic x^3 + a x^2 + b x + c."""
     if degree(f) != 3 or f[3] != 1:
         raise ValueError("expected a monic cubic")
@@ -296,7 +319,7 @@ def cubic_disc(f: Poly) -> Fraction:
     return 18 * a * b * c - 4 * a**3 * c + a**2 * b**2 - 4 * b**3 - 27 * c**2
 
 
-def det(rows) -> Fraction:
+def det(rows) -> int | Fraction:
     """Determinant of a square matrix of size 1, 2 or 3."""
     if len(rows) == 1:
         return rows[0][0]

@@ -182,7 +182,7 @@ def chord_tangent_sum(curve, a, b):
     assert r == P.ZERO
     q, r = P.divmod_poly(q, P.poly([-b.x, 1]))
     assert r == P.ZERO
-    x3 = -q[0] / q[1]
+    x3 = -Fraction(q[0]) / q[1]
     y3 = -(m * x3 + c)
     return x3, y3
 

@@ -122,8 +122,8 @@ class TestFactorDifferential:
 
     @pytest.mark.parametrize("p", _FAMILY_7_13)
     def test_j_denominators_of_the_family(self, p):
-        # check (e) of verify_instance factors these perfect squares of
-        # about 100 bits, whose largest prime is p
+        # perfect squares of about 100 bits whose largest prime is p: check
+        # (e) of verify_instance proves that by gcds, factor by factoring
         from mwglue.family import curve_for_prime
 
         den = curve_for_prime(p).j_invariant().denominator

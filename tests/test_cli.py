@@ -368,6 +368,28 @@ SHAPE_ERRORS = [
      'generators[1]: expected "O" or an object with the keys x and y'),
     ("F", {"generators": []}, "F: expected an object with the key f"),
     ("F", {"F": {"f": ["0", "-3"]}}, "F.f: expected a list of 3 rationals"),
+    # a key that no reader reads is refused at every level, with its path
+    ("curve", {**E_JSON, "g": ["0"]}, "unknown key 'g' in curve; known keys: f"),
+    ("point", {"x": "-2", "y": "1", "z": "7"}, "unknown key 'z' in point; known keys: x, y"),
+    ("gluing", {"E": E_JSON, "F": F_JSON, "h": ["6", "5", "1"], "psi": ["0"]},
+     "unknown key 'psi' in gluing; known keys: E, F, h"),
+    ("gluing", {"E": {**E_JSON, "g": ["0"]}, "F": F_JSON, "h": ["6", "5", "1"]},
+     "unknown key 'g' in E; known keys: f"),
+    ("gluing", {"E": E_JSON, "F": {**F_JSON, "f2": []}, "h": ["6", "5", "1"]},
+     "unknown key 'f2' in F; known keys: f"),
+    ("fixtures", {"E": {**E_JSON, "g": ["0"]}}, "unknown key 'g' in E; known keys: f"),
+    ("fixtures", {"P": {"x": "-2", "y": "1", "z": "7"}}, "unknown key 'z' in P; known keys: x, y"),
+    ("fixtures", {"C": {"h6": ["-1", "0", "5", "0", "-6", "0", "1"], "h5": []}},
+     "unknown key 'h5' in C; known keys: h6"),
+    ("fixtures", {"cover_to_E": {"u": {"num": ["-1"], "den": ["0", "0", "1"]},
+                                 "v": {"num": ["1"], "den": ["0", "0", "0", "1"]}, "w": {}}},
+     "unknown key 'w' in cover_to_E; known keys: u, v"),
+    ("fixtures", {"cover_to_F": {"u": {"num": ["0", "0", "1"], "den": ["1"], "scale": "2"},
+                                 "v": {"num": ["1"], "den": ["1"]}}},
+     "unknown key 'scale' in cover_to_F.u; known keys: num, den"),
+    ("F", {"F": {**E_JSON, "g": ["0"]}}, "unknown key 'g' in F; known keys: f"),
+    ("F", {"F": E_JSON, "generators": [{"x": "0", "y": "0", "z": "1"}]},
+     "unknown key 'z' in generators[0]; known keys: x, y"),
 ]
 
 

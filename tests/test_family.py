@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from mwglue.arith import is_prime
+from mwglue.arith import factor, is_prime
 from mwglue.descent import descent_class
 from mwglue.ellcurve import ECPoint
 from mwglue.etale import CubicEtaleAlgebra
 from mwglue.family import (
+    FamilyInstance,
     FamilyParams,
     InvalidFamilyParams,
+    _odd_valuation,
     build_instance,
     curve_for_prime,
     find_primes,
@@ -244,6 +246,111 @@ class TestVerifyInstance:
         assert data["obstruction"]["status"] == "not_contained"
 
 
+# Checks (a) and (e) decide by valuations and gcds; the tests below compare
+# them with the decisions that factor, on the first 20 instances of each pair.
+DIFFERENTIAL_PAIRS = ((3, 5), (5, 7), (7, 13), (13, 5))
+
+
+@pytest.fixture(scope="module", params=DIFFERENTIAL_PAIRS, ids=lambda pair: "%d-%d" % pair)
+def first_instances(request):
+    params = _params(*request.param, bound=10**9, count=20)
+    primes = find_primes(params).primes
+    assert len(primes) == 20
+    return params, [build_instance(p) for p in primes]
+
+
+def _relabelled(inst, p: int):
+    """The instance with its curve, points and classes, but labelled p."""
+    return FamilyInstance(p, *(getattr(inst, f) for f in FamilyInstance._fields[1:]))
+
+
+def _factored_checks(inst, params, occurs, largest_prime):
+    """The passed flags of checks (a) and (e) as a factoring decision gives
+    them: whether each named prime occurs in its class (occurs(class, l)),
+    and whether the largest prime of the j-denominator (largest_prime) is p."""
+    curve, P = inst.curve, inst.P
+    named = [(P, inst.p), (curve.add(P, inst.P1), inst.p),
+             (curve.add(P, inst.P2), params.l2), (curve.add(P, inst.P3), params.l1)]
+    occurrences = all(occurs(descent_class(curve, inst.algebra, pt), l) for pt, l in named)
+    return occurrences, largest_prime(curve.j_invariant().denominator) == inst.p
+
+
+def _integer_checks(inst, params):
+    checks = verify_instance(inst, params).checks
+    return checks["occurrences"].passed, checks["j_denominator"].passed
+
+
+def _by_factor(inst, params):
+    return _factored_checks(inst, params, lambda cls, l: cls.triple().occurs(l), lambda n: max(factor(n)))
+
+
+class TestIntegerChecks:
+    def test_match_the_factoring_decision(self, first_instances):
+        params, instances = first_instances
+        for inst, other in zip(instances, instances[1:] + instances[:1]):
+            assert _integer_checks(inst, params) == _by_factor(inst, params) == (True, True)
+            # labelled with another instance's prime, both checks fail both ways
+            wrong = _relabelled(inst, other.p)
+            assert _integer_checks(wrong, params) == _by_factor(wrong, params) == (False, False)
+
+    def test_odd_valuation_matches_the_class_triples(self, first_instances):
+        params, instances = first_instances
+        for inst in instances:
+            c = inst.curve
+            for pt in (inst.P, c.add(inst.P, inst.P1), c.add(inst.P, inst.P2), c.add(inst.P, inst.P3)):
+                cls = descent_class(c, inst.algebra, pt)
+                triple = cls.triple()
+                for l in (2, 3, 5, 7, 13, inst.p):
+                    got = any(_odd_valuation(r[0], l) for r in cls.rep.residues)
+                    assert got == triple.occurs(l), (inst.p, pt, l)
+
+    @pytest.mark.parametrize("c,l,odd", [
+        (Fraction(5, 3), 3, True), (Fraction(4, 27), 3, True), (Fraction(-9, 2), 3, False),
+        (Fraction(2, 9), 3, False), (-12, 3, True), (-12, 2, False), (7, 5, False),
+    ])
+    def test_odd_valuation_of_rationals(self, c, l, odd):
+        assert _odd_valuation(c, l) is odd
+
+    def test_match_sympy(self, first_instances):
+        sympy = pytest.importorskip("sympy")
+
+        def occurs(cls, l):
+            """Whether l has odd valuation in some component, by factorint."""
+            for r in cls.rep.residues:
+                q = Fraction(r[0])
+                if (sympy.factorint(abs(q.numerator)).get(l, 0) - sympy.factorint(q.denominator).get(l, 0)) % 2:
+                    return True
+            return False
+
+        params, instances = first_instances
+        for inst, other in zip(instances, instances[1:] + instances[:1]):
+            for case in (inst, _relabelled(inst, other.p)):
+                expected = _factored_checks(case, params, occurs, lambda n: max(sympy.factorint(n)))
+                assert _integer_checks(case, params) == expected
+
+    def test_p3_under_3_5_fails_check_a_with_the_same_detail(self):
+        check = verify_instance(build_instance(3), _params()).checks["occurrences"]
+        assert not check.passed
+        assert check.detail == "5 does not occur in class(P+P2); 3 does not occur in class(P+P3)"
+
+    def test_mislabelled_curve_fails_check_e_and_names_the_cofactor(self):
+        # the p = 229 curve labelled 1129: 229 is left once 1129 and the
+        # primes of 2(1129^2 - 1) are removed from the j-denominator
+        inst = _relabelled(build_instance(229), 1129)
+        den = inst.curve.j_invariant().denominator
+        check = verify_instance(inst, _params()).checks["j_denominator"]
+        rest = den
+        for q in (2, 3, 5, 47, 113):  # the primes of 2 * 1128 * 1130
+            while rest % q == 0:
+                rest //= q
+        assert rest % 229**2 == 0 and max(factor(rest)) == 229
+        assert not check.passed
+        assert check.detail == (
+            "1129 does not divide the denominator of j; "
+            f"the denominator of j keeps the cofactor {rest}, prime to 2p(p^2 - 1)"
+        )
+
+
 class TestPairwiseDistinct:
     def test_distinct_for_different_primes(self):
         assert pairwise_distinct([build_instance(3), build_instance(5)])
@@ -291,10 +398,9 @@ class TestRunFamily:
     def test_each_quantity_computed_once(self, monkeypatch):
         # roots of F are found once per run whatever the count, and
         # square_class factors each distinct rational once: its numerator
-        # and denominator; check (e) factors one j denominator per instance
+        # and denominator; checks (a) and (e) factor nothing
         import mwglue.arith as A
         import mwglue.etale as Et
-        import mwglue.family as Fam
         import mwglue.poly as P
 
         calls = {"factor": 0, "roots": 0}
@@ -311,7 +417,6 @@ class TestRunFamily:
             return square_class(q)
 
         monkeypatch.setattr(A, "factor", counted("factor", A.factor))
-        monkeypatch.setattr(Fam, "factor", counted("factor", Fam.factor))
         monkeypatch.setattr(A, "square_class", recorded)
         monkeypatch.setattr(Et, "square_class", recorded)
         monkeypatch.setattr(P, "rational_roots_monic", counted("roots", P.rational_roots_monic))
@@ -322,7 +427,7 @@ class TestRunFamily:
             assert run_family(_params(count=count)).all_passed
             roots.append(calls["roots"])
         assert roots[0] == roots[1]
-        assert calls["factor"] <= 2 * len(rationals) + 5
+        assert calls["factor"] <= 2 * len(rationals)
 
     def test_gluing_rejects_a_foreign_algebra(self):
         inst = build_instance(229)

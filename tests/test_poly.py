@@ -180,3 +180,81 @@ class TestLiftRoot:
         root = P.lift_root([-2, 0, 1], [0, 2], 3, 7, 20)
         assert (root * root - 2) % 7**20 == 0
         assert root % 7 == 3
+
+
+# A coefficient as the kernels may meet it: an int, or a Fraction that may
+# itself be integral, such as Fraction(4, 2).
+mixed = st.one_of(st.integers(-30, 30), small_fractions)
+mixed_polys = st.lists(mixed, max_size=5).map(P.poly)
+
+
+def _as_fractions(p):
+    """The same polynomial with every coefficient a Fraction."""
+    return tuple(Fraction(c) for c in p)
+
+
+def _normalized(value) -> bool:
+    """No float anywhere, and every integral rational an int."""
+    if isinstance(value, tuple):
+        return all(_normalized(v) for v in value)
+    return type(value) is int or type(value) is Fraction and value.denominator != 1
+
+
+class TestIntegralCoefficients:
+    """Integral coefficients stay ints through the kernels, and every value
+    is the one an all-Fraction computation gives."""
+
+    @given(mixed_polys, mixed_polys)
+    @settings(max_examples=150, deadline=None)
+    def test_ring_operations(self, p, q):
+        for op in (P.add, P.mul, P.compose):
+            got = op(p, q)
+            assert got == op(_as_fractions(p), _as_fractions(q))
+            assert _normalized(got)
+
+    @given(mixed_polys, mixed_polys.filter(bool))
+    @settings(max_examples=150, deadline=None)
+    def test_division(self, p, q):
+        fp, fq = _as_fractions(p), _as_fractions(q)
+        for op in (P.divmod_poly, P.mod_poly, P.xgcd_poly):
+            got = op(p, q)
+            assert got == op(fp, fq)
+            assert _normalized(got)
+        quot, rem = P.divmod_poly(p, q)
+        assert P.add(P.mul(quot, q), rem) == p
+
+    @given(mixed_polys, st.integers(-30, 30), mixed)
+    @settings(max_examples=150, deadline=None)
+    def test_linear_modulus(self, p, r, lead):
+        # x - r, the family's components, and lead x - r
+        assume(lead)
+        for m in (P.poly([-r, 1]), P.poly([-r, lead])):
+            got = P.mod_poly(p, m)
+            assert got == P.mod_poly(_as_fractions(p), _as_fractions(m)) and _normalized(got)
+
+    @given(st.lists(st.tuples(mixed, mixed), min_size=1, max_size=4, unique_by=lambda pt: Fraction(pt[0])))
+    @settings(max_examples=100, deadline=None)
+    def test_interpolate(self, points):
+        got = P.interpolate(points)
+        assert got == P.interpolate([(Fraction(x), Fraction(y)) for x, y in points])
+        assert _normalized(got)
+        assert all(P.eval_at(got, x) == y for x, y in points)
+
+    @given(st.lists(mixed, min_size=3, max_size=3), mixed)
+    @settings(max_examples=100, deadline=None)
+    def test_scalars(self, coeffs, x):
+        f = P.poly([*coeffs, 1])
+        for got, want in ((P.cubic_disc(f), P.cubic_disc(_as_fractions(f))),
+                          (P.eval_at(f, x), P.eval_at(_as_fractions(f), Fraction(x)))):
+            assert got == want and type(got) in (int, Fraction)
+        if all(type(c) is int for c in (*f, x)):
+            assert type(P.cubic_disc(f)) is int and type(P.eval_at(f, x)) is int
+
+    def test_integral_fractions_become_ints(self):
+        p = P.poly([Fraction(4, 2), Fraction(1, 2), Fraction(-3)])
+        assert p == (2, Fraction(1, 2), -3) and [type(c) for c in p] == [int, Fraction, int]
+
+    @pytest.mark.parametrize("value", [0.5, 2.0, float("inf")])
+    def test_float_refused(self, value):
+        with pytest.raises(TypeError):
+            P.poly([value])
