@@ -9,6 +9,8 @@ from __future__ import annotations
 import json
 import os
 import sys
+from collections.abc import Callable
+from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 
 from . import arith, descent, ellcurve, etale, example, family, fixtures, glue, poly
@@ -49,22 +51,61 @@ def _print(text: str):
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _emit(args, payload: dict, human: str):
+def _json(value, indent: str = "\n") -> str:
+    """value as `json.dumps(value, indent=2)` writes it, for the types a
+    report holds: str, int, bool, None, lists, tuples and dicts with str
+    keys.  `json` encodes an indented value with its pure-Python encoder;
+    this writer quotes strings with the C one.  Anything else is a TypeError."""
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        # _quote raises TypeError on a key that is not a str
+        items = [f"{_quote(key)}: {_json(item, inner)}" for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join([_json(item, inner) for item in value]) + indent + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+# What a handler returns: renderers of the JSON report and of the human text,
+# and the exit code.
+Rendered = tuple[Callable[[], dict], Callable[[], str], int]
+
+
+def _emit(args, payload: Callable[[], dict], human: Callable[[], str]):
+    """Print the report in args.format, and write it as JSON to args.out if given.
+
+    payload and human are zero-argument renderers of the JSON object and the
+    human text; each runs only if its output is printed or written."""
+    text = _json(payload()) if args.out or args.format == "json" else None
     # the file first, so that a reader closing stdout early does not lose it
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    _print(json.dumps(payload, indent=2) if args.format == "json" else human)
+            fh.write(text + "\n")
+    _print(text if args.format == "json" else human())
 
 
-def _cmd_verify_example(args) -> tuple[dict, str, int]:
+def _cmd_verify_example(args) -> Rendered:
     overrides = fixtures.load_example_fixtures(_load_json(args.fixtures)) if args.fixtures else None
     report = example.run_example(_cert_primes(args), fixtures=overrides)
-    return report.to_json(), example.format_example_report(report), report.exit_code
+    return report.to_json, lambda: example.format_example_report(report), report.exit_code
 
 
-def _cmd_family(args) -> tuple[dict, str, int]:
+def _cmd_family(args) -> Rendered:
     if args.count > MAX_FAMILY_COUNT:
         raise UsageError(f"--count must be at most {MAX_FAMILY_COUNT}")
     if args.F:
@@ -75,43 +116,51 @@ def _cmd_family(args) -> tuple[dict, str, int]:
             raise ValueError("generators: expected a list of points")
         gens = tuple(ellcurve.ECPoint.from_json(g, f"generators[{i}]") for i, g in enumerate(gens))
     else:
-        F, gens = fixtures.FAMILY_F, ()
+        F, gens = family.FAMILY_F, ()
     params = family.FamilyParams(
         l1=args.l1, l2=args.l2, F=F, F_generators=gens, bound=args.bound, count=args.count
     )
     report = family.run_family(params)
-    lines = [f"primes: {', '.join(str(p) for p in report.search.primes) or '(none)'}"]
-    if report.search.exhausted:
-        lines.append(
-            f"bound exhausted: found {len(report.search.primes)} of {params.count} "
-            f"instances below {params.bound}"
-        )
-    for inst, rep in zip(report.instances, report.reports):
-        lines.append(f"p = {inst.p}: {'all checks pass' if rep.all_passed else 'FAILED'}")
-        for name, check in rep.checks.items():
-            mark = "ok" if check.passed else "FAIL"
-            lines.append(f"  [{mark:>4}] {name}: {check.detail}")
-        table = inst.class_table()
-        for key in ("P", "P1", "P2", "P3"):
-            trip = table[key]
-            reps = ", ".join(str(c.representative()) for c in trip.components)
-            lines.append(f"  class({key}) = ({reps})")
-    lines.append(f"j-invariants pairwise distinct: {report.pairwise_distinct_j}")
-    return report.to_json(), "\n".join(lines), report.exit_code
+
+    def human() -> str:
+        lines = [f"primes: {', '.join(str(p) for p in report.search.primes) or '(none)'}"]
+        if report.search.exhausted:
+            lines.append(
+                f"bound exhausted: found {len(report.search.primes)} of {params.count} "
+                f"instances below {params.bound}"
+            )
+        for inst, rep in zip(report.instances, report.reports):
+            lines.append(f"p = {inst.p}: {'all checks pass' if rep.all_passed else 'FAILED'}")
+            for name, check in rep.checks.items():
+                mark = "ok" if check.passed else "FAIL"
+                lines.append(f"  [{mark:>4}] {name}: {check.detail}")
+            table = inst.class_table()
+            for key in ("P", "P1", "P2", "P3"):
+                trip = table[key]
+                reps = ", ".join(str(c.representative()) for c in trip.components)
+                lines.append(f"  class({key}) = ({reps})")
+        lines.append(f"j-invariants pairwise distinct: {report.pairwise_distinct_j}")
+        return "\n".join(lines)
+
+    return report.to_json, human, report.exit_code
 
 
-def _cmd_membership(args) -> tuple[dict, str, int]:
+def _cmd_membership(args) -> Rendered:
     gluing = glue.GluingData.from_json(_load_json(args.gluing))
     pt_e = ellcurve.ECPoint.from_json(_load_json(args.P))
     pt_f = ellcurve.ECPoint.from_json(_load_json(args.Q))
     verdict = descent.membership(gluing, pt_e, pt_f, _cert_primes(args))
-    human = f"verdict: {verdict.verdict}"
-    if verdict.certificate is not None:
-        human += f"\ncertificate: {json.dumps(verdict.to_json()['certificate'])}"
-    return verdict.to_json(), human, 0 if verdict.verdict in (descent.IN_IMAGE, descent.NOT_IN_IMAGE) else 2
+
+    def human() -> str:
+        text = f"verdict: {verdict.verdict}"
+        if verdict.certificate is not None:
+            text += f"\ncertificate: {json.dumps(verdict.to_json()['certificate'])}"
+        return text
+
+    return verdict.to_json, human, 0 if verdict.verdict in (descent.IN_IMAGE, descent.NOT_IN_IMAGE) else 2
 
 
-def _cmd_descent_class(args) -> tuple[dict, str, int]:
+def _cmd_descent_class(args) -> Rendered:
     curve = ellcurve.EllipticCurve.from_json(_load_json(args.curve))
     point = ellcurve.ECPoint.from_json(_load_json(args.point))
     order = [poly.rational(part.strip()) for part in args.roots.split(",")] if args.roots else None
@@ -119,24 +168,28 @@ def _cmd_descent_class(args) -> tuple[dict, str, int]:
     cls = descent.descent_class(curve, algebra, point)
     if algebra.is_split:
         trip = cls.triple()
-        reps = ", ".join(str(c.representative()) for c in trip.components)
-        return {"triple": trip.to_json()}, f"({reps})", 0
-    return {"class": cls.to_json()}, f"class of {cls.rep.to_json()}", 0
+        return (lambda: {"triple": trip.to_json()},
+                lambda: f"({', '.join(str(c.representative()) for c in trip.components)})", 0)
+    return lambda: {"class": cls.to_json()}, lambda: f"class of {cls.rep.to_json()}", 0
 
 
-def _cmd_jinv(args) -> tuple[dict, str, int]:
+def _cmd_jinv(args) -> Rendered:
     curve = ellcurve.EllipticCurve.from_json(_load_json(args.curve))
     j = curve.j_invariant()
-    return {"j": str(j)}, str(j), 0
+    return lambda: {"j": str(j)}, lambda: str(j), 0
 
 
-def _cmd_torsion(args) -> tuple[dict, str, int]:
+def _cmd_torsion(args) -> Rendered:
     curve = ellcurve.EllipticCurve.from_json(_load_json(args.curve))
     torsion = curve.torsion_subgroup()
-    human = f"{torsion.label()} (order {torsion.order})"
-    if torsion.generators:
-        human += "\ngenerators: " + ", ".join(str(g) for g in torsion.generators)
-    return torsion.to_json(), human, 0
+
+    def human() -> str:
+        text = f"{torsion.label()} (order {torsion.order})"
+        if torsion.generators:
+            text += "\ngenerators: " + ", ".join(str(g) for g in torsion.generators)
+        return text
+
+    return torsion.to_json, human, 0
 
 
 def _format(text: str) -> str:

@@ -8,6 +8,7 @@ j-invariant.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt, lcm
 
 from . import poly as P
@@ -129,6 +130,8 @@ class EllipticCurve(Record):
         object.__setattr__(self, "c0", _fraction(self.c0))
         object.__setattr__(self, "c1", _fraction(self.c1))
         object.__setattr__(self, "c2", _fraction(self.c2))
+        # the cubic, built once: curves are frozen
+        object.__setattr__(self, "_f", P.poly((self.c0, self.c1, self.c2, 1)))
         if self.disc_f == 0:
             raise ValueError("the cubic has a repeated root; the curve is singular")
 
@@ -138,7 +141,7 @@ class EllipticCurve(Record):
         return cls(-r1 * r2 * r3, r1 * r2 + r1 * r3 + r2 * r3, -(r1 + r2 + r3))
 
     def f_poly(self) -> Poly:
-        return P.poly((self.c0, self.c1, self.c2, 1))
+        return self._f
 
     def f_at(self, x) -> int | Fraction:
         return P.eval_at(self.f_poly(), P.fraction(x))
@@ -230,8 +233,9 @@ class EllipticCurve(Record):
                 if y * y == v:
                     orders.setdefault(ECPoint.affine(x, y), m)
                     orders.setdefault(ECPoint.affine(x, -y), m)
-        back = {q if q.is_infinity else ECPoint.affine(q.x / u**2, q.y / u**3): order
-                for q, order in orders.items()}
+        back = orders if u == 1 else {
+            q if q.is_infinity else ECPoint.affine(q.x / u**2, q.y / u**3): order
+            for q, order in orders.items()}
         return TorsionGroup(*_group_structure(self, back), primes, counts)
 
     def j_invariant(self) -> Fraction:
@@ -263,13 +267,20 @@ def _reduction_bound(g: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         q += 2
         if disc % q == 0 or not is_prime(q):
             continue
-        roots = [0] * q
-        for y in range(q):
-            roots[y * y % q] += 1
+        roots = _square_roots(q)
         c, b, a = (coeff % q for coeff in g[:3])
         primes.append(q)
         counts.append(1 + sum(roots[(((x + a) * x + b) * x + c) % q] for x in range(q)))
     return tuple(primes), tuple(counts)
+
+
+@lru_cache(maxsize=64)
+def _square_roots(q: int) -> tuple[int, ...]:
+    """The number of square roots mod q of each residue mod q."""
+    roots = [0] * q
+    for y in range(q):
+        roots[y * y % q] += 1
+    return tuple(roots)
 
 
 def _imul(p: list[int], q: list[int]) -> list[int]:

@@ -28,6 +28,13 @@ from .glue import GluingData, TwoTorsionIdentification
 from .record import Record
 
 
+# Default F for family runs: y^2 = x(x - 1)(x + 3), full rational 2-torsion.
+FAMILY_F = EllipticCurve(0, -3, 2)
+# Generators of the full group F(Q) = Z/4 x Z/2 (rank zero).  Family runs
+# that should treat the F-side span as trivial pass an empty tuple instead.
+FAMILY_F_GENERATORS = (ECPoint.affine(3, 6), ECPoint.affine(0, 0))
+
+
 class InvalidFamilyParams(ValueError):
     pass
 

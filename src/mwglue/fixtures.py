@@ -32,13 +32,6 @@ COVER_TO_F = (
     RationalMap(poly([1]), poly([1])),  # v = 1
 )
 
-# Default F for family runs: y^2 = x(x - 1)(x + 3), full rational 2-torsion.
-FAMILY_F = EllipticCurve(Fraction(0), Fraction(-3), Fraction(2))
-# Generators of the full group F(Q) = Z/4 x Z/2 (rank zero).  Family runs
-# that should treat the F-side span as trivial pass an empty tuple instead.
-FAMILY_F_GENERATORS = (ECPoint.affine(3, 6), ECPoint.affine(0, 0))
-
-
 def example_fixtures() -> dict:
     """The default inputs of the bundled example as one mutable mapping."""
     return {

@@ -6,7 +6,8 @@ position or keyword with class-level defaults, a `__post_init__` hook,
 frozen instances, field-wise equality and hashing, and the dataclass repr.
 It does this with plain methods on one base class.  `dataclasses` imports
 `inspect` and compiles several generated methods per class through `exec`,
-which every short CLI process paid again at import.
+which every short CLI process paid again at import.  Unlike a dataclass, an
+instance computes its hash once and keeps it.
 """
 
 from __future__ import annotations
@@ -21,8 +22,11 @@ class Record:
     (every module uses `from __future__ import annotations`); a class
     attribute of the same name is the field's default.  Instances keep their
     fields in `__dict__`, so `functools.cached_property` works; the cached
-    values take no part in equality, hashing or repr.  `object.__setattr__`
-    stays open to `__post_init__` for normalizing a field.
+    values take no part in equality, hashing or repr.  The hash of the
+    fields is kept there too, under `_hash`, on the first `hash()`: a value
+    class is a cache key, and a Fraction hashes in Python code.
+    `object.__setattr__` stays open to `__post_init__` for normalizing a
+    field, before anything hashes the instance.
     """
 
     def __init_subclass__(cls, **kwargs):
@@ -73,7 +77,17 @@ class Record:
         return self is other or self._values(self) == self._values(other)
 
     def __hash__(self):
-        return hash(self._values(self))
+        # kept once computed, as cached_property keeps its values; a hash
+        # that raises is not kept
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = self.__dict__["_hash"] = hash(self._values(self))
+            return value
+
+    def __getstate__(self) -> dict:
+        # str hashes differ between processes, so a pickle carries no hash
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     def __repr__(self):
         args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)

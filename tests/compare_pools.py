@@ -4,11 +4,13 @@
 
 BASE_TREE is another checkout of this repository, such as the commit a
 change is based on.  Every distinct command of the example, family and
-queries pools that bench/workloads.py draws for seeds 0-3 runs twice as
-`python3 -m mwglue.cli ARGS`, each in a fresh process beside its input
-files: once with this tree's src/ on PYTHONPATH and once with BASE_TREE's.
-Any difference in exit code, stdout or stderr is printed, and the script
-then exits 1.  It needs only the standard library.
+queries pools that bench/workloads.py draws for seeds 0-3 runs as
+`python3 -m mwglue.cli ARGS` in three forms: as drawn, with the other
+`--format`, and as drawn with `--out FILE`.  Each form runs twice, each in a
+fresh process beside its input files: once with this tree's src/ on
+PYTHONPATH and once with BASE_TREE's.  Any difference in exit code, stdout,
+stderr or the bytes of the `--out` file is printed, and the script then
+exits 1.  It needs only the standard library.
 """
 
 from __future__ import annotations
@@ -44,17 +46,33 @@ def commands() -> list:
     return out
 
 
-def run(cmd, tree: Path) -> tuple[int, str, str]:
-    """Exit code, stdout and stderr of the command on the tree's src/."""
+OUT = "report.out"  # the --out file, beside the inputs
+
+
+def forms(args: tuple[str, ...]) -> list[tuple[str, ...]]:
+    """The command as drawn, with the other --format, and with --out."""
+    if "--format" in args:
+        i = args.index("--format") + 1
+        other = (*args[:i], "human" if args[i] == "json" else "json", *args[i + 1:])
+    else:
+        other = (*args, "--format", "json")
+    return [args, other, (*args, "--out", OUT)]
+
+
+def run(args: tuple[str, ...], inputs: dict, tree: Path) -> tuple[int, str, str, bytes | None]:
+    """Exit code, stdout, stderr and the --out file's bytes (None when no
+    file was written) of the command on the tree's src/."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     with tempfile.TemporaryDirectory() as work:
-        for name, content in cmd.inputs.items():
+        for name, content in inputs.items():
             (Path(work) / name).write_text(json.dumps(content))
         done = subprocess.run(
-            [sys.executable, "-m", "mwglue.cli", *cmd.args],
+            [sys.executable, "-m", "mwglue.cli", *args],
             cwd=work, env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True,
         )
-    return done.returncode, done.stdout, done.stderr
+        out = Path(work) / OUT
+        written = out.read_bytes() if out.exists() else None
+    return done.returncode, done.stdout, done.stderr, written
 
 
 def main(argv: list[str]) -> int:
@@ -65,13 +83,15 @@ def main(argv: list[str]) -> int:
     cmds = commands()
     differ = 0
     for cmd in cmds:
-        ours, theirs = run(cmd, ROOT), run(cmd, base)
-        if ours != theirs:
-            differ += 1
-            fields = [k for k, a, b in zip(("exit code", "stdout", "stderr"), ours, theirs) if a != b]
-            print(f"DIFFERS ({', '.join(fields)}): mwglue {' '.join(cmd.args)}; "
-                  f"inputs {json.dumps(cmd.inputs)}")
-    print(f"{len(cmds)} commands, {differ} differ from {base}")
+        for args in forms(cmd.args):
+            ours, theirs = run(args, cmd.inputs, ROOT), run(args, cmd.inputs, base)
+            if ours != theirs:
+                differ += 1
+                fields = [k for k, a, b in zip(("exit code", "stdout", "stderr", "--out file"), ours, theirs)
+                          if a != b]
+                print(f"DIFFERS ({', '.join(fields)}): mwglue {' '.join(args)}; "
+                      f"inputs {json.dumps(cmd.inputs)}")
+    print(f"{len(cmds)} commands in {3 * len(cmds)} forms, {differ} differ from {base}")
     return 1 if differ else 0
 
 

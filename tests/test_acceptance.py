@@ -31,13 +31,14 @@ from mwglue.etale import (
 )
 from mwglue.example import run_example
 from mwglue.family import (
+    FAMILY_F,
     FamilyParams,
     build_instance,
     curve_for_prime,
     pairwise_distinct,
     run_family,
 )
-from mwglue.fixtures import EXAMPLE_E, EXAMPLE_F, EXAMPLE_POINT, EXAMPLE_PSI, FAMILY_F
+from mwglue.fixtures import EXAMPLE_E, EXAMPLE_F, EXAMPLE_POINT, EXAMPLE_PSI
 from mwglue.glue import GluingData
 
 from oracles import (

@@ -280,8 +280,7 @@ class TestMembershipCommand:
         # cofactor that rho cannot split within its step budget: exit 2,
         # naming the budget; 7P needs an 89-bit cofactor with a 43-bit
         # factor, in budget.  Membership of (10P, O) factors nothing.
-        from mwglue.family import build_instance, gluing_for_instance
-        from mwglue.fixtures import FAMILY_F
+        from mwglue.family import FAMILY_F, build_instance, gluing_for_instance
 
         inst = build_instance(229)
         gluing = gluing_for_instance(inst, FAMILY_F)

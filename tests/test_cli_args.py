@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 import mwglue.cli as cli
 from mwglue.cli import COMMANDS, main
-from mwglue.fixtures import EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI, FAMILY_F, FAMILY_F_GENERATORS
+from mwglue.family import FAMILY_F, FAMILY_F_GENERATORS
+from mwglue.fixtures import EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI
 from mwglue.glue import GluingData
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 import mwglue.arith as arith
 from mwglue.cli import main
+from mwglue.family import FAMILY_F, FAMILY_F_GENERATORS
 from mwglue.fixtures import (COVER_TO_E, COVER_TO_F, EXAMPLE_C, EXAMPLE_C_UNSCALED, EXAMPLE_E,
-                             EXAMPLE_F, EXAMPLE_POINT, EXAMPLE_PSI, EXAMPLE_RESCALE, FAMILY_F,
-                             FAMILY_F_GENERATORS)
+                             EXAMPLE_F, EXAMPLE_POINT, EXAMPLE_PSI, EXAMPLE_RESCALE)
 from mwglue.glue import GluingData
 
 

@@ -29,15 +29,14 @@ from mwglue.etale import (
     is_square,
     validate_characters,
 )
-from mwglue.family import build_instance, curve_for_prime, gluing_for_instance
-from mwglue.fixtures import (
-    EXAMPLE_E,
-    EXAMPLE_F,
-    EXAMPLE_POINT,
-    EXAMPLE_PSI,
+from mwglue.family import (
     FAMILY_F,
     FAMILY_F_GENERATORS,
+    build_instance,
+    curve_for_prime,
+    gluing_for_instance,
 )
+from mwglue.fixtures import EXAMPLE_E, EXAMPLE_F, EXAMPLE_POINT, EXAMPLE_PSI
 from mwglue.glue import GluingData, TwoTorsionIdentification
 
 from oracles import bisect_cubic_roots, crt_lift, search_points

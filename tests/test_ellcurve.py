@@ -9,8 +9,8 @@ import mwglue.poly as P
 from mwglue.arith import factor
 from mwglue.ellcurve import ECPoint, EllipticCurve, INFINITY
 from mwglue.etale import CubicEtaleAlgebra
-from mwglue.family import FamilyParams, curve_for_prime, find_primes
-from mwglue.fixtures import EXAMPLE_E, EXAMPLE_F, EXAMPLE_POINT, FAMILY_F
+from mwglue.family import FAMILY_F, FamilyParams, curve_for_prime, find_primes
+from mwglue.fixtures import EXAMPLE_E, EXAMPLE_F, EXAMPLE_POINT
 
 from oracles import (
     chord_tangent_sum,

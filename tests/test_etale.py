@@ -22,8 +22,8 @@ from mwglue.etale import (
     span_contains,
     validate_characters,
 )
-from mwglue.family import build_instance, curve_for_prime, gluing_for_instance
-from mwglue.fixtures import EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI, FAMILY_F
+from mwglue.family import FAMILY_F, build_instance, curve_for_prime, gluing_for_instance
+from mwglue.fixtures import EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI
 
 from oracles import crt_lift, scan_nonresidue, subset_search_contains
 

@@ -8,6 +8,8 @@ from mwglue.descent import descent_class
 from mwglue.ellcurve import ECPoint
 from mwglue.etale import CubicEtaleAlgebra
 from mwglue.family import (
+    FAMILY_F,
+    FAMILY_F_GENERATORS,
     FamilyInstance,
     FamilyParams,
     InvalidFamilyParams,
@@ -20,7 +22,7 @@ from mwglue.family import (
     run_family,
     verify_instance,
 )
-from mwglue.fixtures import EXAMPLE_E, FAMILY_F, FAMILY_F_GENERATORS
+from mwglue.fixtures import EXAMPLE_E
 
 from oracles import naive_congruence_primes
 

@@ -8,7 +8,7 @@ import pytest
 import mwglue.poly as P
 from mwglue.ellcurve import EllipticCurve
 from mwglue.etale import CubicEtaleAlgebra, algebra_map
-from mwglue.family import curve_for_prime
+from mwglue.family import FAMILY_F, curve_for_prime
 from mwglue.fixtures import (
     COVER_TO_E,
     COVER_TO_F,
@@ -18,7 +18,6 @@ from mwglue.fixtures import (
     EXAMPLE_F,
     EXAMPLE_PSI,
     EXAMPLE_RESCALE,
-    FAMILY_F,
 )
 from mwglue.glue import (
     GEOMETRIC,

@@ -6,6 +6,7 @@ The references are dataclasses built here with the same names and fields.
 from __future__ import annotations
 
 import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -95,6 +96,44 @@ class TestEqualityAndHash:
         assert "disc" in vars(a) and "disc" not in vars(b)
         assert a == b and hash(a) == h
         assert "disc" not in repr(a) and "disc" not in a._asdict()
+
+
+class TestKeptHash:
+    @pytest.mark.parametrize("make", [
+        lambda: Pair(5),
+        lambda: Step("torsion", True),
+        lambda: ECPoint.affine(Fraction(-2, 3), 1),
+        ECPoint.infinity,
+        lambda: EXAMPLE_E,
+    ], ids=["Pair", "Step", "ECPoint", "infinity", "EllipticCurve"])
+    def test_hash_is_the_dataclass_hash_before_and_after_it_is_kept(self, make):
+        record = make()
+        expected = hash(_reference(type(record))(*record._values(record)))
+        assert hash(record) == expected
+        assert vars(record)["_hash"] == expected
+        assert hash(record) == expected
+
+    def test_kept_hash_stays_out_of_equality_repr_and_asdict(self):
+        a, b = Step("torsion", True), Step("torsion", True)
+        hash(a)
+        assert "_hash" in vars(a) and "_hash" not in vars(b)
+        assert a == b and b == a
+        assert repr(a) == repr(b) == repr(_reference(Step)("torsion", True, ""))
+        assert a._asdict() == b._asdict() == {"name": "torsion", "passed": True, "detail": ""}
+
+    def test_unhashable_field_raises_on_every_call(self):
+        record = Pair([1])
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                hash(record)
+        assert "_hash" not in vars(record)
+
+    def test_pickle_carries_no_hash(self):
+        # str hashes differ between processes
+        record = Step("torsion", True)
+        hash(record)
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and "_hash" not in vars(copy) and hash(copy) == hash(record)
 
 
 class TestFrozen:
