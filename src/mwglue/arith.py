@@ -233,9 +233,13 @@ class SquareClass(Record):
         return cls(data["sign"] == "-", tuple(int(p) for p in data["primes"]))
 
 
-@lru_cache(maxsize=1024)
+# typed, so that a float equal to a rational already seen is refused too
+@lru_cache(maxsize=1024, typed=True)
 def square_class(q) -> SquareClass:
-    """The image of a nonzero rational in Q*/Q*^2."""
+    """The image of a nonzero rational in Q*/Q*^2.  A float is refused, as
+    poly.fraction refuses it: its binary value is not the number written."""
+    if isinstance(q, float):
+        raise TypeError(f"not an exact rational: {q!r}")
     q = Fraction(q)
     if q == 0:
         raise ValueError("0 has no square class")
@@ -245,6 +249,12 @@ def square_class(q) -> SquareClass:
             counts[p] = counts.get(p, 0) + e
     odd = tuple(sorted(p for p, e in counts.items() if e % 2))
     return SquareClass(q < 0, odd)
+
+
+# A valuation coordinate of (Q*/Q*^2)^3: (component index, prime), None
+# marking the sign.  subgroup_contains also takes other coordinates, such as
+# the quadratic characters (p, component, root) of etale.span_contains.
+Coordinate = tuple[int, int | None]
 
 
 class SquareClassTriple(Record):
@@ -276,6 +286,16 @@ class SquareClassTriple(Record):
             self.c1 * other.c1, self.c2 * other.c2, self.c3 * other.c3
         )
 
+    def coordinates(self) -> set[Coordinate]:
+        """The valuation coordinates of the triple: (i, None) when component
+        i is negative and (i, p) for each prime p of odd valuation in it."""
+        out: set[Coordinate] = set()
+        for i, c in enumerate(self.components):
+            if c.negative:
+                out.add((i, None))
+            out.update((i, p) for p in c.primes)
+        return out
+
     def occurs(self, p: int) -> bool:
         """Whether p has odd valuation in some component."""
         return any(p in c.primes for c in self.components)
@@ -288,33 +308,9 @@ class SquareClassTriple(Record):
         return cls(*(SquareClass.from_json(d) for d in data))
 
 
-# A valuation coordinate of (Q*/Q*^2)^3: (component index, prime), None
-# marking the sign.  subgroup_contains also takes other coordinates, such as
-# the quadratic characters (p, component, root) of etale.span_contains.
-Coordinate = tuple[int, int | None]
-
-
-def _coords_of(z: SquareClassTriple) -> set[Coordinate]:
-    out: set[Coordinate] = set()
-    for i, c in enumerate(z.components):
-        if c.negative:
-            out.add((i, None))
-        for p in c.primes:
-            out.add((i, p))
-    return out
-
-
 def _coord_key(c: tuple):
     # None sorts first, so a component's sign precedes its primes
     return tuple(-1 if x is None else x for x in c)
-
-
-def coordinate_to_json(c: Coordinate) -> dict:
-    return {"component": c[0], "prime": c[1]}
-
-
-def coordinate_from_json(data) -> Coordinate:
-    return (int(data["component"]), None if data["prime"] is None else int(data["prime"]))
 
 
 class ContainmentResult(Record):
@@ -333,19 +329,17 @@ class ContainmentResult(Record):
 
 
 def subgroup_contains(generators, target) -> ContainmentResult:
-    """Decide membership of target in the F2 span of the generators.
+    """Decide membership of target in the F2 span of a list of generators.
 
-    Each element is a SquareClassTriple, standing for its valuation
-    coordinates (component, sign) and (component, prime), or directly a set
-    of coordinates, the F2 vector with a 1 at each of them.  Gaussian
+    Each element is a set of coordinates, the F2 vector with a 1 at each of
+    them, such as the valuation coordinates of SquareClassTriple.coordinates
+    or the quadratic characters of etale.span_contains.  Gaussian
     elimination over F2 gives, for a positive answer, a witness subset of
     generator indices whose product is the target; a negative answer carries
     a coordinate set meeting every generator an even number of times and the
     target an odd number of times.
     """
-    sets = [_coords_of(z) if isinstance(z, SquareClassTriple) else z for z in generators]
-    tset = _coords_of(target) if isinstance(target, SquareClassTriple) else target
-    universe = sorted(set(tset).union(*sets), key=_coord_key)
+    universe = sorted(set(target).union(*generators), key=_coord_key)
     pos = {c: i for i, c in enumerate(universe)}
 
     def vec(cs) -> int:
@@ -355,7 +349,7 @@ def subgroup_contains(generators, target) -> ContainmentResult:
         return v
 
     basis: list[list[int]] = []  # [vector, generator mask] rows, kept in RREF
-    for i, g in enumerate(sets):
+    for i, g in enumerate(generators):
         v, m = vec(g), 1 << i
         for bv, bm in basis:
             if v >> (bv.bit_length() - 1) & 1:
@@ -367,13 +361,13 @@ def subgroup_contains(generators, target) -> ContainmentResult:
                     row[0] ^= v
                     row[1] ^= m
             basis.append([v, m])
-    t, tm = vec(tset), 0
+    t, tm = vec(target), 0
     for bv, bm in basis:
         if t >> (bv.bit_length() - 1) & 1:
             t ^= bv
             tm ^= bm
     if t == 0:
-        witness = tuple(i for i in range(len(sets)) if tm >> i & 1)
+        witness = tuple(i for i in range(len(generators)) if tm >> i & 1)
         return ContainmentResult(True, witness=witness)
     low = (t & -t).bit_length() - 1
     dual = {low}

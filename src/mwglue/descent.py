@@ -16,13 +16,7 @@ from functools import lru_cache, partial
 from operator import itemgetter
 
 from . import poly as P
-from .arith import (
-    Coordinate,
-    SquareClassTriple,
-    coordinate_from_json,
-    coordinate_to_json,
-    subgroup_contains,
-)
+from .arith import Coordinate, SquareClassTriple, subgroup_contains
 from .ellcurve import ECPoint, EllipticCurve
 from .etale import (
     CERT_PRIMES,
@@ -134,6 +128,8 @@ def membership(
     return MembershipVerdict(UNKNOWN, cert_primes=cert_primes)
 
 
+# The JSON keys of a certificate's entries in each form.
+_COORDINATE_KEYS = ("component", "prime")
 _CHARACTER_KEYS = ("p", "component", "root")
 
 
@@ -152,16 +148,14 @@ class ObstructionVerdict(Record):
     cert_primes: int | None = None
 
     def to_json(self) -> dict:
-        split = isinstance(self.target, SquareClassTriple)
+        keys = _COORDINATE_KEYS if isinstance(self.target, SquareClassTriple) else _CHARACTER_KEYS
         cert = self.certificate
         out = {
             "status": self.status,
             "span": [z.to_json() for z in self.span],
             "target": self.target.to_json(),
             "witness": list(self.witness) if self.witness is not None else None,
-            "certificate": [
-                coordinate_to_json(c) if split else dict(zip(_CHARACTER_KEYS, c)) for c in cert
-            ] if cert is not None else None,
+            "certificate": [dict(zip(keys, c)) for c in cert] if cert is not None else None,
         }
         if self.cert_primes is not None:
             out["bounds"] = {"cert_primes": self.cert_primes}
@@ -171,19 +165,18 @@ class ObstructionVerdict(Record):
     def from_json(cls, data, algebra: CubicEtaleAlgebra | None = None) -> "ObstructionVerdict":
         """Parse either form; the non-split form needs the E-side algebra."""
         if isinstance(data["target"][0], dict):
-            elem, coord = SquareClassTriple.from_json, coordinate_from_json
+            elem, keys = SquareClassTriple.from_json, _COORDINATE_KEYS
         elif algebra is None:
             raise ValueError("a non-split verdict needs its algebra")
         else:
-            elem = partial(AlgebraElement.from_json, algebra)
-            coord = itemgetter(*_CHARACTER_KEYS)
+            elem, keys = partial(AlgebraElement.from_json, algebra), _CHARACTER_KEYS
         cert, bounds = data.get("certificate"), data.get("bounds")
         return cls(
             data["status"],
             tuple(elem(z) for z in data["span"]),
             elem(data["target"]),
             tuple(data["witness"]) if data.get("witness") is not None else None,
-            tuple(coord(c) for c in cert) if cert is not None else None,
+            tuple(map(itemgetter(*keys), cert)) if cert is not None else None,
             int(bounds["cert_primes"]) if bounds else None,
         )
 
@@ -212,7 +205,7 @@ def surjectivity_obstruction(
         span.append(transfer_class(gluing, descent_class(gluing.F, gluing.Lprime, g)))
     if gluing.L.is_split:
         span, target = tuple(c.triple() for c in span), target.triple()
-        decision = subgroup_contains(span, target)
+        decision = subgroup_contains([z.coordinates() for z in span], target.coordinates())
     else:
         span, target = tuple(c.rep for c in span), target.rep
         decision = span_contains(gluing.L, span, target, cert_primes)

@@ -137,7 +137,6 @@ class EllipticCurve(Record):
 
     @classmethod
     def from_roots(cls, r1, r2, r3) -> "EllipticCurve":
-        r1, r2, r3 = Fraction(r1), Fraction(r2), Fraction(r3)
         return cls(-r1 * r2 * r3, r1 * r2 + r1 * r3 + r2 * r3, -(r1 + r2 + r3))
 
     def f_poly(self) -> Poly:
@@ -219,7 +218,7 @@ class EllipticCurve(Record):
         of m has no point, since a point of order m has a multiple of order d.
         """
         model, u = self.integral_model()
-        g = [int(model.c0), int(model.c1), int(model.c2), 1]
+        g = model.f_poly()
         primes, counts = _reduction_bound(g)
         b = gcd(*counts)
         orders = {INFINITY: 1}
@@ -256,11 +255,11 @@ class EllipticCurve(Record):
         return cls(*coeffs)
 
 
-def _reduction_bound(g: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _reduction_bound(g: Poly) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The first BOUND_PRIMES odd primes q not dividing disc(g), and the
     point counts of y^2 = g(x) over them: #E(F_q) = 1 + sum over x of
     #{y : y^2 = g(x)}, where that number, 1 + (g(x)/q), comes from a table."""
-    disc = P.cubic_disc(P.poly(g)).numerator
+    disc = P.cubic_disc(g)
     primes, counts = [], []
     q = 1
     while len(primes) < BOUND_PRIMES:
@@ -283,63 +282,45 @@ def _square_roots(q: int) -> tuple[int, ...]:
     return tuple(roots)
 
 
-def _imul(p: list[int], q: list[int]) -> list[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
-
-
-def _isub(p: list[int], q: list[int]) -> list[int]:
-    out = [0] * max(len(p), len(q))
-    for i, a in enumerate(p):
-        out[i] += a
-    for i, b in enumerate(q):
-        out[i] -= b
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 class _DivisionPolys:
-    """Division polynomials of y^2 = g(x) as integer coefficient lists, built
-    on demand: f_m = psi_m for odd m and psi_m / psi_2 for even m, so every
-    f_m is a polynomial in x.  With F = psi_2^2 = 4g the standard recurrence
+    """Division polynomials of y^2 = g(x), g monic with integer coefficients,
+    built on demand with poly's arithmetic, which keeps their coefficients
+    ints: f_m = psi_m for odd m and psi_m / psi_2 for even m, so every f_m is
+    a polynomial in x.  With F = psi_2^2 = 4g the standard recurrence
     becomes f_{2k+1} = F^2 f_{k+2} f_k^3 - f_{k-1} f_{k+1}^3 for even k (the
     factor F^2 moves to the second term for odd k), and
     f_{2k} = f_k (f_{k+2} f_{k-1}^2 - f_{k-2} f_{k+1}^2).
     """
 
-    def __init__(self, g: list[int]):
+    def __init__(self, g: Poly):
         c, b, a = g[0], g[1], g[2]
         b2, b4, b6, b8 = 4 * a, 2 * b, 4 * c, 4 * a * c - b * b
-        self._f_squared = _imul([4 * c, 4 * b, 4 * a, 4], [4 * c, 4 * b, 4 * a, 4])
+        F = P.scale(g, 4)
+        self._f_squared = P.mul(F, F)
         self._polys = {
-            1: [1],
-            2: [1],
-            3: [b8, 3 * b6, 3 * b4, b2, 3],
-            4: [b4 * b8 - b6 * b6, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2, 2],
+            1: P.ONE,
+            2: P.ONE,
+            3: (b8, 3 * b6, 3 * b4, b2, 3),
+            4: (b4 * b8 - b6 * b6, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2, 2),
         }
 
-    def __getitem__(self, n: int) -> list[int]:
+    def __getitem__(self, n: int) -> Poly:
         if n not in self._polys:
             k = n // 2
             if n % 2:
-                first = _imul(self[k + 2], _imul(self[k], _imul(self[k], self[k])))
-                second = _imul(self[k - 1], _imul(self[k + 1], _imul(self[k + 1], self[k + 1])))
+                first = P.mul(self[k + 2], P.mul(self[k], P.mul(self[k], self[k])))
+                second = P.mul(self[k - 1], P.mul(self[k + 1], P.mul(self[k + 1], self[k + 1])))
                 if k % 2:
-                    second = _imul(self._f_squared, second)
+                    second = P.mul(self._f_squared, second)
                 else:
-                    first = _imul(self._f_squared, first)
-                self._polys[n] = _isub(first, second)
+                    first = P.mul(self._f_squared, first)
+                self._polys[n] = P.sub(first, second)
             else:
-                inner = _isub(
-                    _imul(self[k + 2], _imul(self[k - 1], self[k - 1])),
-                    _imul(self[k - 2], _imul(self[k + 1], self[k + 1])),
+                inner = P.sub(
+                    P.mul(self[k + 2], P.mul(self[k - 1], self[k - 1])),
+                    P.mul(self[k - 2], P.mul(self[k + 1], self[k + 1])),
                 )
-                self._polys[n] = _imul(self[k], inner)
+                self._polys[n] = P.mul(self[k], inner)
         return self._polys[n]
 
 

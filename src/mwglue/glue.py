@@ -11,8 +11,6 @@ identities; the artifact never derives the genus-2 model itself.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import poly as P
 from .ellcurve import EllipticCurve
 from .etale import CubicEtaleAlgebra, component_pairing
@@ -194,7 +192,7 @@ def verify_cover_map(
 
 def verify_rescaling(C1: GenusTwoCurve, C2: GenusTwoCurve, c) -> bool:
     """Whether C1 is C2 with y rescaled by c, i.e. h6(C1) = c^2 h6(C2)."""
-    c = Fraction(c)
+    c = P.fraction(c)
     if c == 0:
         raise ValueError("the rescaling factor must be nonzero")
     return C1.h6 == P.scale(C2.h6, c * c)

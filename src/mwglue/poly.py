@@ -24,8 +24,9 @@ X: Poly = (0, 1)
 
 
 # An integer, decimal or fraction in ASCII digits, such as "5", "-2/3" or
-# "0.5"; a denominator is nonzero.
-_RATIONAL = re.compile(r"[+-]?[0-9]+(\.[0-9]+|/0*[1-9][0-9]*)?")
+# "0.5"; a denominator is nonzero.  A pattern string: re compiles and caches
+# it when the first number is read, so a command that reads none skips that.
+_RATIONAL = r"[+-]?[0-9]+(\.[0-9]+|/0*[1-9][0-9]*)?"
 
 
 def rational(s) -> Fraction:
@@ -33,7 +34,7 @@ def rational(s) -> Fraction:
     string in the _RATIONAL grammar.  Anything else is refused: a JSON float
     is a binary value, not the decimal written, and Fraction's own grammar
     also takes "1e999999999", which would build 10^999999999."""
-    if type(s) is int or isinstance(s, str) and _RATIONAL.fullmatch(s):
+    if type(s) is int or isinstance(s, str) and re.fullmatch(_RATIONAL, s):
         return Fraction(s)
     # quoted as JSON, so that the message shows the value as it was written,
     # and cut after 80 characters, so that a huge value gives a short message
@@ -332,7 +333,7 @@ def det(rows) -> int | Fraction:
 
 def sqrt_fraction(q) -> Fraction | None:
     """Exact square root of a nonnegative rational, or None."""
-    q = Fraction(q)
+    q = fraction(q)
     if q < 0:
         return None
     rn, rd = isqrt(q.numerator), isqrt(q.denominator)

@@ -15,12 +15,11 @@ import pytest
 
 from mwglue.arith import (
     SquareClassTriple,
-    coordinate_from_json,
     factor,
     square_class,
     subgroup_contains,
 )
-from mwglue.descent import descent_class, membership
+from mwglue.descent import ObstructionVerdict, descent_class, membership
 from mwglue.ellcurve import ECPoint, INFINITY
 from mwglue.etale import (
     CubicEtaleAlgebra,
@@ -207,7 +206,7 @@ def test_criterion_property_suites():
         target = SquareClassTriple.from_rationals(
             rng.choice(pool), rng.choice(pool), rng.choice(pool)
         )
-        res = subgroup_contains(gens, target)
+        res = subgroup_contains([g.coordinates() for g in gens], target.coordinates())
         ok = ok and res.contained == brute_force_contains(gens, target)
         if res.contained:
             ok = ok and validate_containment_witness(gens, target, res.witness)
@@ -242,7 +241,7 @@ def test_criterion_certificate_soundness(family_run):
         obstruction = inst["obstruction"]
         span = [SquareClassTriple.from_json(t) for t in obstruction["span"]]
         target = SquareClassTriple.from_json(obstruction["target"])
-        coords = [coordinate_from_json(c) for c in obstruction["certificate"]]
+        coords = ObstructionVerdict.from_json(obstruction).certificate
         ok = ok and validate_noncontainment_certificate(span, target, coords)
 
     # no element ever draws both decisions across bounds settings

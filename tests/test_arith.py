@@ -18,6 +18,7 @@ from mwglue.arith import (
 )
 
 from oracles import (
+    _valuation_coordinates,
     brute_force_contains,
     naive_square_class,
     trial_factor,
@@ -190,6 +191,12 @@ class TestSquareClass:
         with pytest.raises(ValueError):
             square_class(0)
 
+    def test_float_refused(self):
+        # refused even when an equal rational is already cached
+        assert square_class(Fraction(1, 2)) == SquareClass(False, (2,))
+        with pytest.raises(TypeError):
+            square_class(0.5)
+
     def test_representative_round_trips(self):
         cls = square_class(Fraction(-50, 63))
         assert square_class(cls.representative()) == cls
@@ -244,6 +251,12 @@ class TestTriple:
         z = SquareClassTriple.from_rationals(-6, 10, -15)
         assert SquareClassTriple.from_json(z.to_json()) == z
 
+    @given(st.lists(nonzero_fractions, min_size=3, max_size=3))
+    @settings(max_examples=80)
+    def test_coordinates_match_oracle(self, vals):
+        z = SquareClassTriple.from_rationals(*vals)
+        assert z.coordinates() == _valuation_coordinates(z)
+
 
 def _product(z: SquareClassTriple) -> SquareClass:
     return z.c1 * z.c2 * z.c3
@@ -255,12 +268,12 @@ def _triple_from_ints(a, b, c):
 
 class TestSubgroupContains:
     def test_empty_generators_trivial_target(self):
-        res = subgroup_contains([], SquareClassTriple.trivial())
+        res = subgroup_contains([], SquareClassTriple.trivial().coordinates())
         assert res.contained and res.witness == ()
 
     def test_single_generator_itself(self):
         z = _triple_from_ints(-6, 2, -3)
-        res = subgroup_contains([z], z)
+        res = subgroup_contains([z.coordinates()], z.coordinates())
         assert res.contained and res.witness == (0,)
         assert validate_containment_witness([z], z, res.witness)
 
@@ -274,14 +287,14 @@ class TestSubgroupContains:
         ]
         target = _triple_from_ints(-1, p, -p)
         assert not brute_force_contains(gens, target)
-        res = subgroup_contains(gens, target)
+        res = subgroup_contains([g.coordinates() for g in gens], target.coordinates())
         assert not res.contained
         assert validate_noncontainment_certificate(gens, target, res.certificate)
 
     def test_product_of_two_generators(self):
         a = _triple_from_ints(2, 3, 6)
         b = _triple_from_ints(-1, 5, -5)
-        res = subgroup_contains([a, b], a * b)
+        res = subgroup_contains([a.coordinates(), b.coordinates()], (a * b).coordinates())
         assert res.contained
         assert validate_containment_witness([a, b], a * b, res.witness)
 
@@ -301,7 +314,7 @@ class TestSubgroupContains:
             target = _triple_from_ints(
                 rng.choice(pool), rng.choice(pool), rng.choice(pool)
             )
-            res = subgroup_contains(gens, target)
+            res = subgroup_contains([g.coordinates() for g in gens], target.coordinates())
             assert res.contained == brute_force_contains(gens, target)
             if res.contained:
                 assert validate_containment_witness(gens, target, res.witness)
@@ -311,15 +324,16 @@ class TestSubgroupContains:
                 )
 
     def test_coordinate_sets(self):
-        # a triple stands for its valuation coordinates, so passing the sets
-        # gives the same answer; other coordinates sort as tuples
+        # sets written out give the same answer as a triple's coordinates;
+        # other coordinates sort as tuples
         a = _triple_from_ints(-2, 3, 6)
         b = _triple_from_ints(5, -1, 10)
         sets = [{(0, None), (0, 2), (1, 3), (2, 2), (2, 3)}, {(0, 5), (1, None), (2, 2), (2, 5)}]
         for target in (a * b, _triple_from_ints(-1, 1, 1)):
             tset = {(i, None) for i, c in enumerate(target.components) if c.negative}
             tset |= {(i, p) for i, c in enumerate(target.components) for p in c.primes}
-            assert subgroup_contains(sets, tset) == subgroup_contains([a, b], target)
+            assert subgroup_contains(sets, tset) == subgroup_contains(
+                [a.coordinates(), b.coordinates()], target.coordinates())
         chars = [{(13, 0, 1), (17, 0, 3)}, {(13, 0, 4)}]
         assert subgroup_contains(chars, {(17, 0, 3), (13, 0, 1), (13, 0, 4)}).witness == (0, 1)
         target = {(17, 0, 3), (19, 0, 2)}

@@ -10,7 +10,7 @@ import pytest
 
 import mwglue.poly as P
 from mwglue.cli import MAX_FAMILY_COUNT, MAX_SQ_PRIMES, main
-from mwglue.descent import descent_class
+from mwglue.descent import ObstructionVerdict, descent_class
 from mwglue.etale import CubicEtaleAlgebra, NonSquareCertificate
 from mwglue.fixtures import EXAMPLE_E, EXAMPLE_F, EXAMPLE_POINT, EXAMPLE_PSI
 from mwglue.glue import GluingData
@@ -162,7 +162,6 @@ class TestFamilyCommand:
     def test_json_report_revalidates(self, capsys):
         from mwglue.arith import SquareClassTriple
         from oracles import validate_noncontainment_certificate
-        from mwglue.arith import coordinate_from_json
 
         assert main(
             ["family", "--l1", "3", "--l2", "5", "--count", "1", "--format", "json"]
@@ -173,7 +172,7 @@ class TestFamilyCommand:
         obstruction = inst["obstruction"]
         span = [SquareClassTriple.from_json(t) for t in obstruction["span"]]
         target = SquareClassTriple.from_json(obstruction["target"])
-        coords = [coordinate_from_json(c) for c in obstruction["certificate"]]
+        coords = ObstructionVerdict.from_json(obstruction).certificate
         assert validate_noncontainment_certificate(span, target, coords)
 
     def test_invalid_f_file_params(self, tmp_path, capsys):

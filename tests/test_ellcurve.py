@@ -4,10 +4,12 @@ from itertools import combinations
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mwglue.poly as P
 from mwglue.arith import factor
-from mwglue.ellcurve import ECPoint, EllipticCurve, INFINITY
+from mwglue.ellcurve import ECPoint, EllipticCurve, INFINITY, _DivisionPolys
 from mwglue.etale import CubicEtaleAlgebra
 from mwglue.family import FAMILY_F, FamilyParams, curve_for_prime, find_primes
 from mwglue.fixtures import EXAMPLE_E, EXAMPLE_F, EXAMPLE_POINT
@@ -275,6 +277,22 @@ def test_torsion_reads_each_order_off_its_division_polynomial(monkeypatch, curve
     assert len(calls) <= most_adds
 
 
+@given(st.lists(st.integers(-50, 50), min_size=3, max_size=3))
+@settings(max_examples=25, deadline=None)
+def test_division_polynomials_have_int_coefficients_and_known_leading_terms(coeffs):
+    """f_m = psi_m for odd m and psi_m / psi_2 for even m: x^((m^2 - 1)/2)
+    with coefficient m for odd m, x^((m^2 - 4)/2) with coefficient m/2 for
+    even m, computed in ints."""
+    division = _DivisionPolys(P.poly([*coeffs, 1]))
+    for m in range(3, 13):
+        f = division[m]
+        assert all(type(c) is int for c in f)
+        if m % 2:
+            assert (P.degree(f), f[-1]) == ((m * m - 1) // 2, m)
+        else:
+            assert (P.degree(f), f[-1]) == ((m * m - 4) // 2, m // 2)
+
+
 class TestReductionBound:
     @pytest.mark.parametrize("kind", ["tate", "mordell", "named"])
     def test_counts_match_brute_force(self, kind):
@@ -321,6 +339,13 @@ class TestJInvariant:
     def test_singular_curve_rejected(self):
         with pytest.raises(ValueError):
             EllipticCurve.from_roots(1, 1, 2)
+
+
+def test_from_roots_refuses_float():
+    # as the constructor does: Fraction(0.1) is the binary value, not 1/10
+    with pytest.raises(TypeError):
+        EllipticCurve.from_roots(0.1, 1, 2)
+    assert EllipticCurve.from_roots(Fraction(1, 10), 1, 2).c0 == Fraction(-1, 5)
 
 
 class TestSearchPoints:

@@ -192,6 +192,10 @@ class TestCoverMaps:
         with pytest.raises(ValueError):
             verify_rescaling(EXAMPLE_C, EXAMPLE_C, 0)
 
+    def test_rescaling_float_refused(self):
+        with pytest.raises(TypeError):
+            verify_rescaling(EXAMPLE_C_UNSCALED, EXAMPLE_C, float(EXAMPLE_RESCALE))
+
     def test_genus_two_model_must_be_squarefree(self):
         with pytest.raises(ValueError):
             GenusTwoCurve(P.poly([0, 0, 1, 0, 0, 0, 1]))  # x^2 (x^4 + 1)

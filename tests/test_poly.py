@@ -258,3 +258,8 @@ class TestIntegralCoefficients:
     def test_float_refused(self, value):
         with pytest.raises(TypeError):
             P.poly([value])
+
+    def test_sqrt_fraction_refuses_float(self):
+        assert P.sqrt_fraction(Fraction(1, 4)) == Fraction(1, 2)
+        with pytest.raises(TypeError):
+            P.sqrt_fraction(0.25)
