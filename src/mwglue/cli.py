@@ -292,7 +292,17 @@ def main(argv=None) -> int:
 
 
 def entry():
-    raise SystemExit(main())
+    """`mwglue` and `python -m mwglue.cli`: main(), flush stdout and stderr, os._exit(code).
+    So atexit, `-m cProfile`, subprocess coverage and teardown ResourceWarnings see no exit:
+    profile or trace main() in-process.  A failed flush or main() raising exits normally."""
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        raise SystemExit(code) from None
+    os._exit(code)
 
 
 if __name__ == "__main__":

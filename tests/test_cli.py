@@ -583,3 +583,79 @@ class TestClosedStdout:
         run = _run_with_closed_stdout("jinv", "--curve", str(tmp_path / "missing.json"))
         assert run.returncode == 3
         assert run.stderr.startswith("error: [Errno 2]") and run.stderr.count("\n") == 1
+
+
+CLI = (sys.executable, "-m", "mwglue.cli")
+
+
+def _run_process(args, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """Run args in a fresh process with src/ on PYTHONPATH and stdout
+    block-buffered, as on a pipe or file, even where PYTHONUNBUFFERED is set.
+    stdout is bytes, stderr text."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    run = subprocess.run(args, stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120)
+    run.stderr = run.stderr.decode()
+    return run
+
+
+no_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+class TestProcessExit:
+    """`cli.entry` flushes stdout and stderr and ends the process with
+    os._exit.  Each case keeps the exit code and stderr of a normal
+    interpreter exit."""
+
+    def test_stdout_closed_at_start(self, tmp_path):
+        curve = _write(tmp_path, "curve.json", {"f": ["1", "6", "5"]})
+        run = _run_process(["sh", "-c", 'exec "$@" >&-', "sh", *CLI, "jinv", "--curve", curve])
+        assert (run.returncode, run.stderr) == (0, "")
+
+    @no_dev_full
+    def test_report_larger_than_the_buffer_on_a_full_device(self):
+        with open("/dev/full", "wb") as full:
+            run = _run_process([*CLI, "family", "--l1", "3", "--l2", "5", "--count", "3", "--format", "json"],
+                               stdout=full)
+        assert run.returncode == 3
+        assert run.stderr.startswith("error: [Errno 28]") and run.stderr.count("\n") == 1
+
+    @no_dev_full
+    def test_buffered_answer_on_a_full_device(self, tmp_path):
+        # the answer fits stdout's buffer and stays there after the failed
+        # write, so entry's flush fails too and takes the normal exit, where
+        # the interpreter's own flush fails once more and exits 120
+        curve = _write(tmp_path, "curve.json", {"f": ["1", "6", "5"]})
+        with open("/dev/full", "wb") as full:
+            run = _run_process([*CLI, "jinv", "--curve", curve], stdout=full)
+        assert run.returncode == 120
+        lines = run.stderr.splitlines()
+        assert lines[0].startswith("error: [Errno 28]") and lines[-1].startswith("OSError: [Errno 28]")
+
+    def test_missing_input_file(self, tmp_path):
+        run = _run_process([*CLI, "jinv", "--curve", str(tmp_path / "missing.json")])
+        assert (run.returncode, run.stdout) == (3, b"")
+        assert run.stderr.startswith("error: [Errno 2]") and run.stderr.count("\n") == 1
+
+    def test_exception_out_of_main_gives_a_traceback(self):
+        script = (
+            "import sys\n"
+            "from mwglue import cli\n"
+            "def fail(args):\n"
+            "    raise RuntimeError('handler failed')\n"
+            "cli.COMMANDS['jinv'] = (fail, *cli.COMMANDS['jinv'][1:])\n"
+            "sys.argv[1:] = ['jinv', '--curve', 'unread.json']\n"
+            "cli.entry()\n"
+        )
+        run = _run_process([sys.executable, "-c", script])
+        assert run.returncode == 1
+        assert run.stderr.startswith("Traceback (most recent call last):\n")
+        assert run.stderr.endswith("RuntimeError: handler failed\n")
+
+    def test_report_larger_than_a_pipe_buffer_is_read_whole(self, tmp_path):
+        out = tmp_path / "F.json"
+        run = _run_process([*CLI, "family", "--l1", "3", "--l2", "5", "--count", "200", "--format", "json",
+                            "--out", str(out)])
+        assert (run.returncode, run.stderr) == (0, "")
+        assert len(run.stdout) > 65536
+        assert run.stdout == out.read_bytes()

@@ -1,5 +1,6 @@
 """Golden outputs: the exit code, stdout and stderr of a fixed set of CLI
-commands, pinned byte for byte.
+commands, pinned byte for byte, both from `main()` in-process and from a
+fresh `python -m mwglue.cli` process, which ends through `cli.entry`.
 
 A change that is meant to keep every verdict, certificate and report the
 same must leave these files as they are.  A change that alters an output on
@@ -10,6 +11,8 @@ and says which output changed and why.
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -18,6 +21,7 @@ import pytest
 from mwglue.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # The command inputs, written beside each run.  The gluing is the bundled
 # example; P1 = (-2, 1) generates E(Q), and P2 = 2 P1.
@@ -65,22 +69,42 @@ CASES = (
 )
 
 
-def run(argv, workdir: Path) -> dict:
-    """Exit code, stdout and stderr of `mwglue ARGV` run in-process, with
-    the inputs written to workdir and file arguments resolved there."""
+def _argv(argv, workdir: Path) -> list[str]:
+    """argv with the inputs written to workdir and file arguments resolved there."""
     for name, payload in INPUTS.items():
         (workdir / name).write_text(json.dumps(payload))
-    argv = [str(workdir / a) if a in INPUTS else a for a in argv]
+    return [str(workdir / a) if a in INPUTS else a for a in argv]
+
+
+def run(argv, workdir: Path) -> dict:
+    """Exit code, stdout and stderr of `mwglue ARGV` run in-process."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        code = main(_argv(argv, workdir))
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def run_process(argv, workdir: Path) -> dict:
+    """Exit code, stdout and stderr of `python -m mwglue.cli ARGV`, with
+    stdout block-buffered as it is on a pipe."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONIOENCODING"] = "utf-8"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "mwglue.cli", *_argv(argv, workdir)],
+                          env=env, capture_output=True, timeout=120)
+    return {"exit": proc.returncode, "stdout": proc.stdout.decode(), "stderr": proc.stderr.decode()}
 
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
 def test_output_is_unchanged(name, argv, tmp_path):
     expected = json.loads((GOLDEN / f"{name}.json").read_text())
     assert run(argv, tmp_path) == expected
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
+def test_process_output_is_unchanged(name, argv, tmp_path):
+    expected = json.loads((GOLDEN / f"{name}.json").read_text())
+    assert run_process(argv, tmp_path) == expected
 
 
 if __name__ == "__main__":
