@@ -21,5 +21,5 @@ def _lazy(name: str):
 
 
 # Every submodule but `cli`, which `python -m mwglue.cli` runs as __main__.
-for _name in ("arith", "descent", "ellcurve", "etale", "example", "family", "fixtures", "glue", "poly"):
+for _name in ("arith", "descent", "ellcurve", "etale", "example", "family", "fixtures", "glue", "poly", "squares"):
     globals()[_name] = _lazy(_name)

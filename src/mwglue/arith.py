@@ -56,28 +56,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def primes_up_to(n: int) -> list[int]:
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i, b in enumerate(sieve) if b]
-
-
-def first_primes(count: int) -> list[int]:
-    if count <= 0:
-        return []
-    bound = 32
-    while True:
-        ps = primes_up_to(bound)
-        if len(ps) >= count:
-            return ps[:count]
-        bound *= 2
-
-
 # Trial division removes only the small primes: a larger cofactor is proven
 # prime, recognised as a square or split by rho, all far cheaper than dividing
 # up to its square root.  Of 2^8..2^16, 2^11 and 2^12 factored the inputs of
@@ -207,17 +185,9 @@ class SquareClass(Record):
                 raise ValueError(f"{p} is not prime")
         self.__dict__.update(negative=negative, primes=primes)
 
-    @classmethod
-    def trivial(cls) -> "SquareClass":
-        return cls(False, ())
-
     @property
     def is_trivial(self) -> bool:
         return not self.negative and not self.primes
-
-    def __mul__(self, other: "SquareClass") -> "SquareClass":
-        merged = set(self.primes) ^ set(other.primes)
-        return SquareClass(self.negative ^ other.negative, tuple(sorted(merged)))
 
     def representative(self) -> Fraction:
         r = Fraction(1)
@@ -253,7 +223,7 @@ def square_class(q) -> SquareClass:
 
 # A valuation coordinate of (Q*/Q*^2)^3: (component index, prime), None
 # marking the sign.  subgroup_contains also takes other coordinates, such as
-# the quadratic characters (p, component, root) of etale.span_contains.
+# the quadratic characters (p, component, root) of squares.span_contains.
 Coordinate = tuple[int, int | None]
 
 
@@ -268,11 +238,6 @@ class SquareClassTriple(Record):
     def from_rationals(cls, a, b, c) -> "SquareClassTriple":
         return cls(square_class(a), square_class(b), square_class(c))
 
-    @classmethod
-    def trivial(cls) -> "SquareClassTriple":
-        t = SquareClass.trivial()
-        return cls(t, t, t)
-
     @property
     def components(self) -> tuple[SquareClass, SquareClass, SquareClass]:
         return (self.c1, self.c2, self.c3)
@@ -280,11 +245,6 @@ class SquareClassTriple(Record):
     @property
     def is_trivial(self) -> bool:
         return all(c.is_trivial for c in self.components)
-
-    def __mul__(self, other: "SquareClassTriple") -> "SquareClassTriple":
-        return SquareClassTriple(
-            self.c1 * other.c1, self.c2 * other.c2, self.c3 * other.c3
-        )
 
     def coordinates(self) -> set[Coordinate]:
         """The valuation coordinates of the triple: (i, None) when component
@@ -295,10 +255,6 @@ class SquareClassTriple(Record):
                 out.add((i, None))
             out.update((i, p) for p in c.primes)
         return out
-
-    def occurs(self, p: int) -> bool:
-        """Whether p has odd valuation in some component."""
-        return any(p in c.primes for c in self.components)
 
     def to_json(self) -> list:
         return [c.to_json() for c in self.components]
@@ -317,7 +273,7 @@ class ContainmentResult(Record):
     """Whether a target lies in the span of some elements modulo squares.
 
     `contained` is True with `witness`, span indices whose product times the
-    target is a square (etale.span_contains adds `root`, an exact square
+    target is a square (squares.span_contains adds `root`, an exact square
     root of it); False with `certificate`, coordinates that sum to 1 on the
     target and to 0 on every span element; None when a search ran out.
     """
@@ -333,7 +289,7 @@ def subgroup_contains(generators, target) -> ContainmentResult:
 
     Each element is a set of coordinates, the F2 vector with a 1 at each of
     them, such as the valuation coordinates of SquareClassTriple.coordinates
-    or the quadratic characters of etale.span_contains.  Gaussian
+    or the quadratic characters of squares.span_contains.  Gaussian
     elimination over F2 gives, for a positive answer, a witness subset of
     generator indices whose product is the target; a negative answer carries
     a coordinate set meeting every generator an even number of times and the

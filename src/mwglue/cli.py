@@ -6,11 +6,10 @@ Exit codes: 0 verified/answered, 1 falsified, 2 unknown or bounds exhausted,
 
 from __future__ import annotations
 
-import json
 import os
 import sys
+from _json import encode_basestring_ascii as _quote  # json.encoder's own C function
 from collections.abc import Callable
-from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 
 from . import arith, descent, ellcurve, etale, example, family, fixtures, glue, poly
@@ -21,6 +20,7 @@ class UsageError(Exception):
 
 
 def _load_json(path: str):
+    import json  # only a command that reads a file loads json
     with open(path) as fh:
         try:
             return json.load(fh)
@@ -42,13 +42,21 @@ def _cert_primes(args) -> int:
     return args.sq_primes
 
 
-def _print(text: str):
-    """Print to stdout; a reader closing it early ends the output, not the command."""
+def _print(text: str, err: bool = False):
+    """Print a line to stdout, or to stderr if err.  A failed write points the
+    stream's fd at /dev/null, since Python flushes the kept bytes again at
+    exit (see "Note on SIGPIPE" in `signal`).  Then a failed report raises,
+    for main to report, but a lost message or a reader closing stdout early
+    changes nothing: the command keeps its exit code."""
+    stream = sys.stderr if err else sys.stdout
+    if stream is None:  # its fd was closed when the process started
+        return
     try:
-        print(text, flush=True)
-    except BrokenPipeError:
-        # Python flushes stdout again at exit: see "Note on SIGPIPE" in `signal`
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(text, file=stream, flush=True)
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        if not (err or isinstance(exc, BrokenPipeError)):
+            raise
 
 
 def _json(value, indent: str = "\n") -> str:
@@ -152,6 +160,7 @@ def _cmd_membership(args) -> Rendered:
     verdict = descent.membership(gluing, pt_e, pt_f, _cert_primes(args))
 
     def human() -> str:
+        import json  # loaded already, by _load_json
         text = f"verdict: {verdict.verdict}"
         if verdict.certificate is not None:
             text += f"\ncertificate: {json.dumps(verdict.to_json()['certificate'])}"
@@ -284,10 +293,10 @@ def main(argv=None) -> int:
         _emit(args, payload, human)
         return code
     except (UsageError, ValueError, KeyError, TypeError, OSError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print(f"error: {exc}", err=True)
         return 3
     except arith.FactorizationError as exc:
-        print(f"bound exhausted: {exc}", file=sys.stderr)
+        _print(f"bound exhausted: {exc}", err=True)
         return 2
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from operator import itemgetter
 
+from . import glue, squares
 from . import poly as P
 from .arith import Coordinate, SquareClassTriple, subgroup_contains
 from .ellcurve import ECPoint, EllipticCurve
@@ -22,7 +23,6 @@ from .etale import (
     CERT_PRIMES,
     AlgebraElement,
     AlgebraSquareClass,
-    Character,
     CubicEtaleAlgebra,
     NonSquare,
     NonSquareCertificate,
@@ -30,9 +30,7 @@ from .etale import (
     algebra_map,
     has_square_norm,
     is_square,
-    span_contains,
 )
-from .glue import GluingData
 from .record import Record
 
 IN_IMAGE = "in_image"
@@ -66,7 +64,7 @@ def descent_class(
     )
 
 
-def transfer_class(gluing: GluingData, cls: AlgebraSquareClass) -> AlgebraSquareClass:
+def transfer_class(gluing: glue.GluingData, cls: AlgebraSquareClass) -> AlgebraSquareClass:
     """Carry a square-norm class across the gluing, F side to E side, by
     alpha -> h(alpha); components are paired through h, so the result does
     not depend on either algebra's component order."""
@@ -105,7 +103,7 @@ class MembershipVerdict(Record):
 
 
 def membership(
-    gluing: GluingData,
+    gluing: glue.GluingData,
     point_on_E: ECPoint,
     point_on_F: ECPoint,
     cert_primes: int = CERT_PRIMES,
@@ -138,13 +136,13 @@ class ObstructionVerdict(Record):
     and target are class triples, and a certificate lists valuation
     coordinates (component, prime); otherwise they are unit representatives
     in the E-side algebra, and a certificate lists characters
-    (p, component, root) that etale.validate_characters rechecks."""
+    (p, component, root) that squares.validate_characters rechecks."""
 
     status: str
     span: tuple[SquareClassTriple, ...] | tuple[AlgebraElement, ...]
     target: SquareClassTriple | AlgebraElement
     witness: tuple[int, ...] | None = None
-    certificate: tuple[Coordinate, ...] | tuple[Character, ...] | None = None
+    certificate: tuple[Coordinate, ...] | tuple[squares.Character, ...] | None = None
     cert_primes: int | None = None
 
     def to_json(self) -> dict:
@@ -182,7 +180,7 @@ class ObstructionVerdict(Record):
 
 
 def surjectivity_obstruction(
-    gluing: GluingData,
+    gluing: glue.GluingData,
     point: ECPoint,
     F_generators,
     torsion_generators,
@@ -197,7 +195,7 @@ def surjectivity_obstruction(
     soundness rests on the caller-supplied facts that the torsion generators
     generate E(Q)_tors and the F generators generate the F-side group.
     Split gluings decide over valuation coordinates and are always decided;
-    otherwise etale.span_contains decides over quadratic characters.
+    otherwise squares.span_contains decides over quadratic characters.
     """
     target = descent_class(gluing.E, gluing.L, point)
     span = [descent_class(gluing.E, gluing.L, t) for t in torsion_generators]
@@ -208,7 +206,7 @@ def surjectivity_obstruction(
         decision = subgroup_contains([z.coordinates() for z in span], target.coordinates())
     else:
         span, target = tuple(c.rep for c in span), target.rep
-        decision = span_contains(gluing.L, span, target, cert_primes)
+        decision = squares.span_contains(gluing.L, span, target, cert_primes)
     if decision.contained is None:
         return ObstructionVerdict(UNKNOWN, span, target, cert_primes=cert_primes)
     status = CONTAINED if decision.contained else NOT_CONTAINED

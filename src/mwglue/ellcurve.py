@@ -11,8 +11,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 
+from . import arith
 from . import poly as P
-from .arith import is_prime
 from .poly import Poly
 from .record import Record
 
@@ -264,7 +264,7 @@ def _reduction_bound(g: Poly) -> tuple[tuple[int, ...], tuple[int, ...]]:
     q = 1
     while len(primes) < BOUND_PRIMES:
         q += 2
-        if disc % q == 0 or not is_prime(q):
+        if disc % q == 0 or not arith.is_prime(q):
             continue
         roots = _square_roots(q)
         c, b, a = (coeff % q for coeff in g[:3])

@@ -1,12 +1,62 @@
-"""Built-in curves, gluing data, and cover maps used by the CLI."""
+"""Built-in curves, gluing data, genus-2 models and cover maps of the example."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 from .ellcurve import ECPoint, EllipticCurve
-from .glue import GenusTwoCurve, RationalMap, TwoTorsionIdentification
-from .poly import json_object, poly, rational
+from .glue import TwoTorsionIdentification
+from .poly import ZERO, Poly, degree, is_squarefree, json_object, poly, rational, rationals
+from .record import Record
+
+
+class GenusTwoCurve(Record):
+    """A genus-2 model y^2 = h6(x) with h6 squarefree of degree 5 or 6."""
+
+    h6: Poly
+
+    def __post_init__(self):
+        object.__setattr__(self, "h6", poly(self.h6))
+        if degree(self.h6) not in (5, 6):
+            raise ValueError("the right-hand side must have degree 5 or 6")
+        if not is_squarefree(self.h6):
+            raise ValueError("the right-hand side must be squarefree")
+
+    def to_json(self) -> dict:
+        return {"h6": [str(c) for c in self.h6]}
+
+    @classmethod
+    def from_json(cls, data, path: str) -> "GenusTwoCurve":
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: expected an object with the key h6")
+        h6 = rationals(data.get("h6"), f"{path}.h6")
+        json_object(data, ("h6",), path)
+        return cls(h6)
+
+
+class RationalMap(Record):
+    """A rational function num/den with polynomial entries."""
+
+    num: Poly
+    den: Poly
+
+    def __post_init__(self):
+        object.__setattr__(self, "num", poly(self.num))
+        object.__setattr__(self, "den", poly(self.den))
+        if self.den == ZERO:
+            raise ValueError("zero denominator")
+
+    def to_json(self) -> dict:
+        return {"num": [str(c) for c in self.num], "den": [str(c) for c in self.den]}
+
+    @classmethod
+    def from_json(cls, data, path: str) -> "RationalMap":
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: expected an object with the keys num and den")
+        num, den = (rationals(data.get(key), f"{path}.{key}") for key in ("num", "den"))
+        json_object(data, ("num", "den"), path)
+        return cls(num, den)
+
 
 # The bundled counterexample: E: y^2 = x^3 + 5x^2 + 6x + 1 (Mordell-Weil
 # group generated by (-2, 1), infinite order) glued to F: y^2 = x^3 - 6x^2 +

@@ -5,12 +5,14 @@ A 2-torsion identification is stored as the rational polynomial h with
 of the identification.  Validation and class transfer share one pairing of
 the components of E's and F's algebras through h (etale.component_pairing).
 Construction also rejects identifications that extend to a geometric
-isomorphism of the curves.  Genus-2 covers are verified as exact polynomial
-identities; the artifact never derives the genus-2 model itself.
+isomorphism of the curves.  Genus-2 covers (fixtures.GenusTwoCurve and
+fixtures.RationalMap) are verified as exact polynomial identities; the
+artifact never derives the genus-2 model itself.
 """
 
 from __future__ import annotations
 
+from . import fixtures
 from . import poly as P
 from .ellcurve import EllipticCurve
 from .etale import CubicEtaleAlgebra, component_pairing
@@ -123,56 +125,8 @@ class GluingData(Record):
         return cls.build(E, F, TwoTorsionIdentification.from_json(data["h"]))
 
 
-class GenusTwoCurve(Record):
-    """A genus-2 model y^2 = h6(x) with h6 squarefree of degree 5 or 6."""
-
-    h6: Poly
-
-    def __post_init__(self):
-        object.__setattr__(self, "h6", P.poly(self.h6))
-        if P.degree(self.h6) not in (5, 6):
-            raise ValueError("the right-hand side must have degree 5 or 6")
-        if not P.is_squarefree(self.h6):
-            raise ValueError("the right-hand side must be squarefree")
-
-    def to_json(self) -> dict:
-        return {"h6": [str(c) for c in self.h6]}
-
-    @classmethod
-    def from_json(cls, data, path: str) -> "GenusTwoCurve":
-        if not isinstance(data, dict):
-            raise ValueError(f"{path}: expected an object with the key h6")
-        h6 = P.rationals(data.get("h6"), f"{path}.h6")
-        P.json_object(data, ("h6",), path)
-        return cls(h6)
-
-
-class RationalMap(Record):
-    """A rational function num/den with polynomial entries."""
-
-    num: Poly
-    den: Poly
-
-    def __post_init__(self):
-        object.__setattr__(self, "num", P.poly(self.num))
-        object.__setattr__(self, "den", P.poly(self.den))
-        if self.den == ZERO:
-            raise ValueError("zero denominator")
-
-    def to_json(self) -> dict:
-        return {"num": [str(c) for c in self.num], "den": [str(c) for c in self.den]}
-
-    @classmethod
-    def from_json(cls, data, path: str) -> "RationalMap":
-        if not isinstance(data, dict):
-            raise ValueError(f"{path}: expected an object with the keys num and den")
-        num, den = (P.rationals(data.get(key), f"{path}.{key}") for key in ("num", "den"))
-        P.json_object(data, ("num", "den"), path)
-        return cls(num, den)
-
-
 def verify_cover_map(
-    C: GenusTwoCurve, target: EllipticCurve, u: RationalMap, v: RationalMap
+    C: fixtures.GenusTwoCurve, target: EllipticCurve, u: fixtures.RationalMap, v: fixtures.RationalMap
 ) -> bool:
     """Whether (x, y) -> (u(x), y*v(x)) maps y^2 = h6 onto Y^2 = f.
 
@@ -190,7 +144,7 @@ def verify_cover_map(
     return lhs == rhs
 
 
-def verify_rescaling(C1: GenusTwoCurve, C2: GenusTwoCurve, c) -> bool:
+def verify_rescaling(C1: fixtures.GenusTwoCurve, C2: fixtures.GenusTwoCurve, c) -> bool:
     """Whether C1 is C2 with y rescaled by c, i.e. h6(C1) = c^2 h6(C2)."""
     c = P.fraction(c)
     if c == 0:

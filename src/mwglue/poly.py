@@ -9,12 +9,11 @@ true division goes through a Fraction.
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .arith import is_prime
+from . import arith
 
 Poly = tuple[int | Fraction, ...]
 
@@ -38,6 +37,7 @@ def rational(s) -> Fraction:
         return Fraction(s)
     # quoted as JSON, so that the message shows the value as it was written,
     # and cut after 80 characters, so that a huge value gives a short message
+    import json  # here, as most commands never quote a value
     quoted = json.dumps(s, ensure_ascii=False, default=repr)
     cut = quoted[:80] + "…" if len(quoted) > 80 else quoted
     raise ValueError(f"not a rational number: {cut}")
@@ -222,7 +222,7 @@ def integer_roots(p) -> list[int]:
     q, passed = 1, 0
     while passed <= limit:
         q += 2
-        if not is_prime(q):
+        if not arith.is_prime(q):
             continue
         roots = roots_mod(p, q) if lead % q else None
         if roots is None or any(eval_mod(dp, r, q) == 0 for r in roots):

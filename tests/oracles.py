@@ -54,29 +54,45 @@ def naive_square_class(q) -> tuple[bool, tuple[int, ...]]:
 
 
 def brute_force_contains(generators, target) -> bool:
-    """Exhaustive check over all 2^k subset products."""
-    from mwglue.arith import SquareClassTriple
-
-    k = len(generators)
-    for mask in range(1 << k):
-        acc = SquareClassTriple.trivial()
-        for i in range(k):
+    """Exhaustive check over all 2^k subset products, each the sum of the
+    generators' valuation coordinates mod 2."""
+    gens = [_valuation_coordinates(g) for g in generators]
+    goal = _valuation_coordinates(target)
+    for mask in range(1 << len(gens)):
+        acc = set()
+        for i, g in enumerate(gens):
             if mask >> i & 1:
-                acc = acc * generators[i]
-        if acc == target:
+                acc ^= g
+        if acc == goal:
             return True
     return False
 
 
 def validate_containment_witness(generators, target, witness) -> bool:
     """Whether the witnessed generators multiply to the target."""
+    gens = list(generators)
+    acc = set()
+    for i in witness:
+        acc ^= _valuation_coordinates(gens[i])
+    return acc == _valuation_coordinates(target)
+
+
+def class_product(*classes):
+    """The product of square classes: signs and odd primes add mod 2."""
+    from mwglue.arith import SquareClass
+
+    negative, primes = False, set()
+    for c in classes:
+        negative ^= c.negative
+        primes ^= set(c.primes)
+    return SquareClass(negative, tuple(sorted(primes)))
+
+
+def triple_product(*triples):
+    """The componentwise product of one or more class triples."""
     from mwglue.arith import SquareClassTriple
 
-    gens = list(generators)
-    acc = SquareClassTriple.trivial()
-    for i in witness:
-        acc = acc * gens[i]
-    return acc == target
+    return SquareClassTriple(*(class_product(*cs) for cs in zip(*(t.components for t in triples))))
 
 
 def _valuation_coordinates(z) -> set:

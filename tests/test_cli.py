@@ -588,14 +588,16 @@ class TestClosedStdout:
 CLI = (sys.executable, "-m", "mwglue.cli")
 
 
-def _run_process(args, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+def _run_process(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, unbuffered=False):
     """Run args in a fresh process with src/ on PYTHONPATH and stdout
-    block-buffered, as on a pipe or file, even where PYTHONUNBUFFERED is set.
-    stdout is bytes, stderr text."""
+    block-buffered, as on a pipe or file, even where PYTHONUNBUFFERED is set,
+    unless unbuffered.  stdout is bytes, stderr text."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
-    run = subprocess.run(args, stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120)
-    run.stderr = run.stderr.decode()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    run = subprocess.run(args, stdout=stdout, stderr=stderr, env=env, timeout=120)
+    run.stderr = run.stderr.decode() if run.stderr is not None else None
     return run
 
 
@@ -623,14 +625,27 @@ class TestProcessExit:
     @no_dev_full
     def test_buffered_answer_on_a_full_device(self, tmp_path):
         # the answer fits stdout's buffer and stays there after the failed
-        # write, so entry's flush fails too and takes the normal exit, where
-        # the interpreter's own flush fails once more and exits 120
+        # write; _print points fd 1 at /dev/null, so no later flush fails
         curve = _write(tmp_path, "curve.json", {"f": ["1", "6", "5"]})
-        with open("/dev/full", "wb") as full:
-            run = _run_process([*CLI, "jinv", "--curve", curve], stdout=full)
-        assert run.returncode == 120
-        lines = run.stderr.splitlines()
-        assert lines[0].startswith("error: [Errno 28]") and lines[-1].startswith("OSError: [Errno 28]")
+        for unbuffered in (False, True):
+            with open("/dev/full", "wb") as full:
+                run = _run_process([*CLI, "jinv", "--curve", curve], stdout=full, unbuffered=unbuffered)
+            assert run.returncode == 3
+            assert run.stderr.startswith("error: [Errno 28]") and run.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("stderr", ["closed", "full"])
+    def test_error_line_that_cannot_be_written(self, tmp_path, stderr, unbuffered):
+        # the error line is lost, and the exit code stays that of the error
+        if stderr == "full" and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        argv = [*CLI, "jinv", "--curve", str(tmp_path / "missing.json")]
+        if stderr == "closed":
+            run = _run_process(["sh", "-c", 'exec "$@" 2>&-', "sh", *argv], stderr=None, unbuffered=unbuffered)
+        else:
+            with open("/dev/full", "wb") as full:
+                run = _run_process(argv, stderr=full, unbuffered=unbuffered)
+        assert (run.returncode, run.stdout) == (3, b"")
 
     def test_missing_input_file(self, tmp_path):
         run = _run_process([*CLI, "jinv", "--curve", str(tmp_path / "missing.json")])

@@ -3,13 +3,14 @@
 and each command renders only the text that is printed or written."""
 
 import json
+import json.encoder
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mwglue.cli import COMMANDS, _json, main
+from mwglue.cli import COMMANDS, _json, _quote, main
 from mwglue.fixtures import EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI
 from mwglue.glue import GluingData
 
@@ -36,6 +37,11 @@ VALUES = st.recursive(
 @example({"a": [[], {}, ()], "": [-(10**100), 0, True, False, None]})
 def test_writer_matches_json_dumps(value):
     assert _json(value) == json.dumps(value, indent=2)
+
+
+def test_strings_are_quoted_by_the_function_json_uses():
+    # cli binds the C function from _json, so a command need not load json
+    assert _quote is json.encoder.encode_basestring_ascii
 
 
 @pytest.mark.parametrize(

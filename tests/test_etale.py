@@ -19,13 +19,12 @@ from mwglue.etale import (
     algebra_map,
     has_square_norm,
     is_square,
-    span_contains,
-    validate_characters,
 )
 from mwglue.family import FAMILY_F, build_instance, curve_for_prime, gluing_for_instance
 from mwglue.fixtures import EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI
+from mwglue.squares import span_contains, validate_characters
 
-from oracles import crt_lift, scan_nonresidue, subset_search_contains
+from oracles import class_product, crt_lift, scan_nonresidue, subset_search_contains
 
 K = CubicEtaleAlgebra.from_cubic(EXAMPLE_E.f_poly())  # a cubic field
 KP = CubicEtaleAlgebra.from_cubic(EXAMPLE_F.f_poly())
@@ -239,7 +238,7 @@ class TestAlgebraSquareClass:
     def test_triple(self):
         cls = AlgebraSquareClass.of(SPLIT.element_from_components([[-1], [11], [-11]]))
         trip = cls.triple()
-        assert (trip.c1 * trip.c2 * trip.c3).is_trivial
+        assert class_product(*trip.components).is_trivial
         assert [c.representative() for c in trip.components] == [-1, 11, -11]
 
     def test_multiplication_cancels(self):

@@ -18,15 +18,15 @@ from mwglue.fixtures import (
     EXAMPLE_F,
     EXAMPLE_PSI,
     EXAMPLE_RESCALE,
+    GenusTwoCurve,
+    RationalMap,
 )
 from mwglue.glue import (
     GEOMETRIC,
     NOT_BIJECTIVE,
     ROOTS_NOT_MAPPED,
-    GenusTwoCurve,
     GluingData,
     GluingError,
-    RationalMap,
     TwoTorsionIdentification,
     is_geometric_restriction,
     validate_identification,

@@ -2,7 +2,6 @@
 every function and class it defines has a caller outside the tests."""
 
 import ast
-import re
 from collections import Counter
 from pathlib import Path
 
@@ -43,43 +42,56 @@ CALLERS = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "bench").rglob("
 
 
 def _definitions(tree: ast.Module):
-    """Every function, method and class the module defines, by node."""
-    return [node for node in ast.walk(tree)
+    """Every function, method and class the module defines, by node, each
+    with whether it is a method."""
+    methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for node in cls.body}
+    return [(node, id(node) in methods) for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
 
 
-def _references(node: ast.AST) -> list[str]:
-    """The names a subtree reads: bare names, attributes, and the
-    identifiers inside strings, which is how bench/spans.py names its
-    targets."""
+def _references(node: ast.AST, attributes_only: bool = False) -> list[str]:
+    """The names a subtree reads as code: attributes, and bare names unless
+    attributes_only.  Words in strings and comments do not count."""
     out = []
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            out.append(sub.id)
-        elif isinstance(sub, ast.Attribute):
+        if isinstance(sub, ast.Attribute):
             out.append(sub.attr)
-        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            out += re.findall(r"[A-Za-z_][A-Za-z0-9_]*", sub.value)
+        elif isinstance(sub, ast.Name) and not attributes_only:
+            out.append(sub.id)
     return out
 
 
+def _span_targets() -> list[str]:
+    """Each part of the attribute paths in bench/spans.py's TARGETS, the
+    functions the traced benchmark wraps by name."""
+    tree = ast.parse((ROOT / "bench" / "spans.py").read_text())
+    (targets,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)]
+    return [part for _, _, path in ast.literal_eval(targets) for part in path.split(".")]
+
+
 def test_every_definition_has_a_caller():
-    """A function or class under src/mwglue that nothing under src/ or
-    bench/ refers to, other than its own body, and that README.md does not
-    name, is API only the tests call."""
-    refs, own, defined = Counter(), Counter(), []
+    """A function or class under src/mwglue that no code under src/ or bench/
+    refers to, other than its own body, and that bench/spans.py does not wrap,
+    is API only the tests call.  A method counts only as an attribute, so a
+    local variable of the same name does not make it used."""
+    # name counts, keyed by attributes_only: all names, and attributes only
+    refs = {attrs: Counter(_span_targets()) for attrs in (False, True)}
+    own = {attrs: Counter() for attrs in (False, True)}
+    defined = []
     for path in CALLERS:
         tree = ast.parse(path.read_text(), filename=str(path))
-        refs.update(_references(tree))
+        for attrs in (False, True):
+            refs[attrs].update(_references(tree, attrs))
         if path.parent == PACKAGE:
-            for node in _definitions(tree):
-                own[node.name] += _references(node).count(node.name)
-                defined.append((path.name, node.lineno, node.name))
-    readme = set(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", (ROOT / "README.md").read_text()))
+            for node, is_method in _definitions(tree):
+                for attrs in (False, True):
+                    own[attrs][node.name] += _references(node, attrs).count(node.name)
+                defined.append((path.name, node.lineno, node.name, is_method))
     unused = [
         f"{name} ({path}:{line})"
-        for path, line, name in defined
+        for path, line, name, is_method in defined
         if not (name.startswith("__") and name.endswith("__"))
-        and refs[name] == own[name] and name not in readme
+        and refs[is_method][name] == own[is_method][name]
     ]
     assert not unused, "defined but never referenced under src/ or bench/: " + ", ".join(unused)

@@ -2,9 +2,9 @@
 module.
 
 Every command runs in a fresh interpreter, which then lists the mwglue
-submodules that have run and which of the HEAVY modules are loaded.  A
-submodule that has not been used yet is still a lazy module; `type()` tells
-the two apart without loading it.
+submodules that have run, which of the HEAVY modules are loaded, and whether
+`json` is.  A submodule that has not been used yet is still a lazy module;
+`type()` tells the two apart without loading it.
 """
 
 import json
@@ -31,15 +31,18 @@ import contextlib, io, json, sys, types
 print(json.dumps({{"code": 0, "ran": [], "heavy": [m for m in {HEAVY!r} if m in sys.modules]}}))
 """
 
+# json is read before the probe imports it to print its answer
 PROBE = f"""
-import contextlib, io, json, sys, types
+import contextlib, io, sys, types
 import mwglue.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = mwglue.cli.main(sys.argv[1:])
 ran = [n.split(".", 1)[1] for n, m in sys.modules.items()
        if n.startswith("mwglue.") and type(m) is types.ModuleType]
 heavy = [m for m in {HEAVY!r} if m in sys.modules]
-print(json.dumps({{"code": code, "ran": sorted(ran), "heavy": heavy}}))
+loaded_json = "json" in sys.modules
+import json
+print(json.dumps({{"code": code, "ran": sorted(ran), "heavy": heavy, "json": loaded_json}}))
 """
 
 
@@ -74,14 +77,18 @@ def files(tmp_path):
     return paths
 
 
-@pytest.mark.parametrize("command", ["torsion", "jinv"])
-def test_curve_queries_run_only_the_curve_layers(files, command):
-    assert _ran(command, "--curve", files["curve"]) == {"cli", "record", "arith", "poly", "ellcurve"}
+# torsion proves its reduction primes prime; jinv calls nothing in arith
+@pytest.mark.parametrize("command,layers", [
+    ("torsion", {"cli", "record", "arith", "poly", "ellcurve"}),
+    ("jinv", {"cli", "record", "poly", "ellcurve"}),
+], ids=["torsion", "jinv"])
+def test_curve_queries_run_only_the_curve_layers(files, command, layers):
+    assert _ran(command, "--curve", files["curve"]) == layers
 
 
 def test_membership_runs_no_family_or_example_code(files):
     ran = _ran("membership", "--gluing", files["gluing"], "--P", files["P"], "--Q", files["Q"])
-    assert "descent" in ran
+    assert {"descent", "squares"} <= ran
     assert not ran & {"family", "example", "fixtures"}
 
 
@@ -89,6 +96,24 @@ def test_family_runs_no_example_code():
     ran = _ran("family", "--l1", "3", "--l2", "5", "--count", "1")
     assert "family" in ran
     assert not ran & {"example", "fixtures"}
+
+
+def test_family_runs_no_squareness_scan_and_no_json():
+    # only split algebras occur, so the family decides over valuation
+    # coordinates, and it reads no file
+    result = _probe(PROBE, "family", "--l1", "3", "--l2", "5", "--count", "15", "--format", "json")
+    assert result["ran"] == ["arith", "cli", "descent", "ellcurve", "etale", "family", "glue", "poly", "record"]
+    assert not result["json"]
+
+
+def test_descent_class_runs_no_squareness_scan_or_gluing(files):
+    ran = _ran("descent-class", "--curve", files["curve"], "--point", files["P"])
+    assert "descent" in ran
+    assert not ran & {"squares", "glue"}
+
+
+def test_verify_example_runs_the_squareness_scan():
+    assert {"example", "squares"} <= _ran("verify-example")
 
 
 @pytest.mark.parametrize(
