@@ -1,14 +1,14 @@
 """Command-line interface: mwglue COMMAND [--flag VALUE | --flag=VALUE]...
 
 Exit codes: 0 verified/answered, 1 falsified, 2 unknown or bounds exhausted,
-3 invalid input.
+3 invalid input, 4 a fault in mwglue (with its traceback).
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from _json import encode_basestring_ascii as _quote  # json.encoder's own C function
+from _json import encode_basestring_ascii as _quote, make_scanner  # json's own C code
 from collections.abc import Callable
 from types import SimpleNamespace
 
@@ -19,19 +19,37 @@ class UsageError(Exception):
     pass
 
 
+# json.decoder's C scanner with the context of json.JSONDecoder()'s defaults
+_scan = make_scanner(SimpleNamespace(
+    strict=True, object_hook=None, object_pairs_hook=None, parse_float=float, parse_int=int,
+    parse_constant={"NaN": float("nan"), "Infinity": float("inf"), "-Infinity": float("-inf")}.__getitem__))
+_SPACE = " \t\n\r"  # json's whitespace
+
+
 def _load_json(path: str):
-    import json  # only a command that reads a file loads json
+    """The JSON value in the file, as json.load reads it.  json reads a
+    malformed file again, for its message."""
     with open(path) as fh:
+        text = fh.read()
+    try:
         try:
-            return json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply to read") from None
+            value, end = _scan(text, len(text) - len(text.lstrip(_SPACE)))
+            if end == len(text.rstrip(_SPACE)):
+                return value
+        except (StopIteration, ValueError, SystemError):  # SystemError before 3.12, if json.decoder is not loaded
+            pass
+        import json  # only a malformed file loads json
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 # The certificate scan sieves about N ln N bytes for N primes.
 MAX_SQ_PRIMES = 100_000
 # run_family builds and verifies every instance before it reports on one.
 MAX_FAMILY_COUNT = 1000
+# An int is read or written in time quadratic in its digits: 10^6 take seconds.
+MAX_DIGITS = 100_000
 
 
 def _cert_primes(args) -> int:
@@ -160,7 +178,7 @@ def _cmd_membership(args) -> Rendered:
     verdict = descent.membership(gluing, pt_e, pt_f, _cert_primes(args))
 
     def human() -> str:
-        import json  # loaded already, by _load_json
+        import json  # here, as only this line needs it
         text = f"verdict: {verdict.verdict}"
         if verdict.certificate is not None:
             text += f"\ncertificate: {json.dumps(verdict.to_json()['certificate'])}"
@@ -284,6 +302,8 @@ def parse_args(argv: list[str]):
 
 
 def main(argv=None) -> int:
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(MAX_DIGITS)  # restored as main returns
     try:
         parsed = parse_args(sys.argv[1:] if argv is None else argv)
         if parsed is None:
@@ -292,12 +312,21 @@ def main(argv=None) -> int:
         payload, human, code = handler(args)
         _emit(args, payload, human)
         return code
-    except (UsageError, ValueError, KeyError, TypeError, OSError, ArithmeticError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
+        if type(exc) is ValueError and str(exc).startswith(f"Exceeds the limit ({MAX_DIGITS}"):
+            _print(f"bound exhausted: a number has more than MAX_DIGITS = {MAX_DIGITS} digits", err=True)
+            return 2
         _print(f"error: {exc}", err=True)
         return 3
     except arith.FactorizationError as exc:
         _print(f"bound exhausted: {exc}", err=True)
         return 2
+    except Exception:
+        import traceback  # only a fault loads it
+        _print(traceback.format_exc().rstrip("\n"), err=True)
+        return 4
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 
 def entry():

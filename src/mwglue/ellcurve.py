@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import gcd, isqrt, lcm
 
-from . import arith
 from . import poly as P
 from .poly import Poly
 from .record import Record
@@ -260,17 +260,13 @@ def _reduction_bound(g: Poly) -> tuple[tuple[int, ...], tuple[int, ...]]:
     point counts of y^2 = g(x) over them: #E(F_q) = 1 + sum over x of
     #{y : y^2 = g(x)}, where that number, 1 + (g(x)/q), comes from a table."""
     disc = P.cubic_disc(g)
-    primes, counts = [], []
-    q = 1
-    while len(primes) < BOUND_PRIMES:
-        q += 2
-        if disc % q == 0 or not arith.is_prime(q):
-            continue
+    primes = tuple(islice((q for q in P.odd_primes() if disc % q), BOUND_PRIMES))
+    counts = []
+    for q in primes:
         roots = _square_roots(q)
         c, b, a = (coeff % q for coeff in g[:3])
-        primes.append(q)
         counts.append(1 + sum(roots[(((x + a) * x + b) * x + c) % q] for x in range(q)))
-    return tuple(primes), tuple(counts)
+    return primes, tuple(counts)
 
 
 @lru_cache(maxsize=64)

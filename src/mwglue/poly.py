@@ -13,8 +13,6 @@ import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from . import arith
-
 Poly = tuple[int | Fraction, ...]
 
 ZERO: Poly = ()
@@ -171,6 +169,26 @@ def lift_root(p, dp, r: int, q: int, k: int) -> int:
     return root
 
 
+def primes_up_to(n: int) -> list[int]:
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
+    return [i for i, b in enumerate(sieve) if b]
+
+
+def odd_primes():
+    """The odd primes in increasing order, sieved in ranges that double in size."""
+    seen, high = 1, 64  # 2 is never yielded
+    while True:
+        primes = primes_up_to(high)
+        yield from primes[seen:]
+        seen, high = len(primes), 2 * high
+
+
 def roots_mod(p, q: int) -> list[int]:
     """Sorted roots in F_q, q prime, of a nonconstant polynomial whose
     coefficients are q-integral and whose leading coefficient is a unit mod
@@ -219,11 +237,9 @@ def integer_roots(p) -> list[int]:
     # bits of |lead| n^n ||p||_2^(2n-2), rounded up
     limit = lead_bits + n * n.bit_length() + (n - 1) * sum(c * c for c in p).bit_length()
     dp = derivative(p)
-    q, passed = 1, 0
+    primes, passed = odd_primes(), 0
     while passed <= limit:
-        q += 2
-        if not arith.is_prime(q):
-            continue
+        q = next(primes)
         roots = roots_mod(p, q) if lead % q else None
         if roots is None or any(eval_mod(dp, r, q) == 0 for r in roots):
             passed += q.bit_length() - 1

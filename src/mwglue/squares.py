@@ -25,35 +25,14 @@ repeated runs are deterministic.  Only a squareness question loads it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, prod
+from itertools import islice
+from math import prod
 
 from . import arith, etale
 from . import poly as P
 
 # A quadratic character of the unit group: alpha -> (alpha_component(root) / p).
 Character = tuple[int, int, int]  # (p, component, root)
-
-
-def primes_up_to(n: int) -> list[int]:
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i, b in enumerate(sieve) if b]
-
-
-def first_primes(count: int) -> list[int]:
-    if count <= 0:
-        return []
-    bound = 32
-    while True:
-        ps = primes_up_to(bound)
-        if len(ps) >= count:
-            return ps[:count]
-        bound *= 2
 
 
 def _bad_modulus(algebra: etale.CubicEtaleAlgebra, elems) -> int:
@@ -169,8 +148,8 @@ def span_contains(
         return found
     bad = _bad_modulus(algebra, elems)
     coords: list[set[Character]] = [set() for _ in elems]
-    for p in first_primes(cert_primes):
-        if p == 2 or bad % p == 0:
+    for p in islice(P.odd_primes(), max(cert_primes - 1, 0)):  # the first cert_primes primes but 2
+        if bad % p == 0:
             continue
         added = False
         for ci, m in enumerate(algebra.components):

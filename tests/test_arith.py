@@ -15,7 +15,6 @@ from mwglue.arith import (
     square_class,
     subgroup_contains,
 )
-from mwglue.squares import first_primes
 
 from oracles import (
     _valuation_coordinates,
@@ -333,9 +332,6 @@ class TestSubgroupContains:
 
 
 class TestPrimality:
-    def test_first_primes(self):
-        assert first_primes(6) == [2, 3, 5, 7, 11, 13]
-
     def test_is_prime_matches_oracle_window(self):
         from oracles import trial_is_prime
 
@@ -353,7 +349,7 @@ class TestPrimality:
 
     def test_certified_range_guard(self):
         n = 3_317_044_064_679_887_385_961_981
-        while any(n % p == 0 for p in first_primes(12)):
+        while any(n % p == 0 for p in range(2, 38) if trial_is_prime(p)):
             n += 1
         with pytest.raises(FactorizationError):
             is_prime(n)

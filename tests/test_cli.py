@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import mwglue.poly as P
-from mwglue.cli import MAX_FAMILY_COUNT, MAX_SQ_PRIMES, main
+from mwglue import cli
+from mwglue.cli import MAX_DIGITS, MAX_FAMILY_COUNT, MAX_SQ_PRIMES, main
 from mwglue.descent import ObstructionVerdict, descent_class
 from mwglue.etale import CubicEtaleAlgebra, NonSquareCertificate
 from mwglue.fixtures import EXAMPLE_E, EXAMPLE_F, EXAMPLE_POINT, EXAMPLE_PSI
@@ -546,6 +547,56 @@ class TestPointCommands:
         assert err == f"error: {curve}: JSON nested too deeply to read\n"
 
 
+class TestFaultExit:
+    """Only input errors exit 3: any exception main does not map is a fault
+    in mwglue, reported with its traceback and exit 4."""
+
+    def test_type_error_in_a_handler(self, monkeypatch, capsys):
+        def fail(args):
+            raise TypeError("handler failed")
+
+        monkeypatch.setitem(cli.COMMANDS, "jinv", (fail, *cli.COMMANDS["jinv"][1:]))
+        assert main(["jinv", "--curve", "unread.json"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert err.endswith("TypeError: handler failed\n")
+
+
+class TestNumberSize:
+    """main reads and writes integers of up to MAX_DIGITS digits, and leaves
+    the interpreter's limit as it found it."""
+
+    def test_point_past_the_default_limit(self, tmp_path, gluing_file, capsys):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            point = EXAMPLE_E.mul(280, EXAMPLE_POINT)  # coordinates of 4,394 digits
+            assert len(str(point.y.numerator)) > 4300
+            p_file = _write(tmp_path, "P.json", point.to_json())
+        finally:
+            sys.set_int_max_str_digits(limit)
+        q_file = _write(tmp_path, "Q.json", "O")
+        assert main(["membership", "--gluing", gluing_file, "--P", p_file, "--Q", q_file]) == 0
+        assert capsys.readouterr().out == "verdict: in_image\n"
+        assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize("where", ["string", "JSON integer", "answer"])
+    def test_number_above_the_bound(self, tmp_path, capsys, where):
+        big = "1" * (MAX_DIGITS + 1)
+        text = {
+            "string": f'{{"f": ["{big}", "6", "5"]}}',
+            "JSON integer": f'{{"f": [{big}, 6, 5]}}',
+            # j = c4^3 / disc has about three times the digits of c1
+            "answer": f'{{"f": [1, "{big[:MAX_DIGITS // 2]}", 0]}}',
+        }[where]
+        curve = tmp_path / "curve.json"
+        curve.write_text(text)
+        assert main(["jinv", "--curve", str(curve)]) == 2
+        assert capsys.readouterr().err == (
+            f"bound exhausted: a number has more than MAX_DIGITS = {MAX_DIGITS} digits\n")
+
+
 def _run_with_closed_stdout(*argv) -> subprocess.CompletedProcess:
     """Run mwglue with stdout a pipe whose read end closed before it started,
     so that every write to stdout meets a closed pipe."""
@@ -663,7 +714,7 @@ class TestProcessExit:
             "cli.entry()\n"
         )
         run = _run_process([sys.executable, "-c", script])
-        assert run.returncode == 1
+        assert run.returncode == 4
         assert run.stderr.startswith("Traceback (most recent call last):\n")
         assert run.stderr.endswith("RuntimeError: handler failed\n")
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 from math import lcm, prod
 
 import pytest
@@ -63,6 +64,17 @@ small_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=6)
 def _legendre(a: int, q: int) -> int:
     t = pow(a, (q - 1) // 2, q)
     return -1 if t == q - 1 else t
+
+
+class TestPrimes:
+    def test_primes_up_to(self):
+        for n in range(-1, 300):
+            assert P.primes_up_to(n) == [q for q in range(n + 1) if trial_is_prime(q)]
+
+    def test_odd_primes_across_sieve_ranges(self):
+        # the sieved range doubles from 64, so these cross its ends at 64, 128, ..., 8192
+        expected = [q for q in range(3, 9000, 2) if trial_is_prime(q)]
+        assert list(islice(P.odd_primes(), len(expected))) == expected
 
 
 class TestRootsMod:

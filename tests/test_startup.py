@@ -46,7 +46,7 @@ print(json.dumps({{"code": code, "ran": sorted(ran), "heavy": heavy, "json": loa
 """
 
 
-def _probe(script: str, *argv) -> dict:
+def _probe(script: str, *argv, code: int = 0) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     out = subprocess.run(
@@ -54,7 +54,7 @@ def _probe(script: str, *argv) -> dict:
         env=env, capture_output=True, text=True, check=True, timeout=120,
     ).stdout
     result = json.loads(out.splitlines()[-1])
-    assert result["code"] == 0
+    assert result["code"] == code
     return result
 
 
@@ -77,13 +77,29 @@ def files(tmp_path):
     return paths
 
 
-# torsion proves its reduction primes prime; jinv calls nothing in arith
-@pytest.mark.parametrize("command,layers", [
-    ("torsion", {"cli", "record", "arith", "poly", "ellcurve"}),
-    ("jinv", {"cli", "record", "poly", "ellcurve"}),
-], ids=["torsion", "jinv"])
-def test_curve_queries_run_only_the_curve_layers(files, command, layers):
-    assert _ran(command, "--curve", files["curve"]) == layers
+# torsion's small primes come from poly's sieve, so neither runs arith
+@pytest.mark.parametrize("command", ["torsion", "jinv"])
+def test_curve_queries_run_only_the_curve_layers(files, command):
+    assert _ran(command, "--curve", files["curve"]) == {"cli", "record", "poly", "ellcurve"}
+
+
+# membership prints its certificate as JSON text only in human format
+@pytest.mark.parametrize("command", ["jinv", "torsion", "membership", "descent-class"])
+def test_well_formed_files_load_no_json(files, command):
+    argv = {
+        "jinv": ("--curve", files["curve"]),
+        "torsion": ("--curve", files["curve"]),
+        "membership": ("--gluing", files["gluing"], "--P", files["P"], "--Q", files["Q"], "--format", "json"),
+        "descent-class": ("--curve", files["curve"], "--point", files["P"]),
+    }[command]
+    assert not _probe(PROBE, command, *argv)["json"]
+
+
+def test_a_malformed_file_loads_json(tmp_path):
+    # json reads the file again, for its message
+    curve = tmp_path / "curve.json"
+    curve.write_text('{"f": [1, 2')
+    assert _probe(PROBE, "jinv", "--curve", str(curve), code=3)["json"]
 
 
 def test_membership_runs_no_family_or_example_code(files):
