@@ -7,7 +7,6 @@ check.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -189,8 +188,8 @@ class SquareClass(Record):
     def is_trivial(self) -> bool:
         return not self.negative and not self.primes
 
-    def representative(self) -> Fraction:
-        r = Fraction(1)
+    def representative(self) -> int:
+        r = 1
         for p in self.primes:
             r *= p
         return -r if self.negative else r
@@ -206,11 +205,11 @@ class SquareClass(Record):
 # typed, so that a float equal to a rational already seen is refused too
 @lru_cache(maxsize=1024, typed=True)
 def square_class(q) -> SquareClass:
-    """The image of a nonzero rational in Q*/Q*^2.  A float is refused, as
+    """The image of a nonzero rational, an int or a Fraction, in Q*/Q*^2,
+    read off its numerator and denominator.  A float is refused, as
     poly.fraction refuses it: its binary value is not the number written."""
     if isinstance(q, float):
         raise TypeError(f"not an exact rational: {q!r}")
-    q = Fraction(q)
     if q == 0:
         raise ValueError("0 has no square class")
     counts: dict[int, int] = {}

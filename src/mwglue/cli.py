@@ -50,6 +50,8 @@ MAX_SQ_PRIMES = 100_000
 MAX_FAMILY_COUNT = 1000
 # An int is read or written in time quadratic in its digits: 10^6 take seconds.
 MAX_DIGITS = 100_000
+# How CPython's ValueError refusing an int of more digits begins
+_TOO_MANY_DIGITS = f"Exceeds the limit ({MAX_DIGITS}"
 
 
 def _cert_primes(args) -> int:
@@ -275,7 +277,7 @@ def parse_args(argv: list[str]):
         _print(_help(None))
         return None
     if command not in COMMANDS:
-        given = f"unknown command {command!r}" if argv else "no command given"
+        given = f"unknown command {poly.shorten(repr(command))}" if argv else "no command given"
         raise UsageError(f"{given}; commands: {', '.join(COMMANDS)}")
     handler, _, flags = COMMANDS[command]
     values, tokens = {}, iter(argv[1:])
@@ -285,15 +287,17 @@ def parse_args(argv: list[str]):
             return None
         name, eq, value = token.partition("=")
         if name not in flags:
-            raise UsageError(f"{command}: unknown flag {token!r}; flags: {', '.join(flags)}")
+            raise UsageError(f"{command}: unknown flag {poly.shorten(repr(token))}; flags: {', '.join(flags)}")
         if not eq and (value := next(tokens, None)) is None:
             raise UsageError(f"{command} {name}: missing value")
         parse = flags[name][0]
         try:
             values[name] = parse(value)  # a repeated flag keeps its last value
         except ValueError as exc:
+            if str(exc).startswith(_TOO_MANY_DIGITS):  # an integer, but past the bound
+                raise
             why = "expected an integer" if parse is int else exc
-            raise UsageError(f"{command} {name}: {why}, got {value!r}") from None
+            raise UsageError(f"{command} {name}: {why}, got {poly.shorten(repr(value))}") from None
     missing = [name for name, (_, default, _) in flags.items() if default is REQUIRED and name not in values]
     if missing:
         raise UsageError(f"{command}: missing required flags: {', '.join(missing)}")
@@ -313,7 +317,7 @@ def main(argv=None) -> int:
         _emit(args, payload, human)
         return code
     except (UsageError, ValueError, OSError) as exc:
-        if type(exc) is ValueError and str(exc).startswith(f"Exceeds the limit ({MAX_DIGITS}"):
+        if type(exc) is ValueError and str(exc).startswith(_TOO_MANY_DIGITS):
             _print(f"bound exhausted: a number has more than MAX_DIGITS = {MAX_DIGITS} digits", err=True)
             return 2
         _print(f"error: {exc}", err=True)

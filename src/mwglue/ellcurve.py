@@ -3,6 +3,12 @@
 Chord-tangent group law, rational 2-torsion, the full torsion subgroup from a
 reduction bound and the integer roots of division polynomials, and the
 j-invariant.
+
+Curve coefficients and point coordinates are numbers as poly keeps them: an
+int when the value is integral and a Fraction otherwise (`poly.fraction`).
+Every quotient, a slope or the j-invariant, comes from `poly.ratio`, so a
+curve with integral coefficients and its integral points compute in int
+arithmetic.
 """
 
 from __future__ import annotations
@@ -22,22 +28,16 @@ MAZUR_ORDERS = (2, 3, 4, 5, 6, 7, 8, 9, 10, 12)
 BOUND_PRIMES = 10
 
 
-def _fraction(c) -> Fraction:
-    """c as a Fraction, kept when it already is one: points and curves hold
-    Fractions, though poly keeps integral values as ints."""
-    return c if type(c) is Fraction else Fraction(P.fraction(c))
-
-
 class ECPoint(Record):
-    x: Fraction | None = None
-    y: Fraction | None = None
+    x: int | Fraction | None = None
+    y: int | Fraction | None = None
 
     def __post_init__(self):
         if (self.x is None) != (self.y is None):
             raise ValueError("affine points need both coordinates")
         if self.x is not None:
-            object.__setattr__(self, "x", _fraction(self.x))
-            object.__setattr__(self, "y", _fraction(self.y))
+            object.__setattr__(self, "x", P.fraction(self.x))
+            object.__setattr__(self, "y", P.fraction(self.y))
 
     @classmethod
     def infinity(cls) -> "ECPoint":
@@ -122,14 +122,14 @@ class TorsionGroup(Record):
 
 
 class EllipticCurve(Record):
-    c0: Fraction
-    c1: Fraction
-    c2: Fraction
+    c0: int | Fraction
+    c1: int | Fraction
+    c2: int | Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "c0", _fraction(self.c0))
-        object.__setattr__(self, "c1", _fraction(self.c1))
-        object.__setattr__(self, "c2", _fraction(self.c2))
+        object.__setattr__(self, "c0", P.fraction(self.c0))
+        object.__setattr__(self, "c1", P.fraction(self.c1))
+        object.__setattr__(self, "c2", P.fraction(self.c2))
         # the cubic, built once: curves are frozen
         object.__setattr__(self, "_f", P.poly((self.c0, self.c1, self.c2, 1)))
         if self.disc_f == 0:
@@ -145,16 +145,16 @@ class EllipticCurve(Record):
     def f_at(self, x) -> int | Fraction:
         return P.eval_at(self.f_poly(), P.fraction(x))
 
-    def f_derivative_at(self, x) -> Fraction:
+    def f_derivative_at(self, x) -> int | Fraction:
         x = P.fraction(x)
         return (3 * x + 2 * self.c2) * x + self.c1
 
     @property
-    def disc_f(self) -> Fraction:
+    def disc_f(self) -> int | Fraction:
         return P.cubic_disc(self.f_poly())
 
     @property
-    def discriminant(self) -> Fraction:
+    def discriminant(self) -> int | Fraction:
         return 16 * self.disc_f
 
     def __str__(self) -> str:
@@ -179,9 +179,9 @@ class EllipticCurve(Record):
         if a.x == b.x:
             if a.y == -b.y:
                 return INFINITY
-            m = self.f_derivative_at(a.x) / (2 * a.y)
+            m = P.ratio(self.f_derivative_at(a.x), 2 * a.y)
         else:
-            m = (b.y - a.y) / (b.x - a.x)
+            m = P.ratio(b.y - a.y, b.x - a.x)
         x3 = m * m - self.c2 - a.x - b.x
         y3 = m * (a.x - x3) - a.y
         return ECPoint.affine(x3, y3)
@@ -202,6 +202,8 @@ class EllipticCurve(Record):
     def integral_model(self) -> tuple["EllipticCurve", int]:
         """(E', u) with E' integral and (x, y) -> (u^2 x, u^3 y) mapping onto it."""
         u = lcm(self.c2.denominator, self.c1.denominator, self.c0.denominator)
+        if u == 1:
+            return self, 1
         model = EllipticCurve(self.c0 * u**6, self.c1 * u**4, self.c2 * u**2)
         return model, u
 
@@ -233,13 +235,13 @@ class EllipticCurve(Record):
                     orders.setdefault(ECPoint.affine(x, y), m)
                     orders.setdefault(ECPoint.affine(x, -y), m)
         back = orders if u == 1 else {
-            q if q.is_infinity else ECPoint.affine(q.x / u**2, q.y / u**3): order
+            q if q.is_infinity else ECPoint.affine(P.ratio(q.x, u**2), P.ratio(q.y, u**3)): order
             for q, order in orders.items()}
         return TorsionGroup(*_group_structure(self, back), primes, counts)
 
-    def j_invariant(self) -> Fraction:
+    def j_invariant(self) -> int | Fraction:
         c4 = 16 * self.c2**2 - 48 * self.c1
-        return c4**3 / self.discriminant
+        return P.ratio(c4**3, self.discriminant)
 
     def to_json(self) -> dict:
         return {"f": [str(self.c0), str(self.c1), str(self.c2)]}

@@ -129,7 +129,10 @@ def _mul_matrix(m: Poly, r: Poly) -> list[list[int | Fraction]]:
 
 
 def _component_norm(m: Poly, r: Poly) -> int | Fraction:
-    return P.det(_mul_matrix(m, r)) if r else 0
+    """The norm of r from Q[x]/(m); over a linear m, r is a constant, its own norm."""
+    if not r:
+        return 0
+    return r[0] if len(m) == 2 else P.det(_mul_matrix(m, r))
 
 
 def has_square_norm(elem: AlgebraElement) -> bool:

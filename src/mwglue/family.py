@@ -25,6 +25,7 @@ from .descent import NOT_CONTAINED, ObstructionVerdict, descent_class, surjectiv
 from .ellcurve import ECPoint, EllipticCurve
 from .etale import CubicEtaleAlgebra
 from .glue import GluingData, TwoTorsionIdentification
+from .poly import shorten
 from .record import Record
 
 
@@ -52,7 +53,7 @@ class FamilyParams(Record):
             raise InvalidFamilyParams("the two primes must be distinct")
         for l in (self.l1, self.l2):
             if l == 2 or not is_prime(l):
-                raise InvalidFamilyParams(f"{l} is not an odd prime")
+                raise InvalidFamilyParams(f"{shorten(str(l))} is not an odd prime")
         if self.bound < 3:
             raise InvalidFamilyParams("the search bound must be at least 3")
         if self.count < 1:
@@ -65,7 +66,7 @@ class FamilyParams(Record):
         for l in (self.l1, self.l2):
             if l in self.generator_occurring_primes:
                 raise InvalidFamilyParams(
-                    f"{l} occurs in a generator class of F and cannot be used"
+                    f"{shorten(str(l))} occurs in a generator class of F and cannot be used"
                 )
 
     @cached_property

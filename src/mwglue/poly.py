@@ -4,7 +4,7 @@ A polynomial is a tuple of rationals in ascending degree order, trimmed of
 trailing zeros; the zero polynomial is the empty tuple.  Each coefficient is
 an int when it is integral and a Fraction otherwise (see `fraction`), so a
 polynomial with integer coefficients is computed on in int arithmetic; every
-true division goes through a Fraction.
+true division is `ratio`, whose quotient is again an int when it is integral.
 """
 
 from __future__ import annotations
@@ -33,12 +33,15 @@ def rational(s) -> Fraction:
     also takes "1e999999999", which would build 10^999999999."""
     if type(s) is int or isinstance(s, str) and re.fullmatch(_RATIONAL, s):
         return Fraction(s)
-    # quoted as JSON, so that the message shows the value as it was written,
-    # and cut after 80 characters, so that a huge value gives a short message
+    # quoted as JSON, so that the message shows the value as it was written
     import json  # here, as most commands never quote a value
-    quoted = json.dumps(s, ensure_ascii=False, default=repr)
-    cut = quoted[:80] + "…" if len(quoted) > 80 else quoted
-    raise ValueError(f"not a rational number: {cut}")
+    raise ValueError(f"not a rational number: {shorten(json.dumps(s, ensure_ascii=False, default=repr))}")
+
+
+def shorten(text: str) -> str:
+    """text cut after 80 characters, so that a message quoting a huge value
+    stays one short line."""
+    return text[:80] + "…" if len(text) > 80 else text
 
 
 def rationals(data, field: str, count: int | None = None) -> list[Fraction]:
@@ -73,6 +76,13 @@ def fraction(c) -> int | Fraction:
             raise TypeError(f"not an exact rational: {c!r}")
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
+
+
+def ratio(a, b) -> int | Fraction:
+    """a / b for rationals a and b, as `fraction` gives it: an int when b
+    divides a.  The one true division in mwglue, so that no quotient is a
+    float."""
+    return fraction(Fraction(a, b))
 
 
 def poly(coeffs) -> Poly:
@@ -147,12 +157,12 @@ def eval_mod(p, x: int, modulus: int) -> int | None:
     denominator is not a unit mod modulus."""
     acc = 0
     for c in reversed(p):
-        n, d = c.numerator, c.denominator
-        if d != 1:
+        if type(c) is not int:
+            d = c.denominator
             if gcd(d, modulus) != 1:
                 return None
-            n *= pow(d, -1, modulus)
-        acc = (acc * x + n) % modulus
+            c = c.numerator * pow(d, -1, modulus)
+        acc = (acc * x + c) % modulus
     return acc
 
 
@@ -194,7 +204,8 @@ def roots_mod(p, q: int) -> list[int]:
     coefficients are q-integral and whose leading coefficient is a unit mod
     q.  A linear polynomial is solved; a higher one is searched point by
     point."""
-    cs = [c.numerator * pow(c.denominator, -1, q) % q for c in reversed(p)]
+    cs = [c % q if type(c) is int else c.numerator * pow(c.denominator, -1, q) % q
+          for c in reversed(p)]
     if len(cs) == 2:
         return [-cs[1] * pow(cs[0], -1, q) % q]
     out = []
@@ -267,7 +278,7 @@ def divmod_poly(p: Poly, q: Poly) -> tuple[Poly, Poly]:
         raise ZeroDivisionError("polynomial division by zero")
     r = list(p)
     dq = degree(q)
-    inv = fraction(1 / Fraction(q[-1]))  # an int when q is monic up to sign
+    inv = ratio(1, q[-1])  # an int when q is monic up to sign
     quot = [0] * max(len(p) - dq, 0)
     for i in range(len(p) - 1, dq - 1, -1):
         c = r[i]
@@ -281,7 +292,7 @@ def divmod_poly(p: Poly, q: Poly) -> tuple[Poly, Poly]:
 
 def mod_poly(p: Poly, q: Poly) -> Poly:
     if len(q) == 2:  # the remainder by x - r is the constant p(r)
-        return poly([eval_at(p, -q[0] if q[1] == 1 else -q[0] / Fraction(q[1]))])
+        return poly([eval_at(p, -q[0] if q[1] == 1 else ratio(-q[0], q[1]))])
     return divmod_poly(p, q)[1]
 
 
@@ -297,7 +308,7 @@ def xgcd_poly(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
         t0, t1 = t1, sub(t0, mul(qt, t1))
     if not r0:
         return ZERO, ZERO, ZERO
-    c = 1 / Fraction(r0[-1])
+    c = ratio(1, r0[-1])
     return scale(r0, c), scale(s0, c), scale(t0, c)
 
 
@@ -317,7 +328,7 @@ def interpolate(points) -> Poly:
         for j, (xj, _) in enumerate(pts):
             if i != j:
                 num, den = mul(num, poly([-xj, 1])), den * (xi - xj)
-        acc = add(acc, scale(num, 1 / Fraction(den)))
+        acc = add(acc, scale(num, ratio(1, den)))
     return acc
 
 
@@ -337,9 +348,7 @@ def cubic_disc(f: Poly) -> int | Fraction:
 
 
 def det(rows) -> int | Fraction:
-    """Determinant of a square matrix of size 1, 2 or 3."""
-    if len(rows) == 1:
-        return rows[0][0]
+    """Determinant of a square matrix of size 2 or 3."""
     if len(rows) == 2:
         (a, b), (c, d) = rows
         return a * d - b * c

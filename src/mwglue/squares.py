@@ -24,7 +24,6 @@ repeated runs are deterministic.  Only a squareness question loads it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import islice
 from math import prod
 
@@ -72,7 +71,7 @@ def _component_sqrt(m: P.Poly, r: P.Poly) -> P.Poly | None:
     candidates = []
     if P.degree(r) <= 0:
         a = P.constant_value(r)
-        c = P.sqrt_fraction(Fraction(a) / (m[1] * m[1] - 4 * m[0])) if d == 2 else None
+        c = P.sqrt_fraction(P.ratio(a, m[1] * m[1] - 4 * m[0])) if d == 2 else None
         for b, k in ((P.ONE, P.sqrt_fraction(a)), (P.poly([m[1], 2]), c)):
             if k is not None:
                 candidates.append(P.scale(b, k))
@@ -86,13 +85,13 @@ def _component_sqrt(m: P.Poly, r: P.Poly) -> P.Poly | None:
             for n in (norm_root, -norm_root):
                 t = P.sqrt_fraction(e1 + 2 * n)
                 if t:
-                    candidates.append(P.scale(P.add(r, P.poly([n])), 1 / t))
+                    candidates.append(P.scale(P.add(r, P.poly([n])), P.ratio(1, t)))
         else:
             # Tr(alpha^2) is the trace of the squared matrix
-            e2 = Fraction(e1 * e1 - sum(mat[i][j] * mat[j][i] for i in range(3) for j in range(3)), 2)
+            e2 = P.ratio(e1 * e1 - sum(mat[i][j] * mat[j][i] for i in range(3) for j in range(3)), 2)
             quartic = P.poly([e1 * e1 - 4 * e2, -8 * norm_root, -2 * e1, 0, 1])
             for s1 in P.rational_roots_monic(quartic):
-                _, inv, _ = P.xgcd_poly(P.add(r, P.poly([Fraction(s1 * s1 - e1, 2)])), m)
+                _, inv, _ = P.xgcd_poly(P.add(r, P.poly([P.ratio(s1 * s1 - e1, 2)])), m)
                 candidates.append(P.mod_poly(P.mul(P.add(P.scale(r, s1), P.poly([norm_root])), inv), m))
     return next((b for b in candidates if P.mod_poly(P.sub(P.mul(b, b), r), m) == P.ZERO), None)
 

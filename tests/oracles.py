@@ -5,7 +5,9 @@ trial division, containment is exhaustive subset enumeration (in an etale
 algebra over is_square, so only the one-element case of span_contains is
 shared), the group law
 oracle divides the intersection cubic by its known roots instead of using
-the slope formulas, j comes from the cross-ratio of the roots, and integer
+the slope formulas, j comes from the cross-ratio of the roots, the
+Fraction-only fraction_add, fraction_mul and fraction_j check the library's
+int arithmetic against the plain formulas, and integer
 roots of cubics come from sign bisection instead of a p-adic lift, and an
 etale algebra element is lifted to Q[x]/(f) by the Chinese remainder theorem
 instead of being mapped component by component, and a gluing's root
@@ -185,13 +187,14 @@ def chord_tangent_sum(curve, a, b):
     their inputs accordingly.
     """
     f = curve.f_poly()
-    if (a.x, a.y) == (b.x, b.y):
-        assert a.y != 0
-        m = curve.f_derivative_at(a.x) / (2 * a.y)
+    ax, ay, bx, by = (Fraction(v) for v in (a.x, a.y, b.x, b.y))
+    if (ax, ay) == (bx, by):
+        assert ay != 0
+        m = (3 * ax * ax + 2 * Fraction(curve.c2) * ax + curve.c1) / (2 * ay)
     else:
-        assert a.x != b.x
-        m = (b.y - a.y) / (b.x - a.x)
-    c = a.y - m * a.x
+        assert ax != bx
+        m = (by - ay) / (bx - ax)
+    c = ay - m * ax
     line = P.poly([c, m])
     cubic = P.sub(f, P.mul(line, line))
     q, r = P.divmod_poly(cubic, P.poly([-a.x, 1]))
@@ -201,6 +204,42 @@ def chord_tangent_sum(curve, a, b):
     x3 = -Fraction(q[0]) / q[1]
     y3 = -(m * x3 + c)
     return x3, y3
+
+
+def fraction_add(curve, a, b):
+    """A + B by the slope formulas, every value a Fraction.  A point is an
+    (x, y) pair, and None is the point at infinity."""
+    if a is None or b is None:
+        return b if a is None else a
+    c1, c2 = Fraction(curve.c1), Fraction(curve.c2)
+    (ax, ay), (bx, by) = (map(Fraction, a), map(Fraction, b))
+    if ax == bx:
+        if ay == -by:
+            return None
+        m = (3 * ax * ax + 2 * c2 * ax + c1) / (2 * ay)
+    else:
+        m = (by - ay) / (bx - ax)
+    x = m * m - c2 - ax - bx
+    return x, m * (ax - x) - ay
+
+
+def fraction_mul(curve, n: int, a):
+    """n A by repeated fraction_add."""
+    if n < 0 and a is not None:
+        a = (a[0], -Fraction(a[1]))
+    acc = None
+    for _ in range(abs(n)):
+        acc = fraction_add(curve, acc, a)
+    return acc
+
+
+def fraction_j(curve) -> Fraction:
+    """j = c4^3 / Delta from Tate's b-invariants of y^2 = x^3 + a2 x^2 + a4 x
+    + a6, in Fractions: b2 = 4 a2, b4 = 2 a4, b6 = 4 a6, b8 = 4 a2 a6 - a4^2."""
+    a2, a4, a6 = Fraction(curve.c2), Fraction(curve.c1), Fraction(curve.c0)
+    b2, b4, b6, b8 = 4 * a2, 2 * a4, 4 * a6, 4 * a2 * a6 - a4 * a4
+    delta = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    return (b2 * b2 - 24 * b4) ** 3 / delta
 
 
 def lambda_j(r1, r2, r3) -> Fraction:
@@ -357,7 +396,7 @@ def lutz_nagell_torsion(curve):
                 points.append(cand)
                 break
     points = sorted(
-        (q if q.is_infinity else ECPoint.affine(q.x / u**2, q.y / u**3) for q in points),
+        (q if q.is_infinity else ECPoint.affine(Fraction(q.x, u**2), Fraction(q.y, u**3)) for q in points),
         key=_torsion_key,
     )
 

@@ -67,6 +67,29 @@ def test_usage_error_exits_3_with_one_line(argv, message):
     assert err == f"error: {message}\n"
 
 
+# A value quoted in an error is cut after 80 characters, so the line stays short.
+LONG_VALUES = [
+    (["jinv", "--curve", "c.json", "--format", "h" * 300],
+     f"jinv --format: expected human or json, got '{'h' * 79}…"),
+    (["jinv", "--" + "x" * 300, "1"],
+     f"jinv: unknown flag '--{'x' * 77}…; flags: --curve, --format, --out"),
+    (["x" * 300], f"unknown command '{'x' * 79}…; commands: {COMMAND_LIST}"),
+    (["family", "--l1", "1" * 5000, "--l2", "5"], f"{'1' * 80}… is not an odd prime"),
+]
+
+
+@pytest.mark.parametrize("argv,message", LONG_VALUES, ids=["format", "flag", "command", "l1"])
+def test_long_value_is_quoted_short(argv, message):
+    assert _run(argv) == (3, "", f"error: {message}\n")
+
+
+def test_int_flag_past_max_digits_exhausts_the_bound():
+    # an integer all the same: not a usage error, but the bound on digits that ran out
+    code, out, err = _run(["family", "--l1", "1" * (cli.MAX_DIGITS + 1), "--l2", "5"])
+    assert (code, out) == (2, "")
+    assert err == f"bound exhausted: a number has more than MAX_DIGITS = {cli.MAX_DIGITS} digits\n"
+
+
 @pytest.mark.parametrize("flag", ["-h", "--help"])
 def test_top_level_help_lists_every_command(flag):
     code, out, err = _run([flag])

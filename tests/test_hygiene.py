@@ -95,3 +95,18 @@ def test_every_definition_has_a_caller():
         and refs[is_method][name] == own[is_method][name]
     ]
     assert not unused, "defined but never referenced under src/ or bench/: " + ", ".join(unused)
+
+
+def test_one_home_for_exact_division():
+    """No true division under src/mwglue outside poly.ratio: curves, points
+    and polynomials hold ints, and an int / int is a float."""
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        ratio = [node for node in tree.body if path.name == "poly.py"
+                 and isinstance(node, ast.FunctionDef) and node.name == "ratio"]
+        exempt = {id(sub) for node in ratio for sub in ast.walk(node)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+                  and id(node) not in exempt]
+    assert not found, "true division outside poly.ratio: " + ", ".join(found)

@@ -262,6 +262,12 @@ class TestIntegralCoefficients:
         if all(type(c) is int for c in (*f, x)):
             assert type(P.cubic_disc(f)) is int and type(P.eval_at(f, x)) is int
 
+    @given(mixed, mixed.filter(bool))
+    @settings(max_examples=100, deadline=None)
+    def test_ratio(self, a, b):
+        got = P.ratio(a, b)
+        assert got == Fraction(a) / Fraction(b) and _normalized(got)
+
     def test_integral_fractions_become_ints(self):
         p = P.poly([Fraction(4, 2), Fraction(1, 2), Fraction(-3)])
         assert p == (2, Fraction(1, 2), -3) and [type(c) for c in p] == [int, Fraction, int]

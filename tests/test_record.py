@@ -58,7 +58,10 @@ class TestConstruction:
     def test_post_init_keeps_validating(self):
         with pytest.raises(ValueError):
             ECPoint(Fraction(1), None)
-        assert ECPoint(1, 2).x == Fraction(1) and isinstance(ECPoint(1, 2).y, Fraction)
+        # an integral coordinate is stored as an int, even when given as a Fraction
+        point = ECPoint(Fraction(1), 2)
+        assert (point.x, point.y) == (1, 2) and type(point.x) is int and type(point.y) is int
+        assert type(ECPoint(Fraction(1, 2), 0).x) is Fraction
 
     def test_square_class_validates_in_its_own_init(self):
         assert "__init__" in vars(SquareClass)
