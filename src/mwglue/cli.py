@@ -137,12 +137,10 @@ def _cmd_family(args) -> Rendered:
     if args.count > MAX_FAMILY_COUNT:
         raise UsageError(f"--count must be at most {MAX_FAMILY_COUNT}")
     if args.F:
-        data = poly.json_object(_load_json(args.F), ("F", "generators"), "the F file")
-        F = ellcurve.EllipticCurve.from_json(data.get("F"), "F")
-        gens = data.get("generators", [])
-        if not isinstance(gens, list):
-            raise ValueError("generators: expected a list of points")
-        gens = tuple(ellcurve.ECPoint.from_json(g, f"generators[{i}]") for i, g in enumerate(gens))
+        F, gens = poly.json_object(_load_json(args.F), "", {
+            "F": ellcurve.EllipticCurve.from_json,
+            "generators": lambda data, path: poly.json_list(data, path, ellcurve.ECPoint.from_json, "points"),
+        }, "the F file", {"generators": ()})
     else:
         F, gens = family.FAMILY_F, ()
     params = family.FamilyParams(
@@ -192,8 +190,7 @@ def _cmd_membership(args) -> Rendered:
 def _cmd_descent_class(args) -> Rendered:
     curve = ellcurve.EllipticCurve.from_json(_load_json(args.curve))
     point = ellcurve.ECPoint.from_json(_load_json(args.point))
-    order = [poly.rational(part.strip()) for part in args.roots.split(",")] if args.roots else None
-    algebra = etale.CubicEtaleAlgebra.from_cubic(curve.f_poly(), root_order=order)
+    algebra = etale.CubicEtaleAlgebra.from_cubic(curve.f_poly(), root_order=args.roots)
     cls = descent.descent_class(curve, algebra, point)
     if algebra.is_split:
         trip = cls.triple()
@@ -227,6 +224,11 @@ def _format(text: str) -> str:
     return text
 
 
+def _roots(text: str) -> list | None:
+    # an empty value, like that of every file flag, is the flag not given
+    return [poly.rational(part.strip()) for part in text.split(",")] if text else None
+
+
 # A command maps to (handler, help, flags), a flag to (parser, default, help).
 REQUIRED = object()  # the default of a flag that must be given
 _SQ_PRIMES = {"--sq-primes": (int, 200, "primes scanned by the squareness search")}
@@ -247,7 +249,7 @@ COMMANDS = {
         "--Q": (str, REQUIRED, "JSON file with the point on F"), **_SQ_PRIMES, **_OUTPUT}),
     "descent-class": (_cmd_descent_class, "descent class of a point on its curve", {
         **_CURVE, "--point": (str, REQUIRED, "JSON file with the point"),
-        "--roots": (str, None, "component order for split cubics, e.g. '0,-12,10'"), **_OUTPUT}),
+        "--roots": (_roots, None, "component order for split cubics, e.g. '0,-12,10'"), **_OUTPUT}),
     "jinv": (_cmd_jinv, "j-invariant of a curve", {**_CURVE, **_OUTPUT}),
     "torsion": (_cmd_torsion, "rational torsion subgroup of a curve", {**_CURVE, **_OUTPUT}),
 }

@@ -50,8 +50,7 @@ def descent_class(
         raise ValueError("the algebra was not built from the curve's cubic")
     if point.is_infinity:
         return AlgebraSquareClass.of(algebra.one())
-    if not curve.contains(point):
-        raise ValueError(f"point {point} is not on {curve}")
+    curve._require_on_curve(point)
     if point.y != 0:
         return AlgebraSquareClass.of(algebra.element([point.x, -1]))
     # order 2: x_P - X vanishes in the rational component x - x_P; that

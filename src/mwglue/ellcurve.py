@@ -68,11 +68,9 @@ class ECPoint(Record):
     def from_json(cls, data, path: str = "") -> "ECPoint":
         if data == "O":
             return cls.infinity()
-        if not isinstance(data, dict) or "x" not in data or "y" not in data:
+        if not isinstance(data, dict):
             raise ValueError(f'{path or "point"}: expected "O" or an object with the keys x and y')
-        x, y = P.rational(data["x"]), P.rational(data["y"])
-        P.json_object(data, ("x", "y"), path or "point")
-        return cls(x, y)
+        return cls(*P.json_object(data, path, {"x": P.rational, "y": P.rational}, "point"))
 
 
 INFINITY = ECPoint.infinity()
@@ -167,7 +165,7 @@ class EllipticCurve(Record):
 
     def _require_on_curve(self, pt: ECPoint):
         if not self.contains(pt):
-            raise ValueError(f"point {pt} is not on {self}")
+            raise ValueError(f"point {P.shorten(str(pt))} is not on {P.shorten(str(self))}")
 
     def add(self, a: ECPoint, b: ECPoint) -> ECPoint:
         self._require_on_curve(a)
@@ -248,12 +246,8 @@ class EllipticCurve(Record):
 
     @classmethod
     def from_json(cls, data, path: str = "") -> "EllipticCurve":
-        """The curve {"f": [c0, c1, c2]}; an error names the field by its path
-        in the file, such as E.f inside a gluing."""
-        if not isinstance(data, dict):
-            raise ValueError(f"{path or 'curve'}: expected an object with the key f")
-        coeffs = P.rationals(data.get("f"), f"{path}.f" if path else "f", 3)
-        P.json_object(data, ("f",), path or "curve")
+        """The curve {"f": [c0, c1, c2]} at path in a file, such as E in a gluing."""
+        (coeffs,) = P.json_object(data, path, {"f": lambda f, at: P.rationals(f, at, 3)}, "curve")
         return cls(*coeffs)
 
 

@@ -62,7 +62,7 @@ class FamilyParams(Record):
             raise InvalidFamilyParams("F needs three rational points of order 2")
         for g in self.F_generators:
             if not self.F.contains(g):
-                raise InvalidFamilyParams(f"generator {g} is not on F")
+                raise InvalidFamilyParams(f"generator {shorten(str(g))} is not on F")
         for l in (self.l1, self.l2):
             if l in self.generator_occurring_primes:
                 raise InvalidFamilyParams(

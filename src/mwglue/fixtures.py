@@ -27,11 +27,7 @@ class GenusTwoCurve(Record):
 
     @classmethod
     def from_json(cls, data, path: str) -> "GenusTwoCurve":
-        if not isinstance(data, dict):
-            raise ValueError(f"{path}: expected an object with the key h6")
-        h6 = rationals(data.get("h6"), f"{path}.h6")
-        json_object(data, ("h6",), path)
-        return cls(h6)
+        return cls(*json_object(data, path, {"h6": rationals}))
 
 
 class RationalMap(Record):
@@ -51,11 +47,7 @@ class RationalMap(Record):
 
     @classmethod
     def from_json(cls, data, path: str) -> "RationalMap":
-        if not isinstance(data, dict):
-            raise ValueError(f"{path}: expected an object with the keys num and den")
-        num, den = (rationals(data.get(key), f"{path}.{key}") for key in ("num", "den"))
-        json_object(data, ("num", "den"), path)
-        return cls(num, den)
+        return cls(*json_object(data, path, {"num": rationals, "den": rationals}))
 
 
 # The bundled counterexample: E: y^2 = x^3 + 5x^2 + 6x + 1 (Mordell-Weil
@@ -99,30 +91,23 @@ def example_fixtures() -> dict:
 
 def _cover(data, path: str) -> tuple[RationalMap, RationalMap]:
     """The maps u and v of a cover (x, y) -> (u(x), y v(x)) at path in the file."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected an object with the keys u and v")
-    maps = tuple(RationalMap.from_json(data.get(key), f"{path}.{key}") for key in ("u", "v"))
-    json_object(data, ("u", "v"), path)
-    return maps
+    return tuple(json_object(data, path, {"u": RationalMap.from_json, "v": RationalMap.from_json}))
 
 
 def load_example_fixtures(data) -> dict:
     """Override the built-in example fixtures from a JSON object; missing
     keys keep their defaults, and the key h sets the fixture psi."""
-    readers = {
+    fx = example_fixtures()
+    readers = {  # in the order of fx, h in the place of psi
         "E": EllipticCurve.from_json,
         "F": EllipticCurve.from_json,
         "h": TwoTorsionIdentification.from_json,
         "P": ECPoint.from_json,
         "C": GenusTwoCurve.from_json,
         "C_unscaled": GenusTwoCurve.from_json,
-        "rescale": lambda d, _: rational(d),
+        "rescale": rational,
         "cover_to_E": _cover,
         "cover_to_F": _cover,
     }
-    json_object(data, readers, "the fixtures file")
-    fx = example_fixtures()
-    for key, read in readers.items():
-        if key in data:
-            fx["psi" if key == "h" else key] = read(data[key], key)
-    return fx
+    values = json_object(data, "", readers, "the fixtures file", dict(zip(readers, fx.values())))
+    return dict(zip(fx, values))

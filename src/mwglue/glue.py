@@ -52,7 +52,7 @@ class TwoTorsionIdentification(Record):
         return [str(c) for c in self.h]
 
     @classmethod
-    def from_json(cls, data, path: str = "h") -> "TwoTorsionIdentification":
+    def from_json(cls, data, path: str) -> "TwoTorsionIdentification":
         return cls(P.rationals(data, path))
 
 
@@ -118,11 +118,8 @@ class GluingData(Record):
 
     @classmethod
     def from_json(cls, data) -> "GluingData":
-        if not isinstance(data, dict) or not all(key in data for key in ("E", "F", "h")):
-            raise ValueError("gluing: expected an object with the keys E, F and h")
-        P.json_object(data, ("E", "F", "h"), "gluing")
-        E, F = EllipticCurve.from_json(data["E"], "E"), EllipticCurve.from_json(data["F"], "F")
-        return cls.build(E, F, TwoTorsionIdentification.from_json(data["h"]))
+        curve, h = EllipticCurve.from_json, TwoTorsionIdentification.from_json
+        return cls.build(*P.json_object(data, "", {"E": curve, "F": curve, "h": h}, "gluing"))
 
 
 def verify_cover_map(

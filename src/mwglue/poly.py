@@ -26,16 +26,17 @@ X: Poly = (0, 1)
 _RATIONAL = r"[+-]?[0-9]+(\.[0-9]+|/0*[1-9][0-9]*)?"
 
 
-def rational(s) -> Fraction:
+def rational(s, path: str = "") -> Fraction:
     """A rational read from JSON or the command line: a JSON integer or a
-    string in the _RATIONAL grammar.  Anything else is refused: a JSON float
-    is a binary value, not the decimal written, and Fraction's own grammar
-    also takes "1e999999999", which would build 10^999999999."""
+    string in the _RATIONAL grammar.  Anything else is refused, with its path
+    if given: a JSON float is a binary value, not the decimal written, and
+    Fraction's own grammar also takes "1e999999999", which builds 10^999999999."""
     if type(s) is int or isinstance(s, str) and re.fullmatch(_RATIONAL, s):
         return Fraction(s)
     # quoted as JSON, so that the message shows the value as it was written
     import json  # here, as most commands never quote a value
-    raise ValueError(f"not a rational number: {shorten(json.dumps(s, ensure_ascii=False, default=repr))}")
+    where = f"{path}: " if path else ""
+    raise ValueError(f"{where}not a rational number: {shorten(json.dumps(s, ensure_ascii=False, default=repr))}")
 
 
 def shorten(text: str) -> str:
@@ -44,25 +45,36 @@ def shorten(text: str) -> str:
     return text[:80] + "…" if len(text) > 80 else text
 
 
-def rationals(data, field: str, count: int | None = None) -> list[Fraction]:
-    """A JSON list of rationals, each read by `rational`.  Anything else, or
-    a list of the wrong length, is refused with a message that names the
-    field: a string such as "1050601" would be read digit by digit."""
+def json_list(data, path: str, read, what: str, count: int | None = None) -> tuple:
+    """The JSON list at path, each item read by read(item, its path), such
+    as f[0].  Anything else, or a list of the wrong length, is refused."""
     if not isinstance(data, list) or count not in (None, len(data)):
-        raise ValueError(f"{field}: expected a list of {f'{count} ' if count else ''}rationals")
-    return [rational(c) for c in data]
+        raise ValueError(f"{path}: expected a list of {f'{count} ' if count else ''}{what}")
+    return tuple(read(item, f"{path}[{i}]") for i, item in enumerate(data))
 
 
-def json_object(data, keys, where: str) -> dict:
-    """data, refused unless it is a JSON object with no key outside keys.
-    where names it in a message: a whole file, such as "the F file", or a
-    field by its path in the file, such as E inside a gluing."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{where} must hold a JSON object")
-    for key in data:
-        if key not in keys:
-            raise ValueError(f"unknown key {key!r} in {where}; known keys: {', '.join(keys)}")
-    return data
+def rationals(data, path: str, count: int | None = None) -> tuple:
+    """A JSON list of rationals; a string such as "1050601" is refused."""
+    return json_list(data, path, rational, "rationals", count)
+
+
+def json_object(data, path: str, readers: dict, name: str = "", optional: dict | None = None) -> list:
+    """The fields of the JSON object at path ("" for a whole file, called
+    name) in readers' order, each read by readers[key](value, its path), or
+    taken from optional if missing there.  Refused first: a key outside
+    readers; then a non-object or a missing key."""
+    where, optional = path or name, optional or {}
+    required = [key for key in readers if key not in optional]
+    if isinstance(data, dict):
+        for key in data:
+            if key not in readers:
+                raise ValueError(f"unknown key {key!r} in {where}; known keys: {', '.join(readers)}")
+        if all(key in data for key in required):
+            return [read(data[key], f"{path}.{key}" if path else key) if key in data else optional[key]
+                    for key, read in readers.items()]
+    names = " and ".join(", ".join(required).rsplit(", ", 1))
+    keys = f" with the key{'s' * (len(required) > 1)} {names}" if required else ""
+    raise ValueError(f"{where}: expected an object{keys}")
 
 
 def fraction(c) -> int | Fraction:

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -13,7 +14,16 @@ from mwglue import cli
 from mwglue.cli import MAX_DIGITS, MAX_FAMILY_COUNT, MAX_SQ_PRIMES, main
 from mwglue.descent import ObstructionVerdict, descent_class
 from mwglue.etale import CubicEtaleAlgebra, NonSquareCertificate
-from mwglue.fixtures import EXAMPLE_E, EXAMPLE_F, EXAMPLE_POINT, EXAMPLE_PSI
+from mwglue.fixtures import (
+    COVER_TO_E,
+    COVER_TO_F,
+    EXAMPLE_C,
+    EXAMPLE_C_UNSCALED,
+    EXAMPLE_E,
+    EXAMPLE_F,
+    EXAMPLE_POINT,
+    EXAMPLE_PSI,
+)
 from mwglue.glue import GluingData
 
 from oracles import trial_is_prime
@@ -94,7 +104,7 @@ class TestVerifyExample:
     def test_fixtures_file_must_hold_an_object(self, tmp_path, capsys):
         fixtures = _write(tmp_path, "fixtures.json", [])
         assert main(["verify-example", "--fixtures", fixtures]) == 3
-        assert capsys.readouterr().err == "error: the fixtures file must hold a JSON object\n"
+        assert capsys.readouterr().err == "error: the fixtures file: expected an object\n"
 
     def test_report_written_to_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -206,7 +216,7 @@ class TestFamilyCommand:
     def test_f_file_must_hold_an_object(self, tmp_path, capsys):
         f_file = _write(tmp_path, "F.json", [{"f": ["0", "-3", "2"]}])
         assert main(["family", "--l1", "3", "--l2", "5", "--F", f_file]) == 3
-        assert capsys.readouterr().err == "error: the F file must hold a JSON object\n"
+        assert capsys.readouterr().err == "error: the F file: expected an object with the key F\n"
 
     def test_f_file_honest_run(self, tmp_path, capsys):
         f_file = _write(
@@ -337,9 +347,9 @@ SHAPE_ERRORS = [
     ("curve", None, "curve: expected an object with the key f"),
     ("curve", {"f": [1, 2]}, "f: expected a list of 3 rationals"),
     ("curve", {"f": "1, 6, 5"}, "f: expected a list of 3 rationals"),
-    ("curve", {"g": [1, 6, 5]}, "f: expected a list of 3 rationals"),
+    ("curve", {"g": [1, 6, 5]}, "unknown key 'g' in curve; known keys: f"),
     ("point", [-2, 1], POINT_ERROR),
-    ("point", {"x": "-2"}, POINT_ERROR),
+    ("point", {"x": "-2"}, "point: expected an object with the keys x and y"),
     ("point", None, POINT_ERROR),
     ("gluing", [E_JSON, F_JSON, ["6", "5", "1"]], GLUING_ERROR),
     ("gluing", {"E": E_JSON, "F": F_JSON}, GLUING_ERROR),
@@ -348,14 +358,14 @@ SHAPE_ERRORS = [
     ("gluing", {"E": {"f": [1]}, "F": F_JSON, "h": ["6", "5", "1"]}, "E.f: expected a list of 3 rationals"),
     ("gluing", {"E": E_JSON, "F": "y^2 = x^3", "h": ["6", "5", "1"]}, "F: expected an object with the key f"),
     ("fixtures", {"h": {"x": "1"}}, "h: expected a list of rationals"),
-    ("fixtures", {"P": {"y": "1"}}, 'P: expected "O" or an object with the keys x and y'),
+    ("fixtures", {"P": {"y": "1"}}, "P: expected an object with the keys x and y"),
     ("fixtures", {"E": {"f": [1]}}, "E.f: expected a list of 3 rationals"),
     # a string was read digit by digit, as x^6 + 6x^4 + 5x^2 + 1
     ("fixtures", {"C": {"h6": "1050601"}}, "C.h6: expected a list of rationals"),
-    ("fixtures", {"C": {"h7": ["1", "0", "0", "0", "0", "0", "1"]}}, "C.h6: expected a list of rationals"),
+    ("fixtures", {"C": {"h7": ["1", "0", "0", "0", "0", "0", "1"]}}, "unknown key 'h7' in C; known keys: h6"),
     ("fixtures", {"C_unscaled": ["1", "0", "1"]}, "C_unscaled: expected an object with the key h6"),
     ("fixtures", {"cover_to_E": {"u": {"num": ["1"], "den": ["1"]}}},
-     "cover_to_E.v: expected an object with the keys num and den"),
+     "cover_to_E: expected an object with the keys u and v"),
     ("fixtures", {"cover_to_E": {"u": {"num": "-1", "den": ["0", "0", "1"]}, "v": {"num": ["1"], "den": ["1"]}}},
      "cover_to_E.u.num: expected a list of rationals"),
     ("fixtures", {"cover_to_F": {"u": {"num": ["0", "0", "1"], "den": ["1"]}, "v": {"num": ["1"], "den": "1"}}},
@@ -364,8 +374,8 @@ SHAPE_ERRORS = [
     # two points at infinity were read as the generators
     ("F", {"F": E_JSON, "generators": "OO"}, "generators: expected a list of points"),
     ("F", {"F": E_JSON, "generators": ["O", {"x": "0"}]},
-     'generators[1]: expected "O" or an object with the keys x and y'),
-    ("F", {"generators": []}, "F: expected an object with the key f"),
+     "generators[1]: expected an object with the keys x and y"),
+    ("F", {"generators": []}, "the F file: expected an object with the key F"),
     ("F", {"F": {"f": ["0", "-3"]}}, "F.f: expected a list of 3 rationals"),
     # a key that no reader reads is refused at every level, with its path
     ("curve", {**E_JSON, "g": ["0"]}, "unknown key 'g' in curve; known keys: f"),
@@ -395,18 +405,114 @@ SHAPE_ERRORS = [
 @pytest.mark.parametrize("kind,payload,message", SHAPE_ERRORS,
                          ids=[f"{kind}-{json.dumps(payload)}" for kind, payload, _ in SHAPE_ERRORS])
 def test_shape_error_names_the_field(tmp_path, capsys, kind, payload, message):
+    assert main(_reading(tmp_path, kind, payload)) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _reading(tmp_path, kind, payload) -> list[str]:
+    """A command that reads payload as the input file of this kind."""
     bad = _write(tmp_path, f"{kind}.json", payload)
     curve = _write(tmp_path, "E.json", E_JSON)
     point = _write(tmp_path, "P.json", {"x": "-2", "y": "1"})
-    argv = {
+    return {
         "curve": ["jinv", "--curve", bad],
         "point": ["descent-class", "--curve", curve, "--point", bad],
         "gluing": ["membership", "--gluing", bad, "--P", point, "--Q", point],
         "fixtures": ["verify-example", "--fixtures", bad],
         "F": ["family", "--l1", "3", "--l2", "5", "--count", "1", "--F", bad],
     }[kind]
+
+
+# A well-formed file of each kind, and every object a reader takes in it: the
+# route to it from the top of the file, its name in a message and its keys.
+DOCUMENTS = {
+    "curve": E_JSON,
+    "point": {"x": "-2", "y": "1"},
+    "gluing": {"E": E_JSON, "F": F_JSON, "h": ["6", "5", "1"]},
+    "F": {"F": {"f": ["0", "-3", "2"]}, "generators": ["O", {"x": "3", "y": "6"}]},
+    "fixtures": {"C": EXAMPLE_C.to_json(), "C_unscaled": EXAMPLE_C_UNSCALED.to_json(),
+                 **{name: {"u": u.to_json(), "v": v.to_json()}
+                    for name, (u, v) in (("cover_to_E", COVER_TO_E), ("cover_to_F", COVER_TO_F))}},
+}
+MAP_KEYS, FIXTURE_KEYS = "num, den", "E, F, h, P, C, C_unscaled, rescale, cover_to_E, cover_to_F"
+OBJECTS = [
+    ("curve", (), "curve", "f"),
+    ("point", (), "point", "x, y"),
+    ("gluing", (), "gluing", "E, F, h"),
+    ("gluing", ("E",), "E", "f"),
+    ("gluing", ("F",), "F", "f"),
+    ("F", (), "the F file", "F, generators"),
+    ("F", ("generators", 1), "generators[1]", "x, y"),
+    ("fixtures", (), "the fixtures file", FIXTURE_KEYS),
+    ("fixtures", ("C",), "C", "h6"),
+    ("fixtures", ("C_unscaled",), "C_unscaled", "h6"),
+    ("fixtures", ("cover_to_E",), "cover_to_E", "u, v"),
+    ("fixtures", ("cover_to_E", "u"), "cover_to_E.u", MAP_KEYS),
+    ("fixtures", ("cover_to_E", "v"), "cover_to_E.v", MAP_KEYS),
+    ("fixtures", ("cover_to_F",), "cover_to_F", "u, v"),
+    ("fixtures", ("cover_to_F", "u"), "cover_to_F.u", MAP_KEYS),
+    ("fixtures", ("cover_to_F", "v"), "cover_to_F.v", MAP_KEYS),
+]
+OBJECT_IDS = [f"{kind}-{name}" for kind, _, name, _ in OBJECTS]
+
+
+def _at(document, route):
+    for step in route:
+        document = document[step]
+    return document
+
+
+def _first_number(value, route: tuple) -> tuple:
+    """The route to the first rational inside value, which sits at route."""
+    while not isinstance(value, str):
+        step, value = next(iter(value.items() if isinstance(value, dict) else enumerate(value)))
+        route = (*route, step)
+    return route
+
+
+@pytest.mark.parametrize("kind,route,name,keys", OBJECTS, ids=OBJECT_IDS)
+def test_unread_key_is_refused_first(tmp_path, capsys, kind, route, name, keys):
+    # the object misses its first key, required in all but the fixtures
+    # file, and holds a bad number as well
+    document = copy.deepcopy(DOCUMENTS[kind])
+    obj = _at(document, route)
+    obj.pop(keys.split(", ")[0], None)
+    if obj:
+        number = _first_number(obj, ())
+        _at(obj, number[:-1])[number[-1]] = 0.5
+    obj["unread"] = ["1"]
+    assert main(_reading(tmp_path, kind, document)) == 3
+    assert capsys.readouterr().err == f"error: unknown key 'unread' in {name}; known keys: {keys}\n"
+
+
+@pytest.mark.parametrize("kind,route,name,keys", OBJECTS, ids=OBJECT_IDS)
+def test_refused_number_names_its_path(tmp_path, capsys, kind, route, name, keys):
+    document = copy.deepcopy(DOCUMENTS[kind])
+    number = _first_number(_at(document, route), route)
+    _at(document, number[:-1])[number[-1]] = 0.5
+    path = "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in number).lstrip(".")
+    assert main(_reading(tmp_path, kind, document)) == 3
+    assert capsys.readouterr().err == f"error: {path}: not a rational number: 0.5\n"
+
+
+OFF_CURVE = {"x": "1" * 3000, "y": "1"}
+
+
+@pytest.mark.parametrize("command", ["membership", "descent-class", "family"])
+def test_off_curve_point_is_quoted_short(tmp_path, capsys, gluing_file, command):
+    point = _write(tmp_path, "P.json", OFF_CURVE)
+    origin = _write(tmp_path, "O.json", "O")
+    curve = _write(tmp_path, "E.json", E_JSON)
+    f_file = _write(tmp_path, "F.json", {"F": {"f": ["0", "-3", "2"]}, "generators": [OFF_CURVE]})
+    argv = {
+        "membership": ["membership", "--gluing", gluing_file, "--P", point, "--Q", origin],
+        "descent-class": ["descent-class", "--curve", curve, "--point", point],
+        "family": ["family", "--l1", "3", "--l2", "5", "--F", f_file],
+    }[command]
     assert main(argv) == 3
-    assert capsys.readouterr().err == f"error: {message}\n"
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: ") and "is not on" in err and len(err.encode()) < 200
 
 
 class TestPointCommands:
@@ -519,7 +625,7 @@ class TestPointCommands:
             assert code == 0 and err == ""
         else:
             assert code == 3
-            assert err == f"error: not a rational number: {json.dumps(value, ensure_ascii=False)}\n"
+            assert err == f"error: f[0]: not a rational number: {json.dumps(value, ensure_ascii=False)}\n"
 
     def test_long_refused_value_gives_a_short_message(self, tmp_path):
         # nested just below the decoder's limit in a fresh interpreter, so
@@ -535,7 +641,7 @@ class TestPointCommands:
         )
         assert run.returncode == 3
         err = run.stderr.decode("utf-8")
-        assert err.startswith("error: not a rational number: [[[")
+        assert err.startswith("error: f[0]: not a rational number: [[[")
         assert err.count("\n") == 1 and err.endswith("…\n") and len(err) < 200
 
     def test_deeply_nested_json_is_input_error(self, tmp_path, capsys):

@@ -52,6 +52,8 @@ USAGE_ERRORS = [
     (["jinv", "--curve", "c.json", "--format", "xml"], "jinv --format: expected human or json, got 'xml'"),
     (["family", "--l1", "3"], "family: missing required flags: --l2"),
     (["membership", "--sq-primes", "5"], "membership: missing required flags: --gluing, --P, --Q"),
+    (["descent-class", "--curve", "c.json", "--point", "p.json", "--roots", "0,x,10"],
+     "descent-class --roots: not a rational number: \"x\", got '0,x,10'"),
     # prefix abbreviations are refused
     (["jinv", "--cur", "c.json"], "jinv: unknown flag '--cur'; flags: --curve, --format, --out"),
     (["jinv", "--curve", "c.json", "--form=json"],
@@ -81,6 +83,17 @@ LONG_VALUES = [
 @pytest.mark.parametrize("argv,message", LONG_VALUES, ids=["format", "flag", "command", "l1"])
 def test_long_value_is_quoted_short(argv, message):
     assert _run(argv) == (3, "", f"error: {message}\n")
+
+
+def test_defaults_repeated_in_the_table_match_their_homes():
+    # cli cannot read them at import: building COMMANDS would then load etale
+    # and family into every command
+    from mwglue.etale import CERT_PRIMES
+    from mwglue.family import FamilyParams
+
+    flags = {command: spec[2] for command, spec in COMMANDS.items()}
+    assert flags["verify-example"]["--sq-primes"][1] == flags["membership"]["--sq-primes"][1] == CERT_PRIMES
+    assert (flags["family"]["--count"][1], flags["family"]["--bound"][1]) == (FamilyParams.count, FamilyParams.bound)
 
 
 def test_int_flag_past_max_digits_exhausts_the_bound():
@@ -186,7 +199,8 @@ def test_fuzz_argv(data, input_files, tmp_path, monkeypatch):
     # --out and the junk are relative paths, so every file written lands in tmp_path
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "MAX_FAMILY_COUNT", 2)
-    kinds = {int: INTS, cli._format: ["human", "json"], str: [*input_files, "0,-12,10", ""]}
+    kinds = {int: INTS, cli._format: ["human", "json"], cli._roots: ["0,-12,10", ""],
+             str: [*input_files, "0,-12,10", ""]}
     command = data.draw(st.sampled_from([*COMMANDS, None]))
 
     def value(f):  # every example shares the input files: --out never names one
