@@ -205,7 +205,7 @@ class SquareClass(Record):
 # typed, so that a float equal to a rational already seen is refused too
 @lru_cache(maxsize=1024, typed=True)
 def square_class(q) -> SquareClass:
-    """The image of a nonzero rational, an int or a Fraction, in Q*/Q*^2,
+    """The image of a nonzero rational, an int or a poly.Rational, in Q*/Q*^2,
     read off its numerator and denominator.  A float is refused, as
     poly.fraction refuses it: its binary value is not the number written."""
     if isinstance(q, float):

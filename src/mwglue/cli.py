@@ -178,10 +178,10 @@ def _cmd_membership(args) -> Rendered:
     verdict = descent.membership(gluing, pt_e, pt_f, _cert_primes(args))
 
     def human() -> str:
-        import json  # here, as only this line needs it
         text = f"verdict: {verdict.verdict}"
-        if verdict.certificate is not None:
-            text += f"\ncertificate: {json.dumps(verdict.to_json()['certificate'])}"
+        if verdict.certificate is not None:  # a flat object, as json.dumps writes it
+            items = (f"{_quote(key)}: {_json(value)}" for key, value in verdict.to_json()["certificate"].items())
+            text += "\ncertificate: {" + ", ".join(items) + "}"
         return text
 
     return verdict.to_json, human, 0 if verdict.verdict in (descent.IN_IMAGE, descent.NOT_IN_IMAGE) else 2

@@ -5,7 +5,8 @@ reduction bound and the integer roots of division polynomials, and the
 j-invariant.
 
 Curve coefficients and point coordinates are numbers as poly keeps them: an
-int when the value is integral and a Fraction otherwise (`poly.fraction`).
+int when the value is integral and a `poly.Rational` otherwise
+(`poly.fraction`).
 Every quotient, a slope or the j-invariant, comes from `poly.ratio`, so a
 curve with integral coefficients and its integral points compute in int
 arithmetic.
@@ -13,13 +14,12 @@ arithmetic.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import gcd, isqrt, lcm
 
 from . import poly as P
-from .poly import Poly
+from .poly import Poly, Rational
 from .record import Record
 
 # Orders of rational torsion points above 1 (Mazur, 1977), in increasing order.
@@ -29,8 +29,8 @@ BOUND_PRIMES = 10
 
 
 class ECPoint(Record):
-    x: int | Fraction | None = None
-    y: int | Fraction | None = None
+    x: int | Rational | None = None
+    y: int | Rational | None = None
 
     def __post_init__(self):
         if (self.x is None) != (self.y is None):
@@ -120,9 +120,9 @@ class TorsionGroup(Record):
 
 
 class EllipticCurve(Record):
-    c0: int | Fraction
-    c1: int | Fraction
-    c2: int | Fraction
+    c0: int | Rational
+    c1: int | Rational
+    c2: int | Rational
 
     def __post_init__(self):
         object.__setattr__(self, "c0", P.fraction(self.c0))
@@ -140,19 +140,19 @@ class EllipticCurve(Record):
     def f_poly(self) -> Poly:
         return self._f
 
-    def f_at(self, x) -> int | Fraction:
-        return P.eval_at(self.f_poly(), P.fraction(x))
+    def f_at(self, x) -> int | Rational:
+        return P.eval_at(self.f_poly(), x)
 
-    def f_derivative_at(self, x) -> int | Fraction:
+    def f_derivative_at(self, x) -> int | Rational:
         x = P.fraction(x)
         return (3 * x + 2 * self.c2) * x + self.c1
 
     @property
-    def disc_f(self) -> int | Fraction:
+    def disc_f(self) -> int | Rational:
         return P.cubic_disc(self.f_poly())
 
     @property
-    def discriminant(self) -> int | Fraction:
+    def discriminant(self) -> int | Rational:
         return 16 * self.disc_f
 
     def __str__(self) -> str:
@@ -237,7 +237,7 @@ class EllipticCurve(Record):
             for q, order in orders.items()}
         return TorsionGroup(*_group_structure(self, back), primes, counts)
 
-    def j_invariant(self) -> int | Fraction:
+    def j_invariant(self) -> int | Rational:
         c4 = 16 * self.c2**2 - 48 * self.c1
         return P.ratio(c4**3, self.discriminant)
 

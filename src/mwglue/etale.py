@@ -9,13 +9,12 @@ squareness question is asked.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 
 from . import poly as P
 from . import squares
 from .arith import SquareClassTriple, square_class
-from .poly import ONE, Poly
+from .poly import ONE, Poly, Rational
 from .record import Record
 
 
@@ -59,7 +58,7 @@ class CubicEtaleAlgebra(Record):
         return all(P.degree(c) == 1 for c in self.components)
 
     @cached_property
-    def disc(self) -> int | Fraction:
+    def disc(self) -> int | Rational:
         return P.cubic_disc(self.f)
 
     def element(self, coeffs) -> "AlgebraElement":
@@ -95,12 +94,12 @@ class AlgebraElement(Record):
             ),
         )
 
-    def component_norms(self) -> tuple[int | Fraction, ...]:
+    def component_norms(self) -> tuple[int | Rational, ...]:
         return tuple(
             _component_norm(m, r) for m, r in zip(self.algebra.components, self.residues)
         )
 
-    def norm(self) -> int | Fraction:
+    def norm(self) -> int | Rational:
         out = 1
         for v in self.component_norms():
             out *= v
@@ -118,7 +117,7 @@ class AlgebraElement(Record):
         return algebra.element_from_components([P.rationals(r, "residue") for r in data])
 
 
-def _mul_matrix(m: Poly, r: Poly) -> list[list[int | Fraction]]:
+def _mul_matrix(m: Poly, r: Poly) -> list[list[int | Rational]]:
     """Multiplication by r on the power basis of Q[x]/(m), one row per
     image r, r X, ..., r X^(d-1) reduced mod m (the transpose)."""
     d = P.degree(m)
@@ -128,7 +127,7 @@ def _mul_matrix(m: Poly, r: Poly) -> list[list[int | Fraction]]:
     return [[c[i] if i < len(c) else 0 for i in range(d)] for c in rows]
 
 
-def _component_norm(m: Poly, r: Poly) -> int | Fraction:
+def _component_norm(m: Poly, r: Poly) -> int | Rational:
     """The norm of r from Q[x]/(m); over a linear m, r is a constant, its own norm."""
     if not r:
         return 0

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .ellcurve import ECPoint, EllipticCurve
 from .glue import TwoTorsionIdentification
 from .poly import ZERO, Poly, degree, is_squarefree, json_object, poly, rational, rationals
@@ -54,8 +52,8 @@ class RationalMap(Record):
 # group generated by (-2, 1), infinite order) glued to F: y^2 = x^3 - 6x^2 +
 # 5x - 1 (trivial Mordell-Weil group) along their 2-torsion by
 # (alpha, 0) -> (h(alpha), 0) with h = x^2 + 5x + 6, i.e. alpha -> -1/alpha.
-EXAMPLE_E = EllipticCurve(Fraction(1), Fraction(6), Fraction(5))
-EXAMPLE_F = EllipticCurve(Fraction(-1), Fraction(5), Fraction(-6))
+EXAMPLE_E = EllipticCurve(1, 6, 5)
+EXAMPLE_F = EllipticCurve(-1, 5, -6)
 EXAMPLE_PSI = TwoTorsionIdentification(poly([6, 5, 1]))
 EXAMPLE_POINT = ECPoint.affine(-2, 1)
 
@@ -64,7 +62,7 @@ EXAMPLE_POINT = ECPoint.affine(-2, 1)
 _G2 = (-1, 0, 5, 0, -6, 0, 1)
 EXAMPLE_C = GenusTwoCurve(poly(_G2))
 EXAMPLE_C_UNSCALED = GenusTwoCurve(poly([c * 7**8 for c in _G2]))
-EXAMPLE_RESCALE = Fraction(7**4)
+EXAMPLE_RESCALE = 7**4
 COVER_TO_E = (
     RationalMap(poly([-1]), poly([0, 0, 1])),  # u = -1/x^2
     RationalMap(poly([1]), poly([0, 0, 0, 1])),  # v = 1/x^3

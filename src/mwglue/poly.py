@@ -1,38 +1,133 @@
-"""Dense univariate polynomials over Q.
+"""Dense univariate polynomials over Q, and the exact rationals they hold.
 
 A polynomial is a tuple of rationals in ascending degree order, trimmed of
 trailing zeros; the zero polynomial is the empty tuple.  Each coefficient is
-an int when it is integral and a Fraction otherwise (see `fraction`), so a
+an int when it is integral and a `Rational` otherwise (see `fraction`), so a
 polynomial with integer coefficients is computed on in int arithmetic; every
 true division is `ratio`, whose quotient is again an int when it is integral.
+`Rational` is mwglue's own, so that no command imports `fractions` (which
+loads `decimal` and `numbers`), and `rational` reads numbers without `re`.
 """
 
 from __future__ import annotations
 
-import re
-from fractions import Fraction
+import sys
 from math import gcd, isqrt, lcm
 
-Poly = tuple[int | Fraction, ...]
+_MODULUS, _INF = sys.hash_info.modulus, sys.hash_info.inf
+
+
+def _comparison(compare):
+    """A comparison of a Rational with another rational: of n od - on d,
+    whose sign is that of self - other, with 0."""
+    def method(self, other):
+        on, od = _parts(other)
+        return NotImplemented if on is None else compare(self.numerator * od - on * self.denominator, 0)
+    return method
+
+
+class Rational:
+    """A rational n/d that is not an integer: d > 1 and gcd(n, d) = 1.
+
+    Build one with `ratio` or `fraction`: the constructor trusts its
+    arguments.  Every operation returns what `fraction` returns, an int when
+    the result is integral.  The other operand of +, - and * and of the
+    comparisons is an int, a Rational or any object with int numerator and
+    denominator, such as a fractions.Fraction.  There is no `/`: `ratio` is
+    the one true division.  Hashes equal those of int and Fraction for the
+    same number (see "Hashing of numeric types" in the Python docs)."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int):
+        self.numerator, self.denominator = numerator, denominator
+
+    def __add__(self, other, sign: int = 1):
+        n, d = self.numerator, self.denominator
+        if type(other) is int:  # gcd(n + k d, d) = gcd(n, d) = 1
+            return Rational(n + sign * other * d, d)
+        on, od = _parts(other)
+        return NotImplemented if on is None else _reduced(n * od + sign * on * d, d * od)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self.__add__(other, -1)
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def __mul__(self, other):
+        on, od = _parts(other)
+        return NotImplemented if on is None else _reduced(self.numerator * on, self.denominator * od)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        if type(k) is not int or k < 0:
+            return NotImplemented
+        return Rational(self.numerator**k, self.denominator**k) if k else 1
+
+    def __neg__(self):
+        return Rational(-self.numerator, self.denominator)
+
+    def __abs__(self):
+        return Rational(abs(self.numerator), self.denominator)
+
+    __eq__, __lt__, __le__, __gt__, __ge__ = map(
+        _comparison, (int.__eq__, int.__lt__, int.__le__, int.__gt__, int.__ge__))
+
+    def __hash__(self):
+        n, d = self.numerator, self.denominator
+        h = hash(hash(abs(n)) * pow(d, -1, _MODULUS)) if d % _MODULUS else _INF
+        h = h if n >= 0 else -h
+        return -2 if h == -1 else h
+
+    def __str__(self):
+        return f"{self.numerator}/{self.denominator}"
+
+    __repr__ = __str__
+
+
+def _parts(x) -> tuple:
+    """(numerator, denominator) of an int or any exact rational, else (None, None)."""
+    n, d = getattr(x, "numerator", None), getattr(x, "denominator", None)
+    return (n, d) if type(n) is int and type(d) is int and d > 0 else (None, None)
+
+
+def _reduced(n: int, d: int) -> int | Rational:
+    """n/d for d > 0, in lowest terms, as `fraction` gives it."""
+    g = gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
+    return n if d == 1 else Rational(n, d)
+
+
+Poly = tuple[int | Rational, ...]
 
 ZERO: Poly = ()
 ONE: Poly = (1,)
 X: Poly = (0, 1)
 
 
-# An integer, decimal or fraction in ASCII digits, such as "5", "-2/3" or
-# "0.5"; a denominator is nonzero.  A pattern string: re compiles and caches
-# it when the first number is read, so a command that reads none skips that.
-_RATIONAL = r"[+-]?[0-9]+(\.[0-9]+|/0*[1-9][0-9]*)?"
-
-
-def rational(s, path: str = "") -> Fraction:
+def rational(s, path: str = "") -> int | Rational:
     """A rational read from JSON or the command line: a JSON integer or a
-    string in the _RATIONAL grammar.  Anything else is refused, with its path
-    if given: a JSON float is a binary value, not the decimal written, and
-    Fraction's own grammar also takes "1e999999999", which builds 10^999999999."""
-    if type(s) is int or isinstance(s, str) and re.fullmatch(_RATIONAL, s):
-        return Fraction(s)
+    string of ASCII digits with an optional sign, and a decimal part or a
+    nonzero denominator if any, such as "5", "-2/3" or "0.5".  Anything else is
+    refused, with its path if given: a JSON float is a binary value, not the
+    decimal written, and "1e999999999" would build 10^999999999."""
+    if type(s) is int:
+        return s
+    if isinstance(s, str) and s.isascii():  # str.isdigit also takes "²" and "٣"
+        num, slash, den = s.partition("/")
+        whole, dot, decimals = (num[1:] if num[:1] in ("+", "-") else num).partition(".")
+        if whole.isdigit() and (not slash and decimals.isdigit() if dot else not slash or den.isdigit()):
+            # int() refuses a part of more digits than the interpreter's limit
+            n, d = int(whole), int(den) if slash else 10 ** len(decimals)
+            if dot:
+                n = n * d + int(decimals)
+            if d:
+                return _reduced(-n if num[0] == "-" else n, d)
     # quoted as JSON, so that the message shows the value as it was written
     import json  # here, as most commands never quote a value
     where = f"{path}: " if path else ""
@@ -77,24 +172,28 @@ def json_object(data, path: str, readers: dict, name: str = "", optional: dict |
     raise ValueError(f"{where}: expected an object{keys}")
 
 
-def fraction(c) -> int | Fraction:
-    """c as an exact rational: an int when it is integral, a Fraction
-    otherwise.  A float is refused: its binary value is not the number
-    written."""
-    if type(c) is int:
+def fraction(c) -> int | Rational:
+    """c as an exact rational: an int when it is integral, a Rational
+    otherwise.  c is an int or any exact rational, such as a Fraction; a
+    float is refused, as its binary value is not the number written."""
+    if type(c) is int or type(c) is Rational:
         return c
-    if type(c) is not Fraction:
-        if isinstance(c, float):
-            raise TypeError(f"not an exact rational: {c!r}")
-        c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
+    n, d = _parts(c)
+    if n is None:
+        raise TypeError(f"not an exact rational: {c!r}")
+    return _reduced(n, d)
 
 
-def ratio(a, b) -> int | Fraction:
+def ratio(a, b) -> int | Rational:
     """a / b for rationals a and b, as `fraction` gives it: an int when b
     divides a.  The one true division in mwglue, so that no quotient is a
     float."""
-    return fraction(Fraction(a, b))
+    (an, ad), (bn, bd) = _parts(a), _parts(b)
+    if an is None or bn is None:
+        raise TypeError(f"not an exact rational: {a if an is None else b!r}")
+    if not bn:
+        raise ZeroDivisionError(f"{a} / 0")
+    return _reduced(an * bd, ad * bn) if bn > 0 else _reduced(-an * bd, -ad * bn)
 
 
 def poly(coeffs) -> Poly:
@@ -108,7 +207,7 @@ def degree(p: Poly) -> int:
     return len(p) - 1
 
 
-def constant_value(p: Poly) -> int | Fraction:
+def constant_value(p: Poly) -> int | Rational:
     if len(p) > 1:
         raise ValueError("not a constant polynomial")
     return p[0] if p else 0
@@ -156,9 +255,9 @@ def pow_poly(p: Poly, n: int) -> Poly:
     return out
 
 
-def eval_at(p: Poly, x) -> int | Fraction:
+def eval_at(p: Poly, x) -> int | Rational:
     """p(x), exactly; an int when x and the coefficients are ints."""
-    acc = 0
+    x, acc = fraction(x), 0
     for c in reversed(p):
         acc = acc * x + c
     return acc
@@ -351,7 +450,7 @@ def is_squarefree(p: Poly) -> bool:
     return degree(p) <= 0
 
 
-def cubic_disc(f: Poly) -> int | Fraction:
+def cubic_disc(f: Poly) -> int | Rational:
     """Discriminant of a monic cubic x^3 + a x^2 + b x + c."""
     if degree(f) != 3 or f[3] != 1:
         raise ValueError("expected a monic cubic")
@@ -359,7 +458,7 @@ def cubic_disc(f: Poly) -> int | Fraction:
     return 18 * a * b * c - 4 * a**3 * c + a**2 * b**2 - 4 * b**3 - 27 * c**2
 
 
-def det(rows) -> int | Fraction:
+def det(rows) -> int | Rational:
     """Determinant of a square matrix of size 2 or 3."""
     if len(rows) == 2:
         (a, b), (c, d) = rows
@@ -368,14 +467,14 @@ def det(rows) -> int | Fraction:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def sqrt_fraction(q) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None."""
+def sqrt_fraction(q) -> int | Rational | None:
+    """Exact square root of a nonnegative rational, as `fraction` gives it, or None."""
     q = fraction(q)
     if q < 0:
         return None
     rn, rd = isqrt(q.numerator), isqrt(q.denominator)
     if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
+        return rn if rd == 1 else Rational(rn, rd)
     return None
 
 
@@ -393,7 +492,7 @@ def _exact_root(n: int, k: int) -> int | None:
     return r if r**k == n else None
 
 
-def rational_roots_monic(f: Poly) -> list[Fraction]:
+def rational_roots_monic(f: Poly) -> list[int | Rational]:
     """Sorted rational roots of a squarefree monic cubic or quartic."""
     d = degree(f)
     if d not in (3, 4) or f[d] != 1:
@@ -404,12 +503,12 @@ def rational_roots_monic(f: Poly) -> list[Fraction]:
     dens = [(c.denominator, d - i) for i, c in enumerate(f[:d])]
     m = lcm(*filter(None, (_exact_root(n, k) for n, k in dens)))
     m = lcm(m, *(n for n, k in dens if m**k % n))
-    scaled = [int(c * m ** (d - i)) for i, c in enumerate(f)]
+    scaled = [c * m ** (d - i) for i, c in enumerate(f)]  # ints, by the choice of m
     if d == 3:
         roots = integer_roots_monic_cubic(scaled[2], scaled[1], scaled[0])
     else:
         roots = integer_roots(scaled)
-    return sorted(Fraction(t, m) for t in roots)
+    return sorted(_reduced(t, m) for t in roots)
 
 
 def format_poly(p: Poly, var: str = "x") -> str:

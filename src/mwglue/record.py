@@ -24,7 +24,7 @@ class Record:
     fields in `__dict__`, so `functools.cached_property` works; the cached
     values take no part in equality, hashing or repr.  The hash of the
     fields is kept there too, under `_hash`, on the first `hash()`: a value
-    class is a cache key, and a Fraction hashes in Python code.
+    class is a cache key, and a `poly.Rational` hashes in Python code.
     `object.__setattr__` stays open to `__post_init__` for normalizing a
     field, before anything hashes the instance.
     """

@@ -22,6 +22,12 @@ from math import gcd, isqrt
 import mwglue.poly as P
 
 
+def exact(value) -> Fraction:
+    """An int, a poly.Rational or a Fraction as a Fraction, for the oracles'
+    own arithmetic: fractions.Fraction() does not take a poly.Rational."""
+    return Fraction(value.numerator, value.denominator)
+
+
 def trial_factor(n: int) -> dict[int, int]:
     out: dict[int, int] = {}
     d = 2
@@ -47,7 +53,7 @@ def trial_is_prime(n: int) -> bool:
 
 
 def naive_square_class(q) -> tuple[bool, tuple[int, ...]]:
-    q = Fraction(q)
+    q = exact(q)
     counts: dict[int, int] = {}
     for part in (abs(q.numerator), q.denominator):
         for p, e in trial_factor(part).items():
@@ -187,10 +193,10 @@ def chord_tangent_sum(curve, a, b):
     their inputs accordingly.
     """
     f = curve.f_poly()
-    ax, ay, bx, by = (Fraction(v) for v in (a.x, a.y, b.x, b.y))
+    ax, ay, bx, by = (exact(v) for v in (a.x, a.y, b.x, b.y))
     if (ax, ay) == (bx, by):
         assert ay != 0
-        m = (3 * ax * ax + 2 * Fraction(curve.c2) * ax + curve.c1) / (2 * ay)
+        m = (3 * ax * ax + 2 * exact(curve.c2) * ax + curve.c1) / (2 * ay)
     else:
         assert ax != bx
         m = (by - ay) / (bx - ax)
@@ -201,7 +207,7 @@ def chord_tangent_sum(curve, a, b):
     assert r == P.ZERO
     q, r = P.divmod_poly(q, P.poly([-b.x, 1]))
     assert r == P.ZERO
-    x3 = -Fraction(q[0]) / q[1]
+    x3 = -exact(q[0]) / q[1]
     y3 = -(m * x3 + c)
     return x3, y3
 
@@ -211,8 +217,8 @@ def fraction_add(curve, a, b):
     (x, y) pair, and None is the point at infinity."""
     if a is None or b is None:
         return b if a is None else a
-    c1, c2 = Fraction(curve.c1), Fraction(curve.c2)
-    (ax, ay), (bx, by) = (map(Fraction, a), map(Fraction, b))
+    c1, c2 = exact(curve.c1), exact(curve.c2)
+    (ax, ay), (bx, by) = (map(exact, a), map(exact, b))
     if ax == bx:
         if ay == -by:
             return None
@@ -226,7 +232,7 @@ def fraction_add(curve, a, b):
 def fraction_mul(curve, n: int, a):
     """n A by repeated fraction_add."""
     if n < 0 and a is not None:
-        a = (a[0], -Fraction(a[1]))
+        a = (a[0], -exact(a[1]))
     acc = None
     for _ in range(abs(n)):
         acc = fraction_add(curve, acc, a)
@@ -236,7 +242,7 @@ def fraction_mul(curve, n: int, a):
 def fraction_j(curve) -> Fraction:
     """j = c4^3 / Delta from Tate's b-invariants of y^2 = x^3 + a2 x^2 + a4 x
     + a6, in Fractions: b2 = 4 a2, b4 = 2 a4, b6 = 4 a6, b8 = 4 a2 a6 - a4^2."""
-    a2, a4, a6 = Fraction(curve.c2), Fraction(curve.c1), Fraction(curve.c0)
+    a2, a4, a6 = exact(curve.c2), exact(curve.c1), exact(curve.c0)
     b2, b4, b6, b8 = 4 * a2, 2 * a4, 4 * a6, 4 * a2 * a6 - a4 * a4
     delta = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
     return (b2 * b2 - 24 * b4) ** 3 / delta
@@ -244,7 +250,7 @@ def fraction_j(curve) -> Fraction:
 
 def lambda_j(r1, r2, r3) -> Fraction:
     """j from the cross-ratio of the three roots: 256 (l^2-l+1)^3 / (l^2 (l-1)^2)."""
-    r1, r2, r3 = Fraction(r1), Fraction(r2), Fraction(r3)
+    r1, r2, r3 = exact(r1), exact(r2), exact(r3)
     lam = (r3 - r1) / (r2 - r1)
     return 256 * (lam * lam - lam + 1) ** 3 / (lam * lam * (lam - 1) ** 2)
 
@@ -347,6 +353,7 @@ def search_points(curve, bound: int) -> list:
             y = P.sqrt_fraction(model.f_at(x))
             if y is None:
                 continue
+            y = exact(y)
             found.add(ECPoint.affine(x / u**2, y / u**3))
             if y:
                 found.add(ECPoint.affine(x / u**2, -y / u**3))

@@ -61,7 +61,7 @@ class TestConstruction:
         # an integral coordinate is stored as an int, even when given as a Fraction
         point = ECPoint(Fraction(1), 2)
         assert (point.x, point.y) == (1, 2) and type(point.x) is int and type(point.y) is int
-        assert type(ECPoint(Fraction(1, 2), 0).x) is Fraction
+        assert type(ECPoint(Fraction(1, 2), 0).x) is P.Rational
 
     def test_square_class_validates_in_its_own_init(self):
         assert "__init__" in vars(SquareClass)

@@ -1,6 +1,6 @@
 """Curves and points keep each number as poly.fraction does: an int when it
-is integral, a Fraction otherwise, and never a float or a Fraction with
-denominator 1.  On random integral and rational curves, and on points found
+is integral, a poly.Rational with denominator > 1 otherwise, and never a
+float or a fractions.Fraction.  On random integral and rational curves, and on points found
 by search, the group law, torsion and the j-invariant agree with oracles
 that compute in Fractions only."""
 
@@ -10,12 +10,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mwglue.ellcurve import INFINITY, ECPoint, EllipticCurve
+from mwglue.poly import Rational
 
 from oracles import fraction_add, fraction_j, fraction_mul, lutz_nagell_torsion, search_points
 
 
 def _exact(value) -> bool:
-    return type(value) is int or type(value) is Fraction and value.denominator != 1
+    return type(value) is int or type(value) is Rational and value.denominator > 1
 
 
 def _point(pt):

@@ -23,12 +23,18 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # `dataclasses` imports `inspect` and compiles generated methods for every
 # class at import; mwglue's value classes use `mwglue.record` instead.
 # `argparse` imports `gettext`, and its first parser loads `locale`; the CLI
-# reads its flags from `cli.COMMANDS` instead.
-HEAVY = ("dataclasses", "inspect", "argparse", "gettext", "locale")
+# reads its flags from `cli.COMMANDS` instead.  `fractions` imports `decimal`,
+# `numbers` and `re`; mwglue's rationals are `poly.Rational`, and `json`,
+# which also imports `re`, loads only to quote a refused value or a
+# malformed file.
+HEAVY = ("dataclasses", "inspect", "argparse", "gettext", "locale", "fractions", "decimal", "numbers", "re")
 
+# what the interpreter loads by itself, read before json is imported
 BARE = f"""
-import contextlib, io, json, sys, types
-print(json.dumps({{"code": 0, "ran": [], "heavy": [m for m in {HEAVY!r} if m in sys.modules]}}))
+import contextlib, io, sys, types
+heavy = [m for m in {HEAVY!r} if m in sys.modules]
+import json
+print(json.dumps({{"code": 0, "ran": [], "heavy": heavy}}))
 """
 
 # json is read before the probe imports it to print its answer
@@ -83,15 +89,18 @@ def test_curve_queries_run_only_the_curve_layers(files, command):
     assert _ran(command, "--curve", files["curve"]) == {"cli", "record", "poly", "ellcurve"}
 
 
-# membership prints its certificate as JSON text only in human format
-@pytest.mark.parametrize("command", ["jinv", "torsion", "membership", "descent-class"])
+# membership prints its certificate as JSON text in human format
+@pytest.mark.parametrize("command", ["jinv", "torsion", "membership", "membership-json", "descent-class"])
 def test_well_formed_files_load_no_json(files, command):
+    membership = ("--gluing", files["gluing"], "--P", files["P"], "--Q", files["Q"])
     argv = {
         "jinv": ("--curve", files["curve"]),
         "torsion": ("--curve", files["curve"]),
-        "membership": ("--gluing", files["gluing"], "--P", files["P"], "--Q", files["Q"], "--format", "json"),
+        "membership": membership,
+        "membership-json": (*membership, "--format", "json"),
         "descent-class": ("--curve", files["curve"], "--point", files["P"]),
     }[command]
+    command = command.removesuffix("-json")
     assert not _probe(PROBE, command, *argv)["json"]
 
 
