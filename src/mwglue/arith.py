@@ -23,8 +23,8 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
-# Bounded caches: SquareClass proves again each prime factor proved, and a
-# family run asks for the same square classes; exceptions are not cached.
+# A bounded cache: SquareClass proves again each prime factor proved;
+# exceptions are not cached.
 @lru_cache(maxsize=4096)
 def is_prime(n: int) -> bool:
     """Deterministic primality.  A witness proves any n composite; a
@@ -202,8 +202,6 @@ class SquareClass(Record):
         return cls(data["sign"] == "-", tuple(int(p) for p in data["primes"]))
 
 
-# typed, so that a float equal to a rational already seen is refused too
-@lru_cache(maxsize=1024, typed=True)
 def square_class(q) -> SquareClass:
     """The image of a nonzero rational, an int or a poly.Rational, in Q*/Q*^2,
     read off its numerator and denominator.  A float is refused, as

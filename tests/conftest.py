@@ -4,6 +4,8 @@ from mwglue.ellcurve import EllipticCurve
 from mwglue.family import curve_for_prime
 from mwglue.fixtures import EXAMPLE_E, EXAMPLE_F
 
+from inputs import InputDir
+
 
 @pytest.fixture(scope="session")
 def example_e() -> EllipticCurve:
@@ -23,3 +25,9 @@ def e3() -> EllipticCurve:
 @pytest.fixture(scope="session")
 def e11() -> EllipticCurve:
     return curve_for_prime(11)
+
+
+@pytest.fixture
+def inputs(tmp_path) -> InputDir:
+    """The test's input files, written through tests/inputs.py."""
+    return InputDir(tmp_path)

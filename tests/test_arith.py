@@ -168,7 +168,7 @@ class TestFactorAgainstSympy:
         assert factor(n) == sympy.factorint(n)
 
     def test_probable_prime_above_psi13_raises_on_every_call(self, sympy):
-        # is_prime and square_class are cached; a refusal must not be
+        # is_prime is cached, and square_class calls it; a refusal must not be
         p = sympy.nextprime(3_317_044_064_679_887_385_961_981)
         for _ in range(2):
             with pytest.raises(FactorizationError, match="psi_13"):
@@ -193,7 +193,7 @@ class TestSquareClass:
             square_class(0)
 
     def test_float_refused(self):
-        # refused even when an equal rational is already cached
+        # refused, though it equals a rational that square_class takes
         assert square_class(Fraction(1, 2)) == SquareClass(False, (2,))
         with pytest.raises(TypeError):
             square_class(0.5)

@@ -31,19 +31,13 @@ from oracles import trial_is_prime
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _write(tmp_path, name, payload):
-    path = tmp_path / name
-    path.write_text(json.dumps(payload))
-    return str(path)
+GLUING = GluingData.build(EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI).to_json()
 
 
-@pytest.fixture
-def gluing_file(tmp_path):
-    return _write(
-        tmp_path,
-        "gluing.json",
-        GluingData.build(EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI).to_json(),
-    )
+def _membership(inputs, p, q="O") -> list[str]:
+    """The argv of membership of (p, q) on the example gluing."""
+    return ["membership", "--gluing", inputs.write("gluing.json", GLUING),
+            "--P", inputs.write("P.json", p), "--Q", inputs.write("Q.json", q)]
 
 
 class TestVerifyExample:
@@ -63,10 +57,8 @@ class TestVerifyExample:
     def test_small_bounds_give_unknown(self, capsys):
         assert main(["verify-example", "--sq-primes", "2"]) == 2
 
-    def test_tampered_fixture_falsifies(self, tmp_path, capsys):
-        fixtures = _write(
-            tmp_path, "fixtures.json", {"E": {"f": ["1", "6", "4"]}}
-        )
+    def test_tampered_fixture_falsifies(self, inputs, capsys):
+        fixtures = inputs.write("fixtures.json", {"E": {"f": ["1", "6", "4"]}})
         assert main(["verify-example", "--fixtures", fixtures]) == 1
 
     def test_gluing_validated_once(self, monkeypatch):
@@ -93,16 +85,16 @@ class TestVerifyExample:
         assert Ex.run_example().exit_code == 0
         assert calls == {"validate": 1, "F_algebra": 1}
 
-    def test_misspelled_fixture_key_refused(self, tmp_path, capsys):
+    def test_misspelled_fixture_key_refused(self, inputs, capsys):
         # {"E": ...} with this cubic falsifies; {"e": ...} must not verify
-        fixtures = _write(tmp_path, "fixtures.json", {"e": {"f": ["1", "6", "4"]}})
+        fixtures = inputs.write("fixtures.json", {"e": {"f": ["1", "6", "4"]}})
         assert main(["verify-example", "--fixtures", fixtures]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: unknown key 'e' in the fixtures file")
         assert err.count("\n") == 1
 
-    def test_fixtures_file_must_hold_an_object(self, tmp_path, capsys):
-        fixtures = _write(tmp_path, "fixtures.json", [])
+    def test_fixtures_file_must_hold_an_object(self, inputs, capsys):
+        fixtures = inputs.write("fixtures.json", [])
         assert main(["verify-example", "--fixtures", fixtures]) == 3
         assert capsys.readouterr().err == "error: the fixtures file: expected an object\n"
 
@@ -112,7 +104,7 @@ class TestVerifyExample:
         data = json.loads(out.read_text())
         assert data["verdict"] == "verified"
 
-    def test_full_fixture_override_schema(self, tmp_path, capsys):
+    def test_full_fixture_override_schema(self, inputs, capsys):
         # spelling out every fixture key explicitly must reproduce the verdict
         from mwglue.fixtures import (
             COVER_TO_E,
@@ -133,7 +125,7 @@ class TestVerifyExample:
             "cover_to_E": {"u": COVER_TO_E[0].to_json(), "v": COVER_TO_E[1].to_json()},
             "cover_to_F": {"u": COVER_TO_F[0].to_json(), "v": COVER_TO_F[1].to_json()},
         }
-        fixtures = _write(tmp_path, "full.json", data)
+        fixtures = inputs.write("full.json", data)
         assert main(["verify-example", "--fixtures", fixtures]) == 0
 
     def test_certificate_in_report_revalidates(self, capsys):
@@ -186,47 +178,35 @@ class TestFamilyCommand:
         coords = ObstructionVerdict.from_json(obstruction).certificate
         assert validate_noncontainment_certificate(span, target, coords)
 
-    def test_invalid_f_file_params(self, tmp_path, capsys):
+    def test_invalid_f_file_params(self, inputs, capsys):
         # l1 = 3 occurs in the honest generator classes of the default F
-        f_file = _write(
-            tmp_path,
-            "F.json",
-            {
-                "F": {"f": ["0", "-3", "2"]},
-                "generators": [{"x": "3", "y": "6"}, {"x": "0", "y": "0"}],
-            },
-        )
+        f_file = inputs.write("F.json", {
+            "F": {"f": ["0", "-3", "2"]},
+            "generators": [{"x": "3", "y": "6"}, {"x": "0", "y": "0"}],
+        })
         assert main(["family", "--l1", "3", "--l2", "5", "--F", f_file]) == 3
 
-    def test_misspelled_f_file_key_refused(self, tmp_path, capsys):
+    def test_misspelled_f_file_key_refused(self, inputs, capsys):
         # with "generators" this exits 3 as above; "generator" must not drop them
-        f_file = _write(
-            tmp_path,
-            "F.json",
-            {
-                "F": {"f": ["0", "-3", "2"]},
-                "generator": [{"x": "3", "y": "6"}, {"x": "0", "y": "0"}],
-            },
-        )
+        f_file = inputs.write("F.json", {
+            "F": {"f": ["0", "-3", "2"]},
+            "generator": [{"x": "3", "y": "6"}, {"x": "0", "y": "0"}],
+        })
         assert main(["family", "--l1", "3", "--l2", "5", "--F", f_file]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: unknown key 'generator' in the F file")
         assert err.count("\n") == 1
 
-    def test_f_file_must_hold_an_object(self, tmp_path, capsys):
-        f_file = _write(tmp_path, "F.json", [{"f": ["0", "-3", "2"]}])
+    def test_f_file_must_hold_an_object(self, inputs, capsys):
+        f_file = inputs.write("F.json", [{"f": ["0", "-3", "2"]}])
         assert main(["family", "--l1", "3", "--l2", "5", "--F", f_file]) == 3
         assert capsys.readouterr().err == "error: the F file: expected an object with the key F\n"
 
-    def test_f_file_honest_run(self, tmp_path, capsys):
-        f_file = _write(
-            tmp_path,
-            "F.json",
-            {
-                "F": {"f": ["0", "-3", "2"]},
-                "generators": [{"x": "3", "y": "6"}, {"x": "0", "y": "0"}],
-            },
-        )
+    def test_f_file_honest_run(self, inputs, capsys):
+        f_file = inputs.write("F.json", {
+            "F": {"f": ["0", "-3", "2"]},
+            "generators": [{"x": "3", "y": "6"}, {"x": "0", "y": "0"}],
+        })
         assert (
             main(["family", "--l1", "5", "--l2", "7", "--F", f_file, "--count", "1"])
             == 0
@@ -235,57 +215,33 @@ class TestFamilyCommand:
 
 
 class TestMembershipCommand:
-    def test_example_pair(self, tmp_path, gluing_file, capsys):
-        p_file = _write(tmp_path, "P.json", {"x": "-2", "y": "1"})
-        q_file = _write(tmp_path, "Q.json", "O")
-        assert main(["membership", "--gluing", gluing_file, "--P", p_file, "--Q", q_file]) == 0
+    def test_example_pair(self, inputs, capsys):
+        assert main(_membership(inputs, {"x": "-2", "y": "1"})) == 0
         assert "not_in_image" in capsys.readouterr().out
 
-    def test_identity_pair(self, tmp_path, gluing_file, capsys):
-        p_file = _write(tmp_path, "P.json", "O")
-        q_file = _write(tmp_path, "Q.json", "O")
-        assert main(["membership", "--gluing", gluing_file, "--P", p_file, "--Q", q_file]) == 0
+    def test_identity_pair(self, inputs, capsys):
+        assert main(_membership(inputs, "O")) == 0
         assert "in_image" in capsys.readouterr().out
 
-    def test_off_curve_point(self, tmp_path, gluing_file, capsys):
-        p_file = _write(tmp_path, "P.json", {"x": "1", "y": "1"})
-        q_file = _write(tmp_path, "Q.json", "O")
-        assert main(["membership", "--gluing", gluing_file, "--P", p_file, "--Q", q_file]) == 3
+    def test_off_curve_point(self, inputs, capsys):
+        assert main(_membership(inputs, {"x": "1", "y": "1"})) == 3
 
-    def test_unknown_exit(self, tmp_path, gluing_file, capsys):
-        p_file = _write(tmp_path, "P.json", {"x": "-2", "y": "1"})
-        q_file = _write(tmp_path, "Q.json", "O")
-        code = main(
-            [
-                "membership",
-                "--gluing",
-                gluing_file,
-                "--P",
-                p_file,
-                "--Q",
-                q_file,
-                "--sq-primes",
-                "2",
-                "--format",
-                "json",
-            ]
-        )
+    def test_unknown_exit(self, inputs, capsys):
+        code = main([*_membership(inputs, {"x": "-2", "y": "1"}), "--sq-primes", "2", "--format", "json"])
         assert code == 2
         data = json.loads(capsys.readouterr().out)
         assert data["verdict"] == "unknown"
         assert data["bounds"] == {"cert_primes": 2}
 
-    def test_sq_primes_cap(self, tmp_path, gluing_file, capsys):
-        p_file = _write(tmp_path, "P.json", {"x": "-2", "y": "1"})
-        q_file = _write(tmp_path, "Q.json", "O")
-        args = ["membership", "--gluing", gluing_file, "--P", p_file, "--Q", q_file]
+    def test_sq_primes_cap(self, inputs, capsys):
+        args = _membership(inputs, {"x": "-2", "y": "1"})
         assert main([*args, "--sq-primes", str(MAX_SQ_PRIMES + 1)]) == 3
         assert f"at most {MAX_SQ_PRIMES}" in capsys.readouterr().err
         assert main(["verify-example", "--sq-primes", str(MAX_SQ_PRIMES + 1)]) == 3
         assert main([*args, "--sq-primes", "0"]) == 3
         assert main([*args, "--height", "100"]) == 3  # the flag is gone
 
-    def test_rho_budget_exhausted_on_family_gluing(self, tmp_path, capsys):
+    def test_rho_budget_exhausted_on_family_gluing(self, inputs, capsys):
         # the class triple of 10P on the p = 229 family curve needs a
         # cofactor that rho cannot split within its step budget: exit 2,
         # naming the budget; 7P needs an 89-bit cofactor with a 43-bit
@@ -294,12 +250,12 @@ class TestMembershipCommand:
 
         inst = build_instance(229)
         gluing = gluing_for_instance(inst, FAMILY_F)
-        c_file = _write(tmp_path, "curve.json", gluing.E.to_json())
-        g_file = _write(tmp_path, "gluing.json", gluing.to_json())
-        q_file = _write(tmp_path, "Q.json", "O")
+        c_file = inputs.write("curve.json", gluing.E.to_json())
+        g_file = inputs.write("gluing.json", gluing.to_json())
+        q_file = inputs.write("Q.json", "O")
 
         def run(command, n):
-            p_file = _write(tmp_path, "P.json", gluing.E.mul(n, inst.P).to_json())
+            p_file = inputs.write(f"{command}-{n}P.json", gluing.E.mul(n, inst.P).to_json())
             if command == "membership":
                 args = ["--gluing", g_file, "--P", p_file, "--Q", q_file]
             else:
@@ -315,22 +271,8 @@ class TestMembershipCommand:
         code, out = run("membership", 10)
         assert code == 0 and out.out == "verdict: in_image\n"
 
-    def test_emitted_verdict_revalidates(self, tmp_path, gluing_file, capsys):
-        p_file = _write(tmp_path, "P.json", {"x": "-2", "y": "1"})
-        q_file = _write(tmp_path, "Q.json", "O")
-        main(
-            [
-                "membership",
-                "--gluing",
-                gluing_file,
-                "--P",
-                p_file,
-                "--Q",
-                q_file,
-                "--format",
-                "json",
-            ]
-        )
+    def test_emitted_verdict_revalidates(self, inputs, capsys):
+        main([*_membership(inputs, {"x": "-2", "y": "1"}), "--format", "json"])
         data = json.loads(capsys.readouterr().out)
         assert set(data) == {"verdict", "certificate"}  # bounds only on unknown
         cert = NonSquareCertificate.from_json(data["certificate"])
@@ -404,16 +346,16 @@ SHAPE_ERRORS = [
 
 @pytest.mark.parametrize("kind,payload,message", SHAPE_ERRORS,
                          ids=[f"{kind}-{json.dumps(payload)}" for kind, payload, _ in SHAPE_ERRORS])
-def test_shape_error_names_the_field(tmp_path, capsys, kind, payload, message):
-    assert main(_reading(tmp_path, kind, payload)) == 3
+def test_shape_error_names_the_field(inputs, capsys, kind, payload, message):
+    assert main(_reading(inputs, kind, payload)) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def _reading(tmp_path, kind, payload) -> list[str]:
+def _reading(inputs, kind, payload) -> list[str]:
     """A command that reads payload as the input file of this kind."""
-    bad = _write(tmp_path, f"{kind}.json", payload)
-    curve = _write(tmp_path, "E.json", E_JSON)
-    point = _write(tmp_path, "P.json", {"x": "-2", "y": "1"})
+    bad = inputs.write(f"{kind}.json", payload)
+    curve = inputs.write("E.json", E_JSON)
+    point = inputs.write("P.json", {"x": "-2", "y": "1"})
     return {
         "curve": ["jinv", "--curve", bad],
         "point": ["descent-class", "--curve", curve, "--point", bad],
@@ -471,7 +413,7 @@ def _first_number(value, route: tuple) -> tuple:
 
 
 @pytest.mark.parametrize("kind,route,name,keys", OBJECTS, ids=OBJECT_IDS)
-def test_unread_key_is_refused_first(tmp_path, capsys, kind, route, name, keys):
+def test_unread_key_is_refused_first(inputs, capsys, kind, route, name, keys):
     # the object misses its first key, required in all but the fixtures
     # file, and holds a bad number as well
     document = copy.deepcopy(DOCUMENTS[kind])
@@ -481,17 +423,17 @@ def test_unread_key_is_refused_first(tmp_path, capsys, kind, route, name, keys):
         number = _first_number(obj, ())
         _at(obj, number[:-1])[number[-1]] = 0.5
     obj["unread"] = ["1"]
-    assert main(_reading(tmp_path, kind, document)) == 3
+    assert main(_reading(inputs, kind, document)) == 3
     assert capsys.readouterr().err == f"error: unknown key 'unread' in {name}; known keys: {keys}\n"
 
 
 @pytest.mark.parametrize("kind,route,name,keys", OBJECTS, ids=OBJECT_IDS)
-def test_refused_number_names_its_path(tmp_path, capsys, kind, route, name, keys):
+def test_refused_number_names_its_path(inputs, capsys, kind, route, name, keys):
     document = copy.deepcopy(DOCUMENTS[kind])
     number = _first_number(_at(document, route), route)
     _at(document, number[:-1])[number[-1]] = 0.5
     path = "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in number).lstrip(".")
-    assert main(_reading(tmp_path, kind, document)) == 3
+    assert main(_reading(inputs, kind, document)) == 3
     assert capsys.readouterr().err == f"error: {path}: not a rational number: 0.5\n"
 
 
@@ -499,16 +441,15 @@ OFF_CURVE = {"x": "1" * 3000, "y": "1"}
 
 
 @pytest.mark.parametrize("command", ["membership", "descent-class", "family"])
-def test_off_curve_point_is_quoted_short(tmp_path, capsys, gluing_file, command):
-    point = _write(tmp_path, "P.json", OFF_CURVE)
-    origin = _write(tmp_path, "O.json", "O")
-    curve = _write(tmp_path, "E.json", E_JSON)
-    f_file = _write(tmp_path, "F.json", {"F": {"f": ["0", "-3", "2"]}, "generators": [OFF_CURVE]})
-    argv = {
-        "membership": ["membership", "--gluing", gluing_file, "--P", point, "--Q", origin],
-        "descent-class": ["descent-class", "--curve", curve, "--point", point],
-        "family": ["family", "--l1", "3", "--l2", "5", "--F", f_file],
-    }[command]
+def test_off_curve_point_is_quoted_short(inputs, capsys, command):
+    if command == "membership":
+        argv = _membership(inputs, OFF_CURVE)
+    elif command == "descent-class":
+        argv = ["descent-class", "--curve", inputs.write("E.json", E_JSON),
+                "--point", inputs.write("P.json", OFF_CURVE)]
+    else:
+        f_file = inputs.write("F.json", {"F": {"f": ["0", "-3", "2"]}, "generators": [OFF_CURVE]})
+        argv = ["family", "--l1", "3", "--l2", "5", "--F", f_file]
     assert main(argv) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
@@ -516,46 +457,46 @@ def test_off_curve_point_is_quoted_short(tmp_path, capsys, gluing_file, command)
 
 
 class TestPointCommands:
-    def test_descent_class_marked_order(self, tmp_path, capsys):
-        curve = _write(tmp_path, "curve.json", {"f": ["0", "-120", "2"]})
-        point = _write(tmp_path, "point.json", {"x": "-1", "y": "11"})
+    def test_descent_class_marked_order(self, inputs, capsys):
+        curve = inputs.write("curve.json", {"f": ["0", "-120", "2"]})
+        point = inputs.write("point.json", {"x": "-1", "y": "11"})
         code = main(
             ["descent-class", "--curve", curve, "--point", point, "--roots", "0,-12,10"]
         )
         assert code == 0
         assert capsys.readouterr().out.strip() == "(-1, 11, -11)"
 
-    def test_jinv(self, tmp_path, capsys):
-        curve = _write(tmp_path, "curve.json", {"f": ["1", "0", "0"]})
+    def test_jinv(self, inputs, capsys):
+        curve = inputs.write("curve.json", {"f": ["1", "0", "0"]})
         assert main(["jinv", "--curve", curve]) == 0
         assert capsys.readouterr().out.strip() == "0"
 
-    def test_torsion(self, tmp_path, capsys):
-        curve = _write(tmp_path, "curve.json", {"f": ["0", "-8", "2"]})
+    def test_torsion(self, inputs, capsys):
+        curve = inputs.write("curve.json", {"f": ["0", "-8", "2"]})
         assert main(["torsion", "--curve", curve]) == 0
         assert "Z/2 x Z/2" in capsys.readouterr().out
 
-    def test_torsion_without_factoring_the_discriminant(self, tmp_path, capsys):
+    def test_torsion_without_factoring_the_discriminant(self, inputs, capsys):
         # the discriminant's cofactor (10000799 * 205126079)^2 lies above the
         # certified primality range; torsion needs no factorization
-        curve = _write(tmp_path, "curve.json", {"f": ["123456789012345678901", "0", "0"]})
+        curve = inputs.write("curve.json", {"f": ["123456789012345678901", "0", "0"]})
         assert main(["torsion", "--curve", curve]) == 0
         assert capsys.readouterr().out.strip() == "trivial (order 1)"
 
-    def test_torsion_when_every_prime_below_1000_divides_the_discriminant(self, tmp_path, capsys):
+    def test_torsion_when_every_prime_below_1000_divides_the_discriminant(self, inputs, capsys):
         # y^2 = (x - 1)(x^2 + x + M - 2), M the product of the odd primes
         # below 1000, has the double root 1 mod each of them
         M = prod(q for q in range(3, 1000, 2) if trial_is_prime(q))
-        curve = _write(tmp_path, "curve.json", {"f": [str(2 - M), str(M - 3), "0"]})
+        curve = inputs.write("curve.json", {"f": [str(2 - M), str(M - 3), "0"]})
         assert main(["torsion", "--curve", curve]) == 0
         assert capsys.readouterr().out == "Z/2 (order 2)\ngenerators: (1, 0)\n"
 
-    def test_primality_bound_exhausted(self, tmp_path, capsys):
+    def test_primality_bound_exhausted(self, inputs, capsys):
         # the class of (0, 0) on y^2 = x (x + 1) (x - P) needs the square class
         # of -P, and P = 10^30 + 57 is a probable prime above psi_13
         P = 10**30 + 57
-        curve = _write(tmp_path, "curve.json", {"f": ["0", str(-P), str(1 - P)]})
-        point = _write(tmp_path, "point.json", {"x": "0", "y": "0"})
+        curve = inputs.write("curve.json", {"f": ["0", str(-P), str(1 - P)]})
+        point = inputs.write("point.json", {"x": "0", "y": "0"})
         assert main(["descent-class", "--curve", curve, "--point", point]) == 2
         err = capsys.readouterr().err
         assert err.startswith("bound exhausted:")
@@ -567,33 +508,32 @@ class TestPointCommands:
     def test_unknown_flag_is_input_error(self, capsys):
         assert main(["jinv", "--curve", "x", "--bogus"]) == 3
 
-    def test_singular_curve_is_input_error(self, tmp_path, capsys):
-        curve = _write(tmp_path, "curve.json", {"f": ["0", "0", "0"]})
+    def test_singular_curve_is_input_error(self, inputs, capsys):
+        curve = inputs.write("curve.json", {"f": ["0", "0", "0"]})
         assert main(["jinv", "--curve", curve]) == 3
 
-    def test_zero_denominator_in_point_is_input_error(self, tmp_path, capsys):
-        curve = _write(tmp_path, "curve.json", {"f": ["0", "-120", "2"]})
-        point = _write(tmp_path, "point.json", {"x": "1/0", "y": "1"})
+    def test_zero_denominator_in_point_is_input_error(self, inputs, capsys):
+        curve = inputs.write("curve.json", {"f": ["0", "-120", "2"]})
+        point = inputs.write("point.json", {"x": "1/0", "y": "1"})
         assert main(["descent-class", "--curve", curve, "--point", point]) == 3
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_zero_denominator_in_roots_is_input_error(self, tmp_path, capsys):
-        curve = _write(tmp_path, "curve.json", {"f": ["0", "-120", "2"]})
-        point = _write(tmp_path, "point.json", {"x": "-1", "y": "11"})
+    def test_zero_denominator_in_roots_is_input_error(self, inputs, capsys):
+        curve = inputs.write("curve.json", {"f": ["0", "-120", "2"]})
+        point = inputs.write("point.json", {"x": "-1", "y": "11"})
         args = ["descent-class", "--curve", curve, "--point", point, "--roots", "1/0,-12,10"]
         assert main(args) == 3
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_infinite_coefficient_is_input_error(self, tmp_path, capsys):
+    def test_infinite_coefficient_is_input_error(self, inputs, capsys):
         # JSON reads 1e999 as the float inf
-        curve = tmp_path / "curve.json"
-        curve.write_text('{"f": [1e999, 6, 5]}')
-        assert main(["jinv", "--curve", str(curve)]) == 3
+        curve = inputs.write("curve.json", text='{"f": [1e999, 6, 5]}')
+        assert main(["jinv", "--curve", curve]) == 3
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_exponent_notation_is_refused_at_once(self, tmp_path, capsys):
+    def test_exponent_notation_is_refused_at_once(self, inputs, capsys):
         # Fraction("1e999999999") would build 10^999999999
-        curve = _write(tmp_path, "curve.json", {"f": ["1e999999999", "6", "5"]})
+        curve = inputs.write("curve.json", {"f": ["1e999999999", "6", "5"]})
         start = time.perf_counter()
         assert main(["jinv", "--curve", curve]) == 3
         assert time.perf_counter() - start < 0.5
@@ -617,8 +557,8 @@ class TestPointCommands:
         ],
         ids=repr,
     )
-    def test_number_grammar(self, tmp_path, capsys, value, accepted):
-        curve = _write(tmp_path, "curve.json", {"f": [value, 6, 5]})
+    def test_number_grammar(self, inputs, capsys, value, accepted):
+        curve = inputs.write("curve.json", {"f": [value, 6, 5]})
         code = main(["jinv", "--curve", curve])
         err = capsys.readouterr().err
         if accepted:
@@ -627,16 +567,15 @@ class TestPointCommands:
             assert code == 3
             assert err == f"error: f[0]: not a rational number: {json.dumps(value, ensure_ascii=False)}\n"
 
-    def test_long_refused_value_gives_a_short_message(self, tmp_path):
+    def test_long_refused_value_gives_a_short_message(self, inputs):
         # nested just below the decoder's limit in a fresh interpreter, so
         # the JSON reads and the refused value quotes to about 1,950 characters
         depth = 960
-        curve = tmp_path / "curve.json"
-        curve.write_text('{"f": [' + "[" * depth + "]" * depth + ", 6, 5]}")
+        curve = inputs.write("curve.json", text='{"f": [' + "[" * depth + "]" * depth + ", 6, 5]}")
         env = dict(os.environ, PYTHONIOENCODING="utf-8")
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
         run = subprocess.run(
-            [sys.executable, "-m", "mwglue.cli", "jinv", "--curve", str(curve)],
+            [sys.executable, "-m", "mwglue.cli", "jinv", "--curve", curve],
             env=env, capture_output=True, timeout=120,
         )
         assert run.returncode == 3
@@ -644,11 +583,10 @@ class TestPointCommands:
         assert err.startswith("error: f[0]: not a rational number: [[[")
         assert err.count("\n") == 1 and err.endswith("…\n") and len(err) < 200
 
-    def test_deeply_nested_json_is_input_error(self, tmp_path, capsys):
+    def test_deeply_nested_json_is_input_error(self, inputs, capsys):
         depth = 100_000
-        curve = tmp_path / "curve.json"
-        curve.write_text('{"f": [' + "[" * depth + "]" * depth + ", 6, 5]}")
-        assert main(["jinv", "--curve", str(curve)]) == 3
+        curve = inputs.write("curve.json", text='{"f": [' + "[" * depth + "]" * depth + ", 6, 5]}")
+        assert main(["jinv", "--curve", curve]) == 3
         err = capsys.readouterr().err
         assert err == f"error: {curve}: JSON nested too deeply to read\n"
 
@@ -673,22 +611,21 @@ class TestNumberSize:
     """main reads and writes integers of up to MAX_DIGITS digits, and leaves
     the interpreter's limit as it found it."""
 
-    def test_point_past_the_default_limit(self, tmp_path, gluing_file, capsys):
+    def test_point_past_the_default_limit(self, inputs, capsys):
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
             point = EXAMPLE_E.mul(280, EXAMPLE_POINT)  # coordinates of 4,394 digits
             assert len(str(point.y.numerator)) > 4300
-            p_file = _write(tmp_path, "P.json", point.to_json())
+            argv = _membership(inputs, point.to_json())
         finally:
             sys.set_int_max_str_digits(limit)
-        q_file = _write(tmp_path, "Q.json", "O")
-        assert main(["membership", "--gluing", gluing_file, "--P", p_file, "--Q", q_file]) == 0
+        assert main(argv) == 0
         assert capsys.readouterr().out == "verdict: in_image\n"
         assert sys.get_int_max_str_digits() == limit
 
     @pytest.mark.parametrize("where", ["string", "JSON integer", "answer"])
-    def test_number_above_the_bound(self, tmp_path, capsys, where):
+    def test_number_above_the_bound(self, inputs, capsys, where):
         big = "1" * (MAX_DIGITS + 1)
         text = {
             "string": f'{{"f": ["{big}", "6", "5"]}}',
@@ -696,9 +633,7 @@ class TestNumberSize:
             # j = c4^3 / disc has about three times the digits of c1
             "answer": f'{{"f": [1, "{big[:MAX_DIGITS // 2]}", 0]}}',
         }[where]
-        curve = tmp_path / "curve.json"
-        curve.write_text(text)
-        assert main(["jinv", "--curve", str(curve)]) == 2
+        assert main(["jinv", "--curve", inputs.write("curve.json", text=text)]) == 2
         assert capsys.readouterr().err == (
             f"bound exhausted: a number has more than MAX_DIGITS = {MAX_DIGITS} digits\n")
 
@@ -766,8 +701,8 @@ class TestProcessExit:
     os._exit.  Each case keeps the exit code and stderr of a normal
     interpreter exit."""
 
-    def test_stdout_closed_at_start(self, tmp_path):
-        curve = _write(tmp_path, "curve.json", {"f": ["1", "6", "5"]})
+    def test_stdout_closed_at_start(self, inputs):
+        curve = inputs.write("curve.json", {"f": ["1", "6", "5"]})
         run = _run_process(["sh", "-c", 'exec "$@" >&-', "sh", *CLI, "jinv", "--curve", curve])
         assert (run.returncode, run.stderr) == (0, "")
 
@@ -780,10 +715,10 @@ class TestProcessExit:
         assert run.stderr.startswith("error: [Errno 28]") and run.stderr.count("\n") == 1
 
     @no_dev_full
-    def test_buffered_answer_on_a_full_device(self, tmp_path):
+    def test_buffered_answer_on_a_full_device(self, inputs):
         # the answer fits stdout's buffer and stays there after the failed
         # write; _print points fd 1 at /dev/null, so no later flush fails
-        curve = _write(tmp_path, "curve.json", {"f": ["1", "6", "5"]})
+        curve = inputs.write("curve.json", {"f": ["1", "6", "5"]})
         for unbuffered in (False, True):
             with open("/dev/full", "wb") as full:
                 run = _run_process([*CLI, "jinv", "--curve", curve], stdout=full, unbuffered=unbuffered)

@@ -4,7 +4,6 @@ read from cli.COMMANDS.  Usage errors exit 3 with one stderr line, -h and
 
 import contextlib
 import io
-import json
 import os
 import subprocess
 import sys
@@ -20,6 +19,8 @@ from mwglue.family import FAMILY_F, FAMILY_F_GENERATORS
 from mwglue.fixtures import EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI
 from mwglue.glue import GluingData
 
+from inputs import InputDir
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 FLAGS = sorted({flag for _, _, flags in COMMANDS.values() for flag in flags})
 
@@ -29,13 +30,6 @@ def _run(argv) -> tuple[int, str, str]:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
-
-
-@pytest.fixture
-def curve(tmp_path):
-    path = tmp_path / "curve.json"
-    path.write_text(json.dumps(EXAMPLE_E.to_json()))
-    return str(path)
 
 
 COMMAND_LIST = ", ".join(COMMANDS)
@@ -140,7 +134,8 @@ def test_help_subprocess_reads_sys_argv():
     (["--format", "json"], ["--format=json"]),
     (["--format", "json", "--format", "human"], ["--format=json", "--format=human"]),
 ])
-def test_equals_form_matches_spaced_form(curve, spaced, joined):
+def test_equals_form_matches_spaced_form(inputs, spaced, joined):
+    curve = inputs.write("curve.json", EXAMPLE_E.to_json())
     assert _run(["jinv", "--curve", curve, *spaced]) == _run(["jinv", f"--curve={curve}", *joined])
 
 
@@ -150,17 +145,17 @@ def test_equals_form_on_integer_flags():
     assert spaced == _run(["family", "--l1=3", "--l2=5", "--count=1", "--bound=1000"])
 
 
-def test_repeated_flag_keeps_its_last_value(curve):
+def test_repeated_flag_keeps_its_last_value(inputs):
+    curve = inputs.write("curve.json", EXAMPLE_E.to_json())
     assert _run(["jinv", "--curve", curve, "--format", "json", "--format", "human"]) == (0, "1792\n", "")
 
 
-def test_value_may_start_with_a_dash(tmp_path):
+def test_value_may_start_with_a_dash(inputs):
     # the token after a flag is its value, whatever it looks like: argparse
     # refused "--roots -12,0,10" as a flag without a value
-    curve, point = tmp_path / "curve.json", tmp_path / "point.json"
-    curve.write_text(json.dumps({"f": ["0", "-120", "2"]}))
-    point.write_text(json.dumps({"x": "-1", "y": "11"}))
-    argv = ["descent-class", "--curve", str(curve), "--point", str(point), "--roots"]
+    curve = inputs.write("curve.json", {"f": ["0", "-120", "2"]})
+    point = inputs.write("point.json", {"x": "-1", "y": "11"})
+    argv = ["descent-class", "--curve", curve, "--point", point, "--roots"]
     assert _run([*argv, "-12,0,10"]) == (0, "(11, -1, -11)\n", "")
     assert _run(["family", "--l1", "-3", "--l2", "5"]) == (3, "", "error: -3 is not an odd prime\n")
     message = "error: family --l1: expected an integer, got '--l2'\n"
@@ -175,10 +170,9 @@ INTS = ["-1", "0", "1", "2", "3", "5", "7", "13", "229"]
 PARSERS = {flag: spec[0] for _, _, flags in COMMANDS.values() for flag, spec in flags.items()}
 JUNK = st.text(st.characters(exclude_characters="/\x00"), max_size=6)
 
-
 @pytest.fixture
-def input_files(tmp_path):
-    files = {
+def input_files(inputs):
+    return [inputs.write(name, payload) for name, payload in {
         "curve.json": EXAMPLE_E.to_json(),
         "point.json": {"x": "-2", "y": "1"},
         "origin.json": "O",
@@ -186,18 +180,16 @@ def input_files(tmp_path):
         "F.json": {"F": FAMILY_F.to_json(), "generators": [g.to_json() for g in FAMILY_F_GENERATORS]},
         "tampered.json": {"E": {"f": ["1", "6", "4"]}},
         "bad.json": [1, 2],
-    }
-    for name, payload in files.items():
-        (tmp_path / name).write_text(json.dumps(payload))
-    return [str(tmp_path / name) for name in files]
+    }.items()]
 
 
 @settings(max_examples=500, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(data=st.data())
 def test_fuzz_argv(data, input_files, tmp_path, monkeypatch):
-    # --out and the junk are relative paths, so every file written lands in tmp_path
-    monkeypatch.chdir(tmp_path)
+    # --out and the junk are relative paths, and each example runs in a new
+    # directory, so no example writes over a file an earlier one wrote
+    monkeypatch.chdir(InputDir(tmp_path).path)
     monkeypatch.setattr(cli, "MAX_FAMILY_COUNT", 2)
     kinds = {int: INTS, cli._format: ["human", "json"], cli._roots: ["0,-12,10", ""],
              str: [*input_files, "0,-12,10", ""]}

@@ -7,7 +7,6 @@ most one line."""
 import contextlib
 import copy
 import io
-import json
 from datetime import timedelta
 
 import pytest
@@ -20,6 +19,8 @@ from mwglue.family import FAMILY_F, FAMILY_F_GENERATORS
 from mwglue.fixtures import (COVER_TO_E, COVER_TO_F, EXAMPLE_C, EXAMPLE_C_UNSCALED, EXAMPLE_E,
                              EXAMPLE_F, EXAMPLE_POINT, EXAMPLE_PSI, EXAMPLE_RESCALE)
 from mwglue.glue import GluingData
+
+from inputs import InputDir
 
 
 def _cover(maps) -> dict:
@@ -110,11 +111,11 @@ def test_mutated_json_input(command, data, tmp_path, monkeypatch):
     for _ in range(data.draw(st.integers(1, 3))):
         flag = data.draw(st.sampled_from(list(docs)))
         docs[flag] = _mutate(data, docs[flag])
+    # each example writes its files in a new directory
+    inputs = InputDir(tmp_path)
     argv = [command, *flags]
     for flag, doc in docs.items():
-        path = tmp_path / f"{flag[2:]}.json"
-        path.write_text(json.dumps(doc))
-        argv += [flag, str(path)]
+        argv += [flag, inputs.write(f"{flag[2:]}.json", doc)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)

@@ -65,12 +65,8 @@ def test_out_file_holds_the_json_stdout(tmp_path, capsys, argv):
 
 
 @pytest.fixture
-def command_argv(tmp_path):
-    def write(name, payload):
-        path = tmp_path / name
-        path.write_text(json.dumps(payload))
-        return str(path)
-
+def command_argv(inputs):
+    write = inputs.write
     curve = write("curve.json", EXAMPLE_E.to_json())
     point = write("P.json", {"x": "-2", "y": "1"})
     return {

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -62,7 +63,7 @@ class TestParams:
     def test_honest_generators_accepted_for_coprime_choice(self):
         _params(l1=5, l2=7, gens=FAMILY_F_GENERATORS).validate()
 
-    def test_generator_primes_computed_once_per_cli_run(self, monkeypatch, tmp_path, capsys):
+    def test_generator_primes_computed_once_per_cli_run(self, monkeypatch, inputs, capsys):
         # validation, the prime search and every instance share one set
         from mwglue.cli import main
 
@@ -74,12 +75,11 @@ class TestParams:
             return compute(params)
 
         monkeypatch.setattr(prop, "func", counted)
-        path = tmp_path / "F.json"
-        path.write_text(json.dumps({
+        path = inputs.write("F.json", {
             "F": FAMILY_F.to_json(), "generators": [g.to_json() for g in FAMILY_F_GENERATORS],
-        }))
+        })
         argv = ["family", "--l1", "7", "--l2", "13", "--count", "2", "--bound", str(10**12)]
-        assert main([*argv, "--F", str(path)]) == 0
+        assert main([*argv, "--F", path]) == 0
         assert "all checks pass" in capsys.readouterr().out
         assert len(calls) == 1
 
@@ -398,15 +398,17 @@ class TestRunFamily:
         assert built.count(FAMILY_F.f_poly()) == 1
 
     def test_each_quantity_computed_once(self, monkeypatch):
-        # roots of F are found once per run whatever the count, and
-        # square_class factors each distinct rational once: its numerator
-        # and denominator; checks (a) and (e) factor nothing
+        # roots of F are found once per run whatever the count; square_class,
+        # which keeps no cache, is asked for each rational once but -1, which
+        # every instance's triple holds and whose class factors only 1; and
+        # only square_class factors, its numerator and denominator, so
+        # checks (a) and (e) factor nothing
         import mwglue.arith as A
         import mwglue.etale as Et
         import mwglue.poly as P
 
         calls = {"factor": 0, "roots": 0}
-        rationals, square_class = set(), A.square_class
+        rationals, square_class = Counter(), A.square_class
 
         def counted(key, fn):
             def wrapper(*args):
@@ -415,7 +417,7 @@ class TestRunFamily:
             return wrapper
 
         def recorded(q):
-            rationals.add(q)
+            rationals[q] += 1
             return square_class(q)
 
         monkeypatch.setattr(A, "factor", counted("factor", A.factor))
@@ -429,7 +431,8 @@ class TestRunFamily:
             assert run_family(_params(count=count)).all_passed
             roots.append(calls["roots"])
         assert roots[0] == roots[1]
-        assert calls["factor"] <= 2 * len(rationals)
+        assert {q for q, asked in rationals.items() if asked > 1} <= {-1}
+        assert calls["factor"] <= 2 * sum(rationals.values())
 
     def test_gluing_rejects_a_foreign_algebra(self):
         inst = build_instance(229)

@@ -20,11 +20,13 @@ import pytest
 
 from mwglue.cli import main
 
+from inputs import InputDir
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# The command inputs, written beside each run.  The gluing is the bundled
-# example; P1 = (-2, 1) generates E(Q), and P2 = 2 P1.
+# The command inputs, which each run writes in a new directory.  The gluing
+# is the bundled example; P1 = (-2, 1) generates E(Q), and P2 = 2 P1.
 INPUTS = {
     "gluing.json": {"E": {"f": ["1", "6", "5"]}, "F": {"f": ["-1", "5", "-6"]}, "h": ["6", "5", "1"]},
     "P1.json": {"x": "-2", "y": "1"},
@@ -69,28 +71,27 @@ CASES = (
 )
 
 
-def _argv(argv, workdir: Path) -> list[str]:
-    """argv with the inputs written to workdir and file arguments resolved there."""
-    for name, payload in INPUTS.items():
-        (workdir / name).write_text(json.dumps(payload))
-    return [str(workdir / a) if a in INPUTS else a for a in argv]
+def _argv(argv, root) -> list[str]:
+    """argv with each input it names written to a new directory under root."""
+    inputs = InputDir(root)
+    return [inputs.write(a, INPUTS[a]) if a in INPUTS else a for a in argv]
 
 
-def run(argv, workdir: Path) -> dict:
+def run(argv, root) -> dict:
     """Exit code, stdout and stderr of `mwglue ARGV` run in-process."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(_argv(argv, workdir))
+        code = main(_argv(argv, root))
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-def run_process(argv, workdir: Path) -> dict:
+def run_process(argv, root) -> dict:
     """Exit code, stdout and stderr of `python -m mwglue.cli ARGV`, with
     stdout block-buffered as it is on a pipe."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONIOENCODING"] = "utf-8"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-m", "mwglue.cli", *_argv(argv, workdir)],
+    proc = subprocess.run([sys.executable, "-m", "mwglue.cli", *_argv(argv, root)],
                           env=env, capture_output=True, timeout=120)
     return {"exit": proc.returncode, "stdout": proc.stdout.decode(), "stderr": proc.stderr.decode()}
 
@@ -113,6 +114,6 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in CASES:
-            got = run(argv, Path(tmp))
+            got = run(argv, tmp)
             (GOLDEN / f"{name}.json").write_text(json.dumps(got, indent=1) + "\n")
             print(f"{name}: exit {got['exit']}", file=sys.stderr)

@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 
 from mwglue.cli import _load_json
 
+from inputs import InputDir
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 WHITESPACE = st.text(alphabet=" \t\n\r", max_size=4)
@@ -36,44 +38,48 @@ EDIT_CHARS = st.sampled_from(list('{}[]:,"\\ \t\n\x0b\x0c0123456789.-+eEtfnaINul
 
 
 @pytest.fixture(scope="module")
-def path(tmp_path_factory):
-    return tmp_path_factory.mktemp("reader") / "doc.json"
+def root(tmp_path_factory):
+    return tmp_path_factory.mktemp("reader")
 
 
-def _read(read, path: Path, text: str):
-    """("value", its JSON text) or ("error", the message) of read on text."""
-    path.write_text(text)
+def _doc(root, text: str) -> str:
+    """A new file holding text, in a directory of its own."""
+    return InputDir(root).write("doc.json", text=text)
+
+
+def _read(read, path: str):
+    """("value", its JSON text) or ("error", the message) of read on the file."""
     try:
         return "value", json.dumps(read(path))
     except ValueError as exc:
         return "error", str(exc)
 
 
-def _json_load(path: Path):
+def _json_load(path: str):
     with open(path) as fh:
         return json.load(fh)
 
 
 @settings(max_examples=300, deadline=None)
 @given(DOCUMENTS)
-def test_documents_read_as_json_reads_them(path, text):
+def test_documents_read_as_json_reads_them(root, text):
     # compared as JSON text, so that NaN equals NaN and 1.0 differs from 1
-    assert _read(_load_json, path, text) == ("value", json.dumps(json.loads(text)))
+    assert _read(_load_json, _doc(root, text)) == ("value", json.dumps(json.loads(text)))
 
 
 @settings(max_examples=500, deadline=None)
 @given(DOCUMENTS, st.data())
-def test_mutated_documents_read_or_fail_as_json_does(path, text, data):
+def test_mutated_documents_read_or_fail_as_json_does(root, text, data):
     at = data.draw(st.integers(0, len(text)))
     cut = data.draw(st.integers(0, 2))
-    text = text[:at] + data.draw(st.text(EDIT_CHARS, max_size=2)) + text[at + cut:]
-    assert _read(_load_json, path, text) == _read(_json_load, path, text)
+    path = _doc(root, text[:at] + data.draw(st.text(EDIT_CHARS, max_size=2)) + text[at + cut:])
+    assert _read(_load_json, path) == _read(_json_load, path)
 
 
-def _fresh_jinv(curve: Path) -> subprocess.CompletedProcess:
+def _fresh_jinv(curve: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-m", "mwglue.cli", "jinv", "--curve", str(curve)],
+    return subprocess.run([sys.executable, "-m", "mwglue.cli", "jinv", "--curve", curve],
                           env=env, capture_output=True, text=True, timeout=120)
 
 
@@ -85,24 +91,21 @@ def _fresh_jinv(curve: Path) -> subprocess.CompletedProcess:
     "",
     " \n",
 ], ids=["unclosed list", "missing colon", "BOM", "extra data", "empty", "whitespace"])
-def test_malformed_file_in_a_fresh_process(tmp_path, text):
-    curve = tmp_path / "curve.json"
-    curve.write_text(text, encoding="utf-8")
+def test_malformed_file_in_a_fresh_process(inputs, text):
+    curve = inputs.write("curve.json", text=text)  # in UTF-8
     with pytest.raises(json.JSONDecodeError) as raised:
-        json.loads(curve.read_text())  # in the locale's encoding, as mwglue reads it
+        json.loads(Path(curve).read_text())  # in the locale's encoding, as mwglue reads it
     run = _fresh_jinv(curve)
     assert (run.returncode, run.stdout, run.stderr) == (3, "", f"error: {raised.value}\n")
 
 
-def test_deep_nesting_in_a_fresh_process(tmp_path):
-    curve = tmp_path / "curve.json"
-    curve.write_text('{"f": [' + "[" * 100_000 + "]" * 100_000 + ", 6, 5]}")
+def test_deep_nesting_in_a_fresh_process(inputs):
+    curve = inputs.write("curve.json", text='{"f": [' + "[" * 100_000 + "]" * 100_000 + ", 6, 5]}")
     run = _fresh_jinv(curve)
     assert (run.returncode, run.stdout, run.stderr) == (3, "", f"error: {curve}: JSON nested too deeply to read\n")
 
 
-def test_well_formed_file_in_a_fresh_process(tmp_path):
-    curve = tmp_path / "curve.json"
-    curve.write_text(' {"f": [1, "6", 5]}\r\n')
+def test_well_formed_file_in_a_fresh_process(inputs):
+    curve = inputs.write("curve.json", text=' {"f": [1, "6", 5]}\r\n')
     run = _fresh_jinv(curve)
     assert (run.returncode, run.stdout, run.stderr) == (0, "1792\n", "")

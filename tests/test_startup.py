@@ -69,18 +69,13 @@ def _ran(*argv) -> set[str]:
 
 
 @pytest.fixture
-def files(tmp_path):
-    paths = {}
-    for name, payload in {
+def files(inputs):
+    return {name: inputs.write(f"{name}.json", payload) for name, payload in {
         "curve": EXAMPLE_E.to_json(),
         "gluing": GluingData.build(EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI).to_json(),
         "P": {"x": "-2", "y": "1"},
         "Q": "O",
-    }.items():
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(payload))
-        paths[name] = str(path)
-    return paths
+    }.items()}
 
 
 # torsion's small primes come from poly's sieve, so neither runs arith
@@ -104,11 +99,9 @@ def test_well_formed_files_load_no_json(files, command):
     assert not _probe(PROBE, command, *argv)["json"]
 
 
-def test_a_malformed_file_loads_json(tmp_path):
+def test_a_malformed_file_loads_json(inputs):
     # json reads the file again, for its message
-    curve = tmp_path / "curve.json"
-    curve.write_text('{"f": [1, 2')
-    assert _probe(PROBE, "jinv", "--curve", str(curve), code=3)["json"]
+    assert _probe(PROBE, "jinv", "--curve", inputs.write("curve.json", text='{"f": [1, 2'), code=3)["json"]
 
 
 def test_membership_runs_no_family_or_example_code(files):
