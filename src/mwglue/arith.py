@@ -67,8 +67,9 @@ _RHO_CONSTANTS = 49  # rho tries the maps x -> x^2 + c for c = 1.._RHO_CONSTANTS
 _RHO_BATCH = 64  # steps whose differences share one gcd
 # Brent steps per _pollard_rho call, over all constants: about 2.5 s at
 # 0.6 us a step on a 150-bit modulus (Python 3.11, a Xeon core).  It covers
-# every round up to r = 2^20, which splits the 89-bit cofactor with a 43-bit
-# factor that (7P, O) on the p = 229 family gluing needs.
+# every round up to r = 2^20, which splits an 89-bit cofactor with a 43-bit
+# factor, such as one in the class triple of 7 (-1, 229) on the p = 229
+# family curve.
 _RHO_STEPS = 2**22
 
 
@@ -188,12 +189,6 @@ class SquareClass(Record):
     def is_trivial(self) -> bool:
         return not self.negative and not self.primes
 
-    def representative(self) -> int:
-        r = 1
-        for p in self.primes:
-            r *= p
-        return -r if self.negative else r
-
     def to_json(self) -> dict:
         return {"sign": "-" if self.negative else "+", "primes": list(self.primes)}
 
@@ -238,10 +233,6 @@ class SquareClassTriple(Record):
     @property
     def components(self) -> tuple[SquareClass, SquareClass, SquareClass]:
         return (self.c1, self.c2, self.c3)
-
-    @property
-    def is_trivial(self) -> bool:
-        return all(c.is_trivial for c in self.components)
 
     def coordinates(self) -> set[Coordinate]:
         """The valuation coordinates of the triple: (i, None) when component

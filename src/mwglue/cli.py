@@ -160,10 +160,8 @@ def _cmd_family(args) -> Rendered:
             for name, check in rep.checks.items():
                 mark = "ok" if check.passed else "FAIL"
                 lines.append(f"  [{mark:>4}] {name}: {check.detail}")
-            table = inst.class_table()
-            for key in ("P", "P1", "P2", "P3"):
-                trip = table[key]
-                reps = ", ".join(str(c.representative()) for c in trip.components)
+            for key, cls in inst.class_table().items():
+                reps = ", ".join(str(poly.constant_value(r)) for r in cls.rep.residues)
                 lines.append(f"  class({key}) = ({reps})")
         lines.append(f"j-invariants pairwise distinct: {report.pairwise_distinct_j}")
         return "\n".join(lines)
@@ -192,10 +190,6 @@ def _cmd_descent_class(args) -> Rendered:
     point = ellcurve.ECPoint.from_json(_load_json(args.point))
     algebra = etale.CubicEtaleAlgebra.from_cubic(curve.f_poly(), root_order=args.roots)
     cls = descent.descent_class(curve, algebra, point)
-    if algebra.is_split:
-        trip = cls.triple()
-        return (lambda: {"triple": trip.to_json()},
-                lambda: f"({', '.join(str(c.representative()) for c in trip.components)})", 0)
     return lambda: {"class": cls.to_json()}, lambda: f"class of {cls.rep.to_json()}", 0
 
 

@@ -15,9 +15,8 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from operator import itemgetter
 
-from . import glue, squares
+from . import arith, glue, squares
 from . import poly as P
-from .arith import Coordinate, SquareClassTriple, subgroup_contains
 from .ellcurve import ECPoint, EllipticCurve
 from .etale import (
     CERT_PRIMES,
@@ -138,14 +137,14 @@ class ObstructionVerdict(Record):
     (p, component, root) that squares.validate_characters rechecks."""
 
     status: str
-    span: tuple[SquareClassTriple, ...] | tuple[AlgebraElement, ...]
-    target: SquareClassTriple | AlgebraElement
+    span: tuple[arith.SquareClassTriple, ...] | tuple[AlgebraElement, ...]
+    target: arith.SquareClassTriple | AlgebraElement
     witness: tuple[int, ...] | None = None
-    certificate: tuple[Coordinate, ...] | tuple[squares.Character, ...] | None = None
+    certificate: tuple[arith.Coordinate, ...] | tuple[squares.Character, ...] | None = None
     cert_primes: int | None = None
 
     def to_json(self) -> dict:
-        keys = _COORDINATE_KEYS if isinstance(self.target, SquareClassTriple) else _CHARACTER_KEYS
+        keys = _CHARACTER_KEYS if isinstance(self.target, AlgebraElement) else _COORDINATE_KEYS
         cert = self.certificate
         out = {
             "status": self.status,
@@ -162,7 +161,7 @@ class ObstructionVerdict(Record):
     def from_json(cls, data, algebra: CubicEtaleAlgebra | None = None) -> "ObstructionVerdict":
         """Parse either form; the non-split form needs the E-side algebra."""
         if isinstance(data["target"][0], dict):
-            elem, keys = SquareClassTriple.from_json, _COORDINATE_KEYS
+            elem, keys = arith.SquareClassTriple.from_json, _COORDINATE_KEYS
         elif algebra is None:
             raise ValueError("a non-split verdict needs its algebra")
         else:
@@ -202,7 +201,7 @@ def surjectivity_obstruction(
         span.append(transfer_class(gluing, descent_class(gluing.F, gluing.Lprime, g)))
     if gluing.L.is_split:
         span, target = tuple(c.triple() for c in span), target.triple()
-        decision = subgroup_contains([z.coordinates() for z in span], target.coordinates())
+        decision = arith.subgroup_contains([z.coordinates() for z in span], target.coordinates())
     else:
         span, target = tuple(c.rep for c in span), target.rep
         decision = squares.span_contains(gluing.L, span, target, cert_primes)

@@ -216,6 +216,8 @@ class EllipticCurve(Record):
         d > 2 is a root of f_m exactly when d | m, so each point's order is the
         first m that finds it.  An order m is skipped when some proper divisor d > 1
         of m has no point, since a point of order m has a multiple of order d.
+        The search stops once it has B points: the torsion order divides B and
+        counts every point found, so it is B and no later m adds a point.
         """
         model, u = self.integral_model()
         g = model.f_poly()
@@ -224,6 +226,8 @@ class EllipticCurve(Record):
         orders = {INFINITY: 1}
         division = _DivisionPolys(g)
         for m in MAZUR_ORDERS:
+            if len(orders) == b:
+                break
             if b % m or any(m % d == 0 and d not in orders.values() for d in range(2, m)):
                 continue
             for x in P.integer_roots(g if m == 2 else division[m]):

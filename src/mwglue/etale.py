@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from functools import cached_property
 
+from . import arith, squares
 from . import poly as P
-from . import squares
-from .arith import SquareClassTriple, square_class
 from .poly import ONE, Poly, Rational
 from .record import Record
 
@@ -138,7 +137,7 @@ def has_square_norm(elem: AlgebraElement) -> bool:
     """Whether the element's norm lands in the trivial square class."""
     if not elem.is_unit:
         raise NonUnitError("the square-norm test needs an invertible element")
-    return square_class(elem.norm()).is_trivial
+    return arith.square_class(elem.norm()).is_trivial
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +201,10 @@ def is_square(
 
 
 class AlgebraSquareClass(Record):
-    """A square class of units of the algebra, kept as a raw representative;
-    classes are compared with squares.span_contains, and triple() gives the
-    canonical form over a split algebra."""
+    """A square class of units of the algebra, shown as its unit
+    representative over split and non-split algebras alike; classes are
+    compared with squares.span_contains.  triple() factors the class into
+    (Q*/Q*^2)^3 over a split algebra, for the split span obstruction."""
 
     rep: AlgebraElement
 
@@ -223,14 +223,10 @@ class AlgebraSquareClass(Record):
             raise ValueError("classes live in different algebras")
         return AlgebraSquareClass.of(self.rep * other.rep)
 
-    def triple(self) -> SquareClassTriple:
-        return self._triple
-
-    @cached_property  # the span obstruction asks again for the family's triples
-    def _triple(self) -> SquareClassTriple:
+    def triple(self) -> arith.SquareClassTriple:
         if not self.algebra.is_split:
             raise ValueError("class triples need a fully split algebra")
-        return SquareClassTriple.from_rationals(*(P.constant_value(r) for r in self.rep.residues))
+        return arith.SquareClassTriple.from_rationals(*(P.constant_value(r) for r in self.rep.residues))
 
     def to_json(self) -> dict:
         return {"rep": self.rep.to_json()}

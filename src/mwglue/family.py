@@ -9,10 +9,11 @@ no supplied F-side generator class give curves
 whose point (-1, p) escapes torsion plus the pushforward image of the glued
 Jacobian.  Every claim is rechecked per instance: the occurrence pattern of
 p, l1, l2, nontriviality of the 2-torsion classes, the torsion structure,
-the span non-containment, and the j-invariant denominator.  The occurrence
-pattern is read off valuations at the named primes, and the denominator
-check removes p and then the primes of 2(p^2 - 1) by gcds, so neither
-factors.
+the span non-containment, and the j-invariant denominator.  Classes are
+kept as their unit representatives.  Occurrence is read off valuations at
+the one prime asked about, nontriviality off exact square roots, and the
+denominator check removes p and then the primes of 2(p^2 - 1) by gcds, so
+only the span obstruction factors.
 """
 
 from __future__ import annotations
@@ -20,12 +21,12 @@ from __future__ import annotations
 from functools import cached_property
 from math import gcd
 
-from .arith import SquareClassTriple, is_prime
+from .arith import is_prime
 from .descent import NOT_CONTAINED, ObstructionVerdict, descent_class, surjectivity_obstruction
 from .ellcurve import ECPoint, EllipticCurve
-from .etale import CubicEtaleAlgebra
+from .etale import AlgebraSquareClass, CubicEtaleAlgebra
 from .glue import GluingData, TwoTorsionIdentification
-from .poly import shorten
+from .poly import Rational, shorten, sqrt_fraction
 from .record import Record
 
 
@@ -64,7 +65,7 @@ class FamilyParams(Record):
             if not self.F.contains(g):
                 raise InvalidFamilyParams(f"generator {shorten(str(g))} is not on F")
         for l in (self.l1, self.l2):
-            if l in self.generator_occurring_primes:
+            if self.occurs_in_generators(l):
                 raise InvalidFamilyParams(
                     f"{shorten(str(l))} occurs in a generator class of F and cannot be used"
                 )
@@ -76,20 +77,24 @@ class FamilyParams(Record):
         return CubicEtaleAlgebra.from_cubic(self.F.f_poly())
 
     @cached_property
-    def generator_occurring_primes(self) -> frozenset[int]:
-        """Primes occurring in the classes of the supplied F-side generators,
-        computed once per parameter set.
+    def generator_components(self) -> tuple[int | Rational, ...]:
+        """The rational components of the supplied F-side generators' class
+        representatives, computed once per parameter set."""
+        return tuple(
+            r[0]
+            for g in self.F_generators
+            for r in descent_class(self.F, self.F_algebra, g).rep.residues
+        )
+
+    def occurs_in_generators(self, l: int) -> bool:
+        """Whether the prime l occurs in some generator class, that is, has
+        odd valuation in some component of its representative.
 
         A prime occurs in the group the generator classes span iff it occurs
         in some generator class: valuation parities add over F2, so a prime
         with even parity in every generator has even parity in every product.
         """
-        out: set[int] = set()
-        for g in self.F_generators:
-            tr = descent_class(self.F, self.F_algebra, g).triple()
-            for comp in tr.components:
-                out.update(comp.primes)
-        return frozenset(out)
+        return any(_odd_valuation(c, l) for c in self.generator_components)
 
 
 def _crt(a1: int, m1: int, a2: int, m2: int) -> int:
@@ -106,14 +111,13 @@ def find_primes(params: FamilyParams) -> PrimeSearch:
     """The first `count` primes up to `bound` meeting both congruences and
     occurring in no generator class; `exhausted` flags a partial list."""
     params.validate()
-    excluded = params.generator_occurring_primes
     m1, m2 = params.l1**2, params.l2**2
     residue = _crt(params.l1 + 1, m1, params.l2 - 1, m2)
     out = []
     for n in range(residue, params.bound + 1, m1 * m2):
         if n < 3:
             continue
-        if n not in excluded and is_prime(n):
+        if not params.occurs_in_generators(n) and is_prime(n):
             out.append(n)
             if len(out) == params.count:
                 return PrimeSearch(tuple(out), False)
@@ -137,15 +141,15 @@ class FamilyInstance(Record):
     P1: ECPoint
     P2: ECPoint
     P3: ECPoint
-    class_P: SquareClassTriple
-    class_P1: SquareClassTriple
-    class_P2: SquareClassTriple
-    class_P3: SquareClassTriple
+    class_P: AlgebraSquareClass
+    class_P1: AlgebraSquareClass
+    class_P2: AlgebraSquareClass
+    class_P3: AlgebraSquareClass
 
     def marked_points(self) -> dict[str, ECPoint]:
         return {"P": self.P, "P1": self.P1, "P2": self.P2, "P3": self.P3}
 
-    def class_table(self) -> dict[str, SquareClassTriple]:
+    def class_table(self) -> dict[str, AlgebraSquareClass]:
         return {
             "P": self.class_P,
             "P1": self.class_P1,
@@ -174,9 +178,7 @@ def build_instance(p: int) -> FamilyInstance:
     algebra = CubicEtaleAlgebra.from_cubic(curve.f_poly(), root_order=roots)
     marked = ECPoint.affine(-1, p)
     t1, t2, t3 = (ECPoint.affine(x, 0) for x in roots)
-    classes = [
-        descent_class(curve, algebra, q).triple() for q in (marked, t1, t2, t3)
-    ]
+    classes = [descent_class(curve, algebra, q) for q in (marked, t1, t2, t3)]
     return FamilyInstance(p, curve, algebra, marked, t1, t2, t3, *classes)
 
 
@@ -233,12 +235,18 @@ def _odd_valuation(c, l: int) -> bool:
     return v % 2 == 1
 
 
+def _is_trivial(cls: AlgebraSquareClass) -> bool:
+    """Whether a class over a split algebra is trivial: every component of
+    its representative is the square of a rational."""
+    return all(sqrt_fraction(r[0]) is not None for r in cls.rep.residues)
+
+
 def verify_instance(inst: FamilyInstance, params: FamilyParams) -> InstanceReport:
     """Recheck the five instance claims independently of how it was built:
     each check derives its classes from the points, sharing memoized results.
 
-    Checks (a) and (e) factor nothing.  (a) reads the parity of v_l of each
-    component of a class's representative at the one prime l it names.
+    Checks (a), (b) and (e) factor nothing.  (a) reads the parity of v_l of
+    each component of a class's representative at the one prime l it names.
     (e) proves that p is the largest prime of the j-denominator: p divides
     it, and what is left once p is removed has only primes of 2(p^2 - 1),
     all below p; repeated gcds with 2(p^2 - 1) reduce it to 1."""
@@ -269,8 +277,8 @@ def verify_instance(inst: FamilyInstance, params: FamilyParams) -> InstanceRepor
     # (b) the marked 2-torsion classes are nontrivial
     trivial = [
         name
-        for name, tr in (("P1", inst.class_P1), ("P2", inst.class_P2), ("P3", inst.class_P3))
-        if tr.is_trivial
+        for name, cls in (("P1", inst.class_P1), ("P2", inst.class_P2), ("P3", inst.class_P3))
+        if _is_trivial(cls)
     ]
     checks["marked_classes_nontrivial"] = CheckResult(
         not trivial,

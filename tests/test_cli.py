@@ -155,6 +155,15 @@ class TestFamilyCommand:
         assert time.perf_counter() - start < 1
         assert capsys.readouterr().err == f"error: --count must be at most {MAX_FAMILY_COUNT}\n"
 
+    def test_primality_bound_exhausted(self, capsys):
+        # P = 10^30 + 57 is a probable prime above psi_13, so it cannot be
+        # proven an odd prime
+        P = 10**30 + 57
+        assert main(["family", "--l1", str(P), "--l2", "5", "--count", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bound exhausted:")
+        assert "psi_13 = 3317044064679887385961981" in err
+
     def test_bound_exhaustion(self, capsys):
         code = main(
             ["family", "--l1", "3", "--l2", "5", "--count", "100", "--bound", "1000"]
@@ -241,11 +250,11 @@ class TestMembershipCommand:
         assert main([*args, "--sq-primes", "0"]) == 3
         assert main([*args, "--height", "100"]) == 3  # the flag is gone
 
-    def test_rho_budget_exhausted_on_family_gluing(self, inputs, capsys):
-        # the class triple of 10P on the p = 229 family curve needs a
-        # cofactor that rho cannot split within its step budget: exit 2,
-        # naming the budget; 7P needs an 89-bit cofactor with a 43-bit
-        # factor, in budget.  Membership of (10P, O) factors nothing.
+    def test_multiples_on_family_gluing_factor_nothing(self, inputs, capsys):
+        # the class of nP on the p = 229 family curve is shown as x - e_i at
+        # nP, which needs no factoring: the factored class of 8P, 9P, 10P,
+        # 12P and 15P had a probable prime above psi_13 or a cofactor beyond
+        # rho's budget.  Membership of (10P, O) factors nothing either.
         from mwglue.family import FAMILY_F, build_instance, gluing_for_instance
 
         inst = build_instance(229)
@@ -253,23 +262,18 @@ class TestMembershipCommand:
         c_file = inputs.write("curve.json", gluing.E.to_json())
         g_file = inputs.write("gluing.json", gluing.to_json())
         q_file = inputs.write("Q.json", "O")
-
-        def run(command, n):
-            p_file = inputs.write(f"{command}-{n}P.json", gluing.E.mul(n, inst.P).to_json())
-            if command == "membership":
-                args = ["--gluing", g_file, "--P", p_file, "--Q", q_file]
-            else:
-                args = ["--curve", c_file, "--point", p_file, "--roots", "0,-230,228"]
-            code = main([command, *args])
-            return code, capsys.readouterr()
-
-        code, out = run("descent-class", 7)
-        assert code == 0 and out.out == "(-1, 229, -229)\n"
-        code, out = run("descent-class", 10)
-        assert code == 2
-        assert out.err.startswith("bound exhausted: Pollard rho used its budget of _RHO_STEPS")
-        code, out = run("membership", 10)
-        assert code == 0 and out.out == "verdict: in_image\n"
+        roots = (0, -230, 228)
+        for n in range(1, 41):
+            pt = gluing.E.mul(n, inst.P)
+            args = ["--curve", c_file, "--point", inputs.write(f"{n}P.json", pt.to_json()), "--roots", "0,-230,228"]
+            assert main(["descent-class", *args, "--format", "json"]) == 0, n
+            rep = json.loads(capsys.readouterr().out)["class"]["rep"]
+            assert rep == [[str(pt.x - e)] for e in roots], n
+            assert main(["descent-class", *args]) == 0, n
+            assert capsys.readouterr().out == f"class of {rep}\n", n
+        p_file = inputs.write("membership-10P.json", gluing.E.mul(10, inst.P).to_json())
+        assert main(["membership", "--gluing", g_file, "--P", p_file, "--Q", q_file]) == 0
+        assert capsys.readouterr().out == "verdict: in_image\n"
 
     def test_emitted_verdict_revalidates(self, inputs, capsys):
         main([*_membership(inputs, {"x": "-2", "y": "1"}), "--format", "json"])
@@ -464,7 +468,7 @@ class TestPointCommands:
             ["descent-class", "--curve", curve, "--point", point, "--roots", "0,-12,10"]
         )
         assert code == 0
-        assert capsys.readouterr().out.strip() == "(-1, 11, -11)"
+        assert capsys.readouterr().out.strip() == "class of [['-1'], ['11'], ['-11']]"
 
     def test_jinv(self, inputs, capsys):
         curve = inputs.write("curve.json", {"f": ["1", "0", "0"]})
@@ -491,16 +495,16 @@ class TestPointCommands:
         assert main(["torsion", "--curve", curve]) == 0
         assert capsys.readouterr().out == "Z/2 (order 2)\ngenerators: (1, 0)\n"
 
-    def test_primality_bound_exhausted(self, inputs, capsys):
-        # the class of (0, 0) on y^2 = x (x + 1) (x - P) needs the square class
-        # of -P, and P = 10^30 + 57 is a probable prime above psi_13
+    def test_two_torsion_class_proves_no_prime(self, inputs, capsys):
+        # on y^2 = x (x + 1) (x - P), P = 10^30 + 57 a probable prime above
+        # psi_13, the class of (0, 0) is shown with its forced component
+        # f'(0) = -P, which is not factored
         P = 10**30 + 57
         curve = inputs.write("curve.json", {"f": ["0", str(-P), str(1 - P)]})
         point = inputs.write("point.json", {"x": "0", "y": "0"})
-        assert main(["descent-class", "--curve", curve, "--point", point]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("bound exhausted:")
-        assert "psi_13 = 3317044064679887385961981" in err
+        assert main(["descent-class", "--curve", curve, "--point", point, "--roots", f"0,-1,{P}",
+                     "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"class": {"rep": [[str(-P)], ["1"], [str(-P)]]}}
 
     def test_missing_file_is_input_error(self, capsys):
         assert main(["jinv", "--curve", "/nonexistent/curve.json"]) == 3

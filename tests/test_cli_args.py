@@ -156,7 +156,7 @@ def test_value_may_start_with_a_dash(inputs):
     curve = inputs.write("curve.json", {"f": ["0", "-120", "2"]})
     point = inputs.write("point.json", {"x": "-1", "y": "11"})
     argv = ["descent-class", "--curve", curve, "--point", point, "--roots"]
-    assert _run([*argv, "-12,0,10"]) == (0, "(11, -1, -11)\n", "")
+    assert _run([*argv, "-12,0,10"]) == (0, "class of [['11'], ['-1'], ['-11']]\n", "")
     assert _run(["family", "--l1", "-3", "--l2", "5"]) == (3, "", "error: -3 is not an odd prime\n")
     message = "error: family --l1: expected an integer, got '--l2'\n"
     assert _run(["family", "--l1", "--l2", "5"]) == (3, "", message)

@@ -277,6 +277,17 @@ def test_torsion_reads_each_order_off_its_division_polynomial(monkeypatch, curve
     assert len(calls) <= most_adds
 
 
+def test_torsion_stops_once_it_has_b_points(monkeypatch):
+    """On the p = 229 family curve the bound B is 4, and the four points of
+    (Z/2)^2 come from the roots of g, so no division polynomial is solved."""
+    curve = curve_for_prime(229)
+    roots, calls = P.integer_roots, []
+    monkeypatch.setattr(P, "integer_roots", lambda f: calls.append(f) or roots(f))
+    tors = curve.torsion_subgroup()
+    assert (tors.label(), tors.order) == ("Z/2 x Z/2", 4)
+    assert calls == [curve.integral_model()[0].f_poly()]
+
+
 @given(st.lists(st.integers(-50, 50), min_size=3, max_size=3))
 @settings(max_examples=25, deadline=None)
 def test_division_polynomials_have_int_coefficients_and_known_leading_terms(coeffs):

@@ -239,11 +239,11 @@ class TestAlgebraSquareClass:
         cls = AlgebraSquareClass.of(SPLIT.element_from_components([[-1], [11], [-11]]))
         trip = cls.triple()
         assert class_product(*trip.components).is_trivial
-        assert [c.representative() for c in trip.components] == [-1, 11, -11]
+        assert [(c.negative, c.primes) for c in trip.components] == [(True, ()), (False, (11,)), (True, (11,))]
 
     def test_multiplication_cancels(self):
         cls = AlgebraSquareClass.of(SPLIT.element_from_components([[-6], [2], [-3]]))
-        assert (cls * cls).triple().is_trivial
+        assert not (cls * cls).triple().coordinates()
 
     def test_field_case_trivial_detection(self):
         sq = AlgebraSquareClass.of(K.element([1, 1]) * K.element([1, 1]))

@@ -6,7 +6,7 @@ import pytest
 
 from mwglue.arith import factor, is_prime
 from mwglue.descent import descent_class
-from mwglue.ellcurve import ECPoint
+from mwglue.ellcurve import ECPoint, EllipticCurve
 from mwglue.etale import CubicEtaleAlgebra
 from mwglue.family import (
     FAMILY_F,
@@ -14,6 +14,7 @@ from mwglue.family import (
     FamilyInstance,
     FamilyParams,
     InvalidFamilyParams,
+    _is_trivial,
     _odd_valuation,
     build_instance,
     curve_for_prime,
@@ -25,7 +26,7 @@ from mwglue.family import (
 )
 from mwglue.fixtures import EXAMPLE_E
 
-from oracles import naive_congruence_primes
+from oracles import naive_congruence_primes, naive_square_class, trial_is_prime
 
 
 def _params(l1=3, l2=5, gens=(), bound=10**6, count=5):
@@ -55,19 +56,38 @@ class TestParams:
 
     def test_occurring_prime_conflict_rejected(self):
         # 3 occurs in the class of (3, 6) on the default F
-        occ = _params(gens=FAMILY_F_GENERATORS).generator_occurring_primes
-        assert 3 in occ
+        assert _params(gens=FAMILY_F_GENERATORS).occurs_in_generators(3)
         with pytest.raises(InvalidFamilyParams):
             _params(l1=3, l2=5, gens=FAMILY_F_GENERATORS).validate()
 
     def test_honest_generators_accepted_for_coprime_choice(self):
         _params(l1=5, l2=7, gens=FAMILY_F_GENERATORS).validate()
 
+    @pytest.mark.parametrize("F,gens", [
+        (FAMILY_F, FAMILY_F_GENERATORS),
+        (EllipticCurve(0, -25, 0), (ECPoint.affine(0, 0), ECPoint.affine(5, 0), ECPoint.affine(-4, 6))),
+    ], ids=["family-F", "x^3-25x"])
+    def test_occurrence_matches_the_factored_generator_classes(self, F, gens):
+        # each component is x - e_i at the generator, or f'(x) where that
+        # vanishes; a prime occurs when some component has it to an odd power
+        roots = [-m[0] for m in CubicEtaleAlgebra.from_cubic(F.f_poly()).components]
+        components = []
+        for g in gens:
+            for e in roots:
+                others = [g.x - r for r in roots if r != e]
+                components.append(g.x - e or others[0] * others[1])
+        params = FamilyParams(l1=3, l2=5, F=F, F_generators=gens)
+        for l in range(3, 200, 2):
+            if trial_is_prime(l):
+                naive = any(l in naive_square_class(c)[1] for c in components)
+                assert params.occurs_in_generators(l) == naive, l
+
     def test_generator_primes_computed_once_per_cli_run(self, monkeypatch, inputs, capsys):
-        # validation, the prime search and every instance share one set
+        # validation, the prime search and every instance share one tuple of
+        # generator components
         from mwglue.cli import main
 
-        prop = FamilyParams.__dict__["generator_occurring_primes"]
+        prop = FamilyParams.__dict__["generator_components"]
         compute, calls = prop.func, []
 
         def counted(params):
@@ -109,13 +129,11 @@ class TestFindPrimes:
     def test_generator_filter_excludes_occurring_primes(self):
         # on y^2 = x(x - 229)(x + 1) the 2-torsion point (0, 0) has class
         # (1, -229, -229), so 229 occurs and must be skipped by the search
-        from mwglue.ellcurve import EllipticCurve
-
         crafted = EllipticCurve.from_roots(0, 229, -1)
         params = FamilyParams(
             l1=3, l2=5, F=crafted, F_generators=(ECPoint.affine(0, 0),), count=1
         )
-        assert params.generator_occurring_primes == {229}
+        assert [l for l in range(2, 2000) if trial_is_prime(l) and params.occurs_in_generators(l)] == [229]
         assert find_primes(params).primes == (1129,)
 
     def test_occurrence_lemma_against_exhaustive_span(self):
@@ -124,7 +142,7 @@ class TestFindPrimes:
         import random
 
         from mwglue.arith import SquareClassTriple
-        from oracles import trial_is_prime, triple_product
+        from oracles import triple_product
 
         def occurring(z):
             return {q for q in range(30) if trial_is_prime(q) and any(q in c.primes for c in z.components)}
@@ -148,27 +166,21 @@ class TestFindPrimes:
     def test_default_generators_do_not_disturb_5_7(self):
         base = find_primes(_params(l1=5, l2=7, count=3)).primes
         filtered = find_primes(_params(l1=5, l2=7, gens=FAMILY_F_GENERATORS, count=3)).primes
-        occ = _params(gens=FAMILY_F_GENERATORS).generator_occurring_primes
-        assert occ == {2, 3}
+        params = _params(gens=FAMILY_F_GENERATORS)
+        assert [l for l in range(200) if trial_is_prime(l) and params.occurs_in_generators(l)] == [2, 3]
         assert base == filtered  # no prime in the congruence class is 2 or 3
 
 
 class TestBuildInstance:
     @pytest.mark.parametrize("p", [3, 11, 229, 1129])
     def test_class_table_matches_displayed_formulas(self, p):
-        from mwglue.arith import SquareClassTriple
-
         inst = build_instance(p)
-        assert inst.class_P == SquareClassTriple.from_rationals(-1, p, -p)
-        assert inst.class_P1 == SquareClassTriple.from_rationals(
-            -p * p + 1, p + 1, -p + 1
-        )
-        assert inst.class_P2 == SquareClassTriple.from_rationals(
-            -p - 1, 2 * p * (p + 1), -2 * p
-        )
-        assert inst.class_P3 == SquareClassTriple.from_rationals(
-            p - 1, 2 * p, 2 * p * (p - 1)
-        )
+        assert {k: tuple(r[0] for r in c.rep.residues) for k, c in inst.class_table().items()} == {
+            "P": (-1, p, -p),
+            "P1": (-p * p + 1, p + 1, -p + 1),
+            "P2": (-p - 1, 2 * p * (p + 1), -2 * p),
+            "P3": (p - 1, 2 * p, 2 * p * (p - 1)),
+        }
 
     def test_marked_point_on_curve(self):
         for p in (3, 229):
@@ -185,7 +197,7 @@ class TestBuildInstance:
         algebra = CubicEtaleAlgebra.from_cubic(inst.curve.f_poly(), root_order=[0, -1130, 1128])
         assert inst.algebra == algebra
         for name, pt in inst.marked_points().items():
-            direct = descent_class(inst.curve, algebra, pt).triple()
+            direct = descent_class(inst.curve, algebra, pt)
             assert direct == inst.class_table()[name]
 
     def test_rejects_bad_p(self):
@@ -313,6 +325,31 @@ class TestIntegerChecks:
     def test_odd_valuation_of_rationals(self, c, l, odd):
         assert _odd_valuation(c, l) is odd
 
+    def test_nontriviality_matches_the_factored_classes(self, first_instances):
+        params, instances = first_instances
+        for inst in instances:
+            for cls in (inst.class_P1, inst.class_P2, inst.class_P3):
+                naive = all(naive_square_class(r[0]) == (False, ()) for r in cls.rep.residues)
+                assert _is_trivial(cls) == naive, inst.p
+            assert verify_instance(inst, params).checks["marked_classes_nontrivial"].passed
+        # with the trivial class of 2 P1 = O in place of class(P2), check (b) fails
+        fields = {f: getattr(inst, f) for f in FamilyInstance._fields}
+        fields["class_P2"] = descent_class(inst.curve, inst.algebra, inst.curve.mul(2, inst.P1))
+        check = verify_instance(FamilyInstance(**fields), params).checks["marked_classes_nontrivial"]
+        assert (check.passed, check.detail) == (False, "trivial classes: P2")
+
+    @pytest.mark.parametrize("components", [
+        (1, 4, 1), ("9/25", 1, "1/4"), (4, -9, 1), (2, 8, 1), ("1/2", "1/8", 16), (49, "4/9", 18),
+    ])
+    def test_nontriviality_of_rationals(self, components):
+        from mwglue.etale import AlgebraSquareClass
+        from mwglue.poly import rational
+
+        values = [rational(str(c)) for c in components]
+        algebra = CubicEtaleAlgebra.from_cubic(FAMILY_F.f_poly())
+        cls = AlgebraSquareClass.of(algebra.element_from_components([[v] for v in values]))
+        assert _is_trivial(cls) == all(naive_square_class(v) == (False, ()) for v in values)
+
     def test_match_sympy(self, first_instances):
         sympy = pytest.importorskip("sympy")
 
@@ -402,9 +439,8 @@ class TestRunFamily:
         # which keeps no cache, is asked for each rational once but -1, which
         # every instance's triple holds and whose class factors only 1; and
         # only square_class factors, its numerator and denominator, so
-        # checks (a) and (e) factor nothing
+        # checks (a), (b) and (e) factor nothing
         import mwglue.arith as A
-        import mwglue.etale as Et
         import mwglue.poly as P
 
         calls = {"factor": 0, "roots": 0}
@@ -422,7 +458,6 @@ class TestRunFamily:
 
         monkeypatch.setattr(A, "factor", counted("factor", A.factor))
         monkeypatch.setattr(A, "square_class", recorded)
-        monkeypatch.setattr(Et, "square_class", recorded)
         monkeypatch.setattr(P, "rational_roots_monic", counted("roots", P.rational_roots_monic))
         roots = []
         for count in (1, 5):

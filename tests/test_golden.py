@@ -6,6 +6,11 @@ A change that is meant to keep every verdict, certificate and report the
 same must leave these files as they are.  A change that alters an output on
 purpose regenerates them with `PYTHONPATH=src python tests/test_golden.py`
 and says which output changed and why.
+
+`PYTHONPATH=src python tests/test_golden.py --check` runs every case both
+ways with the standard library alone, names each output that differs from
+its file, and exits 1 if any does.  It checks an interpreter that has no
+pytest.
 """
 
 import contextlib
@@ -14,9 +19,8 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
-
-import pytest
 
 from mwglue.cli import main
 
@@ -96,24 +100,48 @@ def run_process(argv, root) -> dict:
     return {"exit": proc.returncode, "stdout": proc.stdout.decode(), "stderr": proc.stderr.decode()}
 
 
-@pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
+def expected(name: str) -> dict:
+    return json.loads((GOLDEN / f"{name}.json").read_text())
+
+
+# pytest's parametrize through its hook, so that this module imports no pytest
+def pytest_generate_tests(metafunc):
+    metafunc.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
+
+
 def test_output_is_unchanged(name, argv, tmp_path):
-    expected = json.loads((GOLDEN / f"{name}.json").read_text())
-    assert run(argv, tmp_path) == expected
+    assert run(argv, tmp_path) == expected(name)
 
 
-@pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
 def test_process_output_is_unchanged(name, argv, tmp_path):
-    expected = json.loads((GOLDEN / f"{name}.json").read_text())
-    assert run_process(argv, tmp_path) == expected
+    assert run_process(argv, tmp_path) == expected(name)
 
 
-if __name__ == "__main__":
-    import tempfile
+def check() -> int:
+    """Run every case in-process and as a process; print each mismatch."""
+    mismatches = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in CASES:
+            for how, runner in (("in-process", run), ("process", run_process)):
+                if runner(argv, tmp) != expected(name):
+                    print(f"mismatch: {name} ({how}) differs from tests/golden/{name}.json", file=sys.stderr)
+                    mismatches += 1
+    print(f"{len(CASES)} golden cases, {mismatches} mismatches", file=sys.stderr)
+    return 1 if mismatches else 0
 
+
+def regenerate():
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in CASES:
             got = run(argv, tmp)
             (GOLDEN / f"{name}.json").write_text(json.dumps(got, indent=1) + "\n")
             print(f"{name}: exit {got['exit']}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(check())
+    if sys.argv[1:]:
+        sys.exit("usage: python tests/test_golden.py [--check]")
+    regenerate()

@@ -125,9 +125,11 @@ def test_family_runs_no_squareness_scan_and_no_json():
 
 
 def test_descent_class_runs_no_squareness_scan_or_gluing(files):
+    # a class is shown as its representative, so nothing is factored or
+    # proven prime, and arith does not run
     ran = _ran("descent-class", "--curve", files["curve"], "--point", files["P"])
     assert "descent" in ran
-    assert not ran & {"squares", "glue"}
+    assert not ran & {"arith", "squares", "glue"}
 
 
 def test_verify_example_runs_the_squareness_scan():
