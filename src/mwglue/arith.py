@@ -7,7 +7,6 @@ check.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd, isqrt
 
 from .record import Record
@@ -23,9 +22,6 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
-# A bounded cache: SquareClass proves again each prime factor proved;
-# exceptions are not cached.
-@lru_cache(maxsize=4096)
 def is_prime(n: int) -> bool:
     """Deterministic primality.  A witness proves any n composite; a
     probable prime at or above _MR_LIMIT raises FactorizationError."""
@@ -65,11 +61,15 @@ TRIAL_BOUND = 2**12
 
 _RHO_CONSTANTS = 49  # rho tries the maps x -> x^2 + c for c = 1.._RHO_CONSTANTS
 _RHO_BATCH = 64  # steps whose differences share one gcd
-# Brent steps per _pollard_rho call, over all constants: about 2.5 s at
-# 0.6 us a step on a 150-bit modulus (Python 3.11, a Xeon core).  It covers
-# every round up to r = 2^20, which splits an 89-bit cofactor with a 43-bit
-# factor, such as one in the class triple of 7 (-1, 229) on the p = 229
-# family curve.
+# Brent steps per _pollard_rho call, over all constants.  It bounds steps,
+# not time: a step costs more on a larger cofactor, and one factor() call
+# may spend several budgets, one per cofactor it splits.  Before the budget
+# ran out, factoring the class of n (-1, 229) on the p = 229 family curve
+# took 1.9 s at n = 10 and 29.3 s at n = 23, and `family --F` with F:
+# y^2 = x^3 - 25x and the generator 9 (-4, 6) takes 4.3 s (Python 3.11, a
+# Xeon core).  It covers every round up to r = 2^20, which splits an 89-bit
+# cofactor with a 43-bit factor.  Only the split span obstruction and
+# etale.has_square_norm still factor large cofactors.
 _RHO_STEPS = 2**22
 
 
@@ -175,14 +175,12 @@ class SquareClass(Record):
     negative: bool
     primes: tuple[int, ...]
 
-    # its own constructor, not Record's: it validates before storing, and
-    # tracing wraps SquareClass.__init__ to count the classes built
+    # its own constructor, not Record's: it checks the order before storing,
+    # and tracing wraps SquareClass.__init__ to count the classes built; it
+    # proves no prime, as factor proves square_class's and from_json its own
     def __init__(self, negative: bool, primes: tuple[int, ...]):
         if list(primes) != sorted(set(primes)):
             raise ValueError("primes must be strictly increasing")
-        for p in primes:
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
         self.__dict__.update(negative=negative, primes=primes)
 
     @property
@@ -194,7 +192,11 @@ class SquareClass(Record):
 
     @classmethod
     def from_json(cls, data) -> "SquareClass":
-        return cls(data["sign"] == "-", tuple(int(p) for p in data["primes"]))
+        out = cls(data["sign"] == "-", tuple(int(p) for p in data["primes"]))
+        for p in out.primes:
+            if not is_prime(p):
+                raise ValueError(f"{p} is not prime")
+        return out
 
 
 def square_class(q) -> SquareClass:

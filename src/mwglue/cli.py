@@ -153,7 +153,7 @@ def _cmd_family(args) -> Rendered:
         if report.search.exhausted:
             lines.append(
                 f"bound exhausted: found {len(report.search.primes)} of {params.count} "
-                f"instances below {params.bound}"
+                f"instances up to {params.bound}"
             )
         for inst, rep in zip(report.instances, report.reports):
             lines.append(f"p = {inst.p}: {'all checks pass' if rep.all_passed else 'FAILED'}")

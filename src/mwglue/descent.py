@@ -39,7 +39,12 @@ CONTAINED = "contained"
 NOT_CONTAINED = "not_contained"
 
 
-# memoized: the checks of one family instance need the same points' classes
+# memoized: the checks of a family instance ask again for its points' classes,
+# and the prime search and every instance for F's generators'.  The
+# 15-instance `family --l1 3 --l2 5` run asks 165 times for 105 classes;
+# without the cache it took 0.5 ms more in-process, of 11.5 ms, and with F's
+# two generators 2.5 ms more, of 17.3 ms (medians of 15 processes, Python
+# 3.11, a 2-core Xeon virtual machine)
 @lru_cache(maxsize=256)
 def descent_class(
     curve: EllipticCurve, algebra: CubicEtaleAlgebra, point: ECPoint

@@ -14,7 +14,6 @@ arithmetic.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import islice
 from math import gcd, isqrt, lcm
 
@@ -269,13 +268,14 @@ def _reduction_bound(g: Poly) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return primes, tuple(counts)
 
 
-@lru_cache(maxsize=64)
-def _square_roots(q: int) -> tuple[int, ...]:
-    """The number of square roots mod q of each residue mod q."""
+def _square_roots(q: int) -> list[int]:
+    """The number of square roots mod the odd prime q of each residue mod q:
+    one of 0, and two of each y^2 for y = 1..(q - 1)/2, which are distinct."""
     roots = [0] * q
-    for y in range(q):
-        roots[y * y % q] += 1
-    return tuple(roots)
+    roots[0] = 1
+    for y in range(1, q // 2 + 1):
+        roots[y * y % q] = 2
+    return roots
 
 
 class _DivisionPolys:

@@ -9,8 +9,6 @@ squareness question is asked.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from . import arith, squares
 from . import poly as P
 from .poly import ONE, Poly, Rational
@@ -55,10 +53,6 @@ class CubicEtaleAlgebra(Record):
     @property
     def is_split(self) -> bool:
         return all(P.degree(c) == 1 for c in self.components)
-
-    @cached_property
-    def disc(self) -> int | Rational:
-        return P.cubic_disc(self.f)
 
     def element(self, coeffs) -> "AlgebraElement":
         """The element represented by a polynomial in the generator."""

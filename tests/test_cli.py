@@ -171,6 +171,15 @@ class TestFamilyCommand:
         assert code == 2
         assert "bound exhausted" in capsys.readouterr().out
 
+    def test_bound_is_inclusive_in_the_message(self, capsys):
+        # 229 is the first prime of (3, 5) and the bound itself: it is found,
+        # and the message says the search ran up to the bound, not below it
+        code = main(["family", "--l1", "3", "--l2", "5", "--count", "2", "--bound", "229"])
+        assert code == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "primes: 229"
+        assert lines[1] == "bound exhausted: found 1 of 2 instances up to 229"
+
     def test_json_report_revalidates(self, capsys):
         from mwglue.arith import SquareClassTriple
         from oracles import validate_noncontainment_certificate

@@ -7,7 +7,7 @@ import pytest
 from mwglue.arith import factor, is_prime
 from mwglue.descent import descent_class
 from mwglue.ellcurve import ECPoint, EllipticCurve
-from mwglue.etale import CubicEtaleAlgebra
+from mwglue.etale import AlgebraSquareClass, CubicEtaleAlgebra
 from mwglue.family import (
     FAMILY_F,
     FAMILY_F_GENERATORS,
@@ -83,25 +83,26 @@ class TestParams:
                 assert params.occurs_in_generators(l) == naive, l
 
     def test_generator_primes_computed_once_per_cli_run(self, monkeypatch, inputs, capsys):
-        # validation, the prime search and every instance share one tuple of
-        # generator components
+        # validation, the prime search and every instance share the
+        # generators' descent classes: each is built once, on F's algebra
         from mwglue.cli import main
 
-        prop = FamilyParams.__dict__["generator_components"]
-        compute, calls = prop.func, []
+        of, calls = AlgebraSquareClass.of.__func__, []
 
-        def counted(params):
-            calls.append(params)
-            return compute(params)
+        def counted(cls, elem):
+            if elem.algebra.f == FAMILY_F.f_poly():
+                calls.append(elem)
+            return of(cls, elem)
 
-        monkeypatch.setattr(prop, "func", counted)
+        monkeypatch.setattr(AlgebraSquareClass, "of", classmethod(counted))
+        descent_class.cache_clear()  # as in a new process
         path = inputs.write("F.json", {
             "F": FAMILY_F.to_json(), "generators": [g.to_json() for g in FAMILY_F_GENERATORS],
         })
         argv = ["family", "--l1", "7", "--l2", "13", "--count", "2", "--bound", str(10**12)]
         assert main([*argv, "--F", path]) == 0
         assert "all checks pass" in capsys.readouterr().out
-        assert len(calls) == 1
+        assert len(calls) == len(FAMILY_F_GENERATORS)
 
 
 class TestFindPrimes:

@@ -1,5 +1,6 @@
-"""Every name a module under src/mwglue imports is used in that module, and
-every function and class it defines has a caller outside the tests."""
+"""Every name a module under src/mwglue imports is used in that module,
+every function and class it defines has a caller outside the tests, and
+every memo it keeps is one of a reviewed few."""
 
 import ast
 from collections import Counter
@@ -110,3 +111,45 @@ def test_one_home_for_exact_division():
                   if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
                   and id(node) not in exempt]
     assert not found, "true division outside poly.ratio: " + ", ".join(found)
+
+
+# Every memo under src/mwglue, with the comment at its site giving what it
+# saves; a new memo, or a dropped one, is a change to this set.
+MEMOS = {"descent.descent_class", "family.FamilyParams.F_algebra"}
+MEMO_NAMES = {"lru_cache", "cache", "cached_property"}
+
+
+def _decorator_name(dec: ast.expr) -> str:
+    """`lru_cache` for @lru_cache, @lru_cache(...) and @functools.lru_cache."""
+    target = dec.func if isinstance(dec, ast.Call) else dec
+    return target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+
+
+def _memo_sites(tree: ast.Module, module: str) -> tuple[set[str], int]:
+    """The functions a memo decorates, as module.qualified_name, and the
+    number of times the module reads a memo's name, decorators included."""
+    sites = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+                if any(_decorator_name(d) in MEMO_NAMES for d in child.decorator_list):
+                    sites.add(name)
+                visit(child, name)
+
+    visit(tree, module)
+    reads = sum(name in MEMO_NAMES for name in _references(tree))
+    return sites, reads
+
+
+def test_every_memo_is_a_reviewed_one():
+    """The lru_cache and cached_property sites under src/mwglue are exactly
+    MEMOS, each applied as a decorator."""
+    sites, reads = set(), 0
+    for path in MODULES:
+        found, n = _memo_sites(ast.parse(path.read_text(), filename=str(path)), path.stem)
+        sites |= found
+        reads += n
+    assert sites == MEMOS
+    assert reads == len(sites), "a memo applied other than as a decorator"

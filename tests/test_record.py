@@ -6,7 +6,6 @@ The references are dataclasses built here with the same names and fields.
 from __future__ import annotations
 
 import dataclasses
-import pickle
 from fractions import Fraction
 
 import pytest
@@ -14,8 +13,9 @@ import pytest
 from mwglue import poly as P
 from mwglue.arith import SquareClass, SquareClassTriple
 from mwglue.ellcurve import ECPoint
-from mwglue.etale import CubicEtaleAlgebra, NonSquare, NonSquareCertificate, Unknown
+from mwglue.etale import NonSquare, NonSquareCertificate, Unknown
 from mwglue.example import Step
+from mwglue.family import FAMILY_F, FAMILY_F_GENERATORS, FamilyParams
 from mwglue.fixtures import EXAMPLE_E
 from mwglue.record import Record
 
@@ -68,8 +68,9 @@ class TestConstruction:
         assert SquareClass(negative=True, primes=(2, 3)) == SquareClass(True, (2, 3))
         with pytest.raises(ValueError):
             SquareClass(False, (3, 2))
+        # the constructor proves no prime; input read from outside is proven
         with pytest.raises(ValueError):
-            SquareClass(False, (4,))
+            SquareClass.from_json({"sign": "+", "primes": [4]})
 
 
 class TestEqualityAndHash:
@@ -92,16 +93,18 @@ class TestEqualityAndHash:
         assert hash(Unknown(200)) == hash(_reference(Unknown)(200))
 
     def test_cached_property_stays_out_of_equality_and_hash(self):
-        a = CubicEtaleAlgebra.from_cubic(EXAMPLE_E.f_poly())
-        b = CubicEtaleAlgebra.from_cubic(EXAMPLE_E.f_poly())
+        a, b = (FamilyParams(3, 5, FAMILY_F, FAMILY_F_GENERATORS) for _ in range(2))
         h = hash(b)
-        assert a.disc == P.cubic_disc(a.f)  # fills a's cache only
-        assert "disc" in vars(a) and "disc" not in vars(b)
+        assert a.F_algebra.f == FAMILY_F.f_poly()  # fills a's cache only
+        assert "F_algebra" in vars(a) and "F_algebra" not in vars(b)
         assert a == b and hash(a) == h
-        assert "disc" not in repr(a) and "disc" not in a._asdict()
+        assert "F_algebra" not in repr(a) and "F_algebra" not in a._asdict()
 
 
 class TestKeptHash:
+    """A Record keeps no hash: each hash() is the dataclass hash of the
+    fields, computed again."""
+
     @pytest.mark.parametrize("make", [
         lambda: Pair(5),
         lambda: Step("torsion", True),
@@ -112,31 +115,16 @@ class TestKeptHash:
     def test_hash_is_the_dataclass_hash_before_and_after_it_is_kept(self, make):
         record = make()
         expected = hash(_reference(type(record))(*record._values(record)))
+        kept = dict(vars(record))
         assert hash(record) == expected
-        assert vars(record)["_hash"] == expected
         assert hash(record) == expected
-
-    def test_kept_hash_stays_out_of_equality_repr_and_asdict(self):
-        a, b = Step("torsion", True), Step("torsion", True)
-        hash(a)
-        assert "_hash" in vars(a) and "_hash" not in vars(b)
-        assert a == b and b == a
-        assert repr(a) == repr(b) == repr(_reference(Step)("torsion", True, ""))
-        assert a._asdict() == b._asdict() == {"name": "torsion", "passed": True, "detail": ""}
+        assert vars(record) == kept
 
     def test_unhashable_field_raises_on_every_call(self):
         record = Pair([1])
         for _ in range(2):
             with pytest.raises(TypeError):
                 hash(record)
-        assert "_hash" not in vars(record)
-
-    def test_pickle_carries_no_hash(self):
-        # str hashes differ between processes
-        record = Step("torsion", True)
-        hash(record)
-        copy = pickle.loads(pickle.dumps(record))
-        assert copy == record and "_hash" not in vars(copy) and hash(copy) == hash(record)
 
 
 class TestFrozen:
