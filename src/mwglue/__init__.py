@@ -20,6 +20,9 @@ def _lazy(name: str):
     return module
 
 
-# Every submodule but `cli`, which `python -m mwglue.cli` runs as __main__.
-for _name in ("arith", "descent", "ellcurve", "etale", "example", "family", "fixtures", "glue", "poly", "squares"):
+# Every submodule but `cli`, which `python -m mwglue.cli` runs as __main__, and
+# `record`, whose `Record` the modules with value classes bind by name as they
+# run, so it would load at once anyway.
+for _name in ("arith", "descent", "ellcurve", "etale", "example", "family", "fixtures", "glue", "poly",
+              "squares", "torsion"):
     globals()[_name] = _lazy(_name)

@@ -12,7 +12,7 @@ from _json import encode_basestring_ascii as _quote, make_scanner  # json's own 
 from collections.abc import Callable
 from types import SimpleNamespace
 
-from . import arith, descent, ellcurve, etale, example, family, fixtures, glue, poly
+from . import arith, descent, ellcurve, etale, example, family, fixtures, glue, poly, torsion
 
 
 class UsageError(Exception):
@@ -147,26 +147,7 @@ def _cmd_family(args) -> Rendered:
         l1=args.l1, l2=args.l2, F=F, F_generators=gens, bound=args.bound, count=args.count
     )
     report = family.run_family(params)
-
-    def human() -> str:
-        lines = [f"primes: {', '.join(str(p) for p in report.search.primes) or '(none)'}"]
-        if report.search.exhausted:
-            lines.append(
-                f"bound exhausted: found {len(report.search.primes)} of {params.count} "
-                f"instances up to {params.bound}"
-            )
-        for inst, rep in zip(report.instances, report.reports):
-            lines.append(f"p = {inst.p}: {'all checks pass' if rep.all_passed else 'FAILED'}")
-            for name, check in rep.checks.items():
-                mark = "ok" if check.passed else "FAIL"
-                lines.append(f"  [{mark:>4}] {name}: {check.detail}")
-            for key, cls in inst.class_table().items():
-                reps = ", ".join(str(poly.constant_value(r)) for r in cls.rep.residues)
-                lines.append(f"  class({key}) = ({reps})")
-        lines.append(f"j-invariants pairwise distinct: {report.pairwise_distinct_j}")
-        return "\n".join(lines)
-
-    return report.to_json, human, report.exit_code
+    return report.to_json, lambda: family.format_family_report(report), report.exit_code
 
 
 def _cmd_membership(args) -> Rendered:
@@ -201,15 +182,8 @@ def _cmd_jinv(args) -> Rendered:
 
 def _cmd_torsion(args) -> Rendered:
     curve = ellcurve.EllipticCurve.from_json(_load_json(args.curve))
-    torsion = curve.torsion_subgroup()
-
-    def human() -> str:
-        text = f"{torsion.label()} (order {torsion.order})"
-        if torsion.generators:
-            text += "\ngenerators: " + ", ".join(str(g) for g in torsion.generators)
-        return text
-
-    return torsion.to_json, human, 0
+    group = curve.torsion_subgroup()
+    return group.to_json, lambda: torsion.format_torsion_report(group), 0
 
 
 def _format(text: str) -> str:

@@ -26,7 +26,6 @@ from .etale import (
     NonSquare,
     NonSquareCertificate,
     Square,
-    algebra_map,
     has_square_norm,
     is_square,
 )
@@ -76,7 +75,7 @@ def transfer_class(gluing: glue.GluingData, cls: AlgebraSquareClass) -> AlgebraS
     if not has_square_norm(cls.rep):
         raise ValueError("the class is not in the square-norm kernel")
     return AlgebraSquareClass.of(
-        algebra_map(gluing.Lprime, gluing.L, gluing.psi.h, cls.rep)
+        glue.algebra_map(gluing.Lprime, gluing.L, gluing.psi.h, cls.rep)
     )
 
 

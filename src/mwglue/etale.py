@@ -1,10 +1,10 @@
 """Cubic etale algebras Q[x]/(f) as products of number fields of degree <= 3.
 
-Norms, the square-norm kernel test, square classes of units, the pairing
-of two algebras' components through a map, and squareness decisions with
-their certificates.  The scan that decides them, over quadratic characters
-and exact square roots, lives in `mwglue.squares`, which loads only when a
-squareness question is asked.
+Norms, the square-norm kernel test, square classes of units, and squareness
+decisions with their certificates.  The scan that decides them, over
+quadratic characters and exact square roots, lives in `mwglue.squares`,
+which loads only when a squareness question is asked.  The maps a gluing's
+h induces between two algebras live in `mwglue.glue`.
 """
 
 from __future__ import annotations
@@ -225,40 +225,3 @@ class AlgebraSquareClass(Record):
     def to_json(self) -> dict:
         return {"rep": self.rep.to_json()}
 
-
-def component_pairing(
-    src: CubicEtaleAlgebra, dst: CubicEtaleAlgebra, h: Poly
-) -> tuple[int, ...] | None:
-    """For each component m of dst, the index of the one component n of src
-    with n(h) = 0 mod m, or None when some m has none.
-
-    By CRT, h maps the roots of dst.f to roots of src.f (src.f(h), the
-    product of the n(h), vanishes mod dst.f) exactly when each m divides some
-    n(h); n is unique as the n are coprime.  As h(alpha) lies in Q(alpha), n
-    has degree dividing that of m, and the degrees sum to 3 on both sides, so
-    h is one to one on roots exactly when every n is paired."""
-    pairing = []
-    for m in dst.components:
-        hm = P.mod_poly(h, m)
-        found = [i for i, n in enumerate(src.components) if not P.mod_poly(P.compose(n, hm), m)]
-        if not found:
-            return None
-        pairing.append(found[0])
-    return tuple(pairing)
-
-
-def algebra_map(
-    src: CubicEtaleAlgebra, dst: CubicEtaleAlgebra, h: Poly, elem: AlgebraElement
-) -> AlgebraElement:
-    """The ring map src -> dst sending the generator of src to h(generator),
-    defined when component_pairing pairs every component m of dst with some
-    n of src.  The residue r of elem at n maps to r(h mod m) mod m."""
-    if elem.algebra != src:
-        raise ValueError("the element does not belong to the source algebra")
-    pairing = component_pairing(src, dst, h)
-    if pairing is None:
-        raise ValueError("h does not define a morphism between the algebras")
-    return AlgebraElement(dst, tuple(
-        P.mod_poly(P.compose(elem.residues[i], P.mod_poly(h, m)), m)
-        for i, m in zip(pairing, dst.components)
-    ))

@@ -26,7 +26,7 @@ from .descent import NOT_CONTAINED, ObstructionVerdict, descent_class, surjectiv
 from .ellcurve import ECPoint, EllipticCurve
 from .etale import AlgebraSquareClass, CubicEtaleAlgebra
 from .glue import GluingData, TwoTorsionIdentification
-from .poly import shorten, sqrt_fraction
+from .poly import constant_value, shorten, sqrt_fraction
 from .record import Record
 
 
@@ -374,3 +374,23 @@ def run_family(params: FamilyParams) -> FamilyRunReport:
     instances = tuple(build_instance(p) for p in search.primes)
     reports = tuple(verify_instance(inst, params) for inst in instances)
     return FamilyRunReport(params, search, instances, reports, pairwise_distinct(instances))
+
+
+def format_family_report(report: FamilyRunReport) -> str:
+    params = report.params
+    lines = [f"primes: {', '.join(str(p) for p in report.search.primes) or '(none)'}"]
+    if report.search.exhausted:
+        lines.append(
+            f"bound exhausted: found {len(report.search.primes)} of {params.count} "
+            f"instances up to {params.bound}"
+        )
+    for inst, rep in zip(report.instances, report.reports):
+        lines.append(f"p = {inst.p}: {'all checks pass' if rep.all_passed else 'FAILED'}")
+        for name, check in rep.checks.items():
+            mark = "ok" if check.passed else "FAIL"
+            lines.append(f"  [{mark:>4}] {name}: {check.detail}")
+        for key, cls in inst.class_table().items():
+            reps = ", ".join(str(constant_value(r)) for r in cls.rep.residues)
+            lines.append(f"  class({key}) = ({reps})")
+    lines.append(f"j-invariants pairwise distinct: {report.pairwise_distinct_j}")
+    return "\n".join(lines)

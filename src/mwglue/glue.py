@@ -3,7 +3,8 @@
 A 2-torsion identification is stored as the rational polynomial h with
 (alpha, 0) -> (h(alpha), 0); rationality of h is exactly Galois-equivariance
 of the identification.  Validation and class transfer share one pairing of
-the components of E's and F's algebras through h (etale.component_pairing).
+the components of E's and F's algebras through h (component_pairing), and
+algebra_map is the ring map h induces between the two algebras.
 Construction also rejects identifications that extend to a geometric
 isomorphism of the curves.  Genus-2 covers (fixtures.GenusTwoCurve and
 fixtures.RationalMap) are verified as exact polynomial identities; the
@@ -15,7 +16,7 @@ from __future__ import annotations
 from . import fixtures
 from . import poly as P
 from .ellcurve import EllipticCurve
-from .etale import CubicEtaleAlgebra, component_pairing
+from .etale import AlgebraElement, CubicEtaleAlgebra
 from .poly import ZERO, Poly
 from .record import Record
 
@@ -79,6 +80,44 @@ def validate_identification(
     return (GEOMETRIC,) if is_geometric_restriction(psi, L) else ()
 
 
+def component_pairing(
+    src: CubicEtaleAlgebra, dst: CubicEtaleAlgebra, h: Poly
+) -> tuple[int, ...] | None:
+    """For each component m of dst, the index of the one component n of src
+    with n(h) = 0 mod m, or None when some m has none.
+
+    By CRT, h maps the roots of dst.f to roots of src.f (src.f(h), the
+    product of the n(h), vanishes mod dst.f) exactly when each m divides some
+    n(h); n is unique as the n are coprime.  As h(alpha) lies in Q(alpha), n
+    has degree dividing that of m, and the degrees sum to 3 on both sides, so
+    h is one to one on roots exactly when every n is paired."""
+    pairing = []
+    for m in dst.components:
+        hm = P.mod_poly(h, m)
+        found = [i for i, n in enumerate(src.components) if not P.mod_poly(P.compose(n, hm), m)]
+        if not found:
+            return None
+        pairing.append(found[0])
+    return tuple(pairing)
+
+
+def algebra_map(
+    src: CubicEtaleAlgebra, dst: CubicEtaleAlgebra, h: Poly, elem: AlgebraElement
+) -> AlgebraElement:
+    """The ring map src -> dst sending the generator of src to h(generator),
+    defined when component_pairing pairs every component m of dst with some
+    n of src.  The residue r of elem at n maps to r(h mod m) mod m."""
+    if elem.algebra != src:
+        raise ValueError("the element does not belong to the source algebra")
+    pairing = component_pairing(src, dst, h)
+    if pairing is None:
+        raise ValueError("h does not define a morphism between the algebras")
+    return AlgebraElement(dst, tuple(
+        P.mod_poly(P.compose(elem.residues[i], P.mod_poly(h, m)), m)
+        for i, m in zip(pairing, dst.components)
+    ))
+
+
 def _algebra(f: Poly, given: CubicEtaleAlgebra | None) -> CubicEtaleAlgebra:
     """Q[x]/(f), or `given` if it is that algebra."""
     if given is None:
@@ -106,7 +145,7 @@ class GluingData(Record):
     ) -> "GluingData":
         """Validate psi and build the algebras of E and F.  A caller that
         already has one of them passes it as L or Lprime, in any component
-        order: components are paired through h (etale.component_pairing)."""
+        order: components are paired through h (component_pairing)."""
         L, Lprime = _algebra(E.f_poly(), L), _algebra(F.f_poly(), Lprime)
         violations = validate_identification(psi, L, Lprime)
         if violations:

@@ -17,7 +17,7 @@ draw from is a naive search over small heights.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import mwglue.poly as P
 
@@ -332,6 +332,20 @@ def bisect_cubic_roots(a: int, b: int, c: int) -> list[int]:
     return sorted(roots)
 
 
+def integral_scaling(curve) -> tuple[tuple[int, int, int], int]:
+    """((a, b, c), u) with y^2 = x^3 + a x^2 + b x + c integral and
+    (x, y) -> (u^2 x, u^3 y) mapping the curve onto it: u is the lcm of the
+    coefficient denominators, and (a, b, c) = (c2 u^2, c1 u^4, c0 u^6)."""
+    c2, c1, c0 = exact(curve.c2), exact(curve.c1), exact(curve.c0)
+    u = lcm(c2.denominator, c1.denominator, c0.denominator)
+    return (int(c2 * u**2), int(c1 * u**4), int(c0 * u**6)), u
+
+
+def cubic_disc(a: int, b: int, c: int) -> int:
+    """The discriminant of x^3 + a x^2 + b x + c, by the plain formula."""
+    return a * a * b * b - 4 * b**3 - 4 * a**3 * c - 27 * c * c + 18 * a * b * c
+
+
 def search_points(curve, bound: int) -> list:
     """All affine points of the curve with x = a/d^2, |a| <= bound,
     1 <= d <= bound.
@@ -343,17 +357,20 @@ def search_points(curve, bound: int) -> list:
 
     if bound < 1:
         raise ValueError("bound must be positive")
-    model, u = curve.integral_model()
+    (a2, a4, a6), u = integral_scaling(curve)
     found = set()
     for d in range(1, bound + 1):
         for a in range(-bound, bound + 1):
             if gcd(a, d) != 1:
                 continue
             x = Fraction(a, d * d)
-            y = P.sqrt_fraction(model.f_at(x))
-            if y is None:
+            v = ((x + a2) * x + a4) * x + a6
+            if v < 0:
                 continue
-            y = exact(y)
+            num, den = isqrt(v.numerator), isqrt(v.denominator)
+            if num * num != v.numerator or den * den != v.denominator:
+                continue
+            y = Fraction(num, den)
             found.add(ECPoint.affine(x / u**2, y / u**3))
             if y:
                 found.add(ECPoint.affine(x / u**2, -y / u**3))
@@ -374,16 +391,18 @@ def lutz_nagell_torsion(curve):
     structure and generators follow the library's documented choice: the
     smallest point of maximal order, and for full 2-torsion the smallest
     2-torsion point outside the cyclic factor.  It shares only factor() and
-    the group law with the library, each tested on its own; its cubic roots
-    come from bisect_cubic_roots(), and torsion_subgroup() does not factor.
+    the group law with the library, each tested on its own: its integral
+    model comes from integral_scaling() and its discriminant from
+    cubic_disc(), its cubic roots come from bisect_cubic_roots(), and
+    torsion_subgroup() does not factor.
     """
     from mwglue.arith import factor
-    from mwglue.ellcurve import INFINITY, ECPoint
+    from mwglue.ellcurve import INFINITY, ECPoint, EllipticCurve
 
-    model, u = curve.integral_model()
-    a, b, c = int(model.c2), int(model.c1), int(model.c0)
+    (a, b, c), u = integral_scaling(curve)
+    model = EllipticCurve(c, b, a)
     half = 1
-    for p, e in factor(abs(int(model.discriminant))).items():
+    for p, e in factor(abs(16 * cubic_disc(a, b, c))).items():
         half *= p ** (e // 2)
     ys = [1]
     for p, e in factor(half).items():

@@ -9,14 +9,17 @@ from hypothesis import strategies as st
 
 import mwglue.poly as P
 from mwglue.arith import factor
-from mwglue.ellcurve import ECPoint, EllipticCurve, INFINITY, _DivisionPolys
+from mwglue.ellcurve import ECPoint, EllipticCurve, INFINITY
 from mwglue.etale import CubicEtaleAlgebra
 from mwglue.family import FAMILY_F, FamilyParams, curve_for_prime, find_primes
 from mwglue.fixtures import EXAMPLE_E, EXAMPLE_F, EXAMPLE_POINT
+from mwglue.torsion import _DivisionPolys, integral_model
 
 from oracles import (
     chord_tangent_sum,
     count_points_mod,
+    cubic_disc,
+    integral_scaling,
     lambda_j,
     lutz_nagell_torsion,
     search_points,
@@ -285,7 +288,7 @@ def test_torsion_stops_once_it_has_b_points(monkeypatch):
     monkeypatch.setattr(P, "integer_roots", lambda f: calls.append(f) or roots(f))
     tors = curve.torsion_subgroup()
     assert (tors.label(), tors.order) == ("Z/2 x Z/2", 4)
-    assert calls == [curve.integral_model()[0].f_poly()]
+    assert calls == [integral_model(curve)[0].f_poly()]
 
 
 @given(st.lists(st.integers(-50, 50), min_size=3, max_size=3))
@@ -308,13 +311,12 @@ class TestReductionBound:
     @pytest.mark.parametrize("kind", ["tate", "mordell", "named"])
     def test_counts_match_brute_force(self, kind):
         for curve in _differential_curves(kind)[:8]:
-            model, _ = curve.integral_model()
-            disc = int(model.disc_f)
+            (a, b, c), _ = integral_scaling(curve)
+            disc = cubic_disc(a, b, c)
             tors = curve.torsion_subgroup()
             good = [q for q in range(3, 200, 2) if trial_is_prime(q) and disc % q][:10]
             assert list(tors.bound_primes) == good
-            coeffs = (model.c0, model.c1, model.c2)
-            assert list(tors.bound_counts) == [count_points_mod(coeffs, q) for q in good]
+            assert list(tors.bound_counts) == [count_points_mod((c, b, a), q) for q in good]
 
     def test_json_certificate(self, e3):
         data = e3.torsion_subgroup().to_json()

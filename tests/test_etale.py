@@ -16,12 +16,12 @@ from mwglue.etale import (
     NonUnitError,
     Square,
     Unknown,
-    algebra_map,
     has_square_norm,
     is_square,
 )
 from mwglue.family import FAMILY_F, build_instance, curve_for_prime, gluing_for_instance
 from mwglue.fixtures import EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI
+from mwglue.glue import algebra_map
 from mwglue.squares import span_contains, validate_characters
 
 from oracles import class_product, crt_lift, scan_nonresidue, subset_search_contains

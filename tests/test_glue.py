@@ -7,7 +7,7 @@ import pytest
 
 import mwglue.poly as P
 from mwglue.ellcurve import EllipticCurve
-from mwglue.etale import CubicEtaleAlgebra, algebra_map
+from mwglue.etale import CubicEtaleAlgebra
 from mwglue.family import FAMILY_F, curve_for_prime
 from mwglue.fixtures import (
     COVER_TO_E,
@@ -28,6 +28,7 @@ from mwglue.glue import (
     GluingData,
     GluingError,
     TwoTorsionIdentification,
+    algebra_map,
     is_geometric_restriction,
     validate_identification,
     verify_cover_map,

@@ -1,6 +1,7 @@
 """Every name a module under src/mwglue imports is used in that module,
-every function and class it defines has a caller outside the tests, and
-every memo it keeps is one of a reviewed few."""
+every function and class it defines has a caller outside the tests, every
+memo it keeps is one of a reviewed few, and every module but a named few
+loads lazily."""
 
 import ast
 from collections import Counter
@@ -36,6 +37,24 @@ def test_no_unused_imports(path):
     used = referenced_names(tree)
     unused = [f"{name} (line {line})" for name, line in imported_names(tree).items() if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+# Not lazy: `cli`, which `python -m mwglue.cli` runs as __main__, and
+# `record`, whose `Record` the modules with value classes bind by name as
+# they run, so it would load at once anyway.
+EAGER = {"__init__", "cli", "record"}
+
+
+def test_every_submodule_is_registered_as_lazy():
+    """mwglue/__init__.py registers every other submodule as a lazy module.
+    A module left out runs, and so is compiled, in every process that
+    imports a module that imports it, whether or not the process uses it."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    (loop,) = [node for node in tree.body if isinstance(node, ast.For)]
+    lazy = set(ast.literal_eval(loop.iter))
+    missing = sorted({path.stem for path in MODULES} - EAGER - lazy)
+    assert not missing, "submodules not registered as lazy: " + ", ".join(missing)
+    assert not lazy & EAGER
 
 
 ROOT = PACKAGE.parents[1]

@@ -2,23 +2,16 @@
 module.
 
 Every command runs in a fresh interpreter, which then lists the mwglue
-submodules that have run, which of the HEAVY modules are loaded, and whether
-`json` is.  A submodule that has not been used yet is still a lazy module;
-`type()` tells the two apart without loading it.
+submodules that have run and the modules that are loaded, through the probe
+of tests/compiled_source.py.
 """
-
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 from mwglue.fixtures import EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI
 from mwglue.glue import GluingData
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from compiled_source import COMMANDS, FILES, PROBE, command_argv, probe
 
 # `dataclasses` imports `inspect` and compiles generated methods for every
 # class at import; mwglue's value classes use `mwglue.record` instead.
@@ -30,123 +23,84 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = ("dataclasses", "inspect", "argparse", "gettext", "locale", "fractions", "decimal", "numbers", "re")
 
 # what the interpreter loads by itself, read before json is imported
-BARE = f"""
+BARE = """
 import contextlib, io, sys, types
-heavy = [m for m in {HEAVY!r} if m in sys.modules]
+loaded = sorted(sys.modules)
 import json
-print(json.dumps({{"code": 0, "ran": [], "heavy": heavy}}))
-"""
-
-# json is read before the probe imports it to print its answer
-PROBE = f"""
-import contextlib, io, sys, types
-import mwglue.cli
-with contextlib.redirect_stdout(io.StringIO()):
-    code = mwglue.cli.main(sys.argv[1:])
-ran = [n.split(".", 1)[1] for n, m in sys.modules.items()
-       if n.startswith("mwglue.") and type(m) is types.ModuleType]
-heavy = [m for m in {HEAVY!r} if m in sys.modules]
-loaded_json = "json" in sys.modules
-import json
-print(json.dumps({{"code": code, "ran": sorted(ran), "heavy": heavy, "json": loaded_json}}))
+print(json.dumps({"loaded": loaded}))
 """
 
 
-def _probe(script: str, *argv, code: int = 0) -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
-    out = subprocess.run(
-        [sys.executable, "-c", script, *argv],
-        env=env, capture_output=True, text=True, check=True, timeout=120,
-    ).stdout
-    result = json.loads(out.splitlines()[-1])
+def _probe(*argv, code: int = 0) -> dict:
+    result = probe(PROBE, *argv)
     assert result["code"] == code
     return result
 
 
-def _ran(*argv) -> set[str]:
-    return set(_probe(PROBE, *argv)["ran"])
+def _heavy(result: dict) -> set[str]:
+    return set(HEAVY) & set(result["loaded"])
 
 
 @pytest.fixture
 def files(inputs):
-    return {name: inputs.write(f"{name}.json", payload) for name, payload in {
-        "curve": EXAMPLE_E.to_json(),
-        "gluing": GluingData.build(EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI).to_json(),
-        "P": {"x": "-2", "y": "1"},
-        "Q": "O",
-    }.items()}
+    # the script's copies of the bundled example
+    assert FILES["curve"] == EXAMPLE_E.to_json()
+    assert FILES["gluing"] == GluingData.build(EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI).to_json()
+    return {name: inputs.write(f"{name}.json", payload) for name, payload in FILES.items()}
 
 
-# torsion's small primes come from poly's sieve, so neither runs arith
-@pytest.mark.parametrize("command", ["torsion", "jinv"])
-def test_curve_queries_run_only_the_curve_layers(files, command):
-    assert _ran(command, "--curve", files["curve"]) == {"cli", "record", "poly", "ellcurve"}
+CURVE = {"cli", "record", "poly", "ellcurve"}
+DESCENT = CURVE | {"etale", "descent"}
+GLUING = DESCENT | {"glue", "arith"}
+
+
+# The exact set of submodules each command runs.  torsion's small primes
+# come from poly's sieve, so it runs no arith; jinv, descent-class and
+# membership ask for no torsion.  A class is shown as its representative, so
+# descent-class factors and proves nothing prime and runs no arith, and it
+# transfers nothing, so no glue.
+RUNS = {
+    "jinv": CURVE,
+    "torsion": CURVE | {"torsion"},
+    "descent-class": DESCENT,
+    "membership": GLUING | {"squares"},
+    "family": GLUING | {"torsion", "family"},
+    "verify-example": GLUING | {"squares", "torsion", "example", "fixtures"},
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_runs_exactly_its_modules(files, command):
+    assert set(_probe(*command_argv(command, files))["ran"]) == RUNS[command]
 
 
 # membership prints its certificate as JSON text in human format
 @pytest.mark.parametrize("command", ["jinv", "torsion", "membership", "membership-json", "descent-class"])
 def test_well_formed_files_load_no_json(files, command):
-    membership = ("--gluing", files["gluing"], "--P", files["P"], "--Q", files["Q"])
-    argv = {
-        "jinv": ("--curve", files["curve"]),
-        "torsion": ("--curve", files["curve"]),
-        "membership": membership,
-        "membership-json": (*membership, "--format", "json"),
-        "descent-class": ("--curve", files["curve"], "--point", files["P"]),
-    }[command]
-    command = command.removesuffix("-json")
-    assert not _probe(PROBE, command, *argv)["json"]
+    argv = command_argv(command.removesuffix("-json"), files)
+    if command.endswith("-json"):
+        argv += ["--format", "json"]
+    assert "json" not in _probe(*argv)["loaded"]
 
 
 def test_a_malformed_file_loads_json(inputs):
     # json reads the file again, for its message
-    assert _probe(PROBE, "jinv", "--curve", inputs.write("curve.json", text='{"f": [1, 2'), code=3)["json"]
-
-
-def test_membership_runs_no_family_or_example_code(files):
-    ran = _ran("membership", "--gluing", files["gluing"], "--P", files["P"], "--Q", files["Q"])
-    assert {"descent", "squares"} <= ran
-    assert not ran & {"family", "example", "fixtures"}
-
-
-def test_family_runs_no_example_code():
-    ran = _ran("family", "--l1", "3", "--l2", "5", "--count", "1")
-    assert "family" in ran
-    assert not ran & {"example", "fixtures"}
+    assert "json" in _probe("jinv", "--curve", inputs.write("curve.json", text='{"f": [1, 2'), code=3)["loaded"]
 
 
 def test_family_runs_no_squareness_scan_and_no_json():
     # only split algebras occur, so the family decides over valuation
     # coordinates, and it reads no file
-    result = _probe(PROBE, "family", "--l1", "3", "--l2", "5", "--count", "15", "--format", "json")
-    assert result["ran"] == ["arith", "cli", "descent", "ellcurve", "etale", "family", "glue", "poly", "record"]
-    assert not result["json"]
+    result = _probe(*COMMANDS["family"], "--format", "json")
+    assert "squares" not in result["ran"]
+    assert "json" not in result["loaded"]
 
 
-def test_descent_class_runs_no_squareness_scan_or_gluing(files):
-    # a class is shown as its representative, so nothing is factored or
-    # proven prime, and arith does not run
-    ran = _ran("descent-class", "--curve", files["curve"], "--point", files["P"])
-    assert "descent" in ran
-    assert not ran & {"arith", "squares", "glue"}
+@pytest.fixture(scope="module")
+def bare_heavy() -> set[str]:
+    return _heavy(probe(BARE))
 
 
-def test_verify_example_runs_the_squareness_scan():
-    assert {"example", "squares"} <= _ran("verify-example")
-
-
-@pytest.mark.parametrize(
-    "command", ["torsion", "jinv", "membership", "family", "verify-example", "descent-class"]
-)
-def test_commands_load_no_dataclasses_or_inspect(files, command):
-    argv = {
-        "torsion": ("--curve", files["curve"]),
-        "jinv": ("--curve", files["curve"]),
-        "membership": ("--gluing", files["gluing"], "--P", files["P"], "--Q", files["Q"]),
-        "family": ("--l1", "3", "--l2", "5", "--count", "1"),
-        "verify-example": (),
-        "descent-class": ("--curve", files["curve"], "--point", files["P"]),
-    }[command]
-    bare = set(_probe(BARE)["heavy"])
-    assert set(_probe(PROBE, command, *argv)["heavy"]) <= bare
+@pytest.mark.parametrize("command", COMMANDS)
+def test_commands_load_no_dataclasses_or_inspect(files, bare_heavy, command):
+    assert _heavy(_probe(*command_argv(command, files))) <= bare_heavy
