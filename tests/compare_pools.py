@@ -6,7 +6,9 @@ BASE_TREE is another checkout of this repository, such as the commit a
 change is based on.  Every distinct command of the example, family and
 queries pools that bench/workloads.py draws for seeds 0-3 runs as
 `python3 -m mwglue.cli ARGS` in three forms: as drawn, with the other
-`--format`, and as drawn with `--out FILE`.  Each form runs twice, each in a
+`--format`, and as drawn with `--out FILE`.  Each family command is also
+run with `--F F.json`, the default F and its generators, so that the F-side
+classes and their transfers are compared too.  Each form runs twice, each in a
 fresh process beside its input files: once with this tree's src/ on
 PYTHONPATH and once with BASE_TREE's.  Any difference in exit code, stdout,
 stderr or the bytes of the `--out` file is printed, and the script then
@@ -21,6 +23,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,14 +34,28 @@ from workloads import WORKLOADS  # noqa: E402
 POOLS = ("example", "family", "queries")
 SEEDS = range(4)
 
+# The family's default F, y^2 = x(x - 1)(x + 3), with generators of F(Q)
+F_FILE = "F.json"
+F_INPUT = {"F": {"f": ["0", "-3", "2"]}, "generators": [{"x": "3", "y": "6"}, {"x": "0", "y": "0"}]}
+
+
+def drawn(name: str, seed: int) -> list:
+    """The pool as bench/run.py draws it, from Random("NAME/SEED"), with
+    each family command followed by its `--F F.json` run."""
+    out = []
+    for cmd in WORKLOADS[name](random.Random(f"{name}/{seed}")):
+        out.append(cmd)
+        if name == "family":
+            out.append(replace(cmd, args=(*cmd.args, "--F", F_FILE), inputs={**cmd.inputs, F_FILE: F_INPUT}))
+    return out
+
 
 def commands() -> list:
-    """The distinct commands of the pools, in the order first drawn.  Each
-    pool is drawn as bench/run.py draws it, from Random("NAME/SEED")."""
+    """The distinct commands of the pools, in the order first drawn."""
     seen, out = set(), []
     for name in POOLS:
         for seed in SEEDS:
-            for cmd in WORKLOADS[name](random.Random(f"{name}/{seed}")):
+            for cmd in drawn(name, seed):
                 key = (cmd.args, json.dumps(cmd.inputs, sort_keys=True))
                 if key not in seen:
                     seen.add(key)

@@ -40,6 +40,8 @@ INPUTS = {
     "split.json": {"f": ["0", "-120", "2"]},
     "split_point.json": {"x": "-1", "y": "11"},
     "klein.json": {"f": ["0", "-8", "2"]},
+    # the default family F, y^2 = x(x - 1)(x + 3), with generators of F(Q)
+    "F.json": {"F": {"f": ["0", "-3", "2"]}, "generators": [{"x": "3", "y": "6"}, {"x": "0", "y": "0"}]},
     # falsified fixtures: an h that maps no root of f to a root of g, and a
     # gluing of E to itself by the identity, which is geometric
     "unmapped.json": {"h": ["1", "1"]},
@@ -72,6 +74,11 @@ CASES = (
     ("family_large_p_json", (
         "family", "--l1", "7", "--l2", "13", "--count", "2", "--bound", "1000000000000", "--format", "json",
     )),
+    ("family_F_json", (
+        "family", "--l1", "7", "--l2", "13", "--count", "2", "--bound", "1000000000000",
+        "--F", "F.json", "--format", "json",
+    )),
+    ("family_F_occurring", ("family", "--l1", "3", "--l2", "5", "--F", "F.json")),
 )
 
 
