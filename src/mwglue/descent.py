@@ -12,7 +12,7 @@ image.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import partial
 from operator import itemgetter
 
 from . import arith, glue, squares
@@ -38,13 +38,6 @@ CONTAINED = "contained"
 NOT_CONTAINED = "not_contained"
 
 
-# memoized: the checks of a family instance ask again for its points' classes,
-# and the prime search and every instance for F's generators'.  The
-# 15-instance `family --l1 3 --l2 5` run asks 165 times for 105 classes;
-# without the cache it took 0.5 ms more in-process, of 11.5 ms, and with F's
-# two generators 2.5 ms more, of 17.3 ms (medians of 15 processes, Python
-# 3.11, a 2-core Xeon virtual machine)
-@lru_cache(maxsize=256)
 def descent_class(
     curve: EllipticCurve, algebra: CubicEtaleAlgebra, point: ECPoint
 ) -> AlgebraSquareClass:
@@ -183,14 +176,14 @@ class ObstructionVerdict(Record):
 
 def surjectivity_obstruction(
     gluing: glue.GluingData,
-    point: ECPoint,
-    F_generators,
-    torsion_generators,
+    target: AlgebraSquareClass,
+    F_classes,
+    torsion_classes,
     cert_primes: int = CERT_PRIMES,
 ) -> ObstructionVerdict:
-    """Whether the point's class lies in the span of the classes of the
-    supplied E-side torsion generators and the transferred classes of the
-    supplied F-side generators.
+    """Whether a point's class, target over gluing.L, lies in the span of
+    the classes of E-side torsion generators, over gluing.L, and the
+    transferred classes of F-side generators, over gluing.Lprime.
 
     A not_contained verdict certifies that the point is outside the subgroup
     generated by those torsion points and the pushforward image; its
@@ -199,10 +192,9 @@ def surjectivity_obstruction(
     Split gluings decide over valuation coordinates and are always decided;
     otherwise squares.span_contains decides over quadratic characters.
     """
-    target = descent_class(gluing.E, gluing.L, point)
-    span = [descent_class(gluing.E, gluing.L, t) for t in torsion_generators]
-    for g in F_generators:
-        span.append(transfer_class(gluing, descent_class(gluing.F, gluing.Lprime, g)))
+    if any(c.algebra != gluing.L for c in (target, *torsion_classes)):
+        raise ValueError("a target or torsion class is not over the E-side algebra")
+    span = [*torsion_classes, *(transfer_class(gluing, c) for c in F_classes)]
     if gluing.L.is_split:
         span, target = tuple(c.triple() for c in span), target.triple()
         decision = arith.subgroup_contains([z.coordinates() for z in span], target.coordinates())

@@ -72,12 +72,21 @@ class FamilyParams(Record):
 
     # kept: built again on each use, it took the 15-instance `family --l1 3
     # --l2 5` run 1.8 ms more in-process, of 11.5 ms, and with F's two
-    # generators 21 ms more, of 17 ms (as measured for descent_class)
+    # generators 21 ms more, of 17 ms
     @cached_property
     def F_algebra(self) -> CubicEtaleAlgebra:
         """Q[x]/(f_F), built once per parameter set and shared by every
         instance."""
         return CubicEtaleAlgebra.from_cubic(self.F.f_poly())
+
+    # kept: built again on each use, they took `family --l1 7 --l2 13
+    # --count 5` with F's two generators 1.5 ms more in-process, of 5.2 ms
+    @cached_property
+    def F_classes(self) -> tuple[AlgebraSquareClass, ...]:
+        """The generators' descent classes over F_algebra, built once per
+        parameter set and shared by validation, the prime search and every
+        instance."""
+        return tuple(descent_class(self.F, self.F_algebra, g) for g in self.F_generators)
 
     def occurs_in_generators(self, l: int) -> bool:
         """Whether the prime l occurs in some generator class, that is, has
@@ -88,9 +97,7 @@ class FamilyParams(Record):
         with even parity in every generator has even parity in every product.
         """
         return any(
-            _odd_valuation(r[0], l)
-            for g in self.F_generators
-            for r in descent_class(self.F, self.F_algebra, g).rep.residues
+            _odd_valuation(r[0], l) for c in self.F_classes for r in c.rep.residues
         )
 
 
@@ -239,8 +246,9 @@ def _is_trivial(cls: AlgebraSquareClass) -> bool:
 
 
 def verify_instance(inst: FamilyInstance, params: FamilyParams) -> InstanceReport:
-    """Recheck the five instance claims independently of how it was built:
-    each check derives its classes from the points, sharing memoized results.
+    """Recheck the five instance claims from the instance's points and
+    classes: each class is built once, by build_instance or by the check
+    that needs it, and passed to the checks that read it.
 
     Checks (a), (b) and (e) factor nothing.  (a) reads the parity of v_l of
     each component of a class's representative at the one prime l it names.
@@ -254,15 +262,14 @@ def verify_instance(inst: FamilyInstance, params: FamilyParams) -> InstanceRepor
 
     # (a) occurrence pattern of p, l2, l1 across P and its 2-torsion translates
     translates = {
-        "P": (inst.P, p),
-        "P+P1": (curve.add(inst.P, inst.P1), p),
-        "P+P2": (curve.add(inst.P, inst.P2), l2),
-        "P+P3": (curve.add(inst.P, inst.P3), l1),
+        "P": (inst.class_P, p),
+        "P+P1": (descent_class(curve, algebra, curve.add(inst.P, inst.P1)), p),
+        "P+P2": (descent_class(curve, algebra, curve.add(inst.P, inst.P2)), l2),
+        "P+P3": (descent_class(curve, algebra, curve.add(inst.P, inst.P3)), l1),
     }
     failures = []
-    for name, (pt, prime) in translates.items():
-        residues = descent_class(curve, algebra, pt).rep.residues
-        if not any(_odd_valuation(r[0], prime) for r in residues):
+    for name, (cls, prime) in translates.items():
+        if not any(_odd_valuation(r[0], prime) for r in cls.rep.residues):
             failures.append(f"{prime} does not occur in class({name})")
     checks["occurrences"] = CheckResult(
         not failures,
@@ -292,9 +299,9 @@ def verify_instance(inst: FamilyInstance, params: FamilyParams) -> InstanceRepor
     obstruction = None
     try:
         gluing = gluing_for_instance(inst, params.F, params.F_algebra)
-        obstruction = surjectivity_obstruction(
-            gluing, inst.P, params.F_generators, torsion.generators
-        )
+        known = dict(zip(inst.marked_points().values(), inst.class_table().values()))
+        torsion_classes = [known.get(t) or descent_class(curve, algebra, t) for t in torsion.generators]
+        obstruction = surjectivity_obstruction(gluing, inst.class_P, params.F_classes, torsion_classes)
         checks["obstruction"] = CheckResult(
             obstruction.status == NOT_CONTAINED, obstruction.status
         )

@@ -53,6 +53,17 @@ def _algebra_for(p):
     )
 
 
+def _obstruction(g, point, F_points, torsion_points, *rest):
+    """surjectivity_obstruction on the descent classes of the points."""
+    return surjectivity_obstruction(
+        g,
+        descent_class(g.E, g.L, point),
+        [descent_class(g.F, g.Lprime, q) for q in F_points],
+        [descent_class(g.E, g.L, t) for t in torsion_points],
+        *rest,
+    )
+
+
 def _point_pool(curve, bound):
     """Affine points of small height plus torsion and the identity."""
     pts = search_points(curve, bound)
@@ -185,7 +196,7 @@ class TestTransferClass:
             Lprime = CubicEtaleAlgebra.from_cubic(FAMILY_F.f_poly(), root_order=order)
             g = GluingData.build(inst.curve, FAMILY_F, psi, L=inst.algebra, Lprime=Lprime)
             out = [membership(g, pt, q).to_json() for pt in points for q in qs]
-            obstruction = surjectivity_obstruction(g, inst.P, FAMILY_F_GENERATORS, torsion)
+            obstruction = _obstruction(g, inst.P, FAMILY_F_GENERATORS, torsion)
             out.append(obstruction.to_json())
             outputs.add(json.dumps(out))
         assert len(outputs) == 1
@@ -331,20 +342,20 @@ class TestSurjectivityObstruction:
     def test_torsion_point_contained(self):
         inst = build_instance(229)
         g = gluing_for_instance(inst, FAMILY_F)
-        res = surjectivity_obstruction(g, inst.P1, (), g.E.torsion_subgroup().generators)
+        res = _obstruction(g, inst.P1, (), g.E.torsion_subgroup().generators)
         assert res.status == CONTAINED
 
     def test_trivial_class_contained(self, e3):
         inst = build_instance(3)
         g = gluing_for_instance(inst, FAMILY_F)
         double = e3.mul(2, ECPoint.affine(-1, 3))
-        res = surjectivity_obstruction(g, double, (), g.E.torsion_subgroup().generators)
+        res = _obstruction(g, double, (), g.E.torsion_subgroup().generators)
         assert res.status == CONTAINED and res.witness == ()
 
     def test_marked_point_escapes_for_229(self):
         inst = build_instance(229)
         g = gluing_for_instance(inst, FAMILY_F)
-        res = surjectivity_obstruction(g, inst.P, (), g.E.torsion_subgroup().generators)
+        res = _obstruction(g, inst.P, (), g.E.torsion_subgroup().generators)
         assert res.status == NOT_CONTAINED
         # the exhaustive oracle agrees
         from oracles import brute_force_contains
@@ -356,7 +367,7 @@ class TestSurjectivityObstruction:
 
         inst = build_instance(1129)
         g = gluing_for_instance(inst, FAMILY_F)
-        res = surjectivity_obstruction(g, inst.P, (), g.E.torsion_subgroup().generators)
+        res = _obstruction(g, inst.P, (), g.E.torsion_subgroup().generators)
         assert res.status == NOT_CONTAINED
         assert validate_noncontainment_certificate(res.span, res.target, res.certificate)
 
@@ -365,15 +376,30 @@ class TestSurjectivityObstruction:
         inst = build_instance(1231)
         g = gluing_for_instance(inst, FAMILY_F)
         gens = (ECPoint.affine(3, 6), ECPoint.affine(0, 0))
-        res = surjectivity_obstruction(g, inst.P, gens, g.E.torsion_subgroup().generators)
+        res = _obstruction(g, inst.P, gens, g.E.torsion_subgroup().generators)
         assert res.status == NOT_CONTAINED
         assert len(res.span) == 4
 
     def test_empty_torsion_span(self):
         inst = build_instance(229)
         g = gluing_for_instance(inst, FAMILY_F)
-        res = surjectivity_obstruction(g, inst.P1, (), ())
+        res = _obstruction(g, inst.P1, (), ())
         assert res.status == NOT_CONTAINED  # the span is empty without torsion
+
+    def test_classes_over_other_algebras_rejected(self):
+        # a class over the wrong algebra would be read in the wrong
+        # coordinates, so each class must be over its side's algebra
+        inst = build_instance(229)
+        g = gluing_for_instance(inst, FAMILY_F)
+        other = build_instance(1129).class_P
+        F_class = descent_class(g.F, g.Lprime, FAMILY_F_GENERATORS[0])
+        with pytest.raises(ValueError, match="E-side algebra"):
+            surjectivity_obstruction(g, other, (), ())
+        with pytest.raises(ValueError, match="E-side algebra"):
+            surjectivity_obstruction(g, inst.class_P, (), (other,))
+        with pytest.raises(ValueError, match="F-side algebra"):
+            surjectivity_obstruction(g, inst.class_P, (inst.class_P1,), ())
+        assert surjectivity_obstruction(g, inst.class_P, (F_class,), ()).status == NOT_CONTAINED
 
     def test_verdict_json_round_trip(self):
         from mwglue.descent import ObstructionVerdict
@@ -381,7 +407,7 @@ class TestSurjectivityObstruction:
         inst = build_instance(229)
         g = gluing_for_instance(inst, FAMILY_F)
         for pt in (inst.P, inst.P1):  # not_contained, then contained
-            res = surjectivity_obstruction(g, pt, (), g.E.torsion_subgroup().generators)
+            res = _obstruction(g, pt, (), g.E.torsion_subgroup().generators)
             data = json.loads(json.dumps(res.to_json()))
             assert "certificates" not in data and "bounds" not in data
             parsed = ObstructionVerdict.from_json(data)
@@ -397,7 +423,7 @@ class TestNonSplitObstruction:
         # against the empty span the certificate is the one character that
         # membership reports for the same class
         g = GluingData.build(EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI)
-        res = surjectivity_obstruction(g, EXAMPLE_POINT, (), ())
+        res = _obstruction(g, EXAMPLE_POINT, (), ())
         assert res.status == NOT_CONTAINED
         assert res.certificate == ((13, 0, 3),)
         cert = membership(g, EXAMPLE_POINT, INFINITY).certificate
@@ -416,7 +442,7 @@ class TestNonSplitObstruction:
             (EXAMPLE_POINT, (double,), NOT_CONTAINED),
         ]
         for pt, torsion, status in cases:
-            res = surjectivity_obstruction(g, pt, (), torsion)
+            res = _obstruction(g, pt, (), torsion)
             assert res.status == status
             data = json.loads(json.dumps(res.to_json()))
             assert "certificates" not in data
@@ -438,7 +464,7 @@ class TestNonSplitObstruction:
 
         g = GluingData.build(EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI)
         tiny = 2
-        res = surjectivity_obstruction(g, EXAMPLE_POINT, (), (), tiny)
+        res = _obstruction(g, EXAMPLE_POINT, (), (), tiny)
         assert res.status == UNKNOWN and res.cert_primes == tiny
         data = json.loads(json.dumps(res.to_json()))
         assert data["bounds"] == {"cert_primes": 2}

@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ from mwglue.family import (
     FAMILY_F_GENERATORS,
     FamilyInstance,
     FamilyParams,
+    FamilyRunReport,
     InvalidFamilyParams,
     _is_trivial,
     _odd_valuation,
@@ -81,28 +84,6 @@ class TestParams:
             if trial_is_prime(l):
                 naive = any(l in naive_square_class(c)[1] for c in components)
                 assert params.occurs_in_generators(l) == naive, l
-
-    def test_generator_primes_computed_once_per_cli_run(self, monkeypatch, inputs, capsys):
-        # validation, the prime search and every instance share the
-        # generators' descent classes: each is built once, on F's algebra
-        from mwglue.cli import main
-
-        of, calls = AlgebraSquareClass.of.__func__, []
-
-        def counted(cls, elem):
-            if elem.algebra.f == FAMILY_F.f_poly():
-                calls.append(elem)
-            return of(cls, elem)
-
-        monkeypatch.setattr(AlgebraSquareClass, "of", classmethod(counted))
-        descent_class.cache_clear()  # as in a new process
-        path = inputs.write("F.json", {
-            "F": FAMILY_F.to_json(), "generators": [g.to_json() for g in FAMILY_F_GENERATORS],
-        })
-        argv = ["family", "--l1", "7", "--l2", "13", "--count", "2", "--bound", str(10**12)]
-        assert main([*argv, "--F", path]) == 0
-        assert "all checks pass" in capsys.readouterr().out
-        assert len(calls) == len(FAMILY_F_GENERATORS)
 
 
 class TestFindPrimes:
@@ -469,6 +450,46 @@ class TestRunFamily:
         assert roots[0] == roots[1]
         assert {q for q, asked in rationals.items() if asked > 1} <= {-1}
         assert calls["factor"] <= 2 * sum(rationals.values())
+
+    @staticmethod
+    def _classes_built(monkeypatch, params) -> tuple[Counter, FamilyRunReport]:
+        """The elements that reach AlgebraSquareClass.of in one run, each
+        with the number of times it did, and the run's report."""
+        of, built = AlgebraSquareClass.of.__func__, Counter()
+
+        def counted(cls, elem):
+            built[elem] += 1
+            return of(cls, elem)
+
+        with monkeypatch.context() as m:
+            m.setattr(AlgebraSquareClass, "of", classmethod(counted))
+            report = run_family(params)
+        return built, report
+
+    @pytest.mark.parametrize("l1,l2,gens,bound,count,classes", [
+        # 7 per instance: P, P1, P2, P3 and the translates P+P1, P+P2, P+P3
+        (3, 5, (), 10**6, 15, 105),
+        (3, 5, (), 10**12, 500, 3500),
+        # plus one per F generator per run and one transfer of each per instance
+        (7, 13, FAMILY_F_GENERATORS, 10**12, 5, 5 * 7 + 2 + 5 * 2),
+    ], ids=["15_instances", "500_instances", "F_generators"])
+    def test_each_class_built_once(self, monkeypatch, l1, l2, gens, bound, count, classes):
+        built, report = self._classes_built(monkeypatch, _params(l1, l2, gens, bound, count))
+        assert report.exit_code == 0 and len(report.instances) == count
+        assert sum(built.values()) == classes
+        assert max(built.values()) == 1
+
+    def test_runs_do_not_depend_on_process_history(self, monkeypatch):
+        # a second run in the same process builds every class again, and a
+        # dropped report frees its curves
+        args = (7, 13, FAMILY_F_GENERATORS, 10**12, 5)
+        first, report = self._classes_built(monkeypatch, _params(*args))
+        second, _ = self._classes_built(monkeypatch, _params(*args))
+        assert sum(first.values()) == sum(second.values()) == 47
+        curve = weakref.ref(report.instances[0].curve)
+        del report
+        gc.collect()
+        assert curve() is None
 
     def test_gluing_rejects_a_foreign_algebra(self):
         inst = build_instance(229)

@@ -134,7 +134,7 @@ def test_one_home_for_exact_division():
 
 # Every memo under src/mwglue, with the comment at its site giving what it
 # saves; a new memo, or a dropped one, is a change to this set.
-MEMOS = {"descent.descent_class", "family.FamilyParams.F_algebra"}
+MEMOS = {"family.FamilyParams.F_algebra", "family.FamilyParams.F_classes"}
 MEMO_NAMES = {"lru_cache", "cache", "cached_property"}
 
 
