@@ -7,6 +7,7 @@ Exit codes: 0 verified/answered, 1 falsified, 2 unknown or bounds exhausted,
 from __future__ import annotations
 
 import os
+import stat
 import sys
 from _json import encode_basestring_ascii as _quote, make_scanner  # json's own C code
 from collections.abc import Callable
@@ -122,8 +123,11 @@ def _emit(args, payload: Callable[[], dict], human: Callable[[], str]):
     text = _json(payload()) if args.out or args.format == "json" else None
     # the file first, so that a reader closing stdout early does not lose it
     if args.out:
-        with open(args.out, "w") as fh:
+        # in place, keeping F's inode, links and mode; ext4 stalls on closing a file truncated on open
+        with open(os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
             fh.write(text + "\n")
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # not /dev/stdout or a FIFO
+                fh.truncate()
     _print(text if args.format == "json" else human())
 
 
@@ -136,13 +140,7 @@ def _cmd_verify_example(args) -> Rendered:
 def _cmd_family(args) -> Rendered:
     if args.count > MAX_FAMILY_COUNT:
         raise UsageError(f"--count must be at most {MAX_FAMILY_COUNT}")
-    if args.F:
-        F, gens = poly.json_object(_load_json(args.F), "", {
-            "F": ellcurve.EllipticCurve.from_json,
-            "generators": lambda data, path: poly.json_list(data, path, ellcurve.ECPoint.from_json, "points"),
-        }, "the F file", {"generators": ()})
-    else:
-        F, gens = family.FAMILY_F, ()
+    F, gens = family.load_F_file(_load_json(args.F)) if args.F else (family.FAMILY_F, ())
     params = family.FamilyParams(
         l1=args.l1, l2=args.l2, F=F, F_generators=gens, bound=args.bound, count=args.count
     )

@@ -1,18 +1,75 @@
-"""Cubic etale algebras Q[x]/(f) as products of number fields of degree <= 3.
-
-Norms, the square-norm kernel test, square classes of units, and squareness
-decisions with their certificates.  The scan that decides them, over
-quadratic characters and exact square roots, lives in `mwglue.squares`,
-which loads only when a squareness question is asked.  The maps a gluing's
-h induces between two algebras live in `mwglue.glue`.
+"""Cubic etale algebras Q[x]/(f), products of number fields of degree <= 3,
+with the arithmetic modulo f they need, norms, the square-norm kernel test,
+square classes of units, and squareness decisions with their certificates.
+The squareness scan is `mwglue.squares`, loaded only when a squareness
+question is asked; the maps a gluing's h induces between two algebras are
+in `mwglue.glue`.
 """
 
 from __future__ import annotations
+
+from math import isqrt
 
 from . import arith, squares
 from . import poly as P
 from .poly import ONE, Poly, Rational
 from .record import Record
+
+
+def constant_value(p: Poly) -> int | Rational:
+    if len(p) > 1:
+        raise ValueError("not a constant polynomial")
+    return p[0] if p else 0
+
+
+def divmod_poly(p: Poly, q: Poly) -> tuple[Poly, Poly]:
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = list(p)
+    dq = P.degree(q)
+    inv = P.ratio(1, q[-1])  # an int when q is monic up to sign
+    quot = [0] * max(len(p) - dq, 0)
+    for i in range(len(p) - 1, dq - 1, -1):
+        c = r[i]
+        if c:
+            k = c * inv
+            quot[i - dq] = k
+            for j, b in enumerate(q):
+                r[i - dq + j] -= k * b
+    return P.poly(quot), P.poly(r)
+
+
+def mod_poly(p: Poly, q: Poly) -> Poly:
+    if len(q) == 2:  # the remainder by x - r is the constant p(r)
+        return P.poly([P.eval_at(p, -q[0] if q[1] == 1 else P.ratio(-q[0], q[1]))])
+    return divmod_poly(p, q)[1]
+
+
+def is_squarefree(p: Poly) -> bool:
+    q = P.derivative(p)
+    while q:
+        p, q = q, mod_poly(p, q)
+    return P.degree(p) <= 0
+
+
+def det(rows) -> int | Rational:
+    """Determinant of a square matrix of size 2 or 3."""
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def sqrt_fraction(q) -> int | Rational | None:
+    """Exact square root of a nonnegative rational, as `poly.fraction` gives it, or None."""
+    q = P.fraction(q)
+    if q < 0:
+        return None
+    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
+    if rn * rn == q.numerator and rd * rd == q.denominator:
+        return rn if rd == 1 else Rational(rn, rd)
+    return None
 
 
 class NonUnitError(ValueError):
@@ -34,7 +91,7 @@ class CubicEtaleAlgebra(Record):
         if given and len(given) == 3 == len(set(given)) and not any(P.eval_at(f, r) for r in given):
             roots = given
         else:
-            if not P.is_squarefree(f):
+            if not is_squarefree(f):
                 raise ValueError("the defining polynomial must be squarefree")
             roots = P.rational_roots_monic(f)
             if given is not None:
@@ -47,7 +104,7 @@ class CubicEtaleAlgebra(Record):
         # with one the cofactor is an irreducible quadratic
         comps = tuple(P.poly([-r, 1]) for r in roots)
         if len(comps) == 1:
-            comps += (P.divmod_poly(f, comps[0])[0],)
+            comps += (divmod_poly(f, comps[0])[0],)
         return cls(f, comps or (f,))
 
     @property
@@ -57,7 +114,7 @@ class CubicEtaleAlgebra(Record):
     def element(self, coeffs) -> "AlgebraElement":
         """The element represented by a polynomial in the generator."""
         q = P.poly(coeffs)
-        return AlgebraElement(self, tuple(P.mod_poly(q, m) for m in self.components))
+        return AlgebraElement(self, tuple(mod_poly(q, m) for m in self.components))
 
     def element_from_components(self, residues) -> "AlgebraElement":
         res = tuple(P.poly(r) for r in residues)
@@ -82,7 +139,7 @@ class AlgebraElement(Record):
         return AlgebraElement(
             self.algebra,
             tuple(
-                P.mod_poly(P.mul(a, b), m)
+                mod_poly(P.mul(a, b), m)
                 for a, b, m in zip(self.residues, other.residues, self.algebra.components)
             ),
         )
@@ -116,7 +173,7 @@ def _mul_matrix(m: Poly, r: Poly) -> list[list[int | Rational]]:
     d = P.degree(m)
     rows = [r]
     while len(rows) < d:
-        rows.append(P.mod_poly(P.mul(rows[-1], P.X), m))
+        rows.append(mod_poly(P.mul(rows[-1], P.X), m))
     return [[c[i] if i < len(c) else 0 for i in range(d)] for c in rows]
 
 
@@ -124,7 +181,7 @@ def _component_norm(m: Poly, r: Poly) -> int | Rational:
     """The norm of r from Q[x]/(m); over a linear m, r is a constant, its own norm."""
     if not r:
         return 0
-    return r[0] if len(m) == 2 else P.det(_mul_matrix(m, r))
+    return r[0] if len(m) == 2 else det(_mul_matrix(m, r))
 
 
 def has_square_norm(elem: AlgebraElement) -> bool:
@@ -220,7 +277,7 @@ class AlgebraSquareClass(Record):
     def triple(self) -> arith.SquareClassTriple:
         if not self.algebra.is_split:
             raise ValueError("class triples need a fully split algebra")
-        return arith.SquareClassTriple.from_rationals(*(P.constant_value(r) for r in self.rep.residues))
+        return arith.SquareClassTriple.from_rationals(*(constant_value(r) for r in self.rep.residues))
 
     def to_json(self) -> dict:
         return {"rep": self.rep.to_json()}

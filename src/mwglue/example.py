@@ -13,9 +13,9 @@ from __future__ import annotations
 from . import poly as P
 from .descent import NOT_IN_IMAGE, UNKNOWN, membership
 from .ellcurve import INFINITY
-from .etale import CERT_PRIMES, CubicEtaleAlgebra, NonSquareCertificate
+from .etale import CERT_PRIMES, CubicEtaleAlgebra, NonSquareCertificate, mod_poly
 from .fixtures import example_fixtures
-from .glue import ROOTS_NOT_MAPPED, GluingData, GluingError, verify_cover_map, verify_rescaling
+from .glue import ROOTS_NOT_MAPPED, GluingData, GluingError, compose, verify_cover_map, verify_rescaling
 from .poly import ZERO, poly
 from .record import Record
 
@@ -70,7 +70,7 @@ def run_example(cert_primes: int = CERT_PRIMES, fixtures: dict | None = None) ->
 
     f = E.f_poly()
 
-    ok = all(P.mod_poly(P.compose(f, c), f) == ZERO for c in _CONJUGATES)
+    ok = all(mod_poly(compose(f, c), f) == ZERO for c in _CONJUGATES)
     step(
         "conjugate_roots",
         ok,
@@ -85,7 +85,7 @@ def run_example(cert_primes: int = CERT_PRIMES, fixtures: dict | None = None) ->
         gluing, violations = None, exc.violations
 
     # h realizes alpha -> -1/alpha and maps the roots of f onto roots of g
-    inverts = P.mod_poly(P.mul(poly([0, 1]), psi.h), f) == poly([-1])
+    inverts = mod_poly(P.mul(poly([0, 1]), psi.h), f) == poly([-1])
     step(
         "matched_roots_invert",
         inverts and ROOTS_NOT_MAPPED not in violations,

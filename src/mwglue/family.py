@@ -24,9 +24,9 @@ from math import gcd
 from .arith import is_prime
 from .descent import NOT_CONTAINED, ObstructionVerdict, descent_class, surjectivity_obstruction
 from .ellcurve import ECPoint, EllipticCurve
-from .etale import AlgebraSquareClass, CubicEtaleAlgebra
+from .etale import AlgebraSquareClass, CubicEtaleAlgebra, constant_value, sqrt_fraction
 from .glue import GluingData, TwoTorsionIdentification
-from .poly import constant_value, shorten, sqrt_fraction
+from .poly import json_list, json_object, shorten
 from .record import Record
 
 
@@ -35,6 +35,14 @@ FAMILY_F = EllipticCurve(0, -3, 2)
 # Generators of the full group F(Q) = Z/4 x Z/2 (rank zero).  Family runs
 # that should treat the F-side span as trivial pass an empty tuple instead.
 FAMILY_F_GENERATORS = (ECPoint.affine(3, 6), ECPoint.affine(0, 0))
+
+
+def load_F_file(data) -> tuple[EllipticCurve, tuple[ECPoint, ...]]:
+    """F and its generators from the JSON object of a --F file; generators default to none."""
+    return tuple(json_object(data, "", {
+        "F": EllipticCurve.from_json,
+        "generators": lambda data, path: json_list(data, path, ECPoint.from_json, "points"),
+    }, "the F file", {"generators": ()}))
 
 
 class InvalidFamilyParams(ValueError):

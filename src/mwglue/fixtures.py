@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from .ellcurve import ECPoint, EllipticCurve
+from .etale import is_squarefree
 from .glue import TwoTorsionIdentification
-from .poly import ZERO, Poly, degree, is_squarefree, json_object, poly, rational, rationals
+from .poly import ZERO, Poly, degree, json_object, poly, rational, rationals
 from .record import Record
 
 

@@ -16,13 +16,40 @@ from __future__ import annotations
 from . import fixtures
 from . import poly as P
 from .ellcurve import EllipticCurve
-from .etale import AlgebraElement, CubicEtaleAlgebra
+from .etale import AlgebraElement, CubicEtaleAlgebra, mod_poly
 from .poly import ZERO, Poly
 from .record import Record
 
 ROOTS_NOT_MAPPED = "roots_not_mapped"
 NOT_BIJECTIVE = "not_bijective"
 GEOMETRIC = "geometric_isomorphism"
+
+
+def compose(p: Poly, q: Poly) -> Poly:
+    acc = ZERO
+    for c in reversed(p):
+        acc = P.add(P.mul(acc, q), P.poly([c]))
+    return acc
+
+
+def interpolate(points) -> Poly:
+    """Lagrange interpolation through (x, y) pairs with distinct x values."""
+    pts = [(P.fraction(x), P.fraction(y)) for x, y in points]
+    acc = ZERO
+    for i, (xi, yi) in enumerate(pts):
+        num, den = P.poly([yi]), 1
+        for j, (xj, _) in enumerate(pts):
+            if i != j:
+                num, den = P.mul(num, P.poly([-xj, 1])), den * (xi - xj)
+        acc = P.add(acc, P.scale(num, P.ratio(1, den)))
+    return acc
+
+
+def pow_poly(p: Poly, n: int) -> Poly:
+    out = P.ONE
+    for _ in range(n):
+        out = P.mul(out, p)
+    return out
 
 
 class GluingError(ValueError):
@@ -47,7 +74,7 @@ class TwoTorsionIdentification(Record):
         pts = tuple((P.fraction(a), P.fraction(b)) for a, b in pairs)
         if len(pts) != 3 or len({a for a, _ in pts}) != 3:
             raise ValueError("a matching needs the three source roots exactly once")
-        return cls(P.interpolate(pts))
+        return cls(interpolate(pts))
 
     def to_json(self) -> list:
         return [str(c) for c in self.h]
@@ -64,7 +91,7 @@ def is_geometric_restriction(psi: TwoTorsionIdentification, L: CubicEtaleAlgebra
     affine map, so psi is geometric exactly when h reduces to degree <= 1
     modulo f, the cubic of E and of its algebra L.
     """
-    return P.degree(P.mod_poly(psi.h, L.f)) <= 1
+    return P.degree(mod_poly(psi.h, L.f)) <= 1
 
 
 def validate_identification(
@@ -93,8 +120,8 @@ def component_pairing(
     h is one to one on roots exactly when every n is paired."""
     pairing = []
     for m in dst.components:
-        hm = P.mod_poly(h, m)
-        found = [i for i, n in enumerate(src.components) if not P.mod_poly(P.compose(n, hm), m)]
+        hm = mod_poly(h, m)
+        found = [i for i, n in enumerate(src.components) if not mod_poly(compose(n, hm), m)]
         if not found:
             return None
         pairing.append(found[0])
@@ -113,7 +140,7 @@ def algebra_map(
     if pairing is None:
         raise ValueError("h does not define a morphism between the algebras")
     return AlgebraElement(dst, tuple(
-        P.mod_poly(P.compose(elem.residues[i], P.mod_poly(h, m)), m)
+        mod_poly(compose(elem.residues[i], mod_poly(h, m)), m)
         for i, m in zip(pairing, dst.components)
     ))
 
@@ -173,10 +200,10 @@ def verify_cover_map(
     un, ud = u.num, u.den
     lhs_num = ZERO
     for i, c in enumerate(f):
-        term = P.scale(P.mul(P.pow_poly(un, i), P.pow_poly(ud, 3 - i)), c)
+        term = P.scale(P.mul(pow_poly(un, i), pow_poly(ud, 3 - i)), c)
         lhs_num = P.add(lhs_num, term)
     lhs = P.mul(lhs_num, P.mul(v.den, v.den))
-    rhs = P.mul(P.mul(C.h6, P.mul(v.num, v.num)), P.pow_poly(ud, 3))
+    rhs = P.mul(P.mul(C.h6, P.mul(v.num, v.num)), pow_poly(ud, 3))
     return lhs == rhs
 
 

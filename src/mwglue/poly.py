@@ -1,10 +1,10 @@
-"""Dense univariate polynomials over Q, and the exact rationals they hold.
+"""The ring Q[x] and the exact rationals it holds; the arithmetic of Q[x]/(f)
+lives with the modules that run it, `etale`, `glue` and `squares`.
 
 A polynomial is a tuple of rationals in ascending degree order, trimmed of
-trailing zeros; the zero polynomial is the empty tuple.  Each coefficient is
-an int when it is integral and a `Rational` otherwise (see `fraction`), so a
-polynomial with integer coefficients is computed on in int arithmetic; every
-true division is `ratio`, whose quotient is again an int when it is integral.
+trailing zeros; the zero polynomial is ().  A coefficient is an int when it
+is integral and a `Rational` otherwise (see `fraction`), and every true
+division is `ratio`, whose quotient is again an int when it is integral.
 `Rational` is mwglue's own, so that no command imports `fractions` (which
 loads `decimal` and `numbers`), and `rational` reads numbers without `re`.
 """
@@ -207,12 +207,6 @@ def degree(p: Poly) -> int:
     return len(p) - 1
 
 
-def constant_value(p: Poly) -> int | Rational:
-    if len(p) > 1:
-        raise ValueError("not a constant polynomial")
-    return p[0] if p else 0
-
-
 def add(p: Poly, q: Poly) -> Poly:
     if len(p) < len(q):
         p, q = q, p
@@ -246,13 +240,6 @@ def scale(p: Poly, c) -> Poly:
     if c == 0:
         return ZERO
     return poly(a * c for a in p)
-
-
-def pow_poly(p: Poly, n: int) -> Poly:
-    out = ONE
-    for _ in range(n):
-        out = mul(out, p)
-    return out
 
 
 def eval_at(p: Poly, x) -> int | Rational:
@@ -384,98 +371,12 @@ def derivative(p: Poly) -> Poly:
     return poly(i * c for i, c in enumerate(p) if i)
 
 
-def divmod_poly(p: Poly, q: Poly) -> tuple[Poly, Poly]:
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(p)
-    dq = degree(q)
-    inv = ratio(1, q[-1])  # an int when q is monic up to sign
-    quot = [0] * max(len(p) - dq, 0)
-    for i in range(len(p) - 1, dq - 1, -1):
-        c = r[i]
-        if c:
-            k = c * inv
-            quot[i - dq] = k
-            for j, b in enumerate(q):
-                r[i - dq + j] -= k * b
-    return poly(quot), poly(r)
-
-
-def mod_poly(p: Poly, q: Poly) -> Poly:
-    if len(q) == 2:  # the remainder by x - r is the constant p(r)
-        return poly([eval_at(p, -q[0] if q[1] == 1 else ratio(-q[0], q[1]))])
-    return divmod_poly(p, q)[1]
-
-
-def xgcd_poly(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
-    """Monic g = gcd(p, q) together with s, t satisfying s*p + t*q = g."""
-    r0, r1 = p, q
-    s0, s1 = ONE, ZERO
-    t0, t1 = ZERO, ONE
-    while r1:
-        qt, r = divmod_poly(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, sub(s0, mul(qt, s1))
-        t0, t1 = t1, sub(t0, mul(qt, t1))
-    if not r0:
-        return ZERO, ZERO, ZERO
-    c = ratio(1, r0[-1])
-    return scale(r0, c), scale(s0, c), scale(t0, c)
-
-
-def compose(p: Poly, q: Poly) -> Poly:
-    acc = ZERO
-    for c in reversed(p):
-        acc = add(mul(acc, q), poly([c]))
-    return acc
-
-
-def interpolate(points) -> Poly:
-    """Lagrange interpolation through (x, y) pairs with distinct x values."""
-    pts = [(fraction(x), fraction(y)) for x, y in points]
-    acc = ZERO
-    for i, (xi, yi) in enumerate(pts):
-        num, den = poly([yi]), 1
-        for j, (xj, _) in enumerate(pts):
-            if i != j:
-                num, den = mul(num, poly([-xj, 1])), den * (xi - xj)
-        acc = add(acc, scale(num, ratio(1, den)))
-    return acc
-
-
-def is_squarefree(p: Poly) -> bool:
-    q = derivative(p)
-    while q:
-        p, q = q, mod_poly(p, q)
-    return degree(p) <= 0
-
-
 def cubic_disc(f: Poly) -> int | Rational:
     """Discriminant of a monic cubic x^3 + a x^2 + b x + c."""
     if degree(f) != 3 or f[3] != 1:
         raise ValueError("expected a monic cubic")
     c, b, a = f[0], f[1], f[2]
     return 18 * a * b * c - 4 * a**3 * c + a**2 * b**2 - 4 * b**3 - 27 * c**2
-
-
-def det(rows) -> int | Rational:
-    """Determinant of a square matrix of size 2 or 3."""
-    if len(rows) == 2:
-        (a, b), (c, d) = rows
-        return a * d - b * c
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
-def sqrt_fraction(q) -> int | Rational | None:
-    """Exact square root of a nonnegative rational, as `fraction` gives it, or None."""
-    q = fraction(q)
-    if q < 0:
-        return None
-    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return rn if rd == 1 else Rational(rn, rd)
-    return None
 
 
 # Kept, and called for cubics, only because bench/spans.py times it by name.

@@ -51,6 +51,22 @@ def _euler(v: int, p: int) -> int:
     return -1 if t == p - 1 else t
 
 
+def xgcd_poly(p: P.Poly, q: P.Poly) -> tuple[P.Poly, P.Poly, P.Poly]:
+    """Monic g = gcd(p, q) together with s, t satisfying s*p + t*q = g."""
+    r0, r1 = p, q
+    s0, s1 = P.ONE, P.ZERO
+    t0, t1 = P.ZERO, P.ONE
+    while r1:
+        qt, r = etale.divmod_poly(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, P.sub(s0, P.mul(qt, s1))
+        t0, t1 = t1, P.sub(t0, P.mul(qt, t1))
+    if not r0:
+        return P.ZERO, P.ZERO, P.ZERO
+    c = P.ratio(1, r0[-1])
+    return P.scale(r0, c), P.scale(s0, c), P.scale(t0, c)
+
+
 def _component_sqrt(m: P.Poly, r: P.Poly) -> P.Poly | None:
     """The exact square root of alpha = r in the field Q[x]/(m), or None.
 
@@ -70,20 +86,20 @@ def _component_sqrt(m: P.Poly, r: P.Poly) -> P.Poly | None:
     d = P.degree(m)
     candidates = []
     if P.degree(r) <= 0:
-        a = P.constant_value(r)
-        c = P.sqrt_fraction(P.ratio(a, m[1] * m[1] - 4 * m[0])) if d == 2 else None
-        for b, k in ((P.ONE, P.sqrt_fraction(a)), (P.poly([m[1], 2]), c)):
+        a = etale.constant_value(r)
+        c = etale.sqrt_fraction(P.ratio(a, m[1] * m[1] - 4 * m[0])) if d == 2 else None
+        for b, k in ((P.ONE, etale.sqrt_fraction(a)), (P.poly([m[1], 2]), c)):
             if k is not None:
                 candidates.append(P.scale(b, k))
     else:
         mat = etale._mul_matrix(m, r)
-        norm_root = P.sqrt_fraction(P.det(mat))  # +-N(beta)
+        norm_root = etale.sqrt_fraction(etale.det(mat))  # +-N(beta)
         if norm_root is None:
             return None
         e1 = sum(mat[i][i] for i in range(d))
         if d == 2:
             for n in (norm_root, -norm_root):
-                t = P.sqrt_fraction(e1 + 2 * n)
+                t = etale.sqrt_fraction(e1 + 2 * n)
                 if t:
                     candidates.append(P.scale(P.add(r, P.poly([n])), P.ratio(1, t)))
         else:
@@ -91,9 +107,9 @@ def _component_sqrt(m: P.Poly, r: P.Poly) -> P.Poly | None:
             e2 = P.ratio(e1 * e1 - sum(mat[i][j] * mat[j][i] for i in range(3) for j in range(3)), 2)
             quartic = P.poly([e1 * e1 - 4 * e2, -8 * norm_root, -2 * e1, 0, 1])
             for s1 in P.rational_roots_monic(quartic):
-                _, inv, _ = P.xgcd_poly(P.add(r, P.poly([P.ratio(s1 * s1 - e1, 2)])), m)
-                candidates.append(P.mod_poly(P.mul(P.add(P.scale(r, s1), P.poly([norm_root])), inv), m))
-    return next((b for b in candidates if P.mod_poly(P.sub(P.mul(b, b), r), m) == P.ZERO), None)
+                _, inv, _ = xgcd_poly(P.add(r, P.poly([P.ratio(s1 * s1 - e1, 2)])), m)
+                candidates.append(etale.mod_poly(P.mul(P.add(P.scale(r, s1), P.poly([norm_root])), inv), m))
+    return next((b for b in candidates if etale.mod_poly(P.sub(P.mul(b, b), r), m) == P.ZERO), None)
 
 
 def span_contains(

@@ -1,16 +1,18 @@
-"""The mwglue modules each CLI command runs, and the source lines they hold.
+"""The mwglue modules each CLI command runs, and the source they hold.
 
     python tests/compiled_source.py [BASE_DIR]
 
 Each command of COMMANDS runs in a fresh interpreter with `src/` first on
 PYTHONPATH, as tests/test_startup.py runs it.  Without `.pyc` files, as in
 the benchmark, a process compiles every module it runs in full, so the
-source lines of those modules (with the package's `__init__`) are the
-source the command compiles.  The script prints them for this tree, and for
-BASE_DIR, a checkout of another commit, when one is given.  It gates
-nothing: it exits 0 unless a command fails.
+source of those modules (with the package's `__init__`) is the source the
+command compiles.  The script prints its lines and its AST nodes, for this
+tree and for BASE_DIR, a checkout of another commit, when one is given.
+Compile time follows the nodes more closely than the lines, which may be
+dense or blank.  It gates nothing: it exits 0 unless a command fails.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -75,16 +77,21 @@ def command_argv(command: str, paths: dict[str, str]) -> list[str]:
     return [arg.format(**paths) for arg in COMMANDS[command]]
 
 
-def compiled_lines(src: Path, paths: dict[str, str]) -> dict[str, dict[str, int]]:
-    """For each command, the source lines of each module it runs under src."""
+def source_size(path: Path) -> tuple[int, int]:
+    """(lines, AST nodes) of a Python source file."""
+    text = path.read_text()
+    return len(text.splitlines()), sum(1 for _ in ast.walk(ast.parse(text)))
+
+
+def compiled_source(src: Path, paths: dict[str, str]) -> dict[str, dict[str, tuple[int, int]]]:
+    """For each command, the (lines, nodes) of each module it runs under src."""
     package = src / "mwglue"
     out = {}
     for command in COMMANDS:
         result = probe(PROBE, *command_argv(command, paths), src=src)
         if result["code"] != 0:
             raise SystemExit(f"{command} exited {result['code']} under {src}")
-        out[command] = {name: len((package / f"{name}.py").read_text().splitlines())
-                        for name in ["__init__", *result["ran"]]}
+        out[command] = {name: source_size(package / f"{name}.py") for name in ["__init__", *result["ran"]]}
     return out
 
 
@@ -95,13 +102,14 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         files = InputDir(tmp)
         paths = {name: files.write(f"{name}.json", payload) for name, payload in FILES.items()}
-        tables = {label: compiled_lines(src, paths) for label, src in trees.items()}
+        tables = {label: compiled_source(src, paths) for label, src in trees.items()}
     for command in COMMANDS:
         print(f"{command}: " + ", ".join(
-            f"{sum(table[command].values()):,} lines ({label})" for label, table in tables.items()))
+            "{:,} lines, {:,} nodes ({})".format(*map(sum, zip(*table[command].values())), label)
+            for label, table in tables.items()))
         for label, table in tables.items():
-            modules = ", ".join(f"{name} {lines}" for name, lines in sorted(table[command].items()))
-            print(f"  {label}: {modules}")
+            modules = ", ".join(f"{name} {lines}/{nodes}" for name, (lines, nodes) in sorted(table[command].items()))
+            print(f"  {label} (lines/nodes): {modules}")
     return 0
 
 

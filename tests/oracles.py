@@ -12,8 +12,11 @@ roots of cubics come from sign bisection instead of a p-adic lift, and an
 etale algebra element is lifted to Q[x]/(f) by the Chinese remainder theorem
 instead of being mapped component by component, and a gluing's root
 mapping and bijectivity are decided by reducing g(h) mod f and by a
-determinant instead of by pairing components.  The point pool the tests
-draw from is a naive search over small heights.
+determinant instead of by pairing components.  The division, gcd,
+substitution and determinant those oracles need are written out here over
+Fractions, so that they share none of the arithmetic of etale, glue and
+squares, which they check.  The point pool the tests draw from is a naive
+search over small heights.
 """
 
 from fractions import Fraction
@@ -26,6 +29,66 @@ def exact(value) -> Fraction:
     """An int, a poly.Rational or a Fraction as a Fraction, for the oracles'
     own arithmetic: fractions.Fraction() does not take a poly.Rational."""
     return Fraction(value.numerator, value.denominator)
+
+
+def _fractions(p) -> list[Fraction]:
+    """The coefficients of p as Fractions, trailing zeros dropped."""
+    out = [exact(c) for c in p]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def divmod_poly(p, q) -> tuple[P.Poly, P.Poly]:
+    """(quotient, remainder) of p by q != 0, cancelling the leading term of
+    the remainder until its degree drops below that of q."""
+    r, q = _fractions(p), _fractions(q)
+    quot = [Fraction(0)] * max(len(r) - len(q) + 1, 0)
+    while len(r) >= len(q):
+        shift, k = len(r) - len(q), r[-1] / q[-1]
+        quot[shift] = k
+        r = _fractions(r[:shift] + [a - k * b for a, b in zip(r[shift:], q)])
+    return P.poly(quot), P.poly(r)
+
+
+def mod_poly(p, q) -> P.Poly:
+    return divmod_poly(p, q)[1]
+
+
+def xgcd_poly(p, q) -> tuple[P.Poly, P.Poly, P.Poly]:
+    """Monic g = gcd(p, q) with s, t such that s p + t q = g, for p, q not
+    both zero, keeping r = s p + t q along Euclid's remainders."""
+    old, new = (p, P.ONE, P.ZERO), (q, P.ZERO, P.ONE)
+    while new[0]:
+        k = divmod_poly(old[0], new[0])[0]
+        old, new = new, tuple(P.sub(a, P.mul(k, b)) for a, b in zip(old, new))
+    lead = exact(old[0][-1])
+    return tuple(P.poly([exact(c) / lead for c in part]) for part in old)
+
+
+def compose(p, q) -> P.Poly:
+    """p(q), as the sum of the c_i q^i."""
+    acc, power = P.ZERO, P.ONE
+    for c in p:
+        acc = P.add(acc, P.poly([exact(c) * a for a in _fractions(power)]))
+        power = P.mul(power, q)
+    return acc
+
+
+def det(rows) -> Fraction:
+    """The determinant of a square matrix, by Gaussian elimination."""
+    m, out = [[exact(c) for c in row] for row in rows], Fraction(1)
+    for i in range(len(m)):
+        pivot = next((r for r in range(i, len(m)) if m[r][i]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != i:
+            m[i], m[pivot], out = m[pivot], m[i], -out
+        out *= m[i][i]
+        for r in range(i + 1, len(m)):
+            k = m[r][i] / m[i][i]
+            m[r] = [a - k * b for a, b in zip(m[r], m[i])]
+    return out
 
 
 def trial_factor(n: int) -> dict[int, int]:
@@ -160,10 +223,10 @@ def crt_lift(elem) -> P.Poly:
         for j, mj in enumerate(algebra.components):
             if j != i:
                 others = P.mul(others, mj)
-        g, s, _ = P.xgcd_poly(others, m)
+        g, s, _ = xgcd_poly(others, m)
         assert g == P.ONE, "components are not coprime"
         acc = P.add(acc, P.mul(r, P.mul(s, others)))
-    return P.mod_poly(acc, algebra.f)
+    return mod_poly(acc, algebra.f)
 
 
 def identification_violations(E, F, psi, L):
@@ -173,13 +236,13 @@ def identification_violations(E, F, psi, L):
     stacked residue coordinates in L's components have nonzero determinant."""
     from mwglue.glue import GEOMETRIC, NOT_BIJECTIVE, ROOTS_NOT_MAPPED, is_geometric_restriction
 
-    if P.mod_poly(P.compose(F.f_poly(), psi.h), E.f_poly()):
+    if mod_poly(compose(F.f_poly(), psi.h), E.f_poly()):
         return (ROOTS_NOT_MAPPED,)
     rows = []
     for m, r in zip(L.components, L.element(psi.h).residues):
-        powers = (P.ONE, r, P.mod_poly(P.mul(r, r), m))
+        powers = (P.ONE, r, mod_poly(P.mul(r, r), m))
         rows += ([c[i] if i < len(c) else Fraction(0) for c in powers] for i in range(P.degree(m)))
-    if P.det(rows) == 0:
+    if det(rows) == 0:
         return (NOT_BIJECTIVE,)
     if is_geometric_restriction(psi, L):
         return (GEOMETRIC,)
@@ -203,9 +266,9 @@ def chord_tangent_sum(curve, a, b):
     c = ay - m * ax
     line = P.poly([c, m])
     cubic = P.sub(f, P.mul(line, line))
-    q, r = P.divmod_poly(cubic, P.poly([-a.x, 1]))
+    q, r = divmod_poly(cubic, P.poly([-a.x, 1]))
     assert r == P.ZERO
-    q, r = P.divmod_poly(q, P.poly([-b.x, 1]))
+    q, r = divmod_poly(q, P.poly([-b.x, 1]))
     assert r == P.ZERO
     x3 = -exact(q[0]) / q[1]
     y3 = -(m * x3 + c)

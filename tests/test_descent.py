@@ -25,6 +25,7 @@ from mwglue.etale import (
     NonSquare,
     NonSquareCertificate,
     Square,
+    constant_value,
     has_square_norm,
     is_square,
 )
@@ -36,7 +37,7 @@ from mwglue.family import (
     gluing_for_instance,
 )
 from mwglue.fixtures import EXAMPLE_E, EXAMPLE_F, EXAMPLE_POINT, EXAMPLE_PSI
-from mwglue.glue import GluingData, TwoTorsionIdentification
+from mwglue.glue import GluingData, TwoTorsionIdentification, compose
 from mwglue.squares import validate_characters
 
 from oracles import bisect_cubic_roots, class_product, crt_lift, search_points, triple_product
@@ -155,7 +156,7 @@ class TestDescentClass:
         algebra = CubicEtaleAlgebra.from_cubic(curve.f_poly())
         rep = descent_class(curve, algebra, ECPoint.affine(-3, 0)).rep
         assert algebra.components[0] == P.poly([3, 1])
-        assert square_class(P.constant_value(rep.residues[0])) == square_class(
+        assert square_class(constant_value(rep.residues[0])) == square_class(
             curve.f_derivative_at(-3)
         )
         assert rep.residues[1] == algebra.element([-3, -1]).residues[1]
@@ -208,7 +209,7 @@ class TestTransferClass:
         elem = g.Lprime.element([0, -1]) * g.Lprime.element([5, -1])
         cls = AlgebraSquareClass.of(elem)
         out = transfer_class(g, cls)
-        expected = g.L.element(P.compose(crt_lift(elem), EXAMPLE_PSI.h))
+        expected = g.L.element(compose(crt_lift(elem), EXAMPLE_PSI.h))
         assert out.rep.residues == expected.residues
 
     def test_wrong_algebra_rejected(self):

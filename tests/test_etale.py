@@ -16,12 +16,15 @@ from mwglue.etale import (
     NonUnitError,
     Square,
     Unknown,
+    constant_value,
     has_square_norm,
     is_square,
+    is_squarefree,
+    sqrt_fraction,
 )
 from mwglue.family import FAMILY_F, build_instance, curve_for_prime, gluing_for_instance
 from mwglue.fixtures import EXAMPLE_E, EXAMPLE_F, EXAMPLE_PSI
-from mwglue.glue import algebra_map
+from mwglue.glue import algebra_map, compose, interpolate
 from mwglue.squares import span_contains, validate_characters
 
 from oracles import class_product, crt_lift, scan_nonresidue, subset_search_contains
@@ -281,7 +284,7 @@ class TestAlgebraMap:
         # h sends two roots of SPLIT to roots of src and the third, 10, to 7
         src = CubicEtaleAlgebra.from_cubic(P.mul(P.mul(P.poly([-1, 1]), P.poly([-5, 1])), P.poly([2, 1])))
         with pytest.raises(ValueError, match="does not define a morphism"):
-            algebra_map(src, SPLIT, P.interpolate([(0, 1), (-12, 5), (10, 7)]), src.one())
+            algebra_map(src, SPLIT, interpolate([(0, 1), (-12, 5), (10, 7)]), src.one())
 
     def test_split_norm_multiset_preserved(self):
         # a split-to-split map permutes components, so the value multiset is kept
@@ -291,13 +294,13 @@ class TestAlgebraMap:
             P.mul(P.mul(P.poly([-1, 1]), P.poly([-5, 1])), P.poly([2, 1])),
             root_order=g_roots,
         )
-        h = P.interpolate(list(zip(f_roots, g_roots)))  # maps SPLIT roots to src roots
+        h = interpolate(list(zip(f_roots, g_roots)))  # maps SPLIT roots to src roots
         rng = random.Random(3)
         for _ in range(10):
             vals = [Fraction(rng.randrange(1, 30)) for _ in range(3)]
             elem = src.element_from_components([[v] for v in vals])
             img = algebra_map(src, SPLIT, h, elem)
-            assert sorted(P.constant_value(r) for r in img.residues) == sorted(vals)
+            assert sorted(constant_value(r) for r in img.residues) == sorted(vals)
 
     @staticmethod
     def _gluing(name):
@@ -321,7 +324,7 @@ class TestAlgebraMap:
             elem = src.element(
                 [Fraction(rng.randrange(-30, 31), rng.randrange(1, 7)) for _ in range(3)]
             )
-            assert algebra_map(src, dst, h, elem) == dst.element(P.compose(crt_lift(elem), h))
+            assert algebra_map(src, dst, h, elem) == dst.element(compose(crt_lift(elem), h))
 
     def test_element_json_round_trip(self):
         elem = MIXED.element([Fraction(1, 2), 3, -4])
@@ -411,10 +414,10 @@ def _random_fields(rng, count):
         if len(out) % 2:
             f = P.poly([c, b, a, 1])
             # a repeated root of a rational cubic is rational
-            if not P.is_squarefree(f) or P.rational_roots_monic(f):
+            if not is_squarefree(f) or P.rational_roots_monic(f):
                 continue
         else:
-            if P.sqrt_fraction(a * a - 4 * b) is not None:
+            if sqrt_fraction(a * a - 4 * b) is not None:
                 continue
             f = P.mul(P.poly([-c, 1]), P.poly([b, a, 1]))
         out.append(CubicEtaleAlgebra.from_cubic(f))

@@ -7,7 +7,7 @@ import pytest
 
 import mwglue.poly as P
 from mwglue.ellcurve import EllipticCurve
-from mwglue.etale import CubicEtaleAlgebra
+from mwglue.etale import CubicEtaleAlgebra, mod_poly
 from mwglue.family import FAMILY_F, curve_for_prime
 from mwglue.fixtures import (
     COVER_TO_E,
@@ -29,6 +29,8 @@ from mwglue.glue import (
     GluingError,
     TwoTorsionIdentification,
     algebra_map,
+    compose,
+    interpolate,
     is_geometric_restriction,
     validate_identification,
     verify_cover_map,
@@ -110,13 +112,13 @@ class TestValidateIdentificationDifferential:
 
     def test_map_missing_one_root_split_case(self):
         # 0 -> -3 and -12 -> 0 are roots of F; 10 -> 5 is not
-        h = P.interpolate([(0, -3), (-12, 0), (10, 5)])
+        h = interpolate([(0, -3), (-12, 0), (10, 5)])
         assert self._agree(curve_for_prime(11), FAMILY_F, h) == (ROOTS_NOT_MAPPED,)
 
     @pytest.mark.parametrize("conjugate", [[0, 1], [-4, -4, -1], [-1, 3, 1]])
     def test_example_h_after_each_conjugate(self, conjugate):
         # alpha -> -1/sigma(alpha) for the three automorphisms sigma of Q(alpha)
-        h = P.mod_poly(P.compose(EXAMPLE_PSI.h, P.poly(conjugate)), EXAMPLE_E.f_poly())
+        h = mod_poly(compose(EXAMPLE_PSI.h, P.poly(conjugate)), EXAMPLE_E.f_poly())
         assert self._agree(EXAMPLE_E, EXAMPLE_F, h) == ()
 
     @pytest.mark.parametrize("h,expected", [

@@ -7,6 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mwglue.poly as P
+from mwglue.etale import divmod_poly, is_squarefree, mod_poly, sqrt_fraction
+from mwglue.glue import compose, interpolate
+from mwglue.squares import xgcd_poly
 
 from oracles import bisect_cubic_roots, trial_is_prime
 
@@ -154,7 +157,7 @@ class TestRootScaling:
         f = P.poly([*cofactor[: d - len(roots)], 1])
         for r in roots:
             f = P.mul(f, P.poly([-r, 1]))
-        assume(P.is_squarefree(f))
+        assume(is_squarefree(f))
         found = P.rational_roots_monic(f)
         assert found == _lcm_scaled_roots(f)
         assert set(roots) <= set(found)
@@ -183,7 +186,7 @@ class TestModPoly:
     @settings(max_examples=150, deadline=None)
     def test_linear_modulus_matches_long_division(self, coeffs, c0, c1):
         p, m = P.poly(coeffs), P.poly([c0, c1])
-        assert P.mod_poly(p, m) == P.divmod_poly(p, m)[1]
+        assert mod_poly(p, m) == divmod_poly(p, m)[1]
 
 
 class TestLiftRoot:
@@ -219,7 +222,7 @@ class TestIntegralCoefficients:
     @given(mixed_polys, mixed_polys)
     @settings(max_examples=150, deadline=None)
     def test_ring_operations(self, p, q):
-        for op in (P.add, P.mul, P.compose):
+        for op in (P.add, P.mul, compose):
             got = op(p, q)
             assert got == op(_as_fractions(p), _as_fractions(q))
             assert _normalized(got)
@@ -228,11 +231,11 @@ class TestIntegralCoefficients:
     @settings(max_examples=150, deadline=None)
     def test_division(self, p, q):
         fp, fq = _as_fractions(p), _as_fractions(q)
-        for op in (P.divmod_poly, P.mod_poly, P.xgcd_poly):
+        for op in (divmod_poly, mod_poly, xgcd_poly):
             got = op(p, q)
             assert got == op(fp, fq)
             assert _normalized(got)
-        quot, rem = P.divmod_poly(p, q)
+        quot, rem = divmod_poly(p, q)
         assert P.add(P.mul(quot, q), rem) == p
 
     @given(mixed_polys, st.integers(-30, 30), mixed)
@@ -241,14 +244,14 @@ class TestIntegralCoefficients:
         # x - r, the family's components, and lead x - r
         assume(lead)
         for m in (P.poly([-r, 1]), P.poly([-r, lead])):
-            got = P.mod_poly(p, m)
-            assert got == P.mod_poly(_as_fractions(p), _as_fractions(m)) and _normalized(got)
+            got = mod_poly(p, m)
+            assert got == mod_poly(_as_fractions(p), _as_fractions(m)) and _normalized(got)
 
     @given(st.lists(st.tuples(mixed, mixed), min_size=1, max_size=4, unique_by=lambda pt: Fraction(pt[0])))
     @settings(max_examples=100, deadline=None)
     def test_interpolate(self, points):
-        got = P.interpolate(points)
-        assert got == P.interpolate([(Fraction(x), Fraction(y)) for x, y in points])
+        got = interpolate(points)
+        assert got == interpolate([(Fraction(x), Fraction(y)) for x, y in points])
         assert _normalized(got)
         assert all(P.eval_at(got, x) == y for x, y in points)
 
@@ -278,6 +281,6 @@ class TestIntegralCoefficients:
             P.poly([value])
 
     def test_sqrt_fraction_refuses_float(self):
-        assert P.sqrt_fraction(Fraction(1, 4)) == Fraction(1, 2)
+        assert sqrt_fraction(Fraction(1, 4)) == Fraction(1, 2)
         with pytest.raises(TypeError):
-            P.sqrt_fraction(0.25)
+            sqrt_fraction(0.25)
