@@ -7,7 +7,6 @@ Exit codes: 0 verified/answered, 1 falsified, 2 unknown or bounds exhausted,
 from __future__ import annotations
 
 import os
-import stat
 import sys
 from _json import encode_basestring_ascii as _quote, make_scanner  # json's own C code
 from collections.abc import Callable
@@ -123,11 +122,8 @@ def _emit(args, payload: Callable[[], dict], human: Callable[[], str]):
     text = _json(payload()) if args.out or args.format == "json" else None
     # the file first, so that a reader closing stdout early does not lose it
     if args.out:
-        # in place, keeping F's inode, links and mode; ext4 stalls on closing a file truncated on open
-        with open(os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
+        with open(args.out, "w") as fh:
             fh.write(text + "\n")
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # not /dev/stdout or a FIFO
-                fh.truncate()
     _print(text if args.format == "json" else human())
 
 

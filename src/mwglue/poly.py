@@ -2,9 +2,10 @@
 lives with the modules that run it, `etale`, `glue` and `squares`.
 
 A polynomial is a tuple of rationals in ascending degree order, trimmed of
-trailing zeros; the zero polynomial is ().  A coefficient is an int when it
-is integral and a `Rational` otherwise (see `fraction`), and every true
-division is `ratio`, whose quotient is again an int when it is integral.
+trailing zeros; the zero polynomial is the empty tuple.  Each coefficient is
+an int when it is integral and a `Rational` otherwise (see `fraction`), so a
+polynomial with integer coefficients is computed on in int arithmetic; every
+true division is `ratio`, whose quotient is again an int when it is integral.
 `Rational` is mwglue's own, so that no command imports `fractions` (which
 loads `decimal` and `numbers`), and `rational` reads numbers without `re`.
 """

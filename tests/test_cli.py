@@ -328,6 +328,8 @@ SHAPE_ERRORS = [
     ("fixtures", {"cover_to_F": [["0", "0", "1"], ["1"]]}, "cover_to_F: expected an object with the keys u and v"),
     # two points at infinity were read as the generators
     ("F", {"F": E_JSON, "generators": "OO"}, "generators: expected a list of points"),
+    ("F", {"F": E_JSON, "generators": ["O", {"x": "3/0", "y": "6"}]},
+     'generators[1].x: not a rational number: "3/0"'),
     ("F", {"F": E_JSON, "generators": ["O", {"x": "0"}]},
      "generators[1]: expected an object with the keys x and y"),
     ("F", {"generators": []}, "the F file: expected an object with the key F"),

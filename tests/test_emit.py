@@ -1,11 +1,9 @@
 """How the CLI renders a report: `cli._json` writes the bytes of
 `json.dumps(value, indent=2)`, the `--out` file holds the JSON stdout would,
-an existing `--out` file is rewritten in place, and each command renders
-only the text that is printed or written."""
+and each command renders only the text that is printed or written."""
 
 import json
 import json.encoder
-import os
 from fractions import Fraction
 
 import pytest
@@ -64,35 +62,6 @@ def test_out_file_holds_the_json_stdout(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(out)]) == 0
     printed = capsys.readouterr().out
     assert out.read_text() == printed == json.dumps(json.loads(printed), indent=2) + "\n"
-
-
-@pytest.fixture
-def jinv_argv(inputs):
-    return ["jinv", "--curve", inputs.write("curve.json", EXAMPLE_E.to_json()), "--format", "json"]
-
-
-def test_shorter_report_leaves_only_its_bytes(tmp_path, capsys, jinv_argv):
-    out = tmp_path / "report.json"
-    out.write_text("x" * 10_000)
-    assert main([*jinv_argv, "--out", str(out)]) == 0
-    assert out.read_text() == capsys.readouterr().out
-
-
-def test_out_file_keeps_its_links_and_mode(tmp_path, capsys, jinv_argv):
-    out, link = tmp_path / "report.json", tmp_path / "link.json"
-    out.write_text("x" * 10_000)
-    os.link(out, link)
-    out.chmod(0o640)
-    inode = out.stat().st_ino
-    assert main([*jinv_argv, "--out", str(out)]) == 0
-    assert link.read_text() == out.read_text() == capsys.readouterr().out
-    assert out.stat().st_ino == inode
-    assert out.stat().st_mode & 0o777 == 0o640
-
-
-def test_out_to_a_device(jinv_argv):
-    # /dev/null is no regular file, and is not truncated
-    assert main([*jinv_argv, "--out", os.devnull]) == 0
 
 
 @pytest.fixture

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from mwglue.arith import factor, is_prime
-from mwglue.cli import main
 from mwglue.descent import descent_class
 from mwglue.ellcurve import ECPoint, EllipticCurve
 from mwglue.etale import AlgebraSquareClass, CubicEtaleAlgebra
@@ -89,21 +88,6 @@ class TestParams:
 
 
 class TestLoadFFile:
-    # a refused --F file names what is wrong, and the command exits 3 as for any bad input
-    @pytest.mark.parametrize("payload, message", [
-        ({"F": FAMILY_F.to_json(), "generator": []},
-         "unknown key 'generator' in the F file; known keys: F, generators"),
-        ({"generators": []}, "the F file: expected an object with the key F"),
-        ({"F": FAMILY_F.to_json(), "generators": ["O", {"x": "3/0", "y": "6"}]},
-         'generators[1].x: not a rational number: "3/0"'),
-    ], ids=["unknown key", "missing F", "bad generator"])
-    def test_refused_files(self, inputs, capsys, payload, message):
-        with pytest.raises(ValueError) as refused:
-            load_F_file(payload)
-        assert str(refused.value) == message
-        assert main(["family", "--l1", "3", "--l2", "5", "--count", "1", "--F", inputs.write("F.json", payload)]) == 3
-        assert capsys.readouterr().err == f"error: {message}\n"
-
     def test_generators_default_to_none(self):
         assert load_F_file({"F": FAMILY_F.to_json()}) == (FAMILY_F, ())
 
